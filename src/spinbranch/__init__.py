@@ -21,6 +21,7 @@ from .indices import (
     ConstructionPlan,
     IndexClassification,
     classify_index,
+    classify_indices,
     extension_plan,
     index_report,
     non_normal_certificate,

@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import crystal as cr
 from . import indices as ix
 from . import verify as vf
-from .core import InvalidCharacteristic, Weight, check_characteristic, res_p
-from .sigseq import r_beta, reduced_product, seq_to_json
+from .core import InvalidCharacteristic, Weight, check_characteristic
+from .sigseq import seq_to_json
 
 
 class ParseError(ValueError):
@@ -42,28 +43,12 @@ def _seq_jsonable(u):
 
 
 def _weight_report(lam: Weight) -> dict:
-    p = lam.p
-    if p:
-        betas = sorted(range(p))
-    else:
-        betas = sorted(
-            {lam.residue(i) for i in range(1, lam.n + 1)}
-            | {res_p(lam.entry(i) + 1, 0) for i in range(1, lam.n + 1)}
-        )
+    reductions = ix.residue_reductions(lam)
     indices = []
-    for i in range(1, lam.n + 1):
-        cls = ix.classify_index(lam, i)
-        entry = {
-            "i": i,
-            "entry": lam.entry(i),
-            "residue": cls.residue,
-            "tensor_normal": cls.tensor_normal,
-            "normal": cls.normal,
-            "tensor_conormal": cls.tensor_conormal,
-            "good": cls.good,
-            "tensor_good": cls.tensor_good,
-            "tensor_cogood": cls.tensor_cogood,
-        }
+    for cls in ix.classify_indices(lam, reductions):
+        entry = asdict(cls)
+        i = entry.pop("index")
+        entry.update(i=i, entry=lam.entry(i))
         if i < lam.n and not cls.normal:
             entry["certificate"] = json.loads(
                 ix.non_normal_certificate(lam, i).to_json()
@@ -71,10 +56,9 @@ def _weight_report(lam: Weight) -> dict:
         indices.append(entry)
     r_maps = {}
     signatures = {}
-    for beta in betas:
-        u = r_beta(lam, beta)
-        r_maps[str(beta)] = json.loads(u.to_json())
-        signatures[str(beta)] = _seq_jsonable(reduced_product(u))
+    for beta, red in reductions.items():
+        r_maps[str(beta)] = json.loads(red.sign_map.to_json())
+        signatures[str(beta)] = _seq_jsonable(red.reduced)
     return {"indices": indices, "r_maps": r_maps, "reduced_signatures": signatures}
 
 
@@ -150,29 +134,32 @@ def cmd_crystal(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs: dict = {}
-    if args.suite in ("poly-identities", "raising-oracle") and args.width:
+    if args.suite in ("poly-identities", "raising-oracle") and args.width is not None:
         kwargs["width"] = args.width
     if args.suite in ("signature-bridge", "duality", "certificates"):
-        if args.samples:
+        if args.samples is not None:
             kwargs["samples"] = args.samples
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        if args.n:
+        if args.n is not None:
             kwargs["max_n"] = args.n
-        if args.p:
+        if args.p is not None:
             kwargs["ps"] = (check_characteristic(args.p),)
     if args.suite == "reduction":
-        if args.samples:
+        if args.samples is not None:
             kwargs["samples"] = args.samples
         if args.seed is not None:
             kwargs["seed"] = args.seed
-    if args.suite == "flows" and args.n:
+    if args.suite == "flows" and args.n is not None:
         kwargs["max_domain"] = args.n
     try:
         report = vf.run_suite(args.suite, **kwargs)
     except KeyError:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(vf.SUITES)}",
               file=sys.stderr)
+        return 2
+    except vf.InvalidSuiteParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1

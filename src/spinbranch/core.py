@@ -105,11 +105,6 @@ class Weight:
         parts[i - 1] -= 1
         return Weight(tuple(parts), self.p)
 
-    def add_eps(self, i: int) -> "Weight":
-        parts = list(self.parts)
-        parts[i - 1] += 1
-        return Weight(tuple(parts), self.p)
-
     def to_json(self) -> str:
         return json.dumps({"p": self.p, "parts": list(self.parts)})
 
@@ -177,10 +172,6 @@ class SignedSet:
     def max(self) -> tuple[int, bool] | None:
         els = self.elements()
         return els[-1] if els else None
-
-    def min_value(self) -> int | None:
-        m = self.min()
-        return None if m is None else m[0]
 
     def contains_even(self, v: int) -> bool:
         return v in self.evens
@@ -264,13 +255,3 @@ def seg_oo(a: int, b: int) -> range:
 def seg_oc(a: int, b: int) -> range:
     """(a..b] = {a+1, ..., b}"""
     return range(a + 1, b + 1)
-
-
-def seg_co(a: int, b: int) -> range:
-    """[a..b) = {a, ..., b-1}"""
-    return range(a, b)
-
-
-def seg_cc(a: int, b: int) -> range:
-    """[a..b] = {a, ..., b}"""
-    return range(a, b + 1)

@@ -5,7 +5,8 @@ planners behind primitive-vector constructions and extensions.
 Everything here is driven by reductions of the sign maps r_beta(lambda):
 an index is tensor normal when its minus survives the full reduction, and
 normal (for i < n) when it survives the reduction over [1..n) and the
-boundary exception does not apply.
+boundary exception does not apply.  Each sign map is built and reduced
+once per (lambda, beta); every flag is read off that one result.
 """
 from __future__ import annotations
 
@@ -18,9 +19,11 @@ from .sigseq import (
     PLUS,
     Flow,
     PreconditionFailed,
+    Seq,
     SignMap,
     build_full_flow,
     flow_analyze,
+    gap_flow_edges,
     lead_plus_index,
     partial_flow,
     plus_count,
@@ -30,7 +33,6 @@ from .sigseq import (
     reduced_product,
     resolution_of,
     section_of,
-    signs,
     split_index,
 )
 
@@ -59,87 +61,142 @@ class IndexClassification:
     tensor_cogood: bool
 
 
-def _contains_mark(seq, sign: int, mark: int) -> bool:
-    return any(s == sign and m == mark for s, m in seq)
+@dataclass(frozen=True)
+class ResidueReduction:
+    """r_beta(lambda), its reduction, and the indices read off it.  A minus
+    of r_beta sits at an index of residue beta and a plus at one whose entry
+    + 1 has residue beta, so each set lies in one class; good is its first
+    normal index, tensor good its first tensor normal index and tensor
+    cogood its last tensor conormal index (None if absent)."""
+
+    beta: int
+    sign_map: SignMap
+    reduced: Seq
+    tensor_normal: frozenset[int]
+    tensor_conormal: frozenset[int]
+    normal: frozenset[int]
+    good: int | None
+    tensor_good: int | None
+    tensor_cogood: int | None
+
+
+def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
+    """Build r_beta(lambda) once and reduce it over [1..n] and [1..n).
+
+    The boundary exception needs, for each i, whether the reduction over
+    (i..n) is empty; one right-to-left scan gives all of them.  Prepending
+    to a reduced word +^s -^r, a - cancels a leading + or raises r, and a +
+    raises s.
+    """
+    n, p = lam.n, lam.p
+    u = r_beta(lam, beta)
+    reduced = reduce_seq(product_of(u))
+    head = reduce_seq(product_of(u, range(1, n)))
+    normal = {m for s, m in head if s == MINUS}
+    if normal and congruent(lam.entry(n), 0, p):
+        s = r = 0
+        for i in range(n - 1, 0, -1):
+            if s == r == 0 and congruent(lam.entry(i), 0, p):
+                normal.discard(i)
+            for ch in reversed(u.value(i)):
+                if ch == "+":
+                    s += 1
+                elif s:
+                    s -= 1
+                else:
+                    r += 1
+    minus = frozenset(m for s, m in reduced if s == MINUS)
+    plus = frozenset(m for s, m in reduced if s == PLUS)
+    return ResidueReduction(beta, u, reduced, minus, plus, frozenset(normal),
+                            min(normal, default=None), min(minus, default=None),
+                            max(plus, default=None))
+
+
+def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
+    """One reduction per residue: every beta in 0..p-1, or for p = 0 every
+    residue of an entry or of an entry plus one."""
+    p = lam.p
+    if p:
+        betas = range(p)
+    else:
+        betas = sorted({res_p(x, 0) for x in lam.parts} | {res_p(x + 1, 0) for x in lam.parts})
+    return {beta: reduce_residue(lam, beta) for beta in betas}
+
+
+def _classify(i: int, own: ResidueReduction, up: ResidueReduction) -> IndexClassification:
+    """Index i's flags from the reductions at its residue (own) and at the
+    residue of its entry + 1 (up)."""
+    return IndexClassification(
+        index=i,
+        residue=own.beta,
+        tensor_normal=i in own.tensor_normal,
+        normal=i in own.normal,
+        tensor_conormal=i in up.tensor_conormal,
+        good=i == own.good,
+        tensor_good=i == own.tensor_good,
+        tensor_cogood=i == up.tensor_cogood,
+    )
+
+
+def classify_indices(
+    lam: Weight, reductions: dict[int, ResidueReduction] | None = None
+) -> tuple[IndexClassification, ...]:
+    """The classification of every index, read off one reduction per
+    residue (pass `reductions` to reuse ones already built)."""
+    if reductions is None:
+        reductions = residue_reductions(lam)
+    p = lam.p
+    return tuple(
+        _classify(i, reductions[res_p(x, p)], reductions[res_p(x + 1, p)])
+        for i, x in enumerate(lam.parts, start=1)
+    )
+
+
+def _own(lam: Weight, i: int) -> ResidueReduction:
+    return reduce_residue(lam, lam.residue(i))
+
+
+def _up(lam: Weight, i: int) -> ResidueReduction:
+    return reduce_residue(lam, res_p(lam.entry(i) + 1, lam.p))
 
 
 def tensor_normal(lam: Weight, i: int) -> bool:
-    beta = lam.residue(i)
-    return _contains_mark(reduced_product(r_beta(lam, beta)), MINUS, i)
+    return i in _own(lam, i).tensor_normal
 
 
 def normal(lam: Weight, i: int) -> bool:
     """Minus of index i survives over [1..n), minus the boundary exception
     (empty reduction strictly after i while both lambda_i and lambda_n are
     divisible by p)."""
-    n = lam.n
-    if not 1 <= i < n:
-        return False
-    beta = lam.residue(i)
-    u = r_beta(lam, beta)
-    head = reduce_seq(product_of(u, range(1, n)))
-    if not _contains_mark(head, MINUS, i):
-        return False
-    gap_empty = not reduce_seq(product_of(u, range(i + 1, n)))
-    if gap_empty and congruent(lam.entry(i), 0, lam.p) and congruent(lam.entry(n), 0, lam.p):
-        return False
-    return True
+    return 1 <= i < lam.n and i in _own(lam, i).normal
 
 
 def tensor_conormal(lam: Weight, i: int) -> bool:
-    beta = res_p(lam.entry(i) + 1, lam.p)
-    return _contains_mark(reduced_product(r_beta(lam, beta)), PLUS, i)
+    return i in _up(lam, i).tensor_conormal
 
 
 def good(lam: Weight, i: int) -> bool:
-    if not normal(lam, i):
-        return False
-    return not any(
-        normal(lam, h) for h in range(1, i) if lam.residue(h) == lam.residue(i)
-    )
+    return 1 <= i < lam.n and i == _own(lam, i).good
 
 
 def tensor_good(lam: Weight, i: int) -> bool:
-    if not tensor_normal(lam, i):
-        return False
-    return not any(
-        tensor_normal(lam, h)
-        for h in range(1, i)
-        if lam.residue(h) == lam.residue(i)
-    )
+    return i == _own(lam, i).tensor_good
 
 
 def tensor_cogood(lam: Weight, i: int) -> bool:
     """Maximal tensor conormal index in its class; conormal indices are
     grouped by the residue of (entry + 1), matching the -w0 duality."""
-    if not tensor_conormal(lam, i):
-        return False
-    my = res_p(lam.entry(i) + 1, lam.p)
-    return not any(
-        tensor_conormal(lam, h)
-        for h in range(i + 1, lam.n + 1)
-        if res_p(lam.entry(h) + 1, lam.p) == my
-    )
+    return i == _up(lam, i).tensor_cogood
 
 
 def classify_index(lam: Weight, i: int) -> IndexClassification:
-    return IndexClassification(
-        index=i,
-        residue=lam.residue(i),
-        tensor_normal=tensor_normal(lam, i),
-        normal=normal(lam, i),
-        tensor_conormal=tensor_conormal(lam, i),
-        good=good(lam, i),
-        tensor_good=tensor_good(lam, i),
-        tensor_cogood=tensor_cogood(lam, i),
-    )
+    return _classify(i, _own(lam, i), _up(lam, i))
 
 
 def index_report(lam: Weight) -> dict[int, list[IndexClassification]]:
     """Classification of every index, grouped by residue class."""
     groups: dict[int, list[IndexClassification]] = {}
-    for i in range(1, lam.n + 1):
-        cls = classify_index(lam, i)
+    for cls in classify_indices(lam):
         groups.setdefault(cls.residue, []).append(cls)
     return groups
 
@@ -193,11 +250,11 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     n = lam.n
     if not 1 <= i < n:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
-    if normal(lam, i):
+    own = _own(lam, i)
+    if i in own.normal:
         raise IsNormal(f"index {i} is normal for {lam.parts}")
     p = lam.p
-    beta = lam.residue(i)
-    u = r_beta(lam, beta)
+    beta, u = own.beta, own.sign_map
     gap = list(range(i + 1, n))
     red_gap = reduce_seq(product_of(u, gap))
     pluses = plus_count(red_gap)
@@ -215,7 +272,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
         return Certificate("a" if tag == "a" else "b", i, j, flow, m_set, srcs, c)
 
     if beta_zero and pluses == 1 and congruent(lam.entry(i), 0, p):
-        j = min(section_of(u.restrict(gap)))
+        j = lead_plus_index(u.restrict(gap))
         tag = "c"
     elif not red_gap and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
         j = n
@@ -371,13 +428,9 @@ def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
         sec = section_of(u.restrict(inner))
         chain = (h,) + sec + (i,)
         edges = set(zip(chain, chain[1:]))
-        loops |= {(a, a) for a in sec}
-        bounds = (h,) + sec + (i,)
-        for lo, hi in zip(bounds, bounds[1:]):
-            gap = [t for t in inner if lo < t < hi]
-            piece = set(build_full_flow(u.restrict(gap)).edges)
-            edges |= piece
-            loops |= piece
+        pieces = gap_flow_edges(u, inner, sec)
+        edges |= pieces
+        loops |= {(a, a) for a in sec} | pieces
     gamma = Flow(frozenset(edges))
     delta = Flow(frozenset(loops))
     srcs = gamma.sources() - {h}
@@ -393,11 +446,11 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
     for a normal index i, following the four-way case split on the
     reduction strictly between i and n."""
     n = lam.n
-    if not normal(lam, i):
+    own = _own(lam, i) if 1 <= i < n else None
+    if own is None or i not in own.normal:
         raise NotNormal(f"index {i} is not normal for {lam.parts}")
     p = lam.p
-    beta = lam.residue(i)
-    u = r_beta(lam, beta)
+    u = own.sign_map
     red_gap = reduce_seq(product_of(u, range(i + 1, n)))
     if plus_count(red_gap) == 0:
         return ConstructionPlan((_base_step(lam, i),))

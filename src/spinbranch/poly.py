@@ -115,9 +115,6 @@ class Polynomial:
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v, _ in m}
 
-    def degree_in(self, var: Var) -> int:
-        return max((dict(m).get(var, 0) for m in self.terms), default=0)
-
     def coefficients_in(self, var: Var) -> dict[int, "Polynomial"]:
         """Split as a univariate polynomial in var with polynomial coefficients."""
         out: dict[int, dict[Monomial, int]] = {}

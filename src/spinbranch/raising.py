@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import SignedSet, Weight, res_p
+from .core import SignedSet, Weight
 from .poly import Polynomial
 
 Bars = tuple[int, ...]
@@ -473,10 +473,3 @@ def eval_at_weight(u: U0Element, lam: Weight, p: int | None = None) -> U0Element
         if value:
             out[bars] = Polynomial.const(value)
     return U0Element(out)
-
-
-def res_difference(lam: Weight, i: int, j: int) -> int:
-    """Res lambda_i - Res(lambda_j + 1) mod p: the eigenvalue of B(i, j)."""
-    p = lam.p
-    v = res_p(lam.entry(i), p) - res_p(lam.entry(j) + 1, p)
-    return v % p if p else v

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import Weight, congruent, res_p
+from .core import Weight, res_p
 
 Entry = tuple[int, int]  # (sign, mark), sign in {+1, -1}
 Seq = tuple[Entry, ...]
@@ -32,10 +32,6 @@ class NotAllMinus(ValueError):
 
 class PreconditionFailed(ValueError):
     pass
-
-
-def seq(*entries: Entry) -> Seq:
-    return tuple(entries)
 
 
 def reduce_seq(u: Seq) -> Seq:
@@ -126,6 +122,7 @@ class SignMap:
             if v not in allowed:
                 raise ValueError(f"value {v!r} not allowed in {self.mode} mode")
         object.__setattr__(self, "values", pairs)
+        object.__setattr__(self, "_by_index", dict(pairs))
 
     @staticmethod
     def make(mode: str, mapping: dict[int, str]) -> "SignMap":
@@ -136,10 +133,7 @@ class SignMap:
         return tuple(i for i, _ in self.values)
 
     def value(self, i: int) -> str:
-        for k, v in self.values:
-            if k == i:
-                return v
-        raise KeyError(i)
+        return self._by_index[i]
 
     def contains_minus(self, i: int) -> bool:
         return "-" in self.value(i)
@@ -148,8 +142,11 @@ class SignMap:
         return "+" in self.value(i)
 
     def restrict(self, indices) -> "SignMap":
-        keep = set(indices)
-        return SignMap(self.mode, tuple((i, v) for i, v in self.values if i in keep))
+        """The map on the given indices that lie in the domain."""
+        by_index = self._by_index
+        return SignMap(
+            self.mode, tuple((i, by_index[i]) for i in set(indices) if i in by_index)
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -165,18 +162,13 @@ class SignMap:
 def product_of(u: SignMap, indices=None) -> Seq:
     """Concatenate u_j over j in increasing order, marking entries with j."""
     if indices is None:
-        indices = u.domain
+        pairs = u.values
     else:
-        dom = set(u.domain)
-        indices = sorted(indices)
-        for j in indices:
-            if j not in dom:
-                raise KeyError(f"{j} not in sign map domain")
-    out: list[Entry] = []
-    for j in sorted(indices):
-        for ch in u.value(j):
-            out.append((PLUS if ch == "+" else MINUS, j))
-    return tuple(out)
+        try:
+            pairs = [(j, u.value(j)) for j in sorted(indices)]
+        except KeyError as exc:
+            raise KeyError(f"{exc.args[0]} not in sign map domain") from None
+    return tuple((PLUS if ch == "+" else MINUS, j) for j, v in pairs for ch in v)
 
 
 def reduced_product(u: SignMap, indices=None) -> Seq:
@@ -191,24 +183,16 @@ def r_beta(lam: Weight, beta: int) -> SignMap:
     of residue beta and + where the residue of (entry + 1) is beta.
     """
     p = lam.p
-    vals: dict[int, str] = {}
-    if (beta % p if p else beta) == 0:
-        for i in range(1, lam.n + 1):
-            x = lam.entry(i)
-            if congruent(x, 1, p):
-                vals[i] = "--"
-            elif congruent(x, 0, p):
-                vals[i] = "+-"
-            elif congruent(x, -1, p):
-                vals[i] = "++"
-            else:
-                vals[i] = ""
+    beta = beta % p if p else beta
+    if beta == 0:
+        pair = {1 % p: "--", 0: "+-", -1 % p: "++"} if p else {1: "--", 0: "+-", -1: "++"}
+        vals = {i: pair.get(x % p if p else x, "") for i, x in enumerate(lam.parts, 1)}
         return SignMap.make("pair", vals)
-    for i in range(1, lam.n + 1):
-        x = lam.entry(i)
-        if res_p(x, p) == (beta % p if p else beta):
+    vals = {}
+    for i, x in enumerate(lam.parts, 1):
+        if res_p(x, p) == beta:
             vals[i] = "-"
-        elif res_p(x + 1, p) == (beta % p if p else beta):
+        elif res_p(x + 1, p) == beta:
             vals[i] = "+"
         else:
             vals[i] = ""
@@ -237,15 +221,6 @@ class Flow:
 
     def union(self, other: "Flow") -> "Flow":
         return Flow(self.edges | other.edges)
-
-    def target_of(self, a: int) -> int:
-        for s, t in self.edges:
-            if s == a:
-                return t
-        raise KeyError(a)
-
-    def source_map(self) -> dict[int, int]:
-        return {a: b for a, b in sorted(self.edges)}
 
     def to_json(self) -> str:
         return json.dumps({"edges": sorted([a, b] for a, b in self.edges)})
@@ -289,22 +264,18 @@ def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
     return FlowReport(weak, strict, coherent, fully, buds)
 
 
-def _buds_of(edges: set[tuple[int, int]], u: SignMap, indices) -> list[int]:
-    srcs = {a for a, _ in edges}
-    return [i for i in sorted(indices) if u.contains_minus(i) and i not in srcs]
-
-
 def build_full_flow(u: SignMap) -> Flow:
     """A flow fully coherent with u, given [prod u] = -^m.
 
     Single mode: the erasure-trace construction (each erased -+ pair is an
-    edge); bud count m.  Pair mode: recursion on max of the domain, joining
-    the maximal available bud to the new index; bud count m/2.
+    edge); bud count m.  Pair mode: one pass in index order, joining the
+    maximal available bud to each index whose value holds a +; bud count
+    m/2.
     """
     if not is_all_minus(reduced_product(u)):
         raise NotAllMinus(f"[prod u] = {signs(reduced_product(u))} contains a +")
+    edges: set[tuple[int, int]] = set()
     if u.mode == "single":
-        edges: set[tuple[int, int]] = set()
         stack: list[tuple[int, int]] = []  # (sign, index)
         for sign, mark in product_of(u):
             if sign == PLUS and stack and stack[-1][0] == MINUS:
@@ -313,24 +284,15 @@ def build_full_flow(u: SignMap) -> Flow:
             else:
                 stack.append((sign, mark))
         return Flow(frozenset(edges))
-
-    def rec(idxs: list[int]) -> set[tuple[int, int]]:
-        if not idxs:
-            return set()
-        e = idxs[-1]
-        rest = idxs[:-1]
-        edges = rec(rest)
-        v = u.value(e)
-        if v in ("", "--"):
-            return edges
-        # +- or ++: cover the new + with an edge from the maximal bud
-        buds = _buds_of(edges, u, rest)
-        if not buds:
-            raise AssertionError("no bud available; precondition violated")
-        edges.add((buds[-1], e))
-        return edges
-
-    return Flow(frozenset(rec(sorted(u.domain))))
+    buds: list[int] = []  # increasing, so the maximal bud is on top
+    for e, v in u.values:
+        if v in ("+-", "++"):
+            if not buds:
+                raise AssertionError("no bud available; precondition violated")
+            edges.add((buds.pop(), e))
+        if "-" in v:
+            buds.append(e)
+    return Flow(frozenset(edges))
 
 
 def split_index(u: SignMap) -> int:
@@ -359,88 +321,96 @@ def split_index(u: SignMap) -> int:
     return rec(sorted(u.domain))
 
 
+def _first_plus(u: SignMap, idxs, start: int = 0, need: int = 1) -> int | None:
+    """The first position k >= start in idxs at which [prod over
+    idxs[start..k]] has at least `need` plus signs, or None.
+
+    One left-to-right scan.  The reduced word has shape +^s -^r: a - raises
+    r, and a + cancels a pending - or raises s, so s never decreases.
+    """
+    s = r = 0
+    for k in range(start, len(idxs)):
+        for ch in u.value(idxs[k]):
+            if ch == "-":
+                r += 1
+            elif r:
+                r -= 1
+            else:
+                s += 1
+        if s >= need:
+            return k
+    return None
+
+
 def lead_plus_index(u: SignMap) -> int:
     """The pair-mode index a with u_a = +- and empty reduction before it,
-    for [prod u] = +-^m."""
-    if u.mode != "pair":
-        raise PreconditionFailed("lead_plus_index needs a pair-mode map")
-    red = reduced_product(u)
-    if plus_count(red) != 1 or not red or red[0][0] != PLUS:
-        raise PreconditionFailed(f"[prod u] = {signs(red)} is not +-^m")
-
-    def rec(idxs: list[int]) -> int:
-        e = idxs[-1]
-        rest = idxs[:-1]
-        s = plus_count(reduce_seq(product_of(u, rest)))
-        if s == 1:
-            return rec(rest)
-        assert s == 0 and u.value(e) == "+-"
-        return e
-
-    return rec(sorted(u.domain))
+    for [prod u] = +-^m: the first index of the section."""
+    return section_of(u)[0]
 
 
 def section_of(u: SignMap) -> tuple[int, ...]:
     """A section a_1 < ... < a_h of u (pair mode, [prod u] = +-^m):
     every u_{a_k} = +-, the gaps between them reduce to empty, and the tail
-    after a_h reduces to -^(m-1)."""
-    a = lead_plus_index(u)
-    tail = [i for i in u.domain if i > a]
-    if plus_count(reduce_seq(product_of(u, tail))) == 0:
-        return (a,)
-    return (a,) + section_of(u.restrict(tail))
+    after a_h reduces to -^(m-1).
+
+    a_1 is the first index whose prefix reduces with a +, and a_{k+1} is
+    that of the tail after a_k: one scan, restarted after each a_k."""
+    if u.mode != "pair":
+        raise PreconditionFailed("a section needs a pair-mode map")
+    red = reduced_product(u)
+    if plus_count(red) != 1 or not red or red[0][0] != PLUS:
+        raise PreconditionFailed(f"[prod u] = {signs(red)} is not +-^m")
+    idxs = u.domain
+    sec: list[int] = []
+    k = _first_plus(u, idxs)
+    while k is not None:
+        sec.append(idxs[k])
+        k = _first_plus(u, idxs, k + 1)
+    return tuple(sec)
+
+
+def gap_flow_edges(u: SignMap, idxs, cuts) -> set[tuple[int, int]]:
+    """Edges of fully coherent flows on the stretches of idxs between cuts."""
+    cut = set(cuts)
+    edges: set[tuple[int, int]] = set()
+    stretch: list[int] = []
+    for i in idxs:
+        if i in cut:
+            edges |= build_full_flow(u.restrict(stretch)).edges
+            stretch = []
+        else:
+            stretch.append(i)
+    return edges | build_full_flow(u.restrict(stretch)).edges
 
 
 def resolution_of(u: SignMap) -> Flow:
     """The weak flow built from a section: loops at the section indices plus
     fully coherent flows on the complementary stretches."""
     sec = section_of(u)
-    edges: set[tuple[int, int]] = {(a, a) for a in sec}
-    bounds = (float("-inf"),) + sec + (float("inf"),)
-    for lo, hi in zip(bounds, bounds[1:]):
-        gap = [i for i in u.domain if lo < i < hi]
-        edges |= set(build_full_flow(u.restrict(gap)).edges)
+    edges = {(a, a) for a in sec} | gap_flow_edges(u, u.domain, sec)
     return Flow(frozenset(edges))
 
 
 def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
     """A beginning J of the domain with [prod over J] = + (single mode) or
     ++ (pair mode), and a flow on J coherent but not fully coherent with
-    u restricted to J, having no buds there."""
+    u restricted to J, having no buds there.
+
+    J ends at the first index e whose prefix reduces with enough pluses.
+    If the indices before e reduce with a +, their section is chained to e;
+    otherwise they carry a fully coherent flow."""
     red = reduced_product(u)
     need = 1 if u.mode == "single" else 2
     if plus_count(red) < need:
         raise PreconditionFailed(
             f"[prod u] = {signs(red)} has fewer than {need} plus signs"
         )
-
-    def rec_single(idxs: list[int]) -> tuple[list[int], set[tuple[int, int]]]:
-        if len(idxs) == 1:
-            return idxs, set()
-        rest = idxs[:-1]
-        if plus_count(reduce_seq(product_of(u, rest))) > 0:
-            return rec_single(rest)
-        return idxs, set(build_full_flow(u.restrict(rest)).edges)
-
-    def rec_pair(idxs: list[int]) -> tuple[list[int], set[tuple[int, int]]]:
-        if len(idxs) == 1:
-            return idxs, set()
-        e = idxs[-1]
-        rest = idxs[:-1]
-        s = plus_count(reduce_seq(product_of(u, rest)))
-        if s > 1:
-            return rec_pair(rest)
-        if s == 0:
-            return idxs, set(build_full_flow(u.restrict(rest)).edges)
-        # s == 1: join the section of the prefix and end at e
+    idxs = u.domain
+    k = _first_plus(u, idxs, need=need)
+    rest = idxs[:k]
+    if _first_plus(u, rest) is None:
+        edges = set(build_full_flow(u.restrict(rest)).edges)
+    else:
         sec = section_of(u.restrict(rest))
-        edges = set(zip(sec, sec[1:] + (e,)))
-        bounds = (float("-inf"),) + sec + (float("inf"),)
-        for lo, hi in zip(bounds, bounds[1:]):
-            gap = [i for i in rest if lo < i < hi]
-            edges |= set(build_full_flow(u.restrict(gap)).edges)
-        return idxs, edges
-
-    rec = rec_single if u.mode == "single" else rec_pair
-    j, edges = rec(sorted(u.domain))
-    return tuple(j), Flow(frozenset(edges))
+        edges = set(zip(sec, sec[1:] + (idxs[k],))) | gap_flow_edges(u, rest, sec)
+    return idxs[: k + 1], Flow(frozenset(edges))

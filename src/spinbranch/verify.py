@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from . import crystal as cr
 from . import indices as ix
-from .core import SignedSet, Weight
+from .core import SignedSet, Weight, congruent
 from .poly import (
     LFunction,
     Polynomial,
@@ -51,6 +51,11 @@ from .sigseq import (
     split_index,
 )
 
+
+class InvalidSuiteParameter(ValueError):
+    """A suite parameter the suite cannot run with."""
+
+
 SUITES = (
     "reduction",
     "flows",
@@ -71,7 +76,8 @@ class VerdictReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failures, and at least one case ran."""
+        return self.cases > 0 and not self.failures
 
     def check(self, descriptor: str, expected, actual):
         self.cases += 1
@@ -100,10 +106,18 @@ class VerdictReport:
 
 
 def thread_count() -> int:
+    """Worker processes for the oracle suite: SPINBRANCH_THREADS, at least 1
+    and at most the CPU count."""
     try:
-        return max(1, int(os.environ.get("SPINBRANCH_THREADS", "1")))
+        requested = int(os.environ.get("SPINBRANCH_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
+def _check_max_n(suite: str, max_n: int, least: int) -> None:
+    if max_n < least:
+        raise InvalidSuiteParameter(f"{suite} needs max_n >= {least}, got {max_n}")
 
 
 def random_weight(rng: random.Random, p: int, n: int, lo: int = -4, hi: int = 12) -> Weight:
@@ -596,6 +610,11 @@ def verify_raising_oracle(width: int = 5, offsets=(1,)) -> VerdictReport:
 
 def verify_signature_bridge(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                             hi: int = 12, seed: int = 424242) -> VerdictReport:
+    if 0 in ps:
+        # the bridge compares r_beta with beta_signature for every beta in
+        # 0..p-1, so p = 0 would compare nothing
+        raise InvalidSuiteParameter("signature-bridge needs odd primes p, got p = 0")
+    _check_max_n("signature-bridge", max_n, 1)
     rep = VerdictReport("signature-bridge", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "hi": hi, "seed": seed,
     })
@@ -618,6 +637,7 @@ def verify_signature_bridge(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
 
 def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                    seed: int = 31337) -> VerdictReport:
+    _check_max_n("duality", max_n, 1)
     rep = VerdictReport("duality", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "seed": seed,
     })
@@ -626,11 +646,13 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
         p = ps[case % len(ps)]
         n = rng.randint(1, max_n)
         lam = random_weight(rng, p, n)
-        mw = lam.minus_w0()
+        classes = ix.classify_indices(lam)
+        duals = ix.classify_indices(lam.minus_w0())
         tag = f"p={p} lam={lam.parts}"
         for i in range(1, n + 1):
-            beta = lam.residue(i)
-            u = r_beta(lam, beta)
+            cls, dual = classes[i - 1], duals[n - i]
+            # rebuilt per index: an oracle for the one-pass classification
+            u = r_beta(lam, lam.residue(i))
             full = reduce_seq(product_of(u))
             tail = reduce_seq(product_of(u, range(i, n + 1)))
             rep.check(
@@ -638,29 +660,18 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                 any(s == MINUS and mk == i for s, mk in full),
                 any(s == MINUS and mk == i for s, mk in tail),
             )
-            if i < n and lam.entry(n) % p == 0:
-                rep.check(
-                    f"zero-boundary {tag} i={i}", ix.normal(lam, i), ix.tensor_normal(lam, i)
-                )
-            rep.check(
-                f"conormal-dual {tag} i={i}",
-                ix.tensor_conormal(lam, i),
-                ix.tensor_normal(mw, n + 1 - i),
-            )
-            rep.check(
-                f"cogood-dual {tag} i={i}",
-                ix.tensor_good(lam, i),
-                ix.tensor_cogood(mw, n + 1 - i),
-            )
+            if i < n and congruent(lam.entry(n), 0, p):
+                rep.check(f"zero-boundary {tag} i={i}", cls.normal, cls.tensor_normal)
+            rep.check(f"conormal-dual {tag} i={i}", cls.tensor_conormal, dual.tensor_normal)
+            rep.check(f"cogood-dual {tag} i={i}", cls.tensor_good, dual.tensor_cogood)
+            lowered = lam.sub_eps(i)
             rep.check(
                 f"good-conormal {tag} i={i}",
-                ix.tensor_good(lam, i),
-                ix.tensor_normal(lam, i) and ix.tensor_conormal(lam.sub_eps(i), i),
+                cls.tensor_good,
+                cls.tensor_normal and ix.tensor_conormal(lowered, i),
             )
             rep.check(
-                f"good-cogood {tag} i={i}",
-                ix.tensor_good(lam, i),
-                ix.tensor_cogood(lam.sub_eps(i), i),
+                f"good-cogood {tag} i={i}", cls.tensor_good, ix.tensor_cogood(lowered, i)
             )
     return rep.finish()
 
@@ -670,6 +681,7 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
 
 def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                         seed: int = 8128) -> VerdictReport:
+    _check_max_n("certificates", max_n, 2)
     rep = VerdictReport("certificates", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "seed": seed,
     })
@@ -679,8 +691,9 @@ def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
         n = rng.randint(2, max_n)
         lam = random_weight(rng, p, n)
         tag = f"p={p} lam={lam.parts}"
+        normals = {c.index for c in ix.classify_indices(lam) if c.normal}
         for i in range(1, n):
-            if ix.normal(lam, i):
+            if i in normals:
                 plan = ix.primitive_plan(lam, i)
                 rep.record(
                     f"plan {tag} i={i}", ix.validate_plan(lam, plan), plan.to_json()
@@ -703,7 +716,7 @@ def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                 except ix.NotNormal:
                     rep.record(f"plan-reject {tag} i={i}", True)
         for h in range(1, n - 1):
-            if not ix.normal(lam, h):
+            if h not in normals:
                 continue
             for i in range(h + 1, n):
                 if lam.residue(h) == lam.residue(i):

@@ -1,0 +1,164 @@
+"""Definitional forms of the index predicates and of the flow constructions,
+kept as test oracles for the one-pass library code.
+
+Each predicate rebuilds r_beta and re-reduces the products it needs, and
+each construction recurses on the last index of the domain, re-reducing
+every prefix it looks at.  Nothing here reads the library's classification
+or scans; only the shared vocabulary (r_beta, product_of, reduce_seq,
+SignMap.restrict) is imported.
+"""
+from __future__ import annotations
+
+from spinbranch.core import Weight, congruent, res_p
+from spinbranch.indices import IndexClassification
+from spinbranch.sigseq import (
+    MINUS,
+    PLUS,
+    Flow,
+    SignMap,
+    plus_count,
+    product_of,
+    r_beta,
+    reduce_seq,
+)
+
+# -- index predicates ----------------------------------------------------------
+
+
+def _contains_mark(seq, sign: int, mark: int) -> bool:
+    return any(s == sign and m == mark for s, m in seq)
+
+
+def tensor_normal(lam: Weight, i: int) -> bool:
+    u = r_beta(lam, lam.residue(i))
+    return _contains_mark(reduce_seq(product_of(u)), MINUS, i)
+
+
+def normal(lam: Weight, i: int) -> bool:
+    n = lam.n
+    if not 1 <= i < n:
+        return False
+    u = r_beta(lam, lam.residue(i))
+    if not _contains_mark(reduce_seq(product_of(u, range(1, n))), MINUS, i):
+        return False
+    gap_empty = not reduce_seq(product_of(u, range(i + 1, n)))
+    p = lam.p
+    return not (
+        gap_empty and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
+    )
+
+
+def tensor_conormal(lam: Weight, i: int) -> bool:
+    u = r_beta(lam, res_p(lam.entry(i) + 1, lam.p))
+    return _contains_mark(reduce_seq(product_of(u)), PLUS, i)
+
+
+def good(lam: Weight, i: int) -> bool:
+    return normal(lam, i) and not any(
+        normal(lam, h) for h in range(1, i) if lam.residue(h) == lam.residue(i)
+    )
+
+
+def tensor_good(lam: Weight, i: int) -> bool:
+    return tensor_normal(lam, i) and not any(
+        tensor_normal(lam, h) for h in range(1, i) if lam.residue(h) == lam.residue(i)
+    )
+
+
+def tensor_cogood(lam: Weight, i: int) -> bool:
+    my = res_p(lam.entry(i) + 1, lam.p)
+    return tensor_conormal(lam, i) and not any(
+        tensor_conormal(lam, h)
+        for h in range(i + 1, lam.n + 1)
+        if res_p(lam.entry(h) + 1, lam.p) == my
+    )
+
+
+def classify_index(lam: Weight, i: int) -> IndexClassification:
+    return IndexClassification(
+        index=i,
+        residue=lam.residue(i),
+        tensor_normal=tensor_normal(lam, i),
+        normal=normal(lam, i),
+        tensor_conormal=tensor_conormal(lam, i),
+        good=good(lam, i),
+        tensor_good=tensor_good(lam, i),
+        tensor_cogood=tensor_cogood(lam, i),
+    )
+
+
+# -- flow constructions ------------------------------------------------------------
+
+
+def _pc(u: SignMap, idxs) -> int:
+    return plus_count(reduce_seq(product_of(u, idxs)))
+
+
+def build_full_flow(u: SignMap) -> Flow:
+    """Pair and single mode alike: recursion on the maximal index, joining
+    the maximal available bud to each index whose value holds a +."""
+
+    def rec(idxs: list[int]) -> set[tuple[int, int]]:
+        if not idxs:
+            return set()
+        e, rest = idxs[-1], idxs[:-1]
+        edges = rec(rest)
+        if "+" not in u.value(e):
+            return edges
+        srcs = {a for a, _ in edges}
+        buds = [i for i in rest if "-" in u.value(i) and i not in srcs]
+        edges.add((buds[-1], e))
+        return edges
+
+    return Flow(frozenset(rec(list(u.domain))))
+
+
+def lead_plus_index(u: SignMap) -> int:
+    def rec(idxs: list[int]) -> int:
+        rest = idxs[:-1]
+        if _pc(u, rest) == 1:
+            return rec(rest)
+        assert u.value(idxs[-1]) == "+-"
+        return idxs[-1]
+
+    return rec(list(u.domain))
+
+
+def section_of(u: SignMap) -> tuple[int, ...]:
+    a = lead_plus_index(u)
+    tail = [i for i in u.domain if i > a]
+    if _pc(u, tail) == 0:
+        return (a,)
+    return (a,) + section_of(u.restrict(tail))
+
+
+def _gap_edges(u: SignMap, idxs, sec) -> set[tuple[int, int]]:
+    edges: set[tuple[int, int]] = set()
+    bounds = (float("-inf"),) + tuple(sec) + (float("inf"),)
+    for lo, hi in zip(bounds, bounds[1:]):
+        edges |= build_full_flow(u.restrict([i for i in idxs if lo < i < hi])).edges
+    return edges
+
+
+def resolution_of(u: SignMap) -> Flow:
+    sec = section_of(u)
+    return Flow(frozenset({(a, a) for a in sec} | _gap_edges(u, u.domain, sec)))
+
+
+def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
+    need = 1 if u.mode == "single" else 2
+
+    def rec(idxs: list[int]) -> tuple[list[int], set[tuple[int, int]]]:
+        if len(idxs) == 1:
+            return idxs, set()
+        rest = idxs[:-1]
+        s = _pc(u, rest)
+        if s >= need:
+            return rec(rest)
+        if s == 0:
+            return idxs, set(build_full_flow(u.restrict(rest)).edges)
+        sec = section_of(u.restrict(rest))
+        return idxs, set(zip(sec, sec[1:] + (idxs[-1],))) | _gap_edges(u, rest, sec)
+
+    j, edges = rec(list(u.domain))
+    return tuple(j), Flow(frozenset(edges))

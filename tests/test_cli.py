@@ -101,3 +101,23 @@ def test_verify_seeded_suite(capsys):
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "no-such-suite"])
+
+
+def test_verify_p_zero_is_honoured_or_rejected(capsys):
+    # duality supports p = 0: the report must say it ran ps = [0]
+    code, out, _ = run_cli(capsys, "verify", "duality", "--p", "0", "--samples", "40")
+    report = json.loads(out)
+    assert code == 0 and report["parameters"]["ps"] == [0] and report["cases"] > 0
+    # the signature bridge needs p > 0: a usage error, not the default primes
+    code, out, err = run_cli(capsys, "verify", "signature-bridge", "--p", "0")
+    assert code == 2 and out == "" and "p = 0" in err
+
+
+def test_verify_zero_sizes_are_not_replaced_by_defaults(capsys):
+    code, out, _ = run_cli(capsys, "verify", "raising-oracle", "--width", "0")
+    report = json.loads(out)
+    assert code == 1 and report["parameters"]["width"] == 0 and report["cases"] == 0
+    code, out, _ = run_cli(capsys, "verify", "reduction", "--samples", "0")
+    assert code == 1 and json.loads(out)["parameters"]["samples"] == 0
+    code, out, err = run_cli(capsys, "verify", "duality", "--n", "0")
+    assert code == 2 and out == "" and "max_n" in err

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+import definitional
 from spinbranch.core import Weight
 from spinbranch.indices import (
     IsNormal,
     NotNormal,
     classify_index,
+    classify_indices,
     extension_plan,
     good,
     index_report,
@@ -213,3 +215,40 @@ def test_characteristic_zero_classification():
             assert validate_certificate(lam, cert)
         else:
             assert validate_plan(lam, primitive_plan(lam, i))
+
+
+def _oracle_weights(seed: int, count: int):
+    """Seeded weights for p in {0, 3, 5, 7}, n <= 12, entries in [-4, 12];
+    every third weight has all entries divisible by p (all residue 0), and
+    the constant weights 0 and p follow for every n."""
+    rng = random.Random(seed)
+    for k in range(count):
+        p = (0, 3, 5, 7)[k % 4]
+        n = rng.randint(1, 12)
+        if k % 3 == 0 and p:
+            parts = [p * rng.randint(-(4 // p), 12 // p) for _ in range(n)]
+        else:
+            parts = [rng.randint(-4, 12) for _ in range(n)]
+        yield Weight(tuple(parts), p)
+    for p in (3, 5, 7):
+        for n in range(1, 13):
+            yield Weight((0,) * n, p)
+            yield Weight((p,) * n, p)
+
+
+def test_one_pass_classification_matches_definitions():
+    predicates = (tensor_normal, normal, tensor_conormal, good, tensor_good, tensor_cogood)
+    for lam in _oracle_weights(seed=20240, count=400):
+        expected = tuple(definitional.classify_index(lam, i) for i in range(1, lam.n + 1))
+        assert classify_indices(lam) == expected, lam
+        report = index_report(lam)
+        assert all(c.residue == r for r, group in report.items() for c in group)
+        flat = sorted((c for group in report.values() for c in group), key=lambda c: c.index)
+        assert tuple(flat) == expected
+        assert not normal(lam, 0) and not good(lam, lam.n) and not good(lam, lam.n + 1)
+        for i in range(1, lam.n + 1):
+            assert classify_index(lam, i) == expected[i - 1]
+            for pred in predicates:
+                want = getattr(definitional, pred.__name__)(lam, i)
+                assert pred(lam, i) == want, (pred.__name__, lam, i)
+

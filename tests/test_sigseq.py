@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import definitional
 from spinbranch.core import Weight
 from spinbranch.sigseq import (
     MINUS,
@@ -212,3 +213,43 @@ def test_mode_mixing_is_an_error():
         SignMap.make("pair", {1: "-"})
     with pytest.raises(ValueError):
         SignMap.make("triple", {1: "-"})
+
+
+def _random_map(rng: random.Random, mode: str) -> SignMap:
+    """A random sign map on a random, possibly gapped, domain of size <= 12."""
+    alphabet = ("", "-", "+") if mode == "single" else ("", "--", "+-", "++")
+    size = rng.randint(0, 12)
+    domain = sorted(rng.sample(range(1, 30), size))
+    return SignMap.make(mode, {i: rng.choice(alphabet) for i in domain})
+
+
+def test_scans_match_recursive_oracles():
+    rng = random.Random(515)
+    seen = {"full": 0, "lead": 0, "partial-single": 0, "partial-pair": 0}
+    for _ in range(6000):
+        mode = rng.choice(("single", "pair"))
+        u = _random_map(rng, mode)
+        red = reduced_product(u)
+        s = plus_count(red)
+        if s == 0:
+            assert build_full_flow(u) == definitional.build_full_flow(u)
+            seen["full"] += 1
+        if mode == "pair" and s == 1:
+            assert lead_plus_index(u) == definitional.lead_plus_index(u)
+            assert section_of(u) == definitional.section_of(u)
+            assert resolution_of(u) == definitional.resolution_of(u)
+            seen["lead"] += 1
+        if s >= (1 if mode == "single" else 2):
+            assert partial_flow(u) == definitional.partial_flow(u)
+            seen["partial-" + mode] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+def test_section_scan_on_long_plus_led_maps():
+    # every value +- : each index is a section index; the scan must not
+    # recurse, so a domain past the recursion limit is fine
+    u = SignMap.make("pair", {i: "+-" for i in range(1, 3001)})
+    assert section_of(u) == tuple(range(1, 3001))
+    assert lead_plus_index(u) == 1
+    v = SignMap.make("pair", {i: ("--" if i % 2 else "++") for i in range(1, 3001)})
+    assert build_full_flow(v).edges == {(i, i + 1) for i in range(1, 3001, 2)}

@@ -1,0 +1,56 @@
+import os
+
+import pytest
+
+from spinbranch import verify
+from spinbranch.verify import (
+    InvalidSuiteParameter,
+    VerdictReport,
+    verify_certificates,
+    verify_duality,
+    verify_signature_bridge,
+)
+
+
+def test_duality_runs_at_characteristic_zero():
+    report = verify_duality(ps=(0,), samples=300)
+    assert report.cases > 0 and report.passed, report.failures[:3]
+
+
+def test_certificates_run_at_characteristic_zero():
+    report = verify_certificates(ps=(0,), samples=200)
+    assert report.cases > 0 and report.passed, report.failures[:3]
+
+
+def test_signature_bridge_rejects_characteristic_zero():
+    with pytest.raises(InvalidSuiteParameter, match="p = 0"):
+        verify_signature_bridge(ps=(0,), samples=10)
+    with pytest.raises(InvalidSuiteParameter, match="p = 0"):
+        verify_signature_bridge(ps=(3, 0), samples=10)
+
+
+def test_random_suites_reject_too_small_weights():
+    with pytest.raises(InvalidSuiteParameter):
+        verify_duality(max_n=0)
+    with pytest.raises(InvalidSuiteParameter):
+        verify_certificates(max_n=1)
+
+
+def test_a_report_with_no_cases_does_not_pass():
+    empty = VerdictReport("empty", {})
+    assert not empty.passed
+    empty.check("one", 1, 1)
+    assert empty.passed
+    assert verify_duality(samples=0).passed is False
+
+
+def test_thread_count_is_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for requested, expected in (("100000", 4), ("3", 3), ("0", 1), ("-2", 1), ("x", 1)):
+        monkeypatch.setenv("SPINBRANCH_THREADS", requested)
+        assert verify.thread_count() == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("SPINBRANCH_THREADS", "8")
+    assert verify.thread_count() == 1
+    monkeypatch.delenv("SPINBRANCH_THREADS")
+    assert verify.thread_count() == 1
