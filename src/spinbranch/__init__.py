@@ -57,5 +57,15 @@ from .sigseq import (
     split_index,
 )
 
+
+
+def clear_caches() -> None:
+    """Empty the g1/g2, bracket and raising-recursion memos (all bounded)."""
+    from . import poly, raising
+
+    for memo in (poly._g1_cached, poly._g2_cached, raising._bracket_cached, raising._rec_cached):
+        memo.cache_clear()
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from . import crystal as cr
 from . import indices as ix
 from . import verify as vf
 from .core import InvalidCharacteristic, Weight, check_characteristic
-from .sigseq import seq_to_json
+from .sigseq import seq_to_list
 
 
 class ParseError(ValueError):
@@ -38,10 +38,6 @@ def _check_partition(parts: tuple[int, ...], p: int) -> None:
         raise ParseError("partition parts must be non-negative")
 
 
-def _seq_jsonable(u):
-    return json.loads(seq_to_json(u))
-
-
 def _weight_report(lam: Weight) -> dict:
     reductions = ix.residue_reductions(lam)
     indices = []
@@ -50,15 +46,13 @@ def _weight_report(lam: Weight) -> dict:
         i = entry.pop("index")
         entry.update(i=i, entry=lam.entry(i))
         if i < lam.n and not cls.normal:
-            entry["certificate"] = json.loads(
-                ix.non_normal_certificate(lam, i).to_json()
-            )
+            entry["certificate"] = ix.non_normal_certificate(lam, i).to_dict()
         indices.append(entry)
     r_maps = {}
     signatures = {}
     for beta, red in reductions.items():
-        r_maps[str(beta)] = json.loads(red.sign_map.to_json())
-        signatures[str(beta)] = _seq_jsonable(red.reduced)
+        r_maps[str(beta)] = red.sign_map.to_dict()
+        signatures[str(beta)] = seq_to_list(red.reduced)
     return {"indices": indices, "r_maps": r_maps, "reduced_signatures": signatures}
 
 
@@ -73,8 +67,8 @@ def _partition_report(lam: cr.PStrictPartition) -> dict:
         contents[str(i)] = {
             "removable": [list(nd) for nd in removable],
             "addable": [list(nd) for nd in addable],
-            "signature": _seq_jsonable(cr.rim_signature(lam, i)),
-            "reduced": _seq_jsonable(reduced),
+            "signature": seq_to_list(cr.rim_signature(lam, i)),
+            "reduced": seq_to_list(reduced),
             "good": [list(nd) for nd in cr.good_nodes(lam, i)],
             "normal": [list(nd) for nd in cr.normal_nodes(lam, i)],
             "conormal": [list(nd) for nd in cr.conormal_nodes(lam, i)],

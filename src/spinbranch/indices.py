@@ -222,21 +222,19 @@ class Certificate:
     sources: frozenset[int]
     c: int
 
+    def to_dict(self) -> dict:
+        return {
+            "case": self.case_tag,
+            "i": self.index,
+            "j": self.j,
+            "flow": sorted([a, b] for a, b in self.flow.edges),
+            "M": {"even": sorted(self.m_set.evens), "odd": sorted(self.m_set.odds)},
+            "sources": sorted(self.sources),
+            "c": self.c,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "case": self.case_tag,
-                "i": self.index,
-                "j": self.j,
-                "flow": sorted([a, b] for a, b in self.flow.edges),
-                "M": {
-                    "even": sorted(self.m_set.evens),
-                    "odd": sorted(self.m_set.odds),
-                },
-                "sources": sorted(self.sources),
-                "c": self.c,
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def non_normal_certificate(lam: Weight, i: int) -> Certificate:

@@ -1,18 +1,31 @@
 """Exact sparse multivariate polynomials over Z, the shift operators
 sigma_{a,b}^k, and the recursive polynomial families u, f, g1, g2.
 
-A polynomial is a dict from monomials to nonzero arbitrary-precision int
-coefficients.  A monomial is a sorted tuple of ((axis, index), exponent)
-with positive exponents; variables are named by a one-letter axis and an
-integer index, e.g. ('x', 3) prints as x3.
+A polynomial maps monomials to nonzero int coefficients.  Variables are
+named by a one-letter axis and an index, e.g. ('x', 3) prints as x3.  A
+monomial is a Kronecker-packed int: each variable gets an EXP_BITS-bit
+exponent field on first use, so a product of monomials is one int add.
+The top bit of each field is a guard: an exponent above MAX_EXP raises
+DegreeOverflow instead of carrying into the next field.
 """
 from __future__ import annotations
 
+import re
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
+from types import MappingProxyType
 
 Var = tuple[str, int]
-Monomial = tuple[tuple[Var, int], ...]
+
+EXP_BITS = 16
+MAX_EXP = (1 << (EXP_BITS - 1)) - 1
+_FIELD = (1 << EXP_BITS) - 1
+_SHIFTS: dict[Var, int] = {}  # variable -> bit offset of its field
+_VARS: list[Var] = []  # field number -> variable
+_guard = 0  # the guard bits of all fields handed out
+_REGISTER = threading.Lock()
 
 
 class BadIndices(ValueError):
@@ -20,6 +33,10 @@ class BadIndices(ValueError):
 
 
 class BadParameters(ValueError):
+    pass
+
+
+class DegreeOverflow(ValueError):
     pass
 
 
@@ -33,114 +50,175 @@ class ConflictingSubstitution(ValueError):
     pass
 
 
+def _shift(v: Var) -> int:
+    """The bit offset of v's field, handed out on first use."""
+    global _guard
+    with _REGISTER:
+        if v not in _SHIFTS:
+            _SHIFTS[v] = len(_VARS) * EXP_BITS
+            _VARS.append(v)
+            _guard |= 1 << (_SHIFTS[v] + EXP_BITS - 1)
+    return _SHIFTS[v]
+
+
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    if len(a) == 1:
+        ((m1, c1),) = a.items()
+        t = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+    else:
+        t = {}
+        get = t.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
+                t[m] = get(m, 0) + c1 * c2
+        t = {m: c for m, c in t.items() if c}
+    # a field of an OR of keys bounds that field in every key
+    if (reduce(or_, a) + reduce(or_, b)) & _guard and any(m & _guard for m in t):
+        raise DegreeOverflow(f"an exponent exceeds {MAX_EXP}")
+    return t
+
+
 class Polynomial:
-    """Immutable-by-convention sparse polynomial with integer coefficients."""
+    """Immutable sparse polynomial with integer coefficients.  `terms` is a
+    read-only view from packed monomials to coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t",)
 
-    def __init__(self, terms: dict[Monomial, int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: dict[int, int] | None = None):
+        self._t = {m: c for m, c in terms.items() if c} if terms else {}
+
+    @staticmethod
+    def _of(t: dict[int, int]) -> "Polynomial":
+        """Wrap a term dict that has no zero coefficients."""
+        f = object.__new__(Polynomial)
+        f._t = t
+        return f
+
+    @property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType(self._t)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def const(c: int) -> "Polynomial":
-        return Polynomial({(): c} if c else {})
+        return Polynomial._of({0: c} if c else {})
 
     @staticmethod
     def var(axis: str, index: int, exp: int = 1, coeff: int = 1) -> "Polynomial":
+        if not 0 <= exp <= MAX_EXP:
+            raise DegreeOverflow(f"exponent {exp} outside 0..{MAX_EXP}")
         if exp == 0:
             return Polynomial.const(coeff)
-        return Polynomial({(((axis, index), exp),): coeff})
+        return Polynomial({exp << _shift((axis, index)): coeff})
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(terms)
+        if isinstance(other, int):
+            other = Polynomial.const(other)
+        t = dict(self._t)
+        for m, c in other._t.items():
+            c += t.get(m, 0)
+            if c:
+                t[m] = c
+            else:
+                del t[m]
+        return Polynomial._of(t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._of({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-_coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return _coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        terms: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for v, e in m2:
-                    d[v] = d.get(v, 0) + e
-                m = tuple(sorted(d.items()))
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Polynomial(terms)
+        if isinstance(other, int):
+            return Polynomial._of({m: c * other for m, c in self._t.items()} if other else {})
+        return Polynomial._of(_mul(self._t, other._t))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
-        out = Polynomial.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        out, t = {0: 1}, self._t
+        while n:  # by squaring
+            if n & 1:
+                out = _mul(out, t)
+            n >>= 1
+            if n:
+                t = _mul(t, t)
+        return Polynomial._of(out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = Polynomial.const(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return isinstance(other, Polynomial) and self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._t.items()))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
+
+    def __reduce__(self):  # field numbers are per process: pickle the text
+        return parse_poly, (format_poly(self),)
 
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def variables(self) -> set[Var]:
-        return {v for m in self.terms for v, _ in m}
+        return {v for v, _ in _fields(reduce(or_, self._t, 0))}
 
     def coefficients_in(self, var: Var) -> dict[int, "Polynomial"]:
         """Split as a univariate polynomial in var with polynomial coefficients."""
-        out: dict[int, dict[Monomial, int]] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            k = d.pop(var, 0)
-            rest = tuple(sorted(d.items()))
-            out.setdefault(k, {})[rest] = out.get(k, {}).get(rest, 0) + c
-        return {k: Polynomial(t) for k, t in out.items()}
+        s = _shift(var)
+        out: dict[int, dict[int, int]] = {}
+        for m, c in self._t.items():
+            k = (m >> s) & _FIELD
+            out.setdefault(k, {})[m - (k << s)] = c
+        return {k: Polynomial._of(t) for k, t in out.items()}
 
     def substitute(self, assignment: dict[Var, "Polynomial"]) -> "Polynomial":
-        """Ring-homomorphic substitution of the listed variables."""
-        out = Polynomial()
-        for m, c in self.terms.items():
-            term = Polynomial.const(c)
-            for v, e in m:
-                base = assignment.get(v)
-                term = term * (base**e if base is not None else Polynomial.var(*v, exp=e))
-            out = out + term
-        return out
+        """Ring-homomorphic substitution of the listed variables.  Terms
+        with the same exponents in those variables share one image, and
+        each power base**e is computed once."""
+        subs = [(_shift(v), base) for v, base in assignment.items()]
+        mask = sum(_FIELD << s for s, _ in subs)
+        groups: dict[int, dict[int, int]] = {}
+        for m, c in self._t.items():
+            groups.setdefault(m & mask, {})[m & ~mask] = c
+        powers: dict[tuple[int, int], dict[int, int]] = {}
+        out: dict[int, int] = {}
+        for key, image in groups.items():
+            for s, base in subs:
+                e = (key >> s) & _FIELD
+                if e:
+                    if (s, e) not in powers:
+                        powers[(s, e)] = (base**e)._t
+                    image = _mul(image, powers[(s, e)])
+            for m, c in image.items():
+                out[m] = out.get(m, 0) + c
+        return Polynomial._of({m: c for m, c in out.items() if c})
 
     def constant_value(self) -> int:
-        if not self.terms:
+        if not self._t:
             return 0
-        if set(self.terms) == {()}:
-            return self.terms[()]
+        if set(self._t) == {0}:
+            return self._t[0]
         raise ValueError("not a constant polynomial")
 
     # -- printing ------------------------------------------------------------
@@ -149,10 +227,6 @@ class Polynomial:
         return format_poly(self)
 
     __repr__ = __str__
-
-
-def _coerce(x) -> Polynomial:
-    return x if isinstance(x, Polynomial) else Polynomial.const(x)
 
 
 def x(i: int) -> Polynomial:
@@ -166,26 +240,27 @@ def y(i: int) -> Polynomial:
 # -- textual format ----------------------------------------------------------
 
 
-def _mono_key(m: Monomial):
-    return (-sum(e for _, e in m), m)
+def _fields(m: int):
+    """(variable, exponent) for each nonzero field of m, highest first."""
+    while m:
+        k = (m.bit_length() - 1) // EXP_BITS
+        yield _VARS[k], (m >> (k * EXP_BITS)) & _FIELD
+        m &= (1 << (k * EXP_BITS)) - 1
 
 
 def format_poly(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
+    rows = []
+    for m, c in f.terms.items():
+        mono = tuple(sorted(_fields(m)))
+        rows.append((-sum(e for _, e in mono), mono, c))
+    rows.sort()
     bits: list[str] = []
-    for m, c in sorted(f.terms.items(), key=lambda item: _mono_key(item[0])):
-        factors = [
-            f"{axis}{idx}" + (f"^{e}" if e > 1 else "")
-            for (axis, idx), e in m
-        ]
+    for _, mono, c in rows:
+        factors = [f"{axis}{idx}" + (f"^{e}" if e > 1 else "") for (axis, idx), e in mono]
         mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
+        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
         if not bits:
             bits.append(body if c > 0 else "-" + body)
         else:
@@ -195,29 +270,17 @@ def format_poly(f: Polynomial) -> str:
 
 def parse_poly(text: str) -> Polynomial:
     """Inverse of format_poly, accepting e.g. '3*x1*y2^2 - x3 + 4'."""
-    text = text.replace("-", " - ").replace("+", " + ")
-    tokens = text.split()
     out = Polynomial()
-    sign = 1
-    for tok in tokens:
-        if tok == "+":
-            sign = 1
-            continue
-        if tok == "-":
-            sign = -1
-            continue
-        coeff = sign
-        term = Polynomial.const(1)
-        for factor in tok.split("*"):
-            if factor.lstrip("-").isdigit():
+    for sign, term in re.findall(r"([+-]?)\s*([^\s+-]+)", text):
+        coeff = -1 if sign == "-" else 1
+        mono = Polynomial.const(1)
+        for factor in term.split("*"):
+            if factor.isdigit():
                 coeff *= int(factor)
-                continue
-            body, _, exp = factor.partition("^")
-            axis = body[0]
-            idx = int(body[1:])
-            term = term * Polynomial.var(axis, idx, int(exp) if exp else 1)
-        out = out + coeff * term
-        sign = 1
+            else:
+                body, _, exp = factor.partition("^")
+                mono = mono * Polynomial.var(body[0], int(body[1:]), int(exp or 1))
+        out = out + coeff * mono
     return out
 
 
@@ -245,15 +308,13 @@ def exact_div(f: Polynomial, a: int, b: int) -> Polynomial:
     Synthetic division along x_a; the remainder is f with x_a set to x_b
     and must vanish identically.
     """
-    va = ("x", a)
-    coeffs = f.coefficients_in(va)
-    deg = max(coeffs, default=0)
+    coeffs = f.coefficients_in(("x", a))
     quot = Polynomial()
     carry = Polynomial()
-    for k in range(deg, 0, -1):
-        carry = carry * x(b) + coeffs.get(k, Polynomial())
+    for k in range(max(coeffs, default=0), 0, -1):
+        carry = carry * x(b) + coeffs.get(k, 0)
         quot = quot + carry * Polynomial.var("x", a, k - 1)
-    remainder = carry * x(b) + coeffs.get(0, Polynomial())
+    remainder = carry * x(b) + coeffs.get(0, 0)
     if not remainder.is_zero():
         raise NotDivisible(remainder)
     return quot
@@ -330,12 +391,16 @@ def f_poly(i: int, j: int, d, l: LFunction, s) -> Polynomial:
     return out
 
 
-@lru_cache(maxsize=None)
+# bounded memos; spinbranch.clear_caches() empties them
+G_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=G_CACHE_SIZE)
 def _g1_cached(i: int, j: int, s: frozenset) -> Polynomial:
     return f_poly(i, j, frozenset(), LFunction.const(i + 1, j, 1), s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=G_CACHE_SIZE)
 def _g2_cached(i: int, k: int, q: int, j: int, s: frozenset) -> Polynomial:
     return f_poly(i, j, frozenset({k}), l2_function(i, k, q, j), s)
 
@@ -362,7 +427,8 @@ def g2(i: int, k: int, q: int, j: int, s) -> Polynomial:
 
 def lin_reduce(f: Polynomial, subst) -> Polynomial:
     """Replace each listed y_b by its x_a: the normal form of f modulo the
-    ideal generated by the differences x_a - y_b.
+    ideal generated by the differences x_a - y_b.  This only moves
+    exponents from y-fields to x-fields; nothing is multiplied.
 
     `subst` maps y-indices to x-indices; listing a y-index twice is an
     error even if the targets agree.
@@ -373,5 +439,13 @@ def lin_reduce(f: Polynomial, subst) -> Polynomial:
         if len(set(keys)) != len(keys):
             raise ConflictingSubstitution(f"duplicate y-indices in {pairs}")
         subst = dict(pairs)
-    assignment = {("y", b): x(a) for b, a in subst.items()}
-    return f.substitute(assignment)
+    moves = [(_shift(("y", b)), _shift(("x", a))) for b, a in subst.items()]
+    out: dict[int, int] = {}
+    for m, c in f._t.items():
+        for sy, sx in moves:
+            e = (m >> sy) & _FIELD
+            m += (e << sx) - (e << sy)
+            if m & _guard:
+                raise DegreeOverflow(f"an exponent exceeds {MAX_EXP}")
+        out[m] = out.get(m, 0) + c
+    return Polynomial._of({m: c for m, c in out.items() if c})

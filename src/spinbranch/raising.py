@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from types import MappingProxyType
 
 from .core import SignedSet, Weight
-from .poly import Polynomial
+from .poly import Polynomial, format_poly, g1, g2
 
 Bars = tuple[int, ...]
 
@@ -38,16 +40,17 @@ def H(i: int) -> Polynomial:
 
 
 class U0Element:
-    """Element of the degree-zero algebra in normal form."""
+    """Immutable element of the degree-zero algebra in normal form.
+    `terms` is a read-only view from bar tuples to nonzero coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t",)
 
     def __init__(self, terms: dict[Bars, Polynomial] | None = None):
-        self.terms = {
-            bars: coeff
-            for bars, coeff in (terms or {}).items()
-            if not coeff.is_zero()
-        }
+        self._t = {bars: coeff for bars, coeff in (terms or {}).items() if coeff}
+
+    @property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType(self._t)
 
     @staticmethod
     def zero() -> "U0Element":
@@ -62,41 +65,50 @@ class U0Element:
         return U0Element.from_poly(Polynomial.const(c))
 
     def __add__(self, other: "U0Element") -> "U0Element":
-        terms = dict(self.terms)
-        for bars, coeff in other.terms.items():
-            terms[bars] = terms.get(bars, Polynomial()) + coeff
+        terms = dict(self._t)
+        for bars, coeff in other._t.items():
+            if bars in terms:
+                coeff = terms[bars] + coeff
+            terms[bars] = coeff
         return U0Element(terms)
 
     def __neg__(self) -> "U0Element":
-        return U0Element({b: -c for b, c in self.terms.items()})
+        return U0Element({b: -c for b, c in self._t.items()})
 
     def __sub__(self, other: "U0Element") -> "U0Element":
         return self + (-other)
 
     def scale(self, factor: Polynomial | int) -> "U0Element":
-        factor = factor if isinstance(factor, Polynomial) else Polynomial.const(factor)
-        return U0Element({b: c * factor for b, c in self.terms.items()})
+        if factor == 1:
+            return self
+        if factor == -1:
+            return -self
+        return U0Element({b: c * factor for b, c in self._t.items()})
 
     def __mul__(self, other: "U0Element") -> "U0Element":
         out: dict[Bars, Polynomial] = {}
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
+        for b1, c1 in self._t.items():
+            for b2, c2 in other._t.items():
                 sign, bars, extra = _normal_order(b1 + b2)
-                coeff = c1 * c2 * extra * sign
-                out[bars] = out.get(bars, Polynomial()) + coeff
+                coeff = c1 * c2 * extra if extra is not None else c1 * c2
+                if sign < 0:
+                    coeff = -coeff
+                if bars in out:
+                    coeff = out[bars] + coeff
+                out[bars] = coeff
         return U0Element(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, U0Element) and self.terms == other.terms
+        return isinstance(other, U0Element) and self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset((b, hash(c)) for b, c in self.terms.items()))
+        return hash(frozenset((b, hash(c)) for b, c in self._t.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def parities(self) -> set[int]:
-        return {len(b) % 2 for b in self.terms}
+        return {len(b) % 2 for b in self._t}
 
     def __str__(self) -> str:
         return format_u0(self)
@@ -104,48 +116,30 @@ class U0Element:
     __repr__ = __str__
 
     def to_json(self):
-        from .poly import format_poly
-
         return [
             {"bars": list(bars), "coeff": format_poly(coeff)}
-            for bars, coeff in sorted(self.terms.items())
+            for bars, coeff in sorted(self._t.items())
         ]
 
 
-def _normal_order(bars: Bars) -> tuple[int, Bars, Polynomial]:
-    """Sort a word of barred generators.
-
-    Distinct generators anticommute (one sign per transposition); adjacent
-    equal generators merge into the matching central H.
-    """
-    word = list(bars)
-    sign = 1
-    extra = Polynomial.const(1)
-    # insertion sort with sign tracking
-    k = 1
-    while k < len(word):
-        m = k
-        while m > 0 and word[m - 1] > word[m]:
-            word[m - 1], word[m] = word[m], word[m - 1]
-            sign = -sign
-            m -= 1
-        k += 1
-    # collapse equal neighbours
+def _normal_order(bars: Bars) -> tuple[int, Bars, Polynomial | None]:
+    """Sort a word of barred generators: distinct generators anticommute
+    (one sign per inversion), and adjacent equal ones merge into the
+    matching central H.  The product of those H's is returned, or None
+    when nothing merged."""
+    sign = -1 if sum(a > b for a, b in combinations(bars, 2)) % 2 else 1
     out: list[int] = []
-    k = 0
-    while k < len(word):
-        if k + 1 < len(word) and word[k] == word[k + 1]:
-            extra = extra * H(word[k])
-            k += 2
+    extra = None
+    for g in sorted(bars):
+        if out and out[-1] == g:
+            out.pop()
+            extra = H(g) if extra is None else extra * H(g)
         else:
-            out.append(word[k])
-            k += 1
+            out.append(g)
     return sign, tuple(out), extra
 
 
 def format_u0(u: U0Element) -> str:
-    from .poly import format_poly
-
     if u.is_zero():
         return "0"
     bits = []
@@ -196,6 +190,12 @@ def _check_index(i: int, n: int | None):
 
 def bracket_hom(f: Polynomial) -> U0Element:
     """The ring homomorphism x_i -> H_i(H_i - 1), y_i -> (H_i + 1)H_i."""
+    return _bracket_cached(f)
+
+
+# raising_closed brackets the same cached g1/g2 for every (eps, delta)
+@lru_cache(maxsize=1024)
+def _bracket_cached(f: Polynomial) -> U0Element:
     assignment = {}
     for axis, idx in f.variables():
         if axis == "x":
@@ -291,27 +291,29 @@ def _rec_work(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U
     if m == SignedSet.of(odds=[j]):
         # base: a single barred element
         total = (eps + sd(i, j)) % 2
-        first = U0Element.from_poly(Polynomial.const(1), (i,)) if total else u0_h(i)
-        second = U0Element.from_poly(Polynomial.const(1), (i + 1,)) if total else u0_h(i + 1)
-        return first - second.scale(_sgn(delta(i) * (eps + sd(i + 1, j))))
+        second = u0_h_eps(i + 1, total).scale(_sgn(delta(i) * (eps + sd(i + 1, j))))
+        return u0_h_eps(i, total) - second
     if m == SignedSet.of(evens=[j]):
         # base: a single even element
         if sd(i, j) == eps:
             return u0_b(i, i + 1)
         return U0Element.zero()
 
-    mn_val, mn_barred = m.min()
-    tail = m.restrict(range(mn_val + 1, j + 1))
+    # min M = mval, barred or even; the shifts below exist only when mval > i + 1
+    mval, barred = m.min()
+    tail = m.restrict(range(mval + 1, j + 1))
     par_tail = tail.parity()
-
-    if mn_barred and mn_val == i + 1:
+    if barred:
         out = U0Element.zero()
         for gamma in (0, 1):
             sigma = (eps + gamma) % 2
-            sign = _sgn(gamma * (1 + eps + par_tail) + gamma * sd(i + 1, j))
-            left = _rec(i, i + 1, gamma, delta.restrict(i, i), SignedSet.of(odds=[i + 1]))
-            right = _rec(i + 1, j, sigma, delta.restrict(i + 1, j - 1), tail)
+            sign = _sgn(gamma * (1 + eps + par_tail + sd(mval, j)))
+            left = _rec(i, mval, gamma, delta.restrict(i, mval - 1), SignedSet.of(odds=[mval]))
+            right = _rec(mval, j, sigma, delta.restrict(mval, j - 1), tail)
             out = out + (left * right).scale(sign)
+        if mval > i + 1:
+            shifted = m.replace((mval, True), (mval - 1, True))
+            return out + _rec(i, j, eps, delta, shifted)
         rest = m.remove((i + 1, True))
         for gamma in (0, 1):
             sigma = (eps + gamma) % 2
@@ -319,73 +321,20 @@ def _rec_work(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U
             out = out + (_rec(i, j, gamma, delta, rest) * u0_h_eps(i, sigma)).scale(sign)
         return out
 
-    if (not mn_barred) and mn_val == i + 1:
-        sign = _sgn(delta(i) * (1 + eps + par_tail) + delta(i) * sd(i + 1, j))
-        out = (
-            u0_b(i, i + 1)
-            * _rec(i + 1, j, (eps + delta(i)) % 2, delta.restrict(i + 1, j - 1), tail)
-        ).scale(sign)
-        for xi in (0, 1):
-            for tau in (0, 1):
-                sigma = (eps + delta(i + 1) + xi + tau) % 2
-                sign = _sgn(
-                    (xi + tau + delta(i + 1))
-                    * (1 + eps + par_tail + sd(i + 1, j) + xi)
-                )
-                left = _rec(
-                    i, i + 1, xi, delta.restrict(i, i), SignedSet.of(odds=[i + 1])
-                )
-                right = _rec(
-                    i + 1,
-                    j,
-                    sigma,
-                    delta.restrict(i + 1, j - 1).with_value(i + 1, tau),
-                    tail,
-                )
-                out = out - (left * right).scale(sign)
-        rest = m.remove((i + 1, False))
-        return out + _rec(i, j, eps, delta, rest) * u0_c(i, i + 1)
-
-    mval = mn_val
-    if mn_barred:
-        # i + 1 < min M = m barred < j
-        out = U0Element.zero()
-        for gamma in (0, 1):
-            sigma = (eps + gamma) % 2
-            sign = _sgn(gamma * (1 + eps + par_tail + sd(mval, j)))
-            left = _rec(
-                i, mval, gamma, delta.restrict(i, mval - 1), SignedSet.of(odds=[mval])
-            )
-            right = _rec(mval, j, sigma, delta.restrict(mval, j - 1), tail)
-            out = out + (left * right).scale(sign)
-        shifted = m.replace((mval, True), (mval - 1, True))
-        return out + _rec(i, j, eps, delta, shifted)
-
-    # i + 1 < min M = m even < j
     sign = _sgn(sd(i, mval) * (1 + eps + par_tail + sd(mval, j)))
-    out = (
-        u0_b(i, i + 1)
-        * _rec(mval, j, (eps + sd(i, mval)) % 2, delta.restrict(mval, j - 1), tail)
-    ).scale(sign)
+    right = _rec(mval, j, (eps + sd(i, mval)) % 2, delta.restrict(mval, j - 1), tail)
+    out = (u0_b(i, i + 1) * right).scale(sign)
     for xi in (0, 1):
         for tau in (0, 1):
             sigma = (eps + delta(mval) + xi + tau) % 2
-            sign = _sgn(
-                (xi + tau + delta(mval)) * (1 + eps + par_tail + sd(mval, j) + xi)
-            )
-            left = _rec(
-                i, mval, xi, delta.restrict(i, mval - 1), SignedSet.of(odds=[mval])
-            )
-            right = _rec(
-                mval,
-                j,
-                sigma,
-                delta.restrict(mval, j - 1).with_value(mval, tau),
-                tail,
-            )
+            sign = _sgn((xi + tau + delta(mval)) * (1 + eps + par_tail + sd(mval, j) + xi))
+            left = _rec(i, mval, xi, delta.restrict(i, mval - 1), SignedSet.of(odds=[mval]))
+            right_delta = delta.restrict(mval, j - 1).with_value(mval, tau)
+            right = _rec(mval, j, sigma, right_delta, tail)
             out = out - (left * right).scale(sign)
-    shifted = m.replace((mval, False), (mval - 1, False))
-    out = out + _rec(i, j, eps, delta, shifted)
+    if mval > i + 1:
+        shifted = m.replace((mval, False), (mval - 1, False))
+        out = out + _rec(i, j, eps, delta, shifted)
     dropped = m.remove((mval, False))
     return out + _rec(i, j, eps, delta, dropped) * u0_c(mval - 1, mval)
 
@@ -397,8 +346,6 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
     """Closed form: an indicator times the bracket of a g1 when M is all
     even, and a signed sum of g2 brackets against H-generators when M has
     exactly one barred element."""
-    from .poly import g1, g2
-
     if not i < j:
         raise BadSignedSet("need i < j")
     _check_m(i, j, m)
@@ -435,8 +382,6 @@ def two_term_sum_sides(
 ):
     """Both sides of the two-term summation identity used to assemble the
     one-barred closed form; delta lives on [m..j-1]."""
-    from .poly import g2
-
     sd_all = delta.total()
     lhs = U0Element.zero()
     for tau in (0, 1):

@@ -89,8 +89,12 @@ def minus_w0_seq(u: Seq, n: int) -> Seq:
     return tuple((-s, n + 1 - m) for s, m in reversed(u))
 
 
+def seq_to_list(u: Seq) -> list:
+    return [["+" if s == PLUS else "-", m] for s, m in u]
+
+
 def seq_to_json(u: Seq) -> str:
-    return json.dumps([["+" if s == PLUS else "-", m] for s, m in u])
+    return json.dumps(seq_to_list(u))
 
 
 def seq_from_json(text: str) -> Seq:
@@ -148,10 +152,11 @@ class SignMap:
             self.mode, tuple((i, by_index[i]) for i in set(indices) if i in by_index)
         )
 
+    def to_dict(self) -> dict:
+        return {"mode": self.mode, "values": {str(i): v for i, v in self.values}}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"mode": self.mode, "values": {str(i): v for i, v in self.values}}
-        )
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "SignMap":
@@ -304,21 +309,17 @@ def split_index(u: SignMap) -> int:
     if not is_all_minus(red) or not red:
         raise PreconditionFailed(f"[prod u] = {signs(red)} is not -^m with m > 0")
 
-    def rec(idxs: list[int]) -> int:
-        e = idxs[-1]
-        rest = idxs[:-1]
-        v = u.value(e)
-        if v == "":
-            return rec(rest)
-        if v == "--":
-            return e
-        if v == "+-":
-            return rec(rest)
-        # v == '++': locate b in the prefix, then recurse strictly below b
-        b = rec(rest)
-        return rec([i for i in idxs if i < b])
-
-    return rec(sorted(u.domain))
+    # one right-to-left scan: each -- closes the nearest open ++ to its
+    # right (a stack kept as its depth); the first -- with none open wins
+    waiting = 0
+    for e, v in reversed(u.values):
+        if v == "++":
+            waiting += 1
+        elif v == "--":
+            if not waiting:
+                return e
+            waiting -= 1
+    raise PreconditionFailed("no unmatched -- index")
 
 
 def _first_plus(u: SignMap, idxs, start: int = 0, need: int = 1) -> int | None:

@@ -56,17 +56,6 @@ class InvalidSuiteParameter(ValueError):
     """A suite parameter the suite cannot run with."""
 
 
-SUITES = (
-    "reduction",
-    "flows",
-    "poly-identities",
-    "raising-oracle",
-    "signature-bridge",
-    "duality",
-    "certificates",
-)
-
-
 @dataclass
 class VerdictReport:
     suite: str
@@ -545,31 +534,18 @@ def _oracle_block(task) -> tuple[int, list]:
         for dv in product((0, 1), repeat=w):
             delta = DeltaFunction(i, dv)
             if kind == "oracle":
-                a = raising_rec(i, j, eps, delta, m)
-                b = raising_closed(i, j, eps, delta, m)
                 cases += 1
+                a, b = raising_rec(i, j, eps, delta, m), raising_closed(i, j, eps, delta, m)
                 if a != b:
-                    failures.append(
-                        (
-                            f"oracle i={i} j={j} eps={eps} d={dv}"
-                            f" M=ev{sorted(evens)}od{sorted(odds)}",
-                            str(b),
-                            str(a),
-                        )
-                    )
+                    tag = f"oracle i={i} j={j} eps={eps} d={dv} M=ev{sorted(evens)}od{sorted(odds)}"
+                    failures.append((tag, str(b), str(a)))
             else:
                 for xi in (0, 1):
-                    lhs, rhs = two_term_sum_sides(i, j, q, eps, xi, delta, m)
                     cases += 1
+                    lhs, rhs = two_term_sum_sides(i, j, q, eps, xi, delta, m)
                     if lhs != rhs:
-                        failures.append(
-                            (
-                                f"two-term i={i} j={j} q={q} eps={eps} xi={xi} d={dv}"
-                                f" N=ev{sorted(evens)}",
-                                str(rhs),
-                                str(lhs),
-                            )
-                        )
+                        tag = f"two-term i={i} j={j} q={q} eps={eps} xi={xi} d={dv}"
+                        failures.append((tag + f" N=ev{sorted(evens)}", str(rhs), str(lhs)))
     return cases, failures
 
 
@@ -729,16 +705,17 @@ def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
     return rep.finish()
 
 
+RUNNERS = {
+    "reduction": verify_reduction,
+    "flows": verify_flows,
+    "poly-identities": verify_poly_identities,
+    "raising-oracle": verify_raising_oracle,
+    "signature-bridge": verify_signature_bridge,
+    "duality": verify_duality,
+    "certificates": verify_certificates,
+}
+SUITES = tuple(RUNNERS)
+
+
 def run_suite(name: str, **kwargs) -> VerdictReport:
-    runners = {
-        "reduction": verify_reduction,
-        "flows": verify_flows,
-        "poly-identities": verify_poly_identities,
-        "raising-oracle": verify_raising_oracle,
-        "signature-bridge": verify_signature_bridge,
-        "duality": verify_duality,
-        "certificates": verify_certificates,
-    }
-    if name not in runners:
-        raise KeyError(name)
-    return runners[name](**kwargs)
+    return RUNNERS[name](**kwargs)

@@ -162,3 +162,21 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
 
     j, edges = rec(list(u.domain))
     return tuple(j), Flow(frozenset(edges))
+
+
+def split_index(u: SignMap) -> int:
+    """Recursion on the maximal index: '' and +- are skipped, -- is the
+    answer, and ++ first finds the split b of the prefix, then recurses
+    strictly below b."""
+
+    def rec(idxs: list[int]) -> int:
+        e, rest = idxs[-1], idxs[:-1]
+        v = u.value(e)
+        if v == "--":
+            return e
+        if v == "++":
+            b = rec(rest)
+            return rec([i for i in idxs if i < b])
+        return rec(rest)
+
+    return rec(list(u.domain))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -121,3 +122,37 @@ def test_verify_zero_sizes_are_not_replaced_by_defaults(capsys):
     assert code == 1 and json.loads(out)["parameters"]["samples"] == 0
     code, out, err = run_cli(capsys, "verify", "duality", "--n", "0")
     assert code == 2 and out == "" and "max_n" in err
+
+
+# sha256 prefixes of `analyze --weight --out` files, recorded when each
+# certificate and r-map was still serialised and parsed back one by one
+WEIGHT_REPORT_DIGESTS = {
+    (0, "0,0"): "d361e97c1da6d7d1",
+    (0, "3,1,2,0"): "fec5869049f7cd90",
+    (0, "5,-2,4,4,1,0"): "8a7dbd4d35bfe540",
+    (0, "1,2,3,4,5,6,7"): "ed34d9d40dfe96ca",
+    (3, "0,0"): "1bb07345a363c608",
+    (3, "0,3,6,9,12,0,3,6,9,12,0,3"): "dbae11501e1ed381",
+    (3, "3,1,2,0"): "7a5c2d101501da33",
+    (3, "6,3,0,-3,9,12"): "e914423e34dca195",
+    (3, "2,5,8,1,4,7,0,3"): "e89b819bed3cfc7c",
+    (3, "1,-1,4,2,0,6,3"): "f3eb9ee627ad964f",
+    (5, "0,0"): "6fba8b9df5348886",
+    (5, "4,1,0,7,2,9,3,11,5,6,8,10"): "daa27da1c44ab5e3",
+    (5, "16,11,10,10,9,5,1"): "6b4b03ec1355c4dd",
+    (5, "5,10,0,15,-5,20"): "fb4781f369dedd2a",
+    (5, "2,1,3"): "adbce291559972ea",
+    (5, "7,3,12,8,4,0,9"): "6ca2cab4c1090cd1",
+    (7, "0,0"): "52801e03b4e24b06",
+    (7, "7,14,0,21,-7"): "bf8a4df18b2780c1",
+    (7, "1,6,13,2,8,0,4,11"): "1d297dee5d94eaf3",
+    (7, "3,3,3,10"): "87ca8f247a21a8c4",
+}
+
+
+@pytest.mark.parametrize("p,weight", sorted(WEIGHT_REPORT_DIGESTS))
+def test_weight_reports_are_byte_identical(tmp_path, p, weight):
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--p", str(p), "--weight=" + weight, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    assert digest == WEIGHT_REPORT_DIGESTS[(p, weight)]

@@ -1,0 +1,335 @@
+"""The packed polynomial kernel against the dict-of-tuples reference in
+polyref.py, and each operation's defining property at random integer
+points.  Library results are read back through their printed form only."""
+import json
+import os
+import random
+import pickle
+import subprocess
+import sys
+import threading
+
+import pytest
+
+import polyref as ref
+import spinbranch
+from spinbranch import clear_caches
+from spinbranch.core import SignedSet
+from spinbranch.poly import (
+    MAX_EXP,
+    DegreeOverflow,
+    NotDivisible,
+    Polynomial,
+    _g1_cached,
+    _g2_cached,
+    exact_div,
+    format_poly,
+    g1,
+    g2,
+    lin_reduce,
+    parse_poly,
+    sigma_apply,
+    x,
+    y,
+)
+from spinbranch.raising import (
+    DeltaFunction,
+    _bracket_cached,
+    _rec_cached,
+    bracket_hom,
+    raising_closed,
+    raising_rec,
+)
+
+AXES = "xy"
+
+
+def random_ref(rng: random.Random, axes=AXES, max_idx: int = 5) -> dict:
+    out: dict = {}
+    for _ in range(rng.randint(0, 5)):
+        mono = {}
+        for _ in range(rng.randint(0, 3)):
+            v = (rng.choice(axes), rng.randint(1, max_idx))
+            mono[v] = mono.get(v, 0) + rng.randint(1, 3)
+        out = ref.add(out, {tuple(sorted(mono.items())): rng.randint(-4, 4)})
+    return out
+
+
+def kernel(f: dict) -> Polynomial:
+    out = Polynomial.const(0)
+    for m, c in f.items():
+        term = Polynomial.const(c)
+        for (axis, idx), e in m:
+            term = term * Polynomial.var(axis, idx, e)
+        out = out + term
+    return out
+
+
+def read(p: Polynomial) -> dict:
+    return ref.from_text(format_poly(p))
+
+
+def random_point(rng: random.Random, max_idx: int = 9) -> dict:
+    return {(a, i): rng.randint(-6, 6) for a in "xyH" for i in range(1, max_idx + 1)}
+
+
+def test_printing_matches_the_reference_order():
+    rng = random.Random(11)
+    for _ in range(400):
+        f = random_ref(rng)
+        assert format_poly(kernel(f)) == ref.to_text(f)
+        assert read(kernel(f)) == f
+
+
+def test_product_and_power():
+    rng = random.Random(13)
+    for _ in range(300):
+        f, g = random_ref(rng), random_ref(rng)
+        prod = read(kernel(f) * kernel(g))
+        assert prod == ref.mul(f, g)
+        n = rng.randint(0, 4)
+        pw = read(kernel(f) ** n)
+        assert pw == ref.power(f, n)
+        for _ in range(3):
+            pt = random_point(rng)
+            assert ref.evaluate(prod, pt) == ref.evaluate(f, pt) * ref.evaluate(g, pt)
+            assert ref.evaluate(pw, pt) == ref.evaluate(f, pt) ** n
+
+
+def test_substitute():
+    rng = random.Random(14)
+    for _ in range(300):
+        f = random_ref(rng)
+        listed = rng.sample([(a, i) for a in AXES for i in range(1, 7)], rng.randint(0, 5))
+        images = {v: random_ref(rng, axes="xyH") for v in listed}
+        out = read(kernel(f).substitute({v: kernel(g) for v, g in images.items()}))
+        assert out == ref.substitute(f, images)
+        for _ in range(3):
+            pt = random_point(rng)
+            moved = dict(pt)
+            moved.update((v, ref.evaluate(g, pt)) for v, g in images.items())
+            assert ref.evaluate(out, pt) == ref.evaluate(f, moved)
+
+
+def test_sigma_apply():
+    rng = random.Random(15)
+    for _ in range(300):
+        f = random_ref(rng)
+        a = rng.randint(1, 4)
+        b = rng.randint(a + 1, 6)
+        k = rng.randint(1, 7)
+        out = read(sigma_apply(a, b, k, kernel(f)))
+        for _ in range(3):
+            pt = random_point(rng)
+            shift = pt[("x", a)] - pt[("x", b)]
+            moved = {(z, t): v + shift if z in AXES and t >= k else v for (z, t), v in pt.items()}
+            assert ref.evaluate(out, pt) == ref.evaluate(f, moved)
+
+
+def test_exact_div():
+    rng = random.Random(16)
+    for _ in range(300):
+        f = random_ref(rng)
+        a = rng.randint(1, 4)
+        b = rng.randint(a + 1, 6)
+        divisor = ref.add(ref.var("x", a), ref.scale(ref.var("x", b), -1))
+        assert read(exact_div(kernel(ref.mul(f, divisor)), a, b)) == f
+        g = random_ref(rng)
+        # the remainder is g with x_a set to x_b
+        collapsed = ref.substitute(g, {("x", a): ref.var("x", b)})
+        if collapsed:
+            with pytest.raises(NotDivisible) as err:
+                exact_div(kernel(g), a, b)
+            assert read(err.value.remainder) == collapsed
+        else:
+            q = read(exact_div(kernel(g), a, b))
+            for _ in range(3):
+                pt = random_point(rng)
+                assert ref.evaluate(q, pt) * (pt[("x", a)] - pt[("x", b)]) == ref.evaluate(g, pt)
+
+
+def test_lin_reduce():
+    rng = random.Random(17)
+    for _ in range(300):
+        f = random_ref(rng)
+        ys = rng.sample(range(1, 7), rng.randint(0, 4))
+        subst = {b: rng.randint(1, 6) for b in ys}
+        out = read(lin_reduce(kernel(f), subst))
+        assert out == ref.substitute(f, {("y", b): ref.var("x", a) for b, a in subst.items()})
+        for _ in range(3):
+            pt = random_point(rng)
+            moved = dict(pt)
+            moved.update((("y", b), pt[("x", a)]) for b, a in subst.items())
+            assert ref.evaluate(out, pt) == ref.evaluate(f, moved)
+
+
+def test_bracket_hom():
+    rng = random.Random(18)
+    for _ in range(200):
+        f = random_ref(rng)
+        rows = bracket_hom(kernel(f)).to_json()
+        assert all(row["bars"] == [] for row in rows)
+        image = ref.from_text(rows[0]["coeff"]) if rows else {}
+        for _ in range(3):
+            pt = random_point(rng)
+            moved = dict(pt)
+            for i in range(1, 10):
+                h = pt[("H", i)]
+                moved[("x", i)] = h * (h - 1)
+                moved[("y", i)] = (h + 1) * h
+            assert ref.evaluate(image, pt) == ref.evaluate(f, moved)
+
+
+def test_sympy_cross_check():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    for _ in range(40):
+        f, g = random_ref(rng), random_ref(rng)
+        ours = sympy.sympify(format_poly(kernel(f) * kernel(g)).replace("^", "**"))
+        theirs = sympy.expand(
+            sympy.sympify(ref.to_text(f).replace("^", "**"))
+            * sympy.sympify(ref.to_text(g).replace("^", "**"))
+        )
+        assert sympy.expand(ours - theirs) == 0
+
+
+# -- the degree guard ------------------------------------------------------------
+
+
+def test_degree_guard_raises_instead_of_wrapping():
+    top = Polynomial.var("x", 1, MAX_EXP)
+    assert format_poly(top * x(2)) == f"x1^{MAX_EXP}*x2"
+    assert format_poly(Polynomial.var("x", 1, MAX_EXP - 1) * x(1)) == f"x1^{MAX_EXP}"
+    with pytest.raises(DegreeOverflow):
+        top * x(1)
+    with pytest.raises(DegreeOverflow):
+        (top + y(3)) * (x(1) + 1)
+    with pytest.raises(DegreeOverflow):
+        x(1) ** (MAX_EXP + 1)
+    with pytest.raises(DegreeOverflow):
+        Polynomial.var("x", 1, MAX_EXP + 1)
+    with pytest.raises(DegreeOverflow):
+        parse_poly(f"x1^{MAX_EXP + 1}")
+    with pytest.raises(DegreeOverflow):
+        lin_reduce(top * y(2), {2: 1})
+    with pytest.raises(DegreeOverflow):
+        exact_div(Polynomial.var("x", 2, MAX_EXP) * x(1) ** 2, 1, 2)
+    with pytest.raises(DegreeOverflow):
+        top.substitute({("x", 1): x(1) ** 2})
+
+
+def test_variable_fields_are_handed_out_once_under_threads():
+    names = [("t", k) for k in range(4000)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda part=names[k::8]: [Polynomial.var(*v) for v in part])
+            for k in range(16)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    total = sum((Polynomial.var(*v) for v in names), Polynomial())
+    assert read(total) == {(((a, i), 1),): 1 for a, i in names}
+    square = read(Polynomial.var("t", 0) * Polynomial.var("t", 3999) * x(1))
+    assert square == {((("t", 0), 1), (("t", 3999), 1), (("x", 1), 1)): 1}
+
+
+_UNPICKLE = """
+import pickle, sys
+from spinbranch.poly import Polynomial, format_poly
+Polynomial.var("z", 7) * Polynomial.var("y", 9)  # other fields first
+print(format_poly(pickle.loads(sys.stdin.buffer.read())))
+"""
+
+
+def test_pickles_do_not_depend_on_field_numbers():
+    f = 3 * x(1) * y(2) ** 2 - x(3) + 4
+    data = pickle.dumps(f)
+    assert pickle.loads(data) == f
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE], input=data, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
+    )
+    assert done.stdout.decode().strip() == format_poly(f)
+
+
+# -- caches ------------------------------------------------------------------------
+
+
+CACHES = (_g1_cached, _g2_cached, _bracket_cached, _rec_cached)
+
+
+def test_caches_are_bounded_and_reset_by_one_hook():
+    delta = DeltaFunction(1, (0, 1, 0))
+    m = SignedSet.of(evens=[2], odds=[4])
+    raising_rec(1, 4, 0, delta, m)
+    raising_closed(1, 4, 0, delta, m)
+    g1(1, 4, {2})
+    for cache in CACHES:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize > 0
+    clear_caches()
+    assert all(cache.cache_info().currsize == 0 for cache in CACHES)
+
+
+def test_cached_results_cannot_be_changed_by_a_caller():
+    delta = DeltaFunction(1, (1, 0))
+    m = SignedSet.of(evens=[3], odds=[2])
+    first = raising_rec(1, 3, 1, delta, m)
+    text = json.dumps(first.to_json())
+    g = g2(1, 2, 3, 3, {3})
+    g_text = format_poly(g)
+    image = bracket_hom(g)
+    with pytest.raises(TypeError):
+        first.terms[(7,)] = Polynomial.const(1)
+    with pytest.raises(TypeError):
+        del first.terms[next(iter(first.terms))]
+    with pytest.raises(TypeError):
+        next(iter(first.terms.values())).terms[0] = 5
+    with pytest.raises(TypeError):
+        g.terms[0] = 1
+    with pytest.raises(AttributeError):
+        g.terms = {}
+    with pytest.raises(TypeError):
+        image.terms[()] = Polynomial.const(3)
+    assert json.dumps(raising_rec(1, 3, 1, delta, m).to_json()) == text
+    assert format_poly(g2(1, 2, 3, 3, {3})) == g_text
+    assert bracket_hom(g) == image
+
+
+# -- determinism across hash seeds ---------------------------------------------------
+
+_CLOSED_FORMS = """
+import json
+from itertools import product
+from spinbranch.core import SignedSet
+from spinbranch.raising import DeltaFunction, raising_closed
+out = []
+for evens, odds in (((4,), (2,)), ((2, 4), ()), ((), (4,)), ((3, 4), (2,))):
+    m = SignedSet.of(evens=evens, odds=odds)
+    for eps in (0, 1):
+        for dv in product((0, 1), repeat=3):
+            out.append(raising_closed(1, 4, eps, DeltaFunction(1, dv), m).to_json())
+print(json.dumps(out))
+"""
+
+
+def test_closed_forms_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _CLOSED_FORMS],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert any(rows for rows in json.loads(outputs[0]))

@@ -253,3 +253,30 @@ def test_section_scan_on_long_plus_led_maps():
     assert lead_plus_index(u) == 1
     v = SignMap.make("pair", {i: ("--" if i % 2 else "++") for i in range(1, 3001)})
     assert build_full_flow(v).edges == {(i, i + 1) for i in range(1, 3001, 2)}
+
+
+def test_split_index_scan_matches_recursive_oracle():
+    rng = random.Random(2718)
+    seen = 0
+    for _ in range(6000):
+        u = _random_map(rng, "pair")
+        red = reduced_product(u)
+        if not red or plus_count(red):
+            with pytest.raises(PreconditionFailed):
+                split_index(u)
+            continue
+        assert split_index(u) == definitional.split_index(u)
+        seen += 1
+    assert seen >= 300, seen
+
+
+def test_split_index_on_a_long_map():
+    # a recursion per domain index would pass the recursion limit here
+    u = SignMap.make("pair", {1: "--", **{i: "" for i in range(2, 1500)}})
+    assert split_index(u) == 1
+    v = SignMap.make("pair", {i: ("--" if i <= 750 else "++") for i in range(1, 1501)})
+    with pytest.raises(PreconditionFailed):
+        split_index(v)  # the product reduces to the empty word
+    # 749 ++ values close the -- values 751 down to 3; 2 is the first left open
+    w = SignMap.make("pair", {i: ("--" if i <= 751 else "++") for i in range(1, 1501)})
+    assert split_index(w) == 2
