@@ -10,8 +10,7 @@ import sys
 from spinbranch.crystal import (
     PStrictPartition,
     branching_tables,
-    contents_for,
-    rim_signature,
+    content_reductions,
     spin_stats,
 )
 from spinbranch.sigseq import signs
@@ -26,13 +25,14 @@ def main() -> int:
     lam = PStrictPartition(parts, args.p)
     h, kind, gamma = spin_stats(lam)
     print(f"partition {lam.parts}, p={lam.p}, type {kind}, h'={h}, gamma={gamma}")
-    width = max([1] + [v + 2 for v in lam.parts])
-    for i in contents_for(lam.p, width):
-        raw = rim_signature(lam, i)
-        red = rim_signature(lam, i, reduced=True)
-        print(f"  content {i}: signature {signs(raw) or '-'*0}"
-              f" -> reduced {signs(red)}")
-    rsoc, rsp, isoc, isp = branching_tables(lam)
+    reductions = content_reductions(lam)
+    for i, red in reductions.items():
+        print(f"  content {i}: signature {signs(red.signature())}"
+              f" -> reduced {signs(red.signature(reduced=True))}")
+    if not lam.is_restricted():
+        print("  not restricted: no branching tables")
+        return 0
+    rsoc, rsp, isoc, isp = branching_tables(lam, reductions)
     print("  restriction socle:", [(list(m.parts), n) for m, n in rsoc])
     print("  restriction Specht:", [(list(m.parts), n) for m, n in rsp])
     print("  induction socle:", [(list(m.parts), n) for m, n in isoc])

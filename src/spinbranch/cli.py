@@ -25,19 +25,6 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _check_partition(parts: tuple[int, ...], p: int) -> None:
-    for k, (a, b) in enumerate(zip(parts, parts[1:]), start=1):
-        if a < b:
-            raise ParseError(f"parts increase at rows {k},{k + 1}: {a} < {b}")
-        if a == b and a > 0 and (p == 0 or a % p != 0):
-            raise ParseError(
-                f"equal positive parts {a},{b} at rows {k},{k + 1}"
-                f" are not divisible by p={p}"
-            )
-    if any(x < 0 for x in parts):
-        raise ParseError("partition parts must be non-negative")
-
-
 def _weight_report(lam: Weight) -> dict:
     reductions = ix.residue_reductions(lam)
     indices = []
@@ -57,24 +44,21 @@ def _weight_report(lam: Weight) -> dict:
 
 
 def _partition_report(lam: cr.PStrictPartition) -> dict:
-    width = max([1] + [v + 2 for v in lam.parts])
+    reductions = cr.content_reductions(lam)
     contents = {}
-    for i in cr.contents_for(lam.p, width):
-        removable, addable = cr.rim_nodes(lam, i)
-        reduced = cr.rim_signature(lam, i, reduced=True)
-        et = cr.e_tilde(i, lam)
-        ft = cr.f_tilde(i, lam)
+    for i, red in reductions.items():
+        good, cogood = red.good, red.cogood
         contents[str(i)] = {
-            "removable": [list(nd) for nd in removable],
-            "addable": [list(nd) for nd in addable],
-            "signature": seq_to_list(cr.rim_signature(lam, i)),
-            "reduced": seq_to_list(reduced),
-            "good": [list(nd) for nd in cr.good_nodes(lam, i)],
-            "normal": [list(nd) for nd in cr.normal_nodes(lam, i)],
-            "conormal": [list(nd) for nd in cr.conormal_nodes(lam, i)],
-            "cogood": [list(nd) for nd in cr.cogood_nodes(lam, i)],
-            "e_tilde": list(et.parts) if et is not None else None,
-            "f_tilde": list(ft.parts) if ft is not None else None,
+            "removable": [list(nd) for nd in red.removable],
+            "addable": [list(nd) for nd in red.addable],
+            "signature": seq_to_list(red.signature()),
+            "reduced": seq_to_list(red.signature(reduced=True)),
+            "good": [list(nd) for nd in good],
+            "normal": [list(nd) for nd in red.normal],
+            "conormal": [list(nd) for nd in red.conormal],
+            "cogood": [list(nd) for nd in cogood],
+            "e_tilde": list(lam.remove(good[0]).parts) if good else None,
+            "f_tilde": list(lam.add(cogood[0]).parts) if cogood else None,
         }
     h, kind, gamma = cr.spin_stats(lam)
     out = {
@@ -82,7 +66,7 @@ def _partition_report(lam: cr.PStrictPartition) -> dict:
         "spin": {"h_p_prime": h, "type": kind, "gamma": list(gamma)},
     }
     if lam.is_restricted():
-        rsoc, rsp, isoc, isp = cr.branching_tables(lam)
+        rsoc, rsp, isoc, isp = cr.branching_tables(lam, reductions)
 
         def rows(table):
             return [
@@ -103,9 +87,10 @@ def cmd_analyze(args) -> int:
     p = check_characteristic(args.p)
     report: dict = {"p": p}
     if args.partition is not None:
-        parts = _parse_parts(args.partition)
-        _check_partition(parts, p)
-        lam = cr.PStrictPartition(parts, p)
+        try:
+            lam = cr.PStrictPartition(_parse_parts(args.partition), p)
+        except cr.NotPStrict as exc:
+            raise ParseError(str(exc)) from exc
         report["input"] = {"kind": "partition", "parts": list(lam.parts)}
         report.update(_partition_report(lam))
         report["padded_weight"] = _weight_report(lam.pad_weight())

@@ -10,10 +10,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Weight, check_characteristic, ell_of, res_p
+from .core import Weight, check_characteristic, congruent, ell_of, res_p
 from .sigseq import MINUS, PLUS, Seq, reduce_seq
 
 Node = tuple[int, int]
+SignedNodes = tuple[tuple[int, Node], ...]
+
+
+class NotPStrict(ValueError):
+    pass
 
 
 class NotDominantPStrict(ValueError):
@@ -42,46 +47,49 @@ def beta_of_content(i: int, p: int) -> int:
     return v % p if p else v
 
 
-def _is_p_strict_parts(parts: tuple[int, ...], p: int) -> bool:
-    if any(x < 0 for x in parts):
-        return False
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        return False
-    for a, b in zip(parts, parts[1:]):
+def p_strict_violation(parts: tuple[int, ...], p: int) -> str | None:
+    """Why `parts` is not p-strict, naming the rows at fault, or None if it
+    is: parts are non-negative and weakly decreasing, and equal positive
+    neighbours are divisible by p."""
+    for k, (a, b) in enumerate(zip(parts, parts[1:]), start=1):
+        if a < b:
+            return f"parts increase at rows {k},{k + 1}: {a} < {b}"
         if a == b and a > 0 and (p == 0 or a % p != 0):
-            return False
-    return True
+            return (
+                f"equal positive parts {a},{b} at rows {k},{k + 1}"
+                f" are not divisible by p={p}"
+            )
+    if any(x < 0 for x in parts):
+        return "partition parts must be non-negative"
+    return None
 
 
 def _is_restricted_parts(parts: tuple[int, ...], p: int) -> bool:
-    if not _is_p_strict_parts(parts, p):
+    if p_strict_violation(parts, p) is not None:
         return False
     if p == 0:
         return True
     padded = parts + (0,)
-    for a, b in zip(padded, padded[1:]):
-        if a % p == 0:
-            if a - b >= p:
-                return False
-        elif a - b > p:
-            return False
-    return True
+    return all(
+        a - b < p if a % p == 0 else a - b <= p for a, b in zip(padded, padded[1:])
+    )
 
 
 @dataclass(frozen=True)
 class PStrictPartition:
     """A p-strict partition: weakly decreasing positive parts, where equal
-    adjacent parts must be divisible by p."""
+    adjacent parts must be divisible by p.  Trailing zero parts are dropped."""
 
     parts: tuple[int, ...]
     p: int
 
     def __post_init__(self):
         check_characteristic(self.p)
-        parts = tuple(int(x) for x in self.parts if x != 0)
-        object.__setattr__(self, "parts", parts)
-        if not _is_p_strict_parts(parts, self.p):
-            raise ValueError(f"{parts} is not {self.p}-strict")
+        parts = tuple(int(x) for x in self.parts)
+        problem = p_strict_violation(parts, self.p)
+        if problem is not None:
+            raise NotPStrict(problem)
+        object.__setattr__(self, "parts", tuple(x for x in parts if x != 0))
 
     @property
     def size(self) -> int:
@@ -122,174 +130,174 @@ class PStrictPartition:
         return json.dumps({"p": self.p, "parts": list(self.parts)})
 
 
-def _try_parts(parts: list[int], p: int) -> bool:
-    return _is_p_strict_parts(tuple(parts), p)
+# -- signed nodes, in both conventions ----------------------------------------
+
+PARTITION = "partition"
+WEIGHT = "weight"
+
+
+def signed_nodes(
+    parts: tuple[int, ...], p: int, label: int, convention: str = PARTITION
+) -> SignedNodes:
+    """Signed label-removable (MINUS) and label-addable (PLUS) nodes of the
+    p-strict rows `parts`, in reading order.  PARTITION: labels are contents
+    (`cont_p`), columns start at 1 and one empty row is appended.  WEIGHT:
+    labels are residues (`res_p`, `label` reduced mod p), columns may be
+    <= 0 and no row is appended.
+
+    A node is signed when its label matches and the one-row change keeps
+    the rows p-strict; the pair rule signs the second of two equal-label
+    nodes when both changes do.  Changing row r can only break
+    p-strictness against rows r-1 and r+1, so only those are tested.
+    """
+    if convention not in (PARTITION, WEIGHT):
+        raise ValueError(f"unknown convention {convention!r}")
+    partition = convention == PARTITION
+    rows = (*parts, 0) if partition else tuple(parts)
+
+    def label_of(col: int) -> int | None:
+        if partition:
+            return cont_p(col, p) if col >= 1 else None
+        return res_p(col, p)
+
+    def ordered(a: int, b: int) -> bool:
+        return a > b or (a == b and congruent(a, 0, p))
+
+    def fits(r: int, v: int) -> bool:
+        # row r (0-based) set to v, against the rows just above and below
+        return (r == 0 or ordered(rows[r - 1], v)) and (
+            r == len(rows) - 1 or ordered(v, rows[r + 1])
+        )
+
+    out: list[tuple[int, Node]] = []
+    for r, lr in enumerate(rows):
+        row = r + 1
+        if label_of(lr + 1) == label and fits(r, lr + 1):
+            # addable (row, lr+2) via the pair rule, then (row, lr+1)
+            if label_of(lr + 2) == label and fits(r, lr + 2):
+                out.append((PLUS, (row, lr + 2)))
+            out.append((PLUS, (row, lr + 1)))
+        if label_of(lr) == label and fits(r, lr - 1):
+            # removable (row, lr), then (row, lr-1) via the pair rule
+            out.append((MINUS, (row, lr)))
+            if label_of(lr - 1) == label and fits(r, lr - 2):
+                out.append((MINUS, (row, lr - 1)))
+    return tuple(out)
+
+
+def _split(signed: SignedNodes) -> tuple[list[Node], list[Node]]:
+    removable = [node for sign, node in signed if sign == MINUS]
+    addable = [node for sign, node in signed if sign == PLUS]
+    return removable, addable
+
+
+def _rows(signed: SignedNodes) -> Seq:
+    return tuple((sign, node[0]) for sign, node in signed)
+
+
+@dataclass(frozen=True)
+class ContentReduction:
+    """The signed i-nodes of a partition and their reduction, built once per
+    (lambda, i); every node notion below is read off it.  The reduced word
+    has shape +^s -^r: its minuses are the normal nodes, the first of them
+    good, and its pluses the conormal nodes, the last of them cogood."""
+
+    signed: SignedNodes
+    reduced: SignedNodes
+
+    @property
+    def removable(self) -> list[Node]:
+        return _split(self.signed)[0]
+
+    @property
+    def addable(self) -> list[Node]:
+        return _split(self.signed)[1]
+
+    @property
+    def normal(self) -> list[Node]:
+        return _split(self.reduced)[0]
+
+    @property
+    def conormal(self) -> list[Node]:
+        return _split(self.reduced)[1]
+
+    @property
+    def good(self) -> list[Node]:
+        return self.normal[:1]
+
+    @property
+    def cogood(self) -> list[Node]:
+        return self.conormal[-1:]
+
+    def signature(self, reduced: bool = False) -> Seq:
+        """The i-signature with rows as marks."""
+        return _rows(self.reduced if reduced else self.signed)
+
+
+def reduce_content(lam: PStrictPartition, i: int) -> ContentReduction:
+    signed = signed_nodes(lam.parts, lam.p, i)
+    return ContentReduction(signed, reduce_seq(signed))
+
+
+def content_reductions(lam: PStrictPartition) -> dict[int, ContentReduction]:
+    """One reduction per content that can label a node of lam."""
+    width = max([1] + [v + 2 for v in lam.parts])
+    return {i: reduce_content(lam, i) for i in contents_for(lam.p, width)}
 
 
 def rim_nodes(lam: PStrictPartition, i: int) -> tuple[list[Node], list[Node]]:
     """All i-removable and i-addable nodes, each read off the rim top right
-    to bottom left (rows ascending, columns descending within a row).
-
-    Removable nodes come from the rim rule or from the left member of an
-    equal-content pair whose double removal stays p-strict; addable nodes
-    dually.
-    """
-    signed = _rim_signed_nodes(lam, i)
-    removable = [node for sign, node in signed if sign == MINUS]
-    addable = [node for sign, node in signed if sign == PLUS]
-    return removable, addable
-
-
-def _rim_signed_nodes(lam: PStrictPartition, i: int):
-    p = lam.p
-    out: list[tuple[int, Node]] = []
-    for r in range(1, lam.rows + 2):
-        lr = lam.part(r)
-        base = list(lam.parts) + [0] * max(r - lam.rows, 0)
-        one = base.copy()
-        one[r - 1] += 1
-        two = base.copy()
-        two[r - 1] += 2
-        row: list[tuple[int, Node]] = []
-        # addable (r, lr+2) via the pair rule
-        if (
-            cont_p(lr + 2, p) == i
-            and cont_p(lr + 1, p) == i
-            and _try_parts(one, p)
-            and _try_parts(two, p)
-        ):
-            row.append((PLUS, (r, lr + 2)))
-        # addable (r, lr+1) directly
-        if cont_p(lr + 1, p) == i and _try_parts(one, p):
-            row.append((PLUS, (r, lr + 1)))
-        if r <= lam.rows:
-            # removable (r, lr) directly
-            if lr >= 1 and cont_p(lr, p) == i:
-                one = list(lam.parts)
-                one[r - 1] -= 1
-                if _try_parts(one, p):
-                    row.append((MINUS, (r, lr)))
-            # removable (r, lr-1) via the pair rule
-            if (
-                lr >= 2
-                and cont_p(lr - 1, p) == i
-                and cont_p(lr, p) == i
-            ):
-                one = list(lam.parts)
-                one[r - 1] -= 1
-                two = list(lam.parts)
-                two[r - 1] -= 2
-                if _try_parts(one, p) and _try_parts(two, p):
-                    row.append((MINUS, (r, lr - 1)))
-        out.extend(row)
-    return out
+    to bottom left (rows ascending, columns descending within a row)."""
+    return _split(signed_nodes(lam.parts, lam.p, i))
 
 
 def rim_signature(lam: PStrictPartition, i: int, reduced: bool = False) -> Seq:
     """The i-signature (marks = rows), optionally reduced."""
-    raw = tuple((sign, node[0]) for sign, node in _rim_signed_nodes(lam, i))
-    return reduce_seq(raw) if reduced else raw
+    return reduce_content(lam, i).signature(reduced)
 
 
 def e_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
     """Remove the i-good node (top minus of the reduced i-signature)."""
-    red = reduce_seq(tuple(_rim_signed_nodes(lam, i)))
-    for sign, node in red:
-        if sign == MINUS:
-            return lam.remove(node)
-    return None
+    good = reduce_content(lam, i).good
+    return lam.remove(good[0]) if good else None
 
 
 def f_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
     """Add the i-cogood node (bottom plus of the reduced i-signature)."""
-    red = reduce_seq(tuple(_rim_signed_nodes(lam, i)))
-    for sign, node in reversed(red):
-        if sign == PLUS:
-            return lam.add(node)
-    return None
+    cogood = reduce_content(lam, i).cogood
+    return lam.add(cogood[0]) if cogood else None
 
 
 def good_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    red = reduce_seq(tuple(_rim_signed_nodes(lam, i)))
-    minuses = [node for sign, node in red if sign == MINUS]
-    return minuses[:1]
+    return reduce_content(lam, i).good
 
 
 def normal_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    red = reduce_seq(tuple(_rim_signed_nodes(lam, i)))
-    return [node for sign, node in red if sign == MINUS]
+    return reduce_content(lam, i).normal
 
 
 def conormal_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    red = reduce_seq(tuple(_rim_signed_nodes(lam, i)))
-    return [node for sign, node in red if sign == PLUS]
+    return reduce_content(lam, i).conormal
 
 
 def cogood_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    pluses = conormal_nodes(lam, i)
-    return pluses[-1:]
+    return reduce_content(lam, i).cogood
 
 
-# -- weight-diagram nodes (columns may be <= 0) -------------------------------
-
-
-def _weight_ok(parts: list[int], p: int) -> bool:
-    w = Weight(tuple(parts), p)
-    return w.is_p_strict()
-
-
-def body_signed_nodes(lam: Weight, beta: int):
-    """Signed beta-removable/addable nodes of a dominant p-strict weight, in
-    reading order.  Only columns within 2 of a row end can carry a sign."""
+def _weight_nodes(lam: Weight, beta: int) -> SignedNodes:
     if not lam.is_p_strict():
         raise NotDominantPStrict(f"{lam.parts} is not dominant p-strict")
     p = lam.p
-    beta = beta % p if p else beta
-    out: list[tuple[int, Node]] = []
-    for r in range(1, lam.n + 1):
-        lr = lam.entry(r)
-        base = list(lam.parts)
-
-        def changed(delta: int) -> bool:
-            parts = base.copy()
-            parts[r - 1] += delta
-            return _weight_ok(parts, p)
-
-        # addable (r, lr+2) via the pair rule
-        if (
-            res_p(lr + 2, p) == beta
-            and res_p(lr + 1, p) == res_p(lr + 2, p)
-            and changed(1)
-            and changed(2)
-        ):
-            out.append((PLUS, (r, lr + 2)))
-        # addable (r, lr+1)
-        if res_p(lr + 1, p) == beta and changed(1):
-            out.append((PLUS, (r, lr + 1)))
-        # removable (r, lr)
-        if res_p(lr, p) == beta and changed(-1):
-            out.append((MINUS, (r, lr)))
-        # removable (r, lr-1) via the pair rule
-        if (
-            res_p(lr - 1, p) == beta
-            and res_p(lr, p) == res_p(lr - 1, p)
-            and changed(-1)
-            and changed(-2)
-        ):
-            out.append((MINUS, (r, lr - 1)))
-    return out
+    return signed_nodes(lam.parts, p, beta % p if p else beta, WEIGHT)
 
 
 def body_nodes(lam: Weight, beta: int) -> tuple[list[Node], list[Node]]:
-    signed = body_signed_nodes(lam, beta)
-    removable = [node for sign, node in signed if sign == MINUS]
-    addable = [node for sign, node in signed if sign == PLUS]
-    return removable, addable
+    return _split(_weight_nodes(lam, beta))
 
 
 def beta_signature(lam: Weight, beta: int, reduced: bool = False) -> Seq:
     """The beta-signature of a dominant p-strict weight (marks = rows)."""
-    raw = tuple((sign, node[0]) for sign, node in body_signed_nodes(lam, beta))
+    raw = _rows(_weight_nodes(lam, beta))
     return reduce_seq(raw) if reduced else raw
 
 
@@ -319,36 +327,39 @@ def spin_stats(lam: PStrictPartition):
     return h, kind, tuple(gamma)
 
 
-def branching_tables(lam: PStrictPartition):
+def branching_tables(
+    lam: PStrictPartition, reductions: dict[int, ContentReduction] | None = None
+):
     """Socle and Specht branching data for restriction and induction.
 
     Socle rows use good/cogood nodes; Specht rows use all normal/conormal
     nodes whose single-node removal/addition exists and stays restricted.
+    `reductions` defaults to `content_reductions(lam)`.
     """
     if not lam.is_restricted():
         raise NotRestricted(f"{lam.parts} is not restricted")
-    p = lam.p
-    max_col = max([0] + [x + 2 for x in lam.parts]) + 1
+    if reductions is None:
+        reductions = content_reductions(lam)
     restriction_socle = []
     restriction_specht = []
     induction_socle = []
     induction_specht = []
-    for i in contents_for(p, max_col):
-        for node in good_nodes(lam, i):
+    for red in reductions.values():
+        for node in red.good:
             mu = lam.remove(node)
             assert mu.is_restricted()
             restriction_socle.append((mu, node))
-        for node in normal_nodes(lam, i):
+        for node in red.normal:
             if lam.part(node[0]) != node[1]:
                 continue  # a pair-rule node: single removal is not a partition
             mu = lam.remove(node)
             if mu.is_restricted():
                 restriction_specht.append((mu, node))
-        for node in cogood_nodes(lam, i):
+        for node in red.cogood:
             mu = lam.add(node)
             assert mu.is_restricted()
             induction_socle.append((mu, node))
-        for node in conormal_nodes(lam, i):
+        for node in red.conormal:
             if lam.part(node[0]) + 1 != node[1]:
                 continue
             mu = lam.add(node)
@@ -373,18 +384,10 @@ def partitions_of(n: int):
     yield from gen(n, n, ())
 
 
-def restricted_partitions(p: int, n: int) -> list[PStrictPartition]:
-    out = []
-    for parts in partitions_of(n):
-        if _is_restricted_parts(parts, p):
-            out.append(PStrictPartition(parts, p))
-    return out
-
-
 @dataclass(frozen=True)
 class CrystalGraph:
     """The I-colored graph on restricted p-strict partitions of size <= N,
-    with an i-edge from e_tilde(i, mu) to mu."""
+    with an i-edge from mu to f_tilde(i, mu)."""
 
     p: int
     max_size: int
@@ -415,22 +418,29 @@ class CrystalGraph:
 
 
 def crystal_graph(p: int, max_size: int) -> CrystalGraph:
+    """Generate the graph by f_tilde from the empty partition.
+
+    The crystal is connected with highest weight vertex the empty partition
+    (Brundan and Kleshchev, "Hecke-Clifford superalgebras, crystals of type
+    A_{2l}^{(2)} and modular branching rules for S_n", Represent. Theory 5,
+    2001), so applying every f_tilde_i level by level reaches each vertex,
+    and each edge mu -i-> f_tilde_i(mu) is found once, from its source.
+    """
     check_characteristic(p)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    vertices: list[PStrictPartition] = []
-    for n in range(max_size + 1):
-        vertices.extend(restricted_partitions(p, n))
-    vertices.sort(key=lambda lam: (lam.size, lam.parts))
+    level = [PStrictPartition((), p)]
+    vertices = [level[0].parts]
     edges = []
-    for mu in vertices:
-        if mu.size == 0:
-            continue
-        for i in contents_for(p, max([0] + list(mu.parts))):
-            lam = e_tilde(i, mu)
-            if lam is not None:
-                edges.append((lam.parts, i, mu.parts))
+    for _ in range(max_size):
+        found: dict[tuple[int, ...], PStrictPartition] = {}
+        for mu in level:
+            for i in contents_for(p, mu.part(1) + 1):
+                lam = f_tilde(i, mu)
+                if lam is not None:
+                    edges.append((mu.parts, i, lam.parts))
+                    found.setdefault(lam.parts, lam)
+        level = [found[parts] for parts in sorted(found)]
+        vertices.extend(lam.parts for lam in level)
     edges.sort()
-    return CrystalGraph(
-        p, max_size, tuple(v.parts for v in vertices), tuple(edges)
-    )
+    return CrystalGraph(p, max_size, tuple(vertices), tuple(edges))

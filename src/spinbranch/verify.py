@@ -5,6 +5,7 @@ explicit seed so reruns are byte-identical.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -437,11 +438,10 @@ def _injections(sources, targets, floor):
                 yield {t: img, **rest}
 
 
-def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi):
+def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi, build_f):
     l = LFunction(i + 1, j, lvals)
     if any(l(t) == 1 for t in r & d):
         return
-    f = f_poly(i, j, d, l, s)
     subst = {}
     hit = False
     for t in sorted(r):
@@ -452,18 +452,19 @@ def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi):
             subst[phi[t]] = d_floor(d, i, phi[t])
         elif t != j:
             subst[phi[t]] = t
-    reduced = lin_reduce(f, subst)
+    if not hit and r != s:
+        return  # an end R strictly smaller than S with no D-hits asserts nothing
+    reduced = lin_reduce(build_f(i, j, d, l, s), subst)
     tag = f"collapse i={i} j={j} D={sorted(d)} l={lvals} S={sorted(s)} R={sorted(r)} phi={phi}"
     if hit:
         rep.check(tag, Polynomial(), reduced)
-    elif r == s:
+    else:
         image = {phi[t] for t in s}
         prod = Polynomial.const(1)
         for t in range(i + 1, j + 1):
             if t not in image:
                 prod = prod * (x(d_floor(d, i, t)) - y(t))
         rep.check(tag, lin_reduce(prod, subst), reduced)
-    # an end R strictly smaller than S with no D-hits asserts nothing
 
 
 def _lin_tuples(i: int, j: int):
@@ -480,8 +481,10 @@ def _lin_tuples(i: int, j: int):
 def _lin_reduce_exhaustive(rep: VerdictReport, i: int, width: int):
     for w in range(1, width + 1):
         j = i + w
+        # the tuples come grouped by (D, l, S): one entry builds each f once
+        build_f = functools.lru_cache(maxsize=1)(f_poly)
         for d, lvals, s, r, phi in _lin_tuples(i, j):
-            _lin_reduce_case(rep, i, j, d, lvals, s, r, phi)
+            _lin_reduce_case(rep, i, j, d, lvals, s, r, phi, build_f)
 
 
 def _lin_reduce_sampled(rep: VerdictReport, rng: random.Random, i: int,
@@ -503,7 +506,7 @@ def _lin_reduce_sampled(rep: VerdictReport, rng: random.Random, i: int,
         if not injections:
             continue
         phi = injections[rng.randrange(len(injections))]
-        _lin_reduce_case(rep, i, j, d, lvals, s, r, phi)
+        _lin_reduce_case(rep, i, j, d, lvals, s, r, phi, f_poly)
         done += 1
 
 

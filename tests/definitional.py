@@ -1,15 +1,25 @@
-"""Definitional forms of the index predicates and of the flow constructions,
-kept as test oracles for the one-pass library code.
+"""Definitional forms of the index predicates, the flow constructions and
+the crystal's node routines and generation, kept as test oracles for the
+one-pass library code.
 
 Each predicate rebuilds r_beta and re-reduces the products it needs, and
 each construction recurses on the last index of the domain, re-reducing
-every prefix it looks at.  Nothing here reads the library's classification
-or scans; only the shared vocabulary (r_beta, product_of, reduce_seq,
-SignMap.restrict) is imported.
+every prefix it looks at.  The signed-node routines re-check the whole
+partition or weight after each trial row change, and the crystal graph
+filters all partitions.  Nothing here reads the library's classification,
+scans or node routines; only the shared vocabulary (r_beta, product_of,
+reduce_seq, SignMap.restrict, cont_p, partitions, CrystalGraph) is imported.
 """
 from __future__ import annotations
 
 from spinbranch.core import Weight, congruent, res_p
+from spinbranch.crystal import (
+    CrystalGraph,
+    PStrictPartition,
+    cont_p,
+    contents_for,
+    partitions_of,
+)
 from spinbranch.indices import IndexClassification
 from spinbranch.sigseq import (
     MINUS,
@@ -180,3 +190,116 @@ def split_index(u: SignMap) -> int:
         return rec(rest)
 
     return rec(list(u.domain))
+
+
+# -- crystal: signed nodes by whole-partition checks, and the filtered graph ------
+
+
+def _is_p_strict_parts(parts, p: int) -> bool:
+    if any(x < 0 for x in parts):
+        return False
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        return False
+    for a, b in zip(parts, parts[1:]):
+        if a == b and a > 0 and (p == 0 or a % p != 0):
+            return False
+    return True
+
+
+def _is_restricted_parts(parts, p: int) -> bool:
+    if not _is_p_strict_parts(parts, p):
+        return False
+    if p == 0:
+        return True
+    padded = parts + (0,)
+    for a, b in zip(padded, padded[1:]):
+        if (a % p == 0 and a - b >= p) or (a % p != 0 and a - b > p):
+            return False
+    return True
+
+
+def rim_signed_nodes(lam: PStrictPartition, i: int):
+    """Signed i-nodes of a partition (contents, one extra empty row)."""
+    p = lam.p
+    out = []
+    for r in range(1, lam.rows + 2):
+        lr = lam.part(r)
+        base = list(lam.parts) + [0] * max(r - lam.rows, 0)
+
+        def ok(delta: int) -> bool:
+            parts = base.copy()
+            parts[r - 1] += delta
+            return _is_p_strict_parts(tuple(parts), p)
+
+        if cont_p(lr + 2, p) == i and cont_p(lr + 1, p) == i and ok(1) and ok(2):
+            out.append((PLUS, (r, lr + 2)))
+        if cont_p(lr + 1, p) == i and ok(1):
+            out.append((PLUS, (r, lr + 1)))
+        if r <= lam.rows:
+            if lr >= 1 and cont_p(lr, p) == i and ok(-1):
+                out.append((MINUS, (r, lr)))
+            if (
+                lr >= 2
+                and cont_p(lr - 1, p) == i
+                and cont_p(lr, p) == i
+                and ok(-1)
+                and ok(-2)
+            ):
+                out.append((MINUS, (r, lr - 1)))
+    return out
+
+
+def body_signed_nodes(lam: Weight, beta: int):
+    """Signed beta-nodes of a dominant p-strict weight (residues, no extra
+    row, columns may be <= 0)."""
+    assert lam.is_p_strict()
+    p = lam.p
+    beta = beta % p if p else beta
+    out = []
+    for r in range(1, lam.n + 1):
+        lr = lam.entry(r)
+
+        def ok(delta: int) -> bool:
+            parts = list(lam.parts)
+            parts[r - 1] += delta
+            return Weight(tuple(parts), p).is_p_strict()
+
+        if res_p(lr + 2, p) == beta and res_p(lr + 1, p) == beta and ok(1) and ok(2):
+            out.append((PLUS, (r, lr + 2)))
+        if res_p(lr + 1, p) == beta and ok(1):
+            out.append((PLUS, (r, lr + 1)))
+        if res_p(lr, p) == beta and ok(-1):
+            out.append((MINUS, (r, lr)))
+        if res_p(lr - 1, p) == beta and res_p(lr, p) == beta and ok(-1) and ok(-2):
+            out.append((MINUS, (r, lr - 1)))
+    return out
+
+
+def restricted_partitions(p: int, n: int) -> list[PStrictPartition]:
+    return [
+        PStrictPartition(parts, p)
+        for parts in partitions_of(n)
+        if _is_restricted_parts(parts, p)
+    ]
+
+
+def e_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
+    for sign, node in reduce_seq(tuple(rim_signed_nodes(lam, i))):
+        if sign == MINUS:
+            return lam.remove(node)
+    return None
+
+
+def crystal_graph(p: int, max_size: int) -> CrystalGraph:
+    """Filter every partition of size <= max_size, then find each vertex's
+    incoming edges by e_tilde."""
+    vertices = [lam for n in range(max_size + 1) for lam in restricted_partitions(p, n)]
+    vertices.sort(key=lambda lam: (lam.size, lam.parts))
+    edges = []
+    for mu in vertices:
+        for i in contents_for(p, max([0] + list(mu.parts))):
+            lam = e_tilde(i, mu) if mu.size else None
+            if lam is not None:
+                edges.append((lam.parts, i, mu.parts))
+    edges.sort()
+    return CrystalGraph(p, max_size, tuple(v.parts for v in vertices), tuple(edges))

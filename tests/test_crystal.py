@@ -1,17 +1,21 @@
+import hashlib
 import random
 
+import definitional
 import pytest
 
-from spinbranch.core import Weight
+from spinbranch import cli, crystal
+from spinbranch.core import Weight, res_p
 from spinbranch.crystal import (
+    WEIGHT,
     CrystalGraph,
     NotDominantPStrict,
+    NotPStrict,
     NotRestricted,
     PStrictPartition,
     beta_of_content,
     beta_signature,
     body_nodes,
-    body_signed_nodes,
     branching_tables,
     cogood_nodes,
     conormal_nodes,
@@ -22,10 +26,11 @@ from spinbranch.crystal import (
     f_tilde,
     good_nodes,
     rim_nodes,
-    rim_signature,
     normal_nodes,
+    p_strict_violation,
     partitions_of,
-    restricted_partitions,
+    rim_signature,
+    signed_nodes,
     spin_stats,
 )
 from spinbranch.sigseq import MINUS, PLUS, product_of, r_beta, reduce_seq
@@ -97,7 +102,7 @@ def test_body_nodes_examples():
     rem2, add2 = body_nodes(Weight((0,), 5), 0)
     assert rem2 == [(1, 0)] and add2 == [(1, 1)]
     padded = Weight(WORKED.parts + (0,), 5)
-    row8 = [(s, nd) for s, nd in body_signed_nodes(padded, 0) if nd[0] == 8]
+    row8 = [(s, nd) for s, nd in signed_nodes(padded.parts, 5, 0, WEIGHT) if nd[0] == 8]
     assert row8 == [(MINUS, (8, 0))]
     with pytest.raises(NotDominantPStrict):
         body_nodes(Weight((1, 2), 5), 0)
@@ -230,7 +235,7 @@ def test_branching_tables_examples():
 
 def test_branching_tables_outputs_restricted():
     for p in (3, 5):
-        for lam in restricted_partitions(p, 7):
+        for lam in definitional.restricted_partitions(p, 7):
             tables = branching_tables(lam)
             for table in tables:
                 for mu, _ in table:
@@ -262,7 +267,7 @@ def test_node_level_matches_index_level_on_padded_weights():
 
     for p in (3, 5):
         for n in range(1, 9):
-            for lam in restricted_partitions(p, n):
+            for lam in definitional.restricted_partitions(p, n):
                 w = lam.pad_weight()
                 for i in contents_for(p, max([1] + [v + 2 for v in lam.parts])):
                     beta = beta_of_content(i, p)
@@ -276,3 +281,120 @@ def test_node_level_matches_index_level_on_padded_weights():
                         if w.residue(r) == beta and w_good(w, r)
                     }
                     assert rows_good == {nd[0] for nd in good_nodes(lam, i)}
+
+
+# -- the merged signed-node routine and the generated graph, against oracles ------
+
+
+def _labels(parts, p):
+    """Every label a node of `parts` could carry: range(p), or at p = 0 the
+    residues of all columns within 2 of a row end."""
+    if p:
+        return range(p)
+    return sorted({res_p(c, 0) for x in parts + (0,) for c in range(x - 1, x + 3)})
+
+
+def test_signed_nodes_match_both_oracles_on_partitions():
+    cases = 0
+    for p in (0, 3, 5, 7):
+        for n in range(15):
+            for parts in partitions_of(n):
+                try:
+                    lam = PStrictPartition(parts, p)
+                except NotPStrict:
+                    continue
+                for i in contents_for(p, max([1] + [v + 2 for v in parts])):
+                    assert signed_nodes(parts, p, i) == tuple(
+                        definitional.rim_signed_nodes(lam, i)
+                    ), (p, parts, i)
+                    cases += 1
+                padded = lam.pad_weight()
+                for beta in _labels(parts, p):
+                    assert signed_nodes(padded.parts, p, beta, WEIGHT) == tuple(
+                        definitional.body_signed_nodes(padded, beta)
+                    ), (p, parts, beta)
+    assert cases >= 2000
+
+
+def test_signed_nodes_match_weight_oracle_on_random_weights():
+    rng = random.Random(2001)
+    seen = 0
+    while seen < 2000:
+        p = rng.choice((0, 3, 5, 7))
+        n = rng.randint(1, 8)
+        w = Weight(tuple(sorted((rng.randint(-6, 14) for _ in range(n)), reverse=True)), p)
+        if not w.is_p_strict():
+            continue
+        seen += 1
+        for beta in _labels(w.parts, p):
+            expected = tuple(definitional.body_signed_nodes(w, beta))
+            assert signed_nodes(w.parts, p, beta, WEIGHT) == expected, (w, beta)
+            assert beta_signature(w, beta) == tuple((s, nd[0]) for s, nd in expected)
+
+
+def test_signed_nodes_rejects_unknown_convention():
+    with pytest.raises(ValueError):
+        signed_nodes((2, 1), 3, 0, "columns")
+
+
+def test_generated_graph_matches_filtered_oracle():
+    for p in (0, 3, 5, 7, 11):
+        oracle = definitional.crystal_graph(p, 14)
+        for max_size in range(15):
+            vertices = tuple(v for v in oracle.vertices if sum(v) <= max_size)
+            edges = tuple(e for e in oracle.edges if sum(e[2]) <= max_size)
+            expected = CrystalGraph(p, max_size, vertices, edges)
+            graph = crystal_graph(p, max_size)
+            assert graph.to_json() == expected.to_json(), (p, max_size)
+            assert graph.to_dot() == expected.to_dot()
+
+
+def test_generated_graph_counts_match_generating_function():
+    # restricted 3-strict partitions of n are equinumerous with partitions
+    # of n into odd parts prime to 3
+    p, top = 3, 60
+    coeffs = [1] + [0] * top
+    for k in range(1, top + 1, 2):
+        if k % p:
+            for n in range(k, top + 1):
+                coeffs[n] += coeffs[n - k]
+    counts = [0] * (top + 1)
+    for v in crystal_graph(p, top).vertices:
+        counts[sum(v)] += 1
+    assert counts == coeffs
+
+
+# -- one reduction per content ---------------------------------------------------
+
+SAVED_REPORTS = {
+    # sha256 of `spinbranch analyze` stdout, saved from the version that
+    # rebuilt the rim signature for every query
+    ("3", "9,6,5,3,1"): "f6051bf494c51acb183d206e362e34a94486587fd9b005eb9e58bd0101e74ae2",
+    ("5", "16,11,10,10,9,5,1"): "b2d5834f113d0f619817c0bc5b3b2008e8c92b5b55cdb0c2018ec3f90f629b00",
+    ("0", "7,4,2,1"): "55cef3062b3ed20f3091ce2748a463523acc8439461f8ebed6d025e30c2aab7a",
+}
+
+
+@pytest.mark.parametrize("p,parts", sorted(SAVED_REPORTS))
+def test_partition_report_reduces_once_per_content(monkeypatch, capsys, p, parts):
+    calls = []
+    real = crystal.reduce_seq
+    monkeypatch.setattr(crystal, "reduce_seq", lambda u: calls.append(u) or real(u))
+    assert cli.main(["analyze", "--p", p, "--partition", parts]) == 0
+    out = capsys.readouterr().out
+    lam = PStrictPartition(tuple(int(x) for x in parts.split(",")), int(p))
+    assert len(calls) == len(crystal.content_reductions(lam))
+    assert hashlib.sha256(out.encode()).hexdigest() == SAVED_REPORTS[(p, parts)]
+
+
+def test_p_strict_violation_names_rows():
+    assert p_strict_violation((5, 3, 3, 1), 5) == (
+        "equal positive parts 3,3 at rows 2,3 are not divisible by p=5"
+    )
+    assert p_strict_violation((3, 0, 1), 5) == "parts increase at rows 2,3: 0 < 1"
+    assert p_strict_violation((3, -1), 5) == "partition parts must be non-negative"
+    assert p_strict_violation((5, 5, 0, 0), 5) is None
+    assert p_strict_violation((2, 2), 0) is not None
+    with pytest.raises(NotPStrict, match="rows 1,2"):
+        PStrictPartition((4, 4), 3)
+    assert PStrictPartition((3, 3, 0), 3).parts == (3, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -54,3 +55,24 @@ def test_thread_count_is_capped_at_cpu_count(monkeypatch):
     assert verify.thread_count() == 1
     monkeypatch.delenv("SPINBRANCH_THREADS")
     assert verify.thread_count() == 1
+
+
+def test_lin_reduce_builds_each_f_once_and_only_when_asserted(monkeypatch):
+    # cases, tags and verdicts pinned against the version that built f_poly
+    # for every (R, phi); f_poly is now built once per asserting (D, l, S)
+    calls = []
+    real = verify.f_poly
+    monkeypatch.setattr(verify, "f_poly", lambda *a: calls.append(a) or real(*a))
+    tags = []
+
+    class Recording(VerdictReport):
+        def check(self, descriptor, expected, actual):
+            tags.append((descriptor, str(expected), str(actual)))
+            super().check(descriptor, expected, actual)
+
+    rep = Recording("lin", {})
+    verify._lin_reduce_exhaustive(rep, 1, 3)
+    assert rep.cases == 269 and not rep.failures
+    digest = hashlib.sha256(repr(tags).encode()).hexdigest()
+    assert digest == "3964fd36fa764ccc77c1f3c56f7455f61dfac512188c825b8cc58bc8394b645b"
+    assert len(calls) == len(set(map(repr, calls))) == 163
