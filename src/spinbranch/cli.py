@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 
 from . import crystal as cr
@@ -112,36 +113,18 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs: dict = {}
-    if args.suite in ("poly-identities", "raising-oracle") and args.width is not None:
-        kwargs["width"] = args.width
-    if args.suite in ("signature-bridge", "duality", "certificates"):
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.n is not None:
-            kwargs["max_n"] = args.n
-        if args.p is not None:
-            kwargs["ps"] = (check_characteristic(args.p),)
-    if args.suite == "reduction":
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    if args.suite == "flows" and args.n is not None:
-        kwargs["max_domain"] = args.n
-    try:
-        report = vf.run_suite(args.suite, **kwargs)
-    except KeyError:
-        print(f"unknown suite {args.suite!r}; choose from {', '.join(vf.SUITES)}",
+    suites = list(vf.RUNNERS) if args.suite == "all" else [args.suite]
+    plans = vf.suite_arguments(suites, {flag: getattr(args, flag) for flag in vf.FLAGS})
+    reports = []
+    for name, kwargs in plans.items():
+        start = time.perf_counter()
+        report = vf.RUNNERS[name](**kwargs)
+        verdict = "pass" if report.passed else "FAIL"
+        print(f"{name} {verdict} {report.cases} {time.perf_counter() - start:.2f}",
               file=sys.stderr)
-        return 2
-    except vf.InvalidSuiteParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report.to_json(), args.out)
-    return 0 if report.passed else 1
+        reports.append(report)
+    _emit("\n".join(report.to_json() for report in reports), args.out)
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _emit(text: str, out: str | None):
@@ -174,13 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_crystal)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=vf.SUITES)
-    pv.add_argument("--p", type=int)
-    pv.add_argument("--n", type=int)
-    pv.add_argument("--width", type=int)
-    pv.add_argument("--samples", type=int)
-    pv.add_argument("--seed", type=int)
+    pv = sub.add_parser("verify", help="run one verification suite, or all of them")
+    pv.add_argument("suite", choices=("all", *vf.RUNNERS))
+    for flag in vf.FLAGS:
+        takers = [suite for suite, table in vf.SUITE_FLAGS.items() if flag in table]
+        pv.add_argument(f"--{flag}", type=int, help="taken by " + ", ".join(takers))
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
 
@@ -192,7 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidCharacteristic) as exc:
+    except (ParseError, InvalidCharacteristic, vf.InvalidSuiteParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

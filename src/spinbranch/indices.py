@@ -348,44 +348,29 @@ class ConstructionPlan:
         return json.dumps({"steps": [s.to_jsonable() for s in self.steps]})
 
 
-def _full_flow_payload(lam: Weight, beta: int, lo: int, hi_inclusive: bool, hi: int):
-    """Fully coherent flow on (lo..hi] or (lo..hi) and the leftover set."""
-    u = r_beta(lam, beta)
-    dom = list(seg_oc(lo, hi)) if hi_inclusive else list(seg_oo(lo, hi))
-    flow = build_full_flow(u.restrict(dom))
-    srcs = flow.sources()
-    leftovers = [t for t in dom if t not in srcs]
-    return flow, srcs, leftovers
-
-
-def _base_step(lam: Weight, i: int) -> PlanStep:
+def _base_step(lam: Weight, u: SignMap, i: int, red_gap: Seq) -> PlanStep:
     """Dispatch between the two base constructions at index i (producing a
-    primitive vector of weight lambda - alpha(i, n))."""
+    primitive vector of weight lambda - alpha(i, n)), given the reduction
+    of u = r_beta(lambda) strictly between i and n."""
     n = lam.n
     p = lam.p
-    beta = lam.residue(i)
-    u = r_beta(lam, beta)
-    red_gap = reduce_seq(product_of(u, range(i + 1, n)))
     if plus_count(red_gap):
         raise UnreachableCase("base step with a surviving plus in the gap")
-    if red_gap:
-        # minuses survive: the closed-range construction
-        flow, srcs, leftovers = _full_flow_payload(lam, beta, i, True, n)
-        m_set = SignedSet.of(evens=leftovers)
-        return PlanStep(
-            "T6.1.3", {"i": i, "beta": beta, "flow": flow, "M": m_set}
-        )
-    if congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
+    # minuses survive: the closed-range construction on (i..n]
+    closed = bool(red_gap)
+    if not closed and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
         raise UnreachableCase("base step at a non-normal index")
-    flow, srcs, leftovers = _full_flow_payload(lam, beta, i, False, n)
-    m_set = SignedSet.of(evens=leftovers, odds=[n])
-    return PlanStep("T6.2.3", {"i": i, "beta": beta, "flow": flow, "M": m_set})
+    dom = seg_oc(i, n) if closed else seg_oo(i, n)
+    flow = build_full_flow(u.restrict(dom))
+    srcs = flow.sources()
+    m_set = SignedSet.of(evens=[t for t in dom if t not in srcs], odds=[] if closed else [n])
+    return PlanStep("T6.1.3" if closed else "T6.2.3",
+                    {"i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
 
-def _resolution_step(lam: Weight, i: int) -> PlanStep:
-    """The one-odd construction driven by a resolution of r_0 on (i..n]."""
+def _resolution_step(lam: Weight, u: SignMap, i: int) -> PlanStep:
+    """The one-odd construction driven by a resolution of u = r_0 on (i..n]."""
     n = lam.n
-    u = r_beta(lam, 0)
     delta = resolution_of(u.restrict(seg_oc(i, n)))
     srcs = delta.sources()
     q = max(a for a, b in delta.edges if a == b)
@@ -396,10 +381,8 @@ def _resolution_step(lam: Weight, i: int) -> PlanStep:
     )
 
 
-def _extension_flow_step(lam: Weight, theorem: str, h: int, i: int) -> PlanStep:
+def _extension_flow_step(lam: Weight, u: SignMap, theorem: str, h: int, i: int) -> PlanStep:
     """Payload for the two flow-based extension steps from i down to h."""
-    beta = lam.residue(i)
-    u = r_beta(lam, beta)
     flow = build_full_flow(u.restrict(seg_oc(h, i)))
     srcs = flow.sources()
     if theorem == "T6.4.2":
@@ -408,12 +391,12 @@ def _extension_flow_step(lam: Weight, theorem: str, h: int, i: int) -> PlanStep:
     else:  # T6.5.2
         leftovers = [t for t in seg_oc(h, i) if t not in srcs]
         m_set = SignedSet.of(evens=leftovers)
-    return PlanStep(theorem, {"h": h, "i": i, "beta": beta, "flow": flow, "M": m_set})
+    return PlanStep(theorem, {"h": h, "i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
 
-def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
-    """Payload for the section-joining extension step (plus-led reduction)."""
-    u = r_beta(lam, 0)
+def _joined_extension_step(u: SignMap, h: int, i: int) -> PlanStep:
+    """Payload for the section-joining extension step (plus-led reduction
+    of u = r_0)."""
     inner = list(seg_oo(h, i))
     red_inner = reduce_seq(product_of(u, inner))
     edges: set[tuple[int, int]] = set()
@@ -442,7 +425,8 @@ def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
 def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
     """Steps producing a primitive vector of weight lambda - alpha(i, n)
     for a normal index i, following the four-way case split on the
-    reduction strictly between i and n."""
+    reduction strictly between i and n.  Every step reads the one sign map
+    at the residue of i (zero on the plus-led branches)."""
     n = lam.n
     own = _own(lam, i) if 1 <= i < n else None
     if own is None or i not in own.normal:
@@ -451,54 +435,53 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
     u = own.sign_map
     red_gap = reduce_seq(product_of(u, range(i + 1, n)))
     if plus_count(red_gap) == 0:
-        return ConstructionPlan((_base_step(lam, i),))
+        return ConstructionPlan((_base_step(lam, u, i, red_gap),))
     # plus-led gap: only possible at residue zero with entry = 1 mod p
     if not congruent(lam.entry(i), 1, p):
         raise UnreachableCase("plus-led gap at a normal index needs entry = 1 mod p")
     if not congruent(lam.entry(n), -1, p):
-        return ConstructionPlan((_resolution_step(lam, i),))
+        return ConstructionPlan((_resolution_step(lam, u, i),))
     a = max(section_of(u.restrict(seg_oo(i, n))))
-    return ConstructionPlan((_base_step(lam, a), _joined_extension_step(lam, i, a)))
+    base = _base_step(lam, u, a, reduce_seq(product_of(u, range(a + 1, n))))
+    return ConstructionPlan((base, _joined_extension_step(u, i, a)))
 
 
 def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
     """Steps extending a primitive vector of weight lambda - alpha(i, n) to
-    one of weight lambda - alpha(h, n), for a normal h < i of equal residue."""
+    one of weight lambda - alpha(h, n), for a normal h < i of equal residue.
+    Every step reads the one sign map at that residue (zero whenever
+    entry(i)(entry(i) - 1) = 0 mod p)."""
     n = lam.n
     if not (1 <= h < i < n):
         raise PreconditionFailed(f"need h < i < n, got h={h}, i={i}, n={n}")
     if lam.residue(h) != lam.residue(i):
         raise PreconditionFailed("indices have different residues")
-    if not normal(lam, h):
+    own = _own(lam, h)
+    if h not in own.normal:
         raise PreconditionFailed(f"index {h} is not normal for {lam.parts}")
     p = lam.p
-    beta = lam.residue(i)
+    u = own.sign_map
     beta_zero = congruent(lam.entry(i) * (lam.entry(i) - 1), 0, p)
     if not beta_zero:
-        return ConstructionPlan((_extension_flow_step(lam, "T6.5.2", h, i),))
-    u = r_beta(lam, 0)
+        return ConstructionPlan((_extension_flow_step(lam, u, "T6.5.2", h, i),))
     red = reduce_seq(product_of(u, seg_oc(h, i)))
     pluses = plus_count(red)
     one_mod = congruent(lam.entry(i), 1, p)
-    if pluses == 0 and one_mod:
+    if pluses == 0:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
-        return ConstructionPlan((_extension_flow_step(lam, theorem, h, i),))
-    if pluses == 0 and not one_mod:
+        if one_mod:
+            return ConstructionPlan((_extension_flow_step(lam, u, theorem, h, i),))
         a = split_index(u.restrict(seg_oo(h, i)))
-        theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         return ConstructionPlan(
-            (_joined_extension_step(lam, a, i), _extension_flow_step(lam, theorem, h, a))
+            (_joined_extension_step(u, a, i), _extension_flow_step(lam, u, theorem, h, a))
         )
-    if pluses == 1 and one_mod:
+    if pluses == 1:
+        if not one_mod:
+            return ConstructionPlan((_joined_extension_step(u, h, i),))
         a = max(section_of(u.restrict(seg_oc(h, i))))
         return ConstructionPlan(
-            (
-                _extension_flow_step(lam, "T6.4.2", a, i),
-                _joined_extension_step(lam, h, a),
-            )
+            (_extension_flow_step(lam, u, "T6.4.2", a, i), _joined_extension_step(u, h, a))
         )
-    if pluses == 1 and not one_mod:
-        return ConstructionPlan((_joined_extension_step(lam, h, i),))
     raise UnreachableCase(f"extension dispatch fell through for {lam.parts}, h={h}, i={i}")
 
 

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from . import crystal as cr
 from . import indices as ix
-from .core import SignedSet, Weight, congruent
+from .core import SignedSet, Weight, check_characteristic, congruent
 from .poly import (
     LFunction,
     Polynomial,
@@ -105,9 +105,17 @@ def thread_count() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _check_max_n(suite: str, max_n: int, least: int) -> None:
-    if max_n < least:
-        raise InvalidSuiteParameter(f"{suite} needs max_n >= {least}, got {max_n}")
+def _check_parameters(suite: str, params: dict) -> None:
+    """Raise InvalidSuiteParameter for parameters `suite` cannot run with:
+    p = 0 in the signature bridge (it compares r_beta with beta_signature
+    for every beta in 0..p-1, so it would compare nothing), or a max_n
+    below the shortest weight a random-weight suite draws (certificates
+    needs an index i < n)."""
+    if suite == "signature-bridge" and 0 in params.get("ps", ()):
+        raise InvalidSuiteParameter("signature-bridge needs odd primes p, got p = 0")
+    least = 2 if suite == "certificates" else 1
+    if params.get("max_n", least) < least:
+        raise InvalidSuiteParameter(f"{suite} needs max_n >= {least}, got {params['max_n']}")
 
 
 def random_weight(rng: random.Random, p: int, n: int, lo: int = -4, hi: int = 12) -> Weight:
@@ -589,14 +597,10 @@ def verify_raising_oracle(width: int = 5, offsets=(1,)) -> VerdictReport:
 
 def verify_signature_bridge(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                             hi: int = 12, seed: int = 424242) -> VerdictReport:
-    if 0 in ps:
-        # the bridge compares r_beta with beta_signature for every beta in
-        # 0..p-1, so p = 0 would compare nothing
-        raise InvalidSuiteParameter("signature-bridge needs odd primes p, got p = 0")
-    _check_max_n("signature-bridge", max_n, 1)
     rep = VerdictReport("signature-bridge", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "hi": hi, "seed": seed,
     })
+    _check_parameters(rep.suite, rep.parameters)
     rng = random.Random(seed)
     for case in range(samples):
         p = ps[case % len(ps)]
@@ -616,10 +620,10 @@ def verify_signature_bridge(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
 
 def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                    seed: int = 31337) -> VerdictReport:
-    _check_max_n("duality", max_n, 1)
     rep = VerdictReport("duality", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "seed": seed,
     })
+    _check_parameters(rep.suite, rep.parameters)
     rng = random.Random(seed)
     for case in range(samples):
         p = ps[case % len(ps)]
@@ -660,10 +664,10 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
 
 def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                         seed: int = 8128) -> VerdictReport:
-    _check_max_n("certificates", max_n, 2)
     rep = VerdictReport("certificates", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "seed": seed,
     })
+    _check_parameters(rep.suite, rep.parameters)
     rng = random.Random(seed)
     for case in range(samples):
         p = ps[case % len(ps)]
@@ -717,8 +721,35 @@ RUNNERS = {
     "duality": verify_duality,
     "certificates": verify_certificates,
 }
-SUITES = tuple(RUNNERS)
+_SAMPLED = {"p": "ps", "n": "max_n", "samples": "samples", "seed": "seed"}
+# the `spinbranch verify` flags each suite takes, and the keyword each sets
+SUITE_FLAGS = {
+    "reduction": {"samples": "samples", "seed": "seed"},
+    "flows": {"n": "max_domain"},
+    "poly-identities": {"width": "width", "seed": "seed"},
+    "raising-oracle": {"width": "width"},
+    "signature-bridge": _SAMPLED,
+    "duality": _SAMPLED,
+    "certificates": _SAMPLED,
+}
+FLAGS = tuple(dict.fromkeys(flag for table in SUITE_FLAGS.values() for flag in table))
 
 
-def run_suite(name: str, **kwargs) -> VerdictReport:
-    return RUNNERS[name](**kwargs)
+def suite_arguments(suites, flags: dict) -> dict[str, dict]:
+    """The keyword arguments of each suite from the flags that are set (flag
+    name -> value, None when unset); `--p` sets ps to that one
+    characteristic.  A set flag that none of `suites` takes, or values a
+    suite cannot run with, raise InvalidSuiteParameter before any suite
+    runs."""
+    given = {flag: value for flag, value in flags.items() if value is not None}
+    stray = [f"--{flag}" for flag in given if not any(flag in SUITE_FLAGS[s] for s in suites)]
+    if stray:
+        raise InvalidSuiteParameter(f"{', '.join(stray)} not taken by {', '.join(suites)}")
+    if "p" in given:
+        given["p"] = (check_characteristic(given["p"]),)
+    out = {}
+    for suite in suites:
+        table = SUITE_FLAGS[suite]
+        out[suite] = {table[flag]: value for flag, value in given.items() if flag in table}
+        _check_parameters(suite, out[suite])
+    return out

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from spinbranch import verify as vf
 from spinbranch.cli import main
 
 
@@ -123,6 +124,113 @@ def test_verify_zero_sizes_are_not_replaced_by_defaults(capsys):
     code, out, err = run_cli(capsys, "verify", "duality", "--n", "0")
     assert code == 2 and out == "" and "max_n" in err
 
+
+
+# the suite keyword each `verify` flag sets, per suite
+FLAG_KEYWORDS = {
+    "reduction": {"samples": "samples", "seed": "seed"},
+    "flows": {"n": "max_domain"},
+    "poly-identities": {"width": "width", "seed": "seed"},
+    "raising-oracle": {"width": "width"},
+    "signature-bridge": {"p": "ps", "n": "max_n", "samples": "samples", "seed": "seed"},
+    "duality": {"p": "ps", "n": "max_n", "samples": "samples", "seed": "seed"},
+    "certificates": {"p": "ps", "n": "max_n", "samples": "samples", "seed": "seed"},
+}
+
+
+def _stub_runners(monkeypatch, failing=()):
+    """Replace every suite by one that records its keywords and passes (or
+    fails, for the names in `failing`) after one case."""
+    seen = {}
+
+    def stub(name):
+        def run(**kwargs):
+            seen[name] = kwargs
+            rep = vf.VerdictReport(name, kwargs)
+            rep.check(name, True, name not in failing)
+            return rep
+        return run
+
+    for name in vf.RUNNERS:
+        monkeypatch.setitem(vf.RUNNERS, name, stub(name))
+    return seen
+
+
+def test_every_verify_flag_reaches_its_keyword_or_exits_2(capsys, monkeypatch):
+    seen = _stub_runners(monkeypatch)
+    assert list(vf.RUNNERS) == list(FLAG_KEYWORDS)
+    for suite, table in FLAG_KEYWORDS.items():
+        for flag in ("p", "n", "width", "samples", "seed"):
+            seen.clear()
+            code, out, err = run_cli(capsys, "verify", suite, f"--{flag}", "3")
+            if flag in table:
+                want = (3,) if flag == "p" else 3
+                assert code == 0 and seen == {suite: {table[flag]: want}}, (suite, flag)
+            else:
+                assert code == 2 and out == "" and f"--{flag}" in err, (suite, flag)
+                assert seen == {}
+
+
+def test_verify_flags_reach_the_real_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "poly-identities", "--width", "1", "--seed", "5")
+    assert code == 0 and json.loads(out)["parameters"]["seed"] == 5
+    for argv, flag in ((["flows", "--width", "3"], "--width"), (["reduction", "--p", "3"], "--p")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and flag in err
+
+
+def test_verify_error_inside_a_suite_is_not_an_unknown_suite(monkeypatch):
+    def broken(**kwargs):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(vf.RUNNERS, "flows", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["verify", "flows"])
+
+
+def test_verify_all_runs_every_suite_in_order(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--samples", "20", "--width", "1", "--n", "2")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["suite"] for r in reports] == list(vf.RUNNERS)
+    assert all(r["pass"] and r["cases"] > 0 for r in reports)
+    assert reports[0]["parameters"]["samples"] == 20 and reports[1]["parameters"]["max_domain"] == 2
+    summary = [line.split() for line in err.splitlines()]
+    assert [row[:3] for row in summary] == [[r["suite"], "pass", str(r["cases"])] for r in reports]
+    assert all(float(row[3]) >= 0 for row in summary)
+
+
+def test_verify_all_exits_1_when_one_suite_fails(capsys, monkeypatch):
+    seen = _stub_runners(monkeypatch, failing={"duality"})
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert code == 1 and list(seen) == list(vf.RUNNERS)
+    assert [json.loads(line)["pass"] for line in out.splitlines()] == [
+        name != "duality" for name in vf.RUNNERS
+    ]
+    assert "duality FAIL 1 " in err
+
+
+def test_verify_all_rejects_parameters_before_any_suite_runs(capsys, monkeypatch):
+    seen = _stub_runners(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "all", "--p", "0")
+    assert code == 2 and out == "" and "signature-bridge" in err and seen == {}
+
+
+# sha256 prefixes of the stdout of single-suite runs, recorded before the
+# flags were routed through verify.SUITE_FLAGS
+SINGLE_SUITE_STDOUT = {
+    ("raising-oracle", "--width", "2"): "3616e6c0152f3669",
+    ("duality", "--samples", "50", "--seed", "7", "--n", "4"): "92ecd6b8d73accb2",
+    ("duality", "--p", "0", "--samples", "40"): "480bb429e3d1e79a",
+    ("raising-oracle", "--width", "0"): "e1523282d0b02da7",
+    ("reduction", "--samples", "0"): "8ec940c4482d97b0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SINGLE_SUITE_STDOUT))
+def test_single_suite_stdout_is_unchanged(capsys, argv):
+    _, out, _ = run_cli(capsys, "verify", *argv)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == SINGLE_SUITE_STDOUT[argv]
 
 # sha256 prefixes of `analyze --weight --out` files, recorded when each
 # certificate and r-map was still serialised and parsed back one by one

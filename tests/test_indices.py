@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -252,3 +253,58 @@ def test_one_pass_classification_matches_definitions():
                 want = getattr(definitional, pred.__name__)(lam, i)
                 assert pred(lam, i) == want, (pred.__name__, lam, i)
 
+
+
+# sha256 over the to_json() lines of every primitive plan, extension plan and
+# certificate of _planner_weights(p), recorded when each step builder still
+# built its own r_beta
+PLANNER_DIGESTS = {
+    0: "ebb09d83900070517b6430b2d336ce456b11d3e38a29631d0201251e81596126",
+    3: "fdbcacc1f843246c3f8e51862c705b0681764a13099034ac673daeb1c5c07678",
+    5: "2ed90b779b871710c64029ec85ca011ef5989b4af9fb1363453567683a4d6859",
+    7: "99a35df7edfec18adb09f3a54e7eac88ff50d9b781c9e572d6f214223a1db3a1",
+}
+
+
+def _planner_weights(p: int):
+    """300 seeded weights, n <= 8: half with entries in [-4, 12], half with
+    entries within one of a multiple of p, which reach the residue-zero
+    branches (T6.3.3, T6.4.2, T6.6.2)."""
+    rng = random.Random(4000 + p)
+    for k in range(300):
+        n = rng.randint(2, 8)
+        if k % 2:
+            parts = tuple(rng.randint(-4, 12) for _ in range(n))
+        else:
+            parts = tuple(p * rng.randint(-1, 3) + rng.choice((-1, 0, 1)) for _ in range(n))
+        yield Weight(parts, p)
+
+
+@pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
+def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, p):
+    from spinbranch import indices
+
+    calls = []
+    real = indices.r_beta
+    monkeypatch.setattr(indices, "r_beta", lambda *a: calls.append(a) or real(*a))
+
+    def built(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        if fn is not non_normal_certificate:
+            assert len(calls) == 1, (fn.__name__, args)
+            theorems.update(step.theorem for step in out.steps)
+        lines.append(out.to_json())
+
+    lines, theorems = [], set()
+    for lam in _planner_weights(p):
+        normals = {c.index for c in classify_indices(lam) if c.normal}
+        for i in range(1, lam.n):
+            built(primitive_plan if i in normals else non_normal_certificate, lam, i)
+        for h in sorted(normals):
+            for i in range(h + 1, lam.n):
+                if lam.residue(h) == lam.residue(i):
+                    built(extension_plan, lam, h, i)
+    assert theorems == {"T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2"}
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == PLANNER_DIGESTS[p]
