@@ -1,7 +1,7 @@
 """Exact combinatorics of modular branching: signature sequences, crystal
 operators on p-strict partitions, and raising-coefficient algebra."""
 
-from .core import SignedSet, Weight, check_characteristic, res_p, signed_measure
+from .core import SignedSet, Weight, check_characteristic, res_p
 from .crystal import (
     CrystalGraph,
     PStrictPartition,

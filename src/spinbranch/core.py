@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-MINUS_INFINITY = float("-inf")
-
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -156,12 +154,6 @@ class SignedSet:
         """Absolute values (underlying integers) of all elements."""
         return self.evens | self.odds
 
-    def ht(self):
-        """Sum of the underlying integers; -infinity for the empty set."""
-        if not self:
-            return MINUS_INFINITY
-        return sum(self.evens) + sum(self.odds)
-
     def parity(self) -> int:
         return len(self.odds) % 2
 
@@ -236,11 +228,6 @@ class SignedSet:
     @staticmethod
     def of(evens=(), odds=()) -> "SignedSet":
         return SignedSet(frozenset(evens), frozenset(odds))
-
-
-def signed_measure(m: SignedSet):
-    """(height, parity, min, max) of a signed set in one call."""
-    return m.ht(), m.parity(), m.min(), m.max()
 
 
 # -- segment notation -------------------------------------------------------

@@ -221,9 +221,6 @@ class Flow:
     def sources(self) -> frozenset[int]:
         return frozenset(a for a, _ in self.edges)
 
-    def targets(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.edges)
-
     def union(self, other: "Flow") -> "Flow":
         return Flow(self.edges | other.edges)
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -95,25 +94,19 @@ class VerdictReport:
         )
 
 
-def thread_count() -> int:
-    """Worker processes for the oracle suite: SPINBRANCH_THREADS, at least 1
-    and at most the CPU count."""
-    try:
-        requested = int(os.environ.get("SPINBRANCH_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))
+# the shortest weight each random-weight suite draws (certificates needs an
+# index i < n)
+LEAST_N = {"signature-bridge": 1, "duality": 1, "certificates": 2}
 
 
 def _check_parameters(suite: str, params: dict) -> None:
     """Raise InvalidSuiteParameter for parameters `suite` cannot run with:
     p = 0 in the signature bridge (it compares r_beta with beta_signature
     for every beta in 0..p-1, so it would compare nothing), or a max_n
-    below the shortest weight a random-weight suite draws (certificates
-    needs an index i < n)."""
+    below the shortest weight a random-weight suite draws (LEAST_N)."""
     if suite == "signature-bridge" and 0 in params.get("ps", ()):
         raise InvalidSuiteParameter("signature-bridge needs odd primes p, got p = 0")
-    least = 2 if suite == "certificates" else 1
+    least = LEAST_N.get(suite, 1)
     if params.get("max_n", least) < least:
         raise InvalidSuiteParameter(f"{suite} needs max_n >= {least}, got {params['max_n']}")
 
@@ -201,7 +194,7 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         rep.record(f"lead {tag}", u.value(a) == "+-" and not prefix, f"a={a}")
         sec = section_of(u)
         ok = bool(sec) and all(u.value(k) == "+-" for k in sec)
-        bounds = (float("-inf"),) + sec
+        bounds = (0,) + sec  # the domain starts at 1
         for lo, hi in zip(bounds, sec):
             gap = [k for k in u.domain if lo < k < hi]
             ok = ok and not reduce_seq(product_of(u, gap))
@@ -244,6 +237,8 @@ def _subsets(univ):
 def verify_poly_identities(width: int = 6, lin_width: int = 4,
                            lin_samples: int = 4000, seed: int = 99,
                            offsets=(1,)) -> VerdictReport:
+    # the lin-reduce sweep is no wider than the g-identity sweep
+    lin_width = max(0, min(lin_width, width))
     rep = VerdictReport("poly-identities", {
         "width": width, "lin_width": lin_width, "lin_samples": lin_samples,
         "seed": seed, "offsets": list(offsets),
@@ -534,65 +529,46 @@ def admissible_signed_sets(i: int, j: int) -> list[SignedSet]:
     return out
 
 
-def _oracle_block(task) -> tuple[int, list]:
-    """One signed set's worth of oracle comparisons (runs in a worker)."""
-    kind, i, j, evens, odds, q = task
-    m = SignedSet.of(evens=evens, odds=odds)
-    w = j - i
-    cases = 0
-    failures = []
-    for eps in (0, 1):
-        for dv in product((0, 1), repeat=w):
-            delta = DeltaFunction(i, dv)
-            if kind == "oracle":
-                cases += 1
-                a, b = raising_rec(i, j, eps, delta, m), raising_closed(i, j, eps, delta, m)
-                if a != b:
-                    tag = f"oracle i={i} j={j} eps={eps} d={dv} M=ev{sorted(evens)}od{sorted(odds)}"
-                    failures.append((tag, str(b), str(a)))
-            else:
-                for xi in (0, 1):
-                    cases += 1
-                    lhs, rhs = two_term_sum_sides(i, j, q, eps, xi, delta, m)
-                    if lhs != rhs:
-                        tag = f"two-term i={i} j={j} q={q} eps={eps} xi={xi} d={dv}"
-                        failures.append((tag + f" N=ev{sorted(evens)}", str(rhs), str(lhs)))
-    return cases, failures
-
-
-def _pmap(fn, tasks):
-    threads = thread_count()
-    if threads <= 1 or len(tasks) < 4:
-        return [fn(t) for t in tasks]
-    import multiprocessing
-
-    with multiprocessing.Pool(threads) as pool:
-        return pool.map(fn, tasks)
-
-
 def verify_raising_oracle(width: int = 5, offsets=(1,)) -> VerdictReport:
     rep = VerdictReport("raising-oracle", {"width": width, "offsets": list(offsets)})
-    tasks = []
     for i in offsets:
         for w in range(1, width + 1):
             j = i + w
-            for m in admissible_signed_sets(i, j):
-                tasks.append(
-                    ("oracle", i, j, tuple(sorted(m.evens)), tuple(sorted(m.odds)), 0)
-                )
-            for q in range(i + 1, j + 1):
-                for rest in _subsets([t for t in range(i + 1, j + 1) if t != q]):
-                    if q == j or j in rest:
-                        tasks.append(
-                            ("432", i, j, tuple(sorted(rest)), (q,), q)
-                        )
-    for cases, failures in _pmap(_oracle_block, tasks):
-        rep.cases += cases
-        rep.failures.extend(failures)
+            deltas = [(dv, DeltaFunction(i, dv)) for dv in product((0, 1), repeat=w)]
+            sets = admissible_signed_sets(i, j)
+            for m in sets:
+                tag = f"M=ev{sorted(m.evens)}od{sorted(m.odds)}"
+                for eps, (dv, delta) in product((0, 1), deltas):
+                    rec = raising_rec(i, j, eps, delta, m)
+                    rep.check(f"oracle i={i} j={j} eps={eps} d={dv} {tag}",
+                              raising_closed(i, j, eps, delta, m), rec)
+            # the one-barred sets N = rest + {q barred}, with j in N
+            for n_set in (m for m in sets if m.odds):
+                (q,) = n_set.odds
+                tag = f"N=ev{sorted(n_set.evens)}"
+                for eps, (dv, delta), xi in product((0, 1), deltas, (0, 1)):
+                    lhs, rhs = two_term_sum_sides(i, j, q, eps, xi, delta, n_set)
+                    rep.check(f"two-term i={i} j={j} q={q} eps={eps} xi={xi} d={dv} {tag}",
+                              rhs, lhs)
     return rep.finish()
 
 
-# -- suite: signature bridge -------------------------------------------------------
+# -- random-weight suites: signature bridge, duality, certificates ----------------
+
+
+def _sampled_weights(rep: VerdictReport, draw):
+    """Yield (lam, tag) for the samples of a random-weight suite: p cycles
+    over ps, n is drawn from LEAST_N[suite]..max_n, then `draw(rng, p, n)`
+    draws the weight."""
+    params = rep.parameters
+    _check_parameters(rep.suite, params)
+    rng = random.Random(params["seed"])
+    ps = params["ps"]
+    for case in range(params["samples"]):
+        p = ps[case % len(ps)]
+        n = rng.randint(LEAST_N[rep.suite], params["max_n"])
+        lam = draw(rng, p, n)
+        yield lam, f"p={p} lam={lam.parts}"
 
 
 def verify_signature_bridge(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
@@ -600,22 +576,15 @@ def verify_signature_bridge(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
     rep = VerdictReport("signature-bridge", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "hi": hi, "seed": seed,
     })
-    _check_parameters(rep.suite, rep.parameters)
-    rng = random.Random(seed)
-    for case in range(samples):
-        p = ps[case % len(ps)]
-        n = rng.randint(1, max_n)
-        lam = random_dominant_p_strict(rng, p, n, hi)
-        for beta in range(p):
+    draw = lambda rng, p, n: random_dominant_p_strict(rng, p, n, hi)
+    for lam, tag in _sampled_weights(rep, draw):
+        for beta in range(lam.p):
             rep.check(
-                f"bridge p={p} lam={lam.parts} beta={beta}",
+                f"bridge {tag} beta={beta}",
                 reduce_seq(product_of(r_beta(lam, beta))),
                 cr.beta_signature(lam, beta, reduced=True),
             )
     return rep.finish()
-
-
-# -- suite: duality ------------------------------------------------------------------
 
 
 def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
@@ -623,15 +592,10 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
     rep = VerdictReport("duality", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "seed": seed,
     })
-    _check_parameters(rep.suite, rep.parameters)
-    rng = random.Random(seed)
-    for case in range(samples):
-        p = ps[case % len(ps)]
-        n = rng.randint(1, max_n)
-        lam = random_weight(rng, p, n)
+    for lam, tag in _sampled_weights(rep, random_weight):
+        n, p = lam.n, lam.p
         classes = ix.classify_indices(lam)
         duals = ix.classify_indices(lam.minus_w0())
-        tag = f"p={p} lam={lam.parts}"
         for i in range(1, n + 1):
             cls, dual = classes[i - 1], duals[n - i]
             # rebuilt per index: an oracle for the one-pass classification
@@ -659,21 +623,13 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
     return rep.finish()
 
 
-# -- suite: certificates and planners ---------------------------------------------
-
-
 def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                         seed: int = 8128) -> VerdictReport:
     rep = VerdictReport("certificates", {
         "ps": list(ps), "max_n": max_n, "samples": samples, "seed": seed,
     })
-    _check_parameters(rep.suite, rep.parameters)
-    rng = random.Random(seed)
-    for case in range(samples):
-        p = ps[case % len(ps)]
-        n = rng.randint(2, max_n)
-        lam = random_weight(rng, p, n)
-        tag = f"p={p} lam={lam.parts}"
+    for lam, tag in _sampled_weights(rep, random_weight):
+        n = lam.n
         normals = {c.index for c in ix.classify_indices(lam) if c.normal}
         for i in range(1, n):
             if i in normals:
@@ -726,7 +682,7 @@ _SAMPLED = {"p": "ps", "n": "max_n", "samples": "samples", "seed": "seed"}
 SUITE_FLAGS = {
     "reduction": {"samples": "samples", "seed": "seed"},
     "flows": {"n": "max_domain"},
-    "poly-identities": {"width": "width", "seed": "seed"},
+    "poly-identities": {"width": "width", "samples": "lin_samples", "seed": "seed"},
     "raising-oracle": {"width": "width"},
     "signature-bridge": _SAMPLED,
     "duality": _SAMPLED,

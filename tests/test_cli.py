@@ -130,7 +130,7 @@ def test_verify_zero_sizes_are_not_replaced_by_defaults(capsys):
 FLAG_KEYWORDS = {
     "reduction": {"samples": "samples", "seed": "seed"},
     "flows": {"n": "max_domain"},
-    "poly-identities": {"width": "width", "seed": "seed"},
+    "poly-identities": {"width": "width", "samples": "lin_samples", "seed": "seed"},
     "raising-oracle": {"width": "width"},
     "signature-bridge": {"p": "ps", "n": "max_n", "samples": "samples", "seed": "seed"},
     "duality": {"p": "ps", "n": "max_n", "samples": "samples", "seed": "seed"},
@@ -179,6 +179,13 @@ def test_verify_flags_reach_the_real_suite(capsys):
         assert code == 2 and out == "" and flag in err
 
 
+def test_poly_identities_lin_reduce_sweep_follows_the_size_flags(capsys):
+    code, out, _ = run_cli(capsys, "verify", "poly-identities", "--width", "1", "--samples", "20")
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert report["parameters"]["lin_width"] == 1 and report["parameters"]["lin_samples"] == 20
+
+
 def test_verify_error_inside_a_suite_is_not_an_unknown_suite(monkeypatch):
     def broken(**kwargs):
         raise KeyError("missing")
@@ -224,6 +231,10 @@ SINGLE_SUITE_STDOUT = {
     ("duality", "--p", "0", "--samples", "40"): "480bb429e3d1e79a",
     ("raising-oracle", "--width", "0"): "e1523282d0b02da7",
     ("reduction", "--samples", "0"): "8ec940c4482d97b0",
+    # recorded before the random-weight suites shared one sampling driver
+    ("signature-bridge", "--samples", "200", "--n", "5", "--seed", "3"): "8e41c25cfbdc4159",
+    ("certificates", "--samples", "200", "--n", "6", "--seed", "3"): "01db56619c951f16",
+    ("certificates", "--p", "0", "--samples", "60"): "bb91be9263dcf8d4",
 }
 
 

@@ -5,14 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinbranch.core import (
-    MINUS_INFINITY,
     InvalidCharacteristic,
     InvalidReplace,
     SignedSet,
     Weight,
     check_characteristic,
     res_p,
-    signed_measure,
 )
 
 
@@ -38,20 +36,16 @@ def test_characteristic_validation():
 
 def test_signed_measure_example():
     m = SignedSet.of(evens=[1, 5], odds=[3, 6, 7])
-    assert m.ht() == 22
     assert m.parity() == 1
     assert m.min() == (1, False)
     assert m.max() == (7, True)
-    assert signed_measure(m) == (22, 1, (1, False), (7, True))
 
 
 def test_signed_measure_empty_and_singleton():
     empty = SignedSet.of()
-    assert empty.ht() == MINUS_INFINITY
     assert empty.parity() == 0
     assert empty.min() is None
     single = SignedSet.of(odds=[2])
-    assert single.ht() == 2
     assert single.parity() == 1
     assert single.min() == single.max() == (2, True)
 

@@ -1,9 +1,9 @@
 import hashlib
-import os
 
 import pytest
 
 from spinbranch import verify
+from spinbranch.raising import U0Element
 from spinbranch.verify import (
     InvalidSuiteParameter,
     VerdictReport,
@@ -45,16 +45,22 @@ def test_a_report_with_no_cases_does_not_pass():
     assert verify_duality(samples=0).passed is False
 
 
-def test_thread_count_is_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for requested, expected in (("100000", 4), ("3", 3), ("0", 1), ("-2", 1), ("x", 1)):
-        monkeypatch.setenv("SPINBRANCH_THREADS", requested)
-        assert verify.thread_count() == expected
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    monkeypatch.setenv("SPINBRANCH_THREADS", "8")
-    assert verify.thread_count() == 1
-    monkeypatch.delenv("SPINBRANCH_THREADS")
-    assert verify.thread_count() == 1
+def test_failures_are_reported_with_tags_and_both_sides(monkeypatch):
+    # every closed side off by one: each case fails, and the report (tags,
+    # expected and actual texts, order) is pinned at the version that ran
+    # the oracle through a worker pool
+    real_closed, real_sides = verify.raising_closed, verify.two_term_sum_sides
+    one = U0Element.const(1)
+
+    def off_sides(*args):
+        lhs, rhs = real_sides(*args)
+        return lhs, rhs + one
+
+    monkeypatch.setattr(verify, "raising_closed", lambda *args: real_closed(*args) + one)
+    monkeypatch.setattr(verify, "two_term_sum_sides", off_sides)
+    rep = verify.verify_raising_oracle(width=2)
+    assert rep.cases == len(rep.failures) == 104
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == "01f37d002bb6aa0f"
 
 
 def test_lin_reduce_builds_each_f_once_and_only_when_asserted(monkeypatch):
