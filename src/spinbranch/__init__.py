@@ -1,7 +1,7 @@
 """Exact combinatorics of modular branching: signature sequences, crystal
 operators on p-strict partitions, and raising-coefficient algebra."""
 
-from .core import SignedSet, Weight, check_characteristic, res_p
+from .core import DeltaFunction, SignedSet, Weight, check_characteristic, res_p
 from .crystal import (
     CrystalGraph,
     PStrictPartition,
@@ -27,9 +27,8 @@ from .indices import (
     non_normal_certificate,
     primitive_plan,
 )
-from .poly import LFunction, Polynomial, exact_div, f_poly, g1, g2, lin_reduce, sigma_apply, u_poly
+from .poly import Polynomial, exact_div, f_poly, g1, g2, lin_reduce, sigma_apply, u_poly
 from .raising import (
-    DeltaFunction,
     U0Element,
     bracket_hom,
     eval_at_weight,

@@ -97,6 +97,8 @@ def cmd_analyze(args) -> int:
         report["padded_weight"] = _weight_report(lam.pad_weight())
     else:
         parts = _parse_parts(args.weight)
+        if not parts:
+            raise ParseError(f"a weight needs at least one entry, got {args.weight!r}")
         lam = Weight(parts, p)
         report["input"] = {"kind": "weight", "parts": list(lam.parts)}
         report.update(_weight_report(lam))
@@ -106,6 +108,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_crystal(args) -> int:
     p = check_characteristic(args.p)
+    if args.max < 0:
+        raise ParseError(f"--max must be >= 0, got {args.max}")
     graph = cr.crystal_graph(p, args.max)
     text = graph.to_dot() if args.format == "dot" else graph.to_json()
     _emit(text, args.out)

@@ -1,4 +1,5 @@
-"""Shared vocabulary: residues mod p, integer weights, signed sets, segments.
+"""Shared vocabulary: residues mod p, integer weights, signed sets,
+{0,1}-valued functions on intervals, segments.
 
 The characteristic p is an odd prime or 0.  For p > 0 residues live in
 {0, ..., p-1}; for p = 0 they are plain integers, so residue comparisons
@@ -6,7 +7,6 @@ still make sense everywhere.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -102,14 +102,6 @@ class Weight:
         parts = list(self.parts)
         parts[i - 1] -= 1
         return Weight(tuple(parts), self.p)
-
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p, "parts": list(self.parts)})
-
-    @staticmethod
-    def from_json(text: str) -> "Weight":
-        data = json.loads(text)
-        return Weight(tuple(data["parts"]), data["p"])
 
 
 def _order_key(value: int, barred: bool) -> tuple[int, int]:
@@ -217,17 +209,47 @@ class SignedSet:
             raise KeyError(el)
         return SignedSet(self.evens - {v}, self.odds)
 
-    def to_json(self) -> str:
-        return json.dumps({"even": sorted(self.evens), "odd": sorted(self.odds)})
-
-    @staticmethod
-    def from_json(text: str) -> "SignedSet":
-        data = json.loads(text)
-        return SignedSet(frozenset(data["even"]), frozenset(data["odd"]))
-
     @staticmethod
     def of(evens=(), odds=()) -> "SignedSet":
         return SignedSet(frozenset(evens), frozenset(odds))
+
+
+@dataclass(frozen=True)
+class DeltaFunction:
+    """A {0,1}-valued function on the integer interval [lo..hi], hi = lo +
+    len(values) - 1: the delta of a raising coefficient at (i, j) lives on
+    [i..j-1], and the selector l of the polynomial family f on (i..j]."""
+
+    lo: int
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(v not in (0, 1) for v in self.values):
+            raise ValueError("delta values must be 0 or 1")
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.values) - 1
+
+    def __call__(self, t: int) -> int:
+        if not self.lo <= t <= self.hi:
+            raise KeyError(f"{t} outside [{self.lo}..{self.hi}]")
+        return self.values[t - self.lo]
+
+    def total(self) -> int:
+        return sum(self.values) % 2
+
+    def sum_range(self, a: int, b: int) -> int:
+        """delta_a + ... + delta_{b-1} mod 2 (empty when a >= b)."""
+        return sum(self(t) for t in range(a, b)) % 2
+
+    def restrict(self, lo: int, hi: int) -> "DeltaFunction":
+        return DeltaFunction(lo, tuple(self(t) for t in range(lo, hi + 1)))
+
+    def with_value(self, t: int, v: int) -> "DeltaFunction":
+        vals = list(self.values)
+        vals[t - self.lo] = v
+        return DeltaFunction(self.lo, tuple(vals))
 
 
 # -- segment notation -------------------------------------------------------

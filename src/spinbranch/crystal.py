@@ -126,9 +126,6 @@ class PStrictPartition:
         """The partition as a dominant weight with one trailing zero part."""
         return Weight(self.parts + (0,), self.p)
 
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p, "parts": list(self.parts)})
-
 
 # -- signed nodes, in both conventions ----------------------------------------
 

@@ -227,9 +227,9 @@ class Certificate:
             "case": self.case_tag,
             "i": self.index,
             "j": self.j,
-            "flow": sorted([a, b] for a, b in self.flow.edges),
-            "M": {"even": sorted(self.m_set.evens), "odd": sorted(self.m_set.odds)},
-            "sources": sorted(self.sources),
+            "flow": _jsonable(self.flow),
+            "M": _jsonable(self.m_set),
+            "sources": _jsonable(self.sources),
             "c": self.c,
         }
 
@@ -307,11 +307,7 @@ def validate_certificate(lam: Weight, cert: Certificate) -> bool:
         shape_ok = rep.is_flow and rep.fully_coherent
     rng = seg_oc(i, j) if cert.case_tag in ("a", "b") else seg_oo(i, j)
     c = _residue_product(lam, beta, [t for t in rng if t not in cert.sources])
-    return shape_ok and not rep.buds and c == cert.c and _nonzero(c, lam.p)
-
-
-def _nonzero(c: int, p: int) -> bool:
-    return (c % p != 0) if p else (c != 0)
+    return shape_ok and not rep.buds and c == cert.c and not congruent(c, 0, lam.p)
 
 
 # -- construction planners -------------------------------------------------------

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 from types import MappingProxyType
+
+from .core import DeltaFunction
 
 Var = tuple[str, int]
 
@@ -44,10 +45,6 @@ class NotDivisible(ValueError):
     def __init__(self, remainder: "Polynomial"):
         super().__init__(f"division left remainder {remainder}")
         self.remainder = remainder
-
-
-class ConflictingSubstitution(ValueError):
-    pass
 
 
 def _shift(v: Var) -> int:
@@ -110,12 +107,12 @@ class Polynomial:
         return Polynomial._of({0: c} if c else {})
 
     @staticmethod
-    def var(axis: str, index: int, exp: int = 1, coeff: int = 1) -> "Polynomial":
+    def var(axis: str, index: int, exp: int = 1) -> "Polynomial":
         if not 0 <= exp <= MAX_EXP:
             raise DegreeOverflow(f"exponent {exp} outside 0..{MAX_EXP}")
         if exp == 0:
-            return Polynomial.const(coeff)
-        return Polynomial({exp << _shift((axis, index)): coeff})
+            return Polynomial.const(1)
+        return Polynomial._of({exp << _shift((axis, index)): 1})
 
     # -- ring operations -----------------------------------------------------
 
@@ -323,39 +320,11 @@ def exact_div(f: Polynomial, a: int, b: int) -> Polynomial:
 # -- the polynomial families --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LFunction:
-    """A total {0,1}-valued function on an integer interval [lo..hi]."""
-
-    lo: int
-    hi: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != max(self.hi - self.lo + 1, 0):
-            raise ValueError("values do not cover the domain")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("values must be 0 or 1")
-
-    def __call__(self, t: int) -> int:
-        if not self.lo <= t <= self.hi:
-            raise KeyError(f"{t} outside [{self.lo}..{self.hi}]")
-        return self.values[t - self.lo]
-
-    @staticmethod
-    def const(lo: int, hi: int, v: int) -> "LFunction":
-        return LFunction(lo, hi, tuple([v] * max(hi - lo + 1, 0)))
-
-    @staticmethod
-    def from_map(lo: int, hi: int, mapping) -> "LFunction":
-        return LFunction(lo, hi, tuple(mapping(t) for t in range(lo, hi + 1)))
-
-
-def l2_function(i: int, k: int, q: int, j: int) -> LFunction:
-    """The selector behind g2: 1 strictly between i and k or strictly
-    between q and j, else 0 (in particular 0 on [k..q] and at j)."""
-    return LFunction.from_map(
-        i + 1, j, lambda t: 1 if (i < t < k or q < t < j) else 0
+def l2_function(i: int, k: int, q: int, j: int) -> DeltaFunction:
+    """The selector behind g2 on (i..j]: 1 strictly between i and k or
+    strictly between q and j, else 0 (in particular 0 on [k..q] and at j)."""
+    return DeltaFunction(
+        i + 1, tuple(1 if (i < t < k or q < t < j) else 0 for t in range(i + 1, j + 1))
     )
 
 
@@ -376,7 +345,7 @@ def u_poly(i: int, j: int, d) -> Polynomial:
     return out
 
 
-def f_poly(i: int, j: int, d, l: LFunction, s) -> Polynomial:
+def f_poly(i: int, j: int, d, l: DeltaFunction, s) -> Polynomial:
     """The recursive family: f(empty) = u, and each added element s of S
     applies (id - sigma_{D_s, s}^{s + l(s)}) and divides by x_{D_s} - x_s
     exactly."""
@@ -397,7 +366,7 @@ G_CACHE_SIZE = 1 << 14
 
 @lru_cache(maxsize=G_CACHE_SIZE)
 def _g1_cached(i: int, j: int, s: frozenset) -> Polynomial:
-    return f_poly(i, j, frozenset(), LFunction.const(i + 1, j, 1), s)
+    return f_poly(i, j, frozenset(), DeltaFunction(i + 1, (1,) * (j - i)), s)
 
 
 @lru_cache(maxsize=G_CACHE_SIZE)
@@ -425,20 +394,13 @@ def g2(i: int, k: int, q: int, j: int, s) -> Polynomial:
     return _g2_cached(i, k, q, j, s)
 
 
-def lin_reduce(f: Polynomial, subst) -> Polynomial:
+def lin_reduce(f: Polynomial, subst: dict[int, int]) -> Polynomial:
     """Replace each listed y_b by its x_a: the normal form of f modulo the
     ideal generated by the differences x_a - y_b.  This only moves
     exponents from y-fields to x-fields; nothing is multiplied.
 
-    `subst` maps y-indices to x-indices; listing a y-index twice is an
-    error even if the targets agree.
+    `subst` maps y-indices to x-indices.
     """
-    if not isinstance(subst, dict):
-        pairs = list(subst)
-        keys = [b for b, _ in pairs]
-        if len(set(keys)) != len(keys):
-            raise ConflictingSubstitution(f"duplicate y-indices in {pairs}")
-        subst = dict(pairs)
     moves = [(_shift(("y", b)), _shift(("x", a))) for b, a in subst.items()]
     out: dict[int, int] = {}
     for m, c in f._t.items():

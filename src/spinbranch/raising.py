@@ -8,12 +8,11 @@ H and anticommute pairwise; the H's are central.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .core import SignedSet, Weight
+from .core import DeltaFunction, SignedSet, Weight
 from .poly import Polynomial, format_poly, g1, g2
 
 Bars = tuple[int, ...]
@@ -155,37 +154,37 @@ def format_u0(u: U0Element) -> str:
 # -- named elements ------------------------------------------------------------
 
 
-def u0_h(i: int, n: int | None = None) -> U0Element:
-    _check_index(i, n)
+def u0_h(i: int) -> U0Element:
+    _check_index(i)
     return U0Element.from_poly(H(i))
 
 
-def u0_hbar(i: int, n: int | None = None) -> U0Element:
-    _check_index(i, n)
+def u0_hbar(i: int) -> U0Element:
+    _check_index(i)
     return U0Element.from_poly(Polynomial.const(1), (i,))
 
 
-def u0_h_eps(i: int, eps: int, n: int | None = None) -> U0Element:
-    return u0_hbar(i, n) if eps % 2 else u0_h(i, n)
+def u0_h_eps(i: int, eps: int) -> U0Element:
+    return u0_hbar(i) if eps % 2 else u0_h(i)
 
 
-def u0_c(i: int, j: int, n: int | None = None) -> U0Element:
+def u0_c(i: int, j: int) -> U0Element:
     """H_i(H_i - 1) - H_j(H_j - 1)."""
-    _check_index(i, n)
-    _check_index(j, n)
+    _check_index(i)
+    _check_index(j)
     return U0Element.from_poly(H(i) * (H(i) - 1) - H(j) * (H(j) - 1))
 
 
-def u0_b(i: int, j: int, n: int | None = None) -> U0Element:
+def u0_b(i: int, j: int) -> U0Element:
     """H_i(H_i - 1) - (H_j + 1)H_j."""
-    _check_index(i, n)
-    _check_index(j, n)
+    _check_index(i)
+    _check_index(j)
     return U0Element.from_poly(H(i) * (H(i) - 1) - (H(j) + 1) * H(j))
 
 
-def _check_index(i: int, n: int | None):
-    if i < 1 or (n is not None and i > n):
-        raise IndexOutOfRange(f"index {i} outside 1..{n}")
+def _check_index(i: int):
+    if i < 1:
+        raise IndexOutOfRange(f"index {i} is below 1")
 
 
 def bracket_hom(f: Polynomial) -> U0Element:
@@ -205,46 +204,6 @@ def _bracket_cached(f: Polynomial) -> U0Element:
         else:
             raise IndexOutOfRange(f"bracket undefined on axis {axis!r}")
     return U0Element.from_poly(f.substitute(assignment))
-
-
-# -- delta functions -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeltaFunction:
-    """A {0,1}-valued function on [lo..hi]; for a raising coefficient at
-    (i, j) the domain is [i..j-1]."""
-
-    lo: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("delta values must be 0 or 1")
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
-
-    def __call__(self, t: int) -> int:
-        if not self.lo <= t <= self.hi:
-            raise KeyError(f"{t} outside [{self.lo}..{self.hi}]")
-        return self.values[t - self.lo]
-
-    def total(self) -> int:
-        return sum(self.values) % 2
-
-    def sum_range(self, a: int, b: int) -> int:
-        """delta_a + ... + delta_{b-1} mod 2 (empty when a >= b)."""
-        return sum(self(t) for t in range(a, b)) % 2
-
-    def restrict(self, lo: int, hi: int) -> "DeltaFunction":
-        return DeltaFunction(lo, tuple(self(t) for t in range(lo, hi + 1)))
-
-    def with_value(self, t: int, v: int) -> "DeltaFunction":
-        vals = list(self.values)
-        vals[t - self.lo] = v
-        return DeltaFunction(self.lo, tuple(vals))
 
 
 # -- the raising-coefficient recursion -----------------------------------------

@@ -8,7 +8,6 @@ which agrees with any erasure order (tested, not assumed).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .core import Weight, res_p
@@ -93,16 +92,6 @@ def seq_to_list(u: Seq) -> list:
     return [["+" if s == PLUS else "-", m] for s, m in u]
 
 
-def seq_to_json(u: Seq) -> str:
-    return json.dumps(seq_to_list(u))
-
-
-def seq_from_json(text: str) -> Seq:
-    return tuple(
-        (PLUS if s == "+" else MINUS, m) for s, m in json.loads(text)
-    )
-
-
 # -- sign maps ---------------------------------------------------------------
 
 
@@ -154,14 +143,6 @@ class SignMap:
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "values": {str(i): v for i, v in self.values}}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "SignMap":
-        data = json.loads(text)
-        return SignMap.make(data["mode"], {int(k): v for k, v in data["values"].items()})
 
 
 def product_of(u: SignMap, indices=None) -> Seq:
@@ -220,16 +201,6 @@ class Flow:
 
     def sources(self) -> frozenset[int]:
         return frozenset(a for a, _ in self.edges)
-
-    def union(self, other: "Flow") -> "Flow":
-        return Flow(self.edges | other.edges)
-
-    def to_json(self) -> str:
-        return json.dumps({"edges": sorted([a, b] for a, b in self.edges)})
-
-    @staticmethod
-    def from_json(text: str) -> "Flow":
-        return Flow(frozenset(tuple(e) for e in json.loads(text)["edges"]))
 
 
 @dataclass(frozen=True)

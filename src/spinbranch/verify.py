@@ -13,9 +13,8 @@ from itertools import combinations, product
 
 from . import crystal as cr
 from . import indices as ix
-from .core import SignedSet, Weight, check_characteristic, congruent
+from .core import DeltaFunction, SignedSet, Weight, check_characteristic, congruent
 from .poly import (
-    LFunction,
     Polynomial,
     d_floor,
     f_poly,
@@ -26,7 +25,7 @@ from .poly import (
     x,
     y,
 )
-from .raising import DeltaFunction, two_term_sum_sides, raising_closed, raising_rec
+from .raising import two_term_sum_sides, raising_closed, raising_rec
 from .sigseq import (
     MINUS,
     PAIR_VALUES,
@@ -111,8 +110,8 @@ def _check_parameters(suite: str, params: dict) -> None:
         raise InvalidSuiteParameter(f"{suite} needs max_n >= {least}, got {params['max_n']}")
 
 
-def random_weight(rng: random.Random, p: int, n: int, lo: int = -4, hi: int = 12) -> Weight:
-    return Weight(tuple(rng.randint(lo, hi) for _ in range(n)), p)
+def random_weight(rng: random.Random, p: int, n: int) -> Weight:
+    return Weight(tuple(rng.randint(-4, 12) for _ in range(n)), p)
 
 
 def random_dominant_p_strict(rng: random.Random, p: int, n: int, hi: int = 12) -> Weight:
@@ -304,7 +303,7 @@ def _sigma_fixes_f(rep: VerdictReport, rng: random.Random, base: int):
         s = frozenset(rng.sample(univ, rng.randint(0, len(univ))))
         dd = frozenset(rng.sample(univ, rng.randint(0, min(2, len(univ)))))
         vals = tuple(rng.randint(0, 1) for _ in univ)
-        l = LFunction(c + 1, d, vals)
+        l = DeltaFunction(c + 1, vals)
         fp = f_poly(c, d, dd, l, s)
         rep.check(
             f"sigma-fixes-f a={a} b={b} e={e} c={c} d={d} D={sorted(dd)}"
@@ -442,7 +441,7 @@ def _injections(sources, targets, floor):
 
 
 def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi, build_f):
-    l = LFunction(i + 1, j, lvals)
+    l = DeltaFunction(i + 1, lvals)
     if any(l(t) == 1 for t in r & d):
         return
     subst = {}
@@ -473,7 +472,7 @@ def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi, build_f):
 def _lin_tuples(i: int, j: int):
     for d in _subsets(range(i + 1, j)):
         for lvals in product((0, 1), repeat=j - i):
-            l = LFunction(i + 1, j, lvals)
+            l = DeltaFunction(i + 1, lvals)
             for s in _subsets(range(i + 1, j + 1)):
                 for r in _ends_of(s):
                     floor = {t: t + l(t) for t in r}
@@ -500,7 +499,7 @@ def _lin_reduce_sampled(rep: VerdictReport, rng: random.Random, i: int,
         attempts += 1
         d = frozenset(rng.sample(range(i + 1, j), rng.randint(0, width - 1)))
         lvals = tuple(rng.randint(0, 1) for _ in range(width))
-        l = LFunction(i + 1, j, lvals)
+        l = DeltaFunction(i + 1, lvals)
         s = frozenset(rng.sample(pool, rng.randint(0, width)))
         ends = _ends_of(s)
         r = ends[rng.randrange(len(ends))]

@@ -1,0 +1,67 @@
+"""The benchmark in perfbench/ calls the library by name.  These tests read
+its sources with `ast` (nothing there is imported) and check that every
+library name it reaches still exists, so that a deletion in src/ that
+would break the benchmark fails here first."""
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text(), filename=name)
+
+
+def _library_imports(tree: ast.Module):
+    """(module aliases, names imported from modules) of `spinbranch`."""
+    aliases, names = {}, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not (node.module or "").startswith("spinbranch"):
+            continue
+        for alias in node.names:
+            if node.module == "spinbranch":
+                aliases[alias.asname or alias.name] = f"spinbranch.{alias.name}"
+            else:
+                names.append((node.module, alias.name))
+    return aliases, names
+
+
+def test_workload_attributes_resolve():
+    tree = _tree("workloads.py")
+    aliases, _ = _library_imports(tree)
+    assert set(aliases) == {"cli", "cr", "ix", "ra", "sq", "vf"}
+    used = {
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    }
+    assert ("spinbranch.raising", "DeltaFunction") in used
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(used)
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing
+
+
+def test_workload_imports_resolve():
+    _, names = _library_imports(_tree("workloads.py"))
+    assert ("spinbranch.core", "Weight") in names
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(importlib.import_module(mod), name)]
+    assert not missing
+
+
+def test_traced_methods_exist():
+    (methods,) = [
+        ast.literal_eval(node.value)
+        for node in _tree("tracer.py").body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets)
+    ]
+    assert methods
+    for layer, classes in methods.items():
+        module = importlib.import_module(f"spinbranch.{layer}")
+        for cls_name, names in classes.items():
+            # the tracer wraps vars(cls)[name]: it must be defined on the class itself
+            assert set(names) <= set(vars(getattr(module, cls_name))), (layer, cls_name)

@@ -55,6 +55,18 @@ def test_analyze_rejects_bad_partition(capsys):
     assert code2 == 2 and "odd prime" in err2
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--p", "3", "--weight="),
+    ("analyze", "--p", "3", "--weight=,"),
+    ("crystal", "--p", "3", "--max", "-1"),
+])
+def test_bad_sizes_are_usage_errors(capsys, argv):
+    # an empty weight or a negative --max is one `error:` line and exit 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_crystal_json(capsys):
     code, out, _ = run_cli(
         capsys, "crystal", "--p", "3", "--max", "2", "--format", "json"
@@ -235,6 +247,8 @@ SINGLE_SUITE_STDOUT = {
     ("signature-bridge", "--samples", "200", "--n", "5", "--seed", "3"): "8e41c25cfbdc4159",
     ("certificates", "--samples", "200", "--n", "6", "--seed", "3"): "01db56619c951f16",
     ("certificates", "--p", "0", "--samples", "60"): "bb91be9263dcf8d4",
+    # recorded before the f selector and the raising delta became one class
+    ("poly-identities", "--width", "3", "--samples", "200"): "6a284d77a6d0cb04",
 }
 
 

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,15 +90,6 @@ def test_parity_additive_on_disjoint(a, b):
     if a.support() & b.support():
         return
     assert a.union(b).parity() == (a.parity() + b.parity()) % 2
-
-
-def test_json_round_trips():
-    m = SignedSet.of(evens=[2, 5], odds=[3])
-    assert SignedSet.from_json(m.to_json()) == m
-    assert json.loads(m.to_json()) == {"even": [2, 5], "odd": [3]}
-    w = Weight((3, 1, -2), 5)
-    assert Weight.from_json(w.to_json()) == w
-    assert json.loads(w.to_json()) == {"p": 5, "parts": [3, 1, -2]}
 
 
 def test_weight_basics():

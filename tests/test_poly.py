@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinbranch import raising
+from spinbranch.core import DeltaFunction
 from spinbranch.poly import (
     BadIndices,
     BadParameters,
-    ConflictingSubstitution,
-    LFunction,
     NotDivisible,
     Polynomial,
     exact_div,
@@ -14,6 +14,7 @@ from spinbranch.poly import (
     format_poly,
     g1,
     g2,
+    l2_function,
     lin_reduce,
     parse_poly,
     sigma_apply,
@@ -53,11 +54,17 @@ def test_u_poly_examples():
 
 
 def test_f_poly_examples():
-    l1 = LFunction.const(2, 3, 1)
+    l1 = DeltaFunction(2, (1, 1))
     assert f_poly(1, 3, (), l1, {2}) == x(1) - y(2)
     assert f_poly(1, 3, (), l1, ()) == u_poly(1, 3, ())
     # with the shift starting past every variable the difference vanishes
-    assert f_poly(1, 2, (), LFunction.const(2, 2, 1), {2}) == Polynomial()
+    assert f_poly(1, 2, (), DeltaFunction(2, (1,)), {2}) == Polynomial()
+
+
+def test_f_selector_is_the_raising_delta_type():
+    assert raising.DeltaFunction is DeltaFunction
+    # 1 strictly inside (1..3) and (3..5), 0 on [3..3] and at 5
+    assert l2_function(1, 3, 3, 5) == DeltaFunction(2, (1, 0, 1, 0))
 
 
 def test_g_family_examples():
@@ -75,8 +82,6 @@ def test_g_family_examples():
 def test_lin_reduce_examples():
     assert lin_reduce(x(1) - y(3), {3: 2}) == x(1) - x(2)
     assert lin_reduce(x(1) * y(2), {}) == x(1) * y(2)
-    with pytest.raises(ConflictingSubstitution):
-        lin_reduce(x(1), [(3, 2), (3, 1)])
 
 
 def test_lin_reduce_matches_g1_collapse():
@@ -153,4 +158,4 @@ def test_sigma_commutation_disjoint():
 
 def test_f_poly_rejects_bad_s():
     with pytest.raises(BadParameters):
-        f_poly(1, 3, (), LFunction.const(2, 3, 1), {5})
+        f_poly(1, 3, (), DeltaFunction(2, (1, 1)), {5})

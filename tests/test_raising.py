@@ -11,6 +11,7 @@ from spinbranch.raising import (
     CharacteristicZero,
     DeltaFunction,
     H,
+    IndexOutOfRange,
     U0Element,
     UnsupportedShape,
     bracket_hom,
@@ -110,6 +111,13 @@ def test_u0_product_respects_parity(a, b):
     if len(a.parities()) == 1 and len(b.parities()) == 1 and not (a * b).is_zero():
         pa, pb = a.parities().pop(), b.parities().pop()
         assert (a * b).parities() == {(pa + pb) % 2}
+
+
+def test_named_elements_need_positive_indices():
+    with pytest.raises(IndexOutOfRange, match="index 0 is below 1"):
+        u0_h(0)
+    with pytest.raises(IndexOutOfRange):
+        u0_c(2, -1)
 
 
 def test_raising_base_cases():
