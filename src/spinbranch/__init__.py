@@ -20,7 +20,6 @@ from .indices import (
     Certificate,
     ConstructionPlan,
     IndexClassification,
-    classify_index,
     classify_indices,
     extension_plan,
     index_report,
@@ -59,10 +58,12 @@ from .sigseq import (
 
 
 def clear_caches() -> None:
-    """Empty the g1/g2, bracket and raising-recursion memos (all bounded)."""
-    from . import poly, raising
+    """Empty the residue-reduction, g1/g2, bracket and raising-recursion
+    memos (all bounded)."""
+    from . import indices, poly, raising
 
-    for memo in (poly._g1_cached, poly._g2_cached, raising._bracket_cached, raising._rec_cached):
+    for memo in (indices._reduction_cached, poly._g1_cached, poly._g2_cached,
+                 raising._bracket_cached, raising._rec_cached):
         memo.cache_clear()
 
 

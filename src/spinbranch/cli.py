@@ -20,16 +20,19 @@ class ParseError(ValueError):
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty text is no parts, but an empty
+    token between or after commas is an error."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _weight_report(lam: Weight) -> dict:
-    reductions = ix.residue_reductions(lam)
     indices = []
-    for cls in ix.classify_indices(lam, reductions):
+    for cls in ix.classify_indices(lam):
         entry = asdict(cls)
         i = entry.pop("index")
         entry.update(i=i, entry=lam.entry(i))
@@ -38,7 +41,7 @@ def _weight_report(lam: Weight) -> dict:
         indices.append(entry)
     r_maps = {}
     signatures = {}
-    for beta, red in reductions.items():
+    for beta, red in ix.residue_reductions(lam).items():
         r_maps[str(beta)] = red.sign_map.to_dict()
         signatures[str(beta)] = seq_to_list(red.reduced)
     return {"indices": indices, "r_maps": r_maps, "reduced_signatures": signatures}

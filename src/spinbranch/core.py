@@ -170,13 +170,6 @@ class SignedSet:
 
     # -- transformations ----------------------------------------------------
 
-    def union(self, other: "SignedSet") -> "SignedSet":
-        return SignedSet(self.evens | other.evens, self.odds | other.odds)
-
-    def difference(self, other: "SignedSet") -> "SignedSet":
-        # plain set difference inside Z u Zbar: only equal-role elements cancel
-        return SignedSet(self.evens - other.evens, self.odds - other.odds)
-
     def restrict(self, values) -> "SignedSet":
         """Keep the elements whose absolute value lies in `values`."""
         vals = set(values)

@@ -5,13 +5,16 @@ planners behind primitive-vector constructions and extensions.
 Everything here is driven by reductions of the sign maps r_beta(lambda):
 an index is tensor normal when its minus survives the full reduction, and
 normal (for i < n) when it survives the reduction over [1..n) and the
-boundary exception does not apply.  Each sign map is built and reduced
-once per (lambda, beta); every flag is read off that one result.
+boundary exception does not apply.  Every query reaches its reduction
+through `reduce_residue`, whose bounded memo builds and reduces each sign
+map once per (lambda, beta); every flag, certificate and plan is read off
+that one result.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import SignedSet, Weight, congruent, res_p, seg_oc, seg_oo
 from .sigseq import (
@@ -65,9 +68,12 @@ class IndexClassification:
 class ResidueReduction:
     """r_beta(lambda), its reduction, and the indices read off it.  A minus
     of r_beta sits at an index of residue beta and a plus at one whose entry
-    + 1 has residue beta, so each set lies in one class; good is its first
-    normal index, tensor good its first tensor normal index and tensor
-    cogood its last tensor conormal index (None if absent)."""
+    + 1 has residue beta, so each set lies in one class.  Normal indices
+    are those whose minus survives over [1..n), less the boundary exception
+    (empty reduction strictly after i while lambda_i and lambda_n are both
+    divisible by p).  Good is the first normal index, tensor good the first
+    tensor normal index and tensor cogood the last tensor conormal index
+    (None if absent)."""
 
     beta: int
     sign_map: SignMap
@@ -81,7 +87,19 @@ class ResidueReduction:
 
 
 def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
-    """Build r_beta(lambda) once and reduce it over [1..n] and [1..n).
+    """r_beta(lambda) reduced over [1..n] and [1..n): the one source of a
+    reduction for every index query."""
+    return _reduction_cached(lam, beta)
+
+
+# bounded memo; one report reads at most one entry per residue, and
+# spinbranch.clear_caches() empties it
+REDUCTION_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=REDUCTION_CACHE_SIZE)
+def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
+    """Build r_beta(lambda) once and reduce it.
 
     The boundary exception needs, for each i, whether the reduction over
     (i..n) is empty; one right-to-left scan gives all of them.  Prepending
@@ -138,13 +156,10 @@ def _classify(i: int, own: ResidueReduction, up: ResidueReduction) -> IndexClass
     )
 
 
-def classify_indices(
-    lam: Weight, reductions: dict[int, ResidueReduction] | None = None
-) -> tuple[IndexClassification, ...]:
+def classify_indices(lam: Weight) -> tuple[IndexClassification, ...]:
     """The classification of every index, read off one reduction per
-    residue (pass `reductions` to reuse ones already built)."""
-    if reductions is None:
-        reductions = residue_reductions(lam)
+    residue."""
+    reductions = residue_reductions(lam)
     p = lam.p
     return tuple(
         _classify(i, reductions[res_p(x, p)], reductions[res_p(x + 1, p)])
@@ -154,43 +169,6 @@ def classify_indices(
 
 def _own(lam: Weight, i: int) -> ResidueReduction:
     return reduce_residue(lam, lam.residue(i))
-
-
-def _up(lam: Weight, i: int) -> ResidueReduction:
-    return reduce_residue(lam, res_p(lam.entry(i) + 1, lam.p))
-
-
-def tensor_normal(lam: Weight, i: int) -> bool:
-    return i in _own(lam, i).tensor_normal
-
-
-def normal(lam: Weight, i: int) -> bool:
-    """Minus of index i survives over [1..n), minus the boundary exception
-    (empty reduction strictly after i while both lambda_i and lambda_n are
-    divisible by p)."""
-    return 1 <= i < lam.n and i in _own(lam, i).normal
-
-
-def tensor_conormal(lam: Weight, i: int) -> bool:
-    return i in _up(lam, i).tensor_conormal
-
-
-def good(lam: Weight, i: int) -> bool:
-    return 1 <= i < lam.n and i == _own(lam, i).good
-
-
-def tensor_good(lam: Weight, i: int) -> bool:
-    return i == _own(lam, i).tensor_good
-
-
-def tensor_cogood(lam: Weight, i: int) -> bool:
-    """Maximal tensor conormal index in its class; conormal indices are
-    grouped by the residue of (entry + 1), matching the -w0 duality."""
-    return i == _up(lam, i).tensor_cogood
-
-
-def classify_index(lam: Weight, i: int) -> IndexClassification:
-    return _classify(i, _own(lam, i), _up(lam, i))
 
 
 def index_report(lam: Weight) -> dict[int, list[IndexClassification]]:

@@ -59,9 +59,13 @@ def test_analyze_rejects_bad_partition(capsys):
     ("analyze", "--p", "3", "--weight="),
     ("analyze", "--p", "3", "--weight=,"),
     ("crystal", "--p", "3", "--max", "-1"),
+    ("analyze", "--p", "3", "--weight=1,,2"),
+    ("analyze", "--p", "3", "--weight=1,2,"),
+    ("analyze", "--p", "3", "--partition=3,,1"),
 ])
 def test_bad_sizes_are_usage_errors(capsys, argv):
-    # an empty weight or a negative --max is one `error:` line and exit 2
+    # an empty weight, an empty list token or a negative --max is one
+    # `error:` line and exit 2
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -135,6 +139,34 @@ def test_verify_zero_sizes_are_not_replaced_by_defaults(capsys):
     assert code == 1 and json.loads(out)["parameters"]["samples"] == 0
     code, out, err = run_cli(capsys, "verify", "duality", "--n", "0")
     assert code == 2 and out == "" and "max_n" in err
+
+
+@pytest.mark.parametrize("argv, keyword", [
+    (("poly-identities", "--width", "-2", "--samples", "1"), "width"),
+    (("poly-identities", "--samples", "-1"), "lin_samples"),
+    (("raising-oracle", "--width", "-1"), "width"),
+    (("flows", "--n", "-1"), "max_domain"),
+    (("reduction", "--samples", "-1"), "samples"),
+    (("certificates", "--samples", "-5"), "samples"),
+    (("all", "--samples", "-1"), "samples"),
+])
+def test_verify_negative_sizes_are_usage_errors(capsys, monkeypatch, argv, keyword):
+    seen = _stub_runners(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and seen == {}
+    assert err.startswith("error: ") and f"{keyword} >= 0" in err
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    ("poly-identities", {"width": -2, "lin_samples": 1}),
+    ("poly-identities", {"lin_samples": -1}),
+    ("raising-oracle", {"width": -1}),
+    ("flows", {"max_domain": -1}),
+    ("reduction", {"samples": -1}),
+])
+def test_suites_reject_negative_sizes_when_called_directly(suite, kwargs):
+    with pytest.raises(vf.InvalidSuiteParameter):
+        vf.RUNNERS[suite](**kwargs)
 
 
 

@@ -49,16 +49,10 @@ def test_signed_measure_empty_and_singleton():
 
 
 def test_signed_transforms():
-    a = SignedSet.of(evens=[2, 5], odds=[8])
-    b = SignedSet.of(evens=[9], odds=[3])
-    assert a.union(b) == SignedSet.of(evens=[2, 5, 9], odds=[3, 8])
     c = SignedSet.of(evens=[1, 5], odds=[4])
     assert c.replace((4, True), (3, True)) == SignedSet.of(evens=[1, 5], odds=[3])
     m = SignedSet.of(evens=[1, 3, 6], odds=[2, 5])
     assert m.restrict(range(2, 6)) == SignedSet.of(evens=[3], odds=[2, 5])
-    assert SignedSet.of(evens=[3, 7, 8], odds=[4]).difference(
-        SignedSet.of(evens=[8], odds=[4])
-    ) == SignedSet.of(evens=[3, 7])
 
 
 def test_signed_invariants_and_errors():
@@ -82,14 +76,8 @@ signed_sets = st.builds(
 def test_restrict_partitions_the_set(m, s):
     inside = m.restrict(s)
     outside = m.restrict(set(range(-9, 10)) - s)
-    assert inside.union(outside) == m
-
-
-@given(signed_sets, signed_sets)
-def test_parity_additive_on_disjoint(a, b):
-    if a.support() & b.support():
-        return
-    assert a.union(b).parity() == (a.parity() + b.parity()) % 2
+    assert inside.evens | outside.evens == m.evens and not inside.evens & outside.evens
+    assert inside.odds | outside.odds == m.odds and not inside.odds & outside.odds
 
 
 def test_weight_basics():

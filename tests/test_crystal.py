@@ -262,23 +262,23 @@ def test_graph_export_formats():
 def test_node_level_matches_index_level_on_padded_weights():
     # good/normal nodes of a partition agree with good/normal indices of the
     # padded weight at the matching residue
-    from spinbranch.indices import good as w_good
-    from spinbranch.indices import normal as w_normal
+    from spinbranch.indices import classify_indices
 
     for p in (3, 5):
         for n in range(1, 9):
             for lam in definitional.restricted_partitions(p, n):
                 w = lam.pad_weight()
+                classes = classify_indices(w)
                 for i in contents_for(p, max([1] + [v + 2 for v in lam.parts])):
                     beta = beta_of_content(i, p)
                     rows_normal = {
                         r for r in range(1, w.n)
-                        if w.residue(r) == beta and w_normal(w, r)
+                        if w.residue(r) == beta and classes[r - 1].normal
                     }
                     assert rows_normal == {nd[0] for nd in normal_nodes(lam, i)}
                     rows_good = {
                         r for r in range(1, w.n)
-                        if w.residue(r) == beta and w_good(w, r)
+                        if w.residue(r) == beta and classes[r - 1].good
                     }
                     assert rows_good == {nd[0] for nd in good_nodes(lam, i)}
 

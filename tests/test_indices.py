@@ -5,22 +5,16 @@ import random
 import pytest
 
 import definitional
+from spinbranch import clear_caches
 from spinbranch.core import Weight
 from spinbranch.indices import (
     IsNormal,
     NotNormal,
-    classify_index,
     classify_indices,
     extension_plan,
-    good,
     index_report,
     non_normal_certificate,
-    normal,
     primitive_plan,
-    tensor_cogood,
-    tensor_conormal,
-    tensor_good,
-    tensor_normal,
     validate_certificate,
     validate_plan,
 )
@@ -30,17 +24,18 @@ WORKED = Weight((16, 11, 10, 10, 9, 5, 1, 0), 5)
 
 
 def test_classify_worked_weight():
-    cls = classify_index(WORKED, 1)
+    classes = classify_indices(WORKED)
+    cls = classes[0]
     assert cls.normal and cls.good and cls.tensor_normal and cls.tensor_good
     assert cls.residue == 0
-    assert not normal(WORKED, 3)
+    assert not classes[2].normal
 
 
 def test_classify_boundary_exception():
-    lam = Weight((0, 0), 5)
-    assert not normal(lam, 1)
-    assert tensor_normal(lam, lam.n)  # the last index always is
-    assert tensor_conormal(lam, 1)  # the first index always is
+    classes = classify_indices(Weight((0, 0), 5))
+    assert not classes[0].normal
+    assert classes[-1].tensor_normal  # the last index always is
+    assert classes[0].tensor_conormal  # the first index always is
 
 
 def test_index_report_examples():
@@ -56,7 +51,7 @@ def test_index_report_examples():
     lam = Weight((2, 1), 5)
     rep3 = index_report(lam)
     assert {c.index for c in rep3[2]} == {1}
-    assert not classify_index(lam, 1).tensor_normal
+    assert not classify_indices(lam)[0].tensor_normal
 
 
 def test_good_is_minimal_normal_per_class():
@@ -159,13 +154,13 @@ def test_extension_plan_two_step_cases():
     # all-minus closed gap with entry 0 mod p at the top: split at the last
     # double-minus index, then extend across it
     lam = Weight((5, 1, 5, 0), 5)
-    assert normal(lam, 1) and lam.residue(1) == lam.residue(3)
+    assert classify_indices(lam)[0].normal and lam.residue(1) == lam.residue(3)
     plan = extension_plan(lam, 1, 3)
     assert [s.theorem for s in plan.steps] == ["T6.6.2", "T6.4.2"]
     assert validate_plan(lam, plan)
     # plus-led gap with entry 1 mod p at the top: section first
     lam2 = Weight((1, 0, 1, 0), 5)
-    assert normal(lam2, 1) and lam2.residue(1) == lam2.residue(3)
+    assert classify_indices(lam2)[0].normal and lam2.residue(1) == lam2.residue(3)
     plan2 = extension_plan(lam2, 1, 3)
     assert [s.theorem for s in plan2.steps] == ["T6.4.2", "T6.6.2"]
     assert validate_plan(lam2, plan2)
@@ -180,6 +175,7 @@ def test_shortcut_matches_definition():
         p = rng.choice([3, 5, 7])
         n = rng.randint(1, 6)
         lam = Weight(tuple(rng.randint(-4, 9) for _ in range(n)), p)
+        classes = classify_indices(lam)
         for i in range(1, n + 1):
             beta = lam.residue(i)
             u = r_beta(lam, beta)
@@ -187,7 +183,7 @@ def test_shortcut_matches_definition():
             tail = reduce_seq(product_of(u, range(i, n + 1)))
             has_full = any(s == MINUS and m == i for s, m in full)
             has_tail = any(s == MINUS and m == i for s, m in tail)
-            assert has_full == has_tail == tensor_normal(lam, i)
+            assert has_full == has_tail == classes[i - 1].tensor_normal
 
 
 def test_plan_json_shape():
@@ -199,9 +195,8 @@ def test_plan_json_shape():
 
 def test_duality_examples():
     lam = Weight((0, 1), 5)
-    assert tensor_cogood(lam, 1) and tensor_cogood(lam, 2)
-    mw = lam.minus_w0()
-    assert tensor_good(mw, 1) and tensor_good(mw, 2)
+    assert all(c.tensor_cogood for c in classify_indices(lam))
+    assert all(c.tensor_good for c in classify_indices(lam.minus_w0()))
 
 
 def test_characteristic_zero_classification():
@@ -209,9 +204,10 @@ def test_characteristic_zero_classification():
     # residues are plain integers; everything still evaluates
     rep = index_report(lam)
     assert any(c.tensor_normal for group in rep.values() for c in group)
-    assert tensor_conormal(lam, 1)
+    classes = classify_indices(lam)
+    assert classes[0].tensor_conormal
     for i in (1, 2):
-        if not normal(lam, i):
+        if not classes[i - 1].normal:
             cert = non_normal_certificate(lam, i)
             assert validate_certificate(lam, cert)
         else:
@@ -238,7 +234,6 @@ def _oracle_weights(seed: int, count: int):
 
 
 def test_one_pass_classification_matches_definitions():
-    predicates = (tensor_normal, normal, tensor_conormal, good, tensor_good, tensor_cogood)
     for lam in _oracle_weights(seed=20240, count=400):
         expected = tuple(definitional.classify_index(lam, i) for i in range(1, lam.n + 1))
         assert classify_indices(lam) == expected, lam
@@ -246,13 +241,6 @@ def test_one_pass_classification_matches_definitions():
         assert all(c.residue == r for r, group in report.items() for c in group)
         flat = sorted((c for group in report.values() for c in group), key=lambda c: c.index)
         assert tuple(flat) == expected
-        assert not normal(lam, 0) and not good(lam, lam.n) and not good(lam, lam.n + 1)
-        for i in range(1, lam.n + 1):
-            assert classify_index(lam, i) == expected[i - 1]
-            for pred in predicates:
-                want = getattr(definitional, pred.__name__)(lam, i)
-                assert pred(lam, i) == want, (pred.__name__, lam, i)
-
 
 
 # sha256 over the to_json() lines of every primitive plan, extension plan and
@@ -282,17 +270,24 @@ def _planner_weights(p: int):
 
 @pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
 def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, p):
+    # every planner reads the reduction its weight's classification already
+    # made (no r_beta call); from cold caches it builds exactly one
     from spinbranch import indices
 
     calls = []
     real = indices.r_beta
     monkeypatch.setattr(indices, "r_beta", lambda *a: calls.append(a) or real(*a))
 
-    def built(fn, *args):
+    def built(fn, lam, *args):
+        classify_indices(lam)
         calls.clear()
-        out = fn(*args)
+        out = fn(lam, *args)
+        assert not calls, (fn.__name__, lam, args)
+        clear_caches()
+        cold = fn(lam, *args)
+        assert len(calls) == 1, (fn.__name__, lam, args)
+        assert cold.to_json() == out.to_json()
         if fn is not non_normal_certificate:
-            assert len(calls) == 1, (fn.__name__, args)
             theorems.update(step.theorem for step in out.steps)
         lines.append(out.to_json())
 

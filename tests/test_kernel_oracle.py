@@ -8,13 +8,15 @@ import pickle
 import subprocess
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 import polyref as ref
 import spinbranch
 from spinbranch import clear_caches
-from spinbranch.core import SignedSet
+from spinbranch.core import SignedSet, Weight
+from spinbranch.indices import _reduction_cached, classify_indices, reduce_residue
 from spinbranch.poly import (
     MAX_EXP,
     DegreeOverflow,
@@ -263,7 +265,7 @@ def test_pickles_do_not_depend_on_field_numbers():
 # -- caches ------------------------------------------------------------------------
 
 
-CACHES = (_g1_cached, _g2_cached, _bracket_cached, _rec_cached)
+CACHES = (_reduction_cached, _g1_cached, _g2_cached, _bracket_cached, _rec_cached)
 
 
 def test_caches_are_bounded_and_reset_by_one_hook():
@@ -272,6 +274,7 @@ def test_caches_are_bounded_and_reset_by_one_hook():
     raising_rec(1, 4, 0, delta, m)
     raising_closed(1, 4, 0, delta, m)
     g1(1, 4, {2})
+    classify_indices(Weight((3, 1, 0), 5))
     for cache in CACHES:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize > 0
@@ -302,6 +305,19 @@ def test_cached_results_cannot_be_changed_by_a_caller():
     assert json.dumps(raising_rec(1, 3, 1, delta, m).to_json()) == text
     assert format_poly(g2(1, 2, 3, 3, {3})) == g_text
     assert bracket_hom(g) == image
+
+
+def test_memoised_reductions_cannot_be_changed_by_a_caller():
+    lam = Weight((16, 11, 10, 10, 9, 5, 1, 0), 5)
+    red = reduce_residue(lam, 0)
+    kept = (red.good, red.normal, red.reduced)
+    for name, value in (("good", 3), ("normal", frozenset()), ("reduced", ())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(red, name, value)
+    again = reduce_residue(lam, 0)
+    assert again == red and (again.good, again.normal, again.reduced) == kept
+    clear_caches()
+    assert reduce_residue(lam, 0) == red
 
 
 # -- determinism across hash seeds ---------------------------------------------------
