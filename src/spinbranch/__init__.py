@@ -6,13 +6,11 @@ from .crystal import (
     CrystalGraph,
     PStrictPartition,
     beta_signature,
-    body_nodes,
     branching_tables,
     cont_p,
     crystal_graph,
     e_tilde,
     f_tilde,
-    rim_nodes,
     rim_signature,
     spin_stats,
 )

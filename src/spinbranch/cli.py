@@ -3,6 +3,7 @@ and the verification suites, all with machine-readable output."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -105,7 +106,8 @@ def cmd_analyze(args) -> int:
         lam = Weight(parts, p)
         report["input"] = {"kind": "weight", "parts": list(lam.parts)}
         report.update(_weight_report(lam))
-    _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
+    with _open_out(args.out) as fh:
+        print(json.dumps(report, indent=2, sort_keys=True), file=fh)
     return 0
 
 
@@ -114,8 +116,8 @@ def cmd_crystal(args) -> int:
     if args.max < 0:
         raise ParseError(f"--max must be >= 0, got {args.max}")
     graph = cr.crystal_graph(p, args.max)
-    text = graph.to_dot() if args.format == "dot" else graph.to_json()
-    _emit(text, args.out)
+    with _open_out(args.out) as fh:
+        print(graph.to_dot() if args.format == "dot" else graph.to_json(), file=fh)
     return 0
 
 
@@ -123,23 +125,28 @@ def cmd_verify(args) -> int:
     suites = list(vf.RUNNERS) if args.suite == "all" else [args.suite]
     plans = vf.suite_arguments(suites, {flag: getattr(args, flag) for flag in vf.FLAGS})
     reports = []
-    for name, kwargs in plans.items():
-        start = time.perf_counter()
-        report = vf.RUNNERS[name](**kwargs)
-        verdict = "pass" if report.passed else "FAIL"
-        print(f"{name} {verdict} {report.cases} {time.perf_counter() - start:.2f}",
-              file=sys.stderr)
-        reports.append(report)
-    _emit("\n".join(report.to_json() for report in reports), args.out)
+    with _open_out(args.out) as fh:
+        for name, kwargs in plans.items():
+            start = time.perf_counter()
+            report = vf.RUNNERS[name](**kwargs)
+            verdict = "pass" if report.passed else "FAIL"
+            print(f"{name} {verdict} {report.cases} {time.perf_counter() - start:.2f}",
+                  file=sys.stderr)
+            reports.append(report)
+        print("\n".join(report.to_json() for report in reports), file=fh)
     return 0 if all(report.passed for report in reports) else 1
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _open_out(out: str | None):
+    """The --out file opened for writing, or standard output when it is
+    not given.  A path that cannot be opened is a usage error, not a
+    traceback; `verify` opens it before any suite runs."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,7 @@ still make sense everywhere.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -32,7 +33,9 @@ def _is_prime(n: int) -> bool:
 
 
 def check_characteristic(p: int) -> int:
-    """Validate p = 0 or an odd prime and return it."""
+    """Validate p = 0 or an odd prime and return it as an int; a float or a
+    string is a TypeError."""
+    p = operator.index(p)
     if p == 0:
         return p
     if p >= 3 and p % 2 == 1 and _is_prime(p):
@@ -64,10 +67,10 @@ class Weight:
     p: int
 
     def __post_init__(self):
-        check_characteristic(self.p)
+        object.__setattr__(self, "p", check_characteristic(self.p))
         if len(self.parts) < 1:
             raise ValueError("a weight needs at least one entry")
-        object.__setattr__(self, "parts", tuple(int(x) for x in self.parts))
+        object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
 
     @property
     def n(self) -> int:
@@ -99,8 +102,9 @@ class Weight:
         return Weight(tuple(-x for x in reversed(self.parts)), self.p)
 
     def sub_eps(self, i: int) -> "Weight":
+        """lambda - epsilon_i, 1-based like `entry`."""
         parts = list(self.parts)
-        parts[i - 1] -= 1
+        parts[i - 1] = self.entry(i) - 1
         return Weight(tuple(parts), self.p)
 
 

@@ -1,6 +1,6 @@
-"""Partition-level combinatorics: contents, removable/addable nodes in both
-the partition and the weight conventions, signatures, crystal operators,
-the colored crystal graph, spin statistics and branching tables.
+"""Partition-level combinatorics: contents, removable/addable nodes,
+signatures, crystal operators, the colored crystal graph, spin statistics
+and branching tables.
 
 Nodes are (row, column) pairs, rows starting at 1.  Signatures are read
 row by row, larger column first within a row.
@@ -8,6 +8,7 @@ row by row, larger column first within a row.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .core import Weight, check_characteristic, congruent, ell_of, res_p
@@ -84,8 +85,8 @@ class PStrictPartition:
     p: int
 
     def __post_init__(self):
-        check_characteristic(self.p)
-        parts = tuple(int(x) for x in self.parts)
+        object.__setattr__(self, "p", check_characteristic(self.p))
+        parts = tuple(map(operator.index, self.parts))
         problem = p_strict_violation(parts, self.p)
         if problem is not None:
             raise NotPStrict(problem)
@@ -127,35 +128,21 @@ class PStrictPartition:
         return Weight(self.parts + (0,), self.p)
 
 
-# -- signed nodes, in both conventions ----------------------------------------
-
-PARTITION = "partition"
-WEIGHT = "weight"
+# -- signed nodes --------------------------------------------------------------
 
 
-def signed_nodes(
-    parts: tuple[int, ...], p: int, label: int, convention: str = PARTITION
-) -> SignedNodes:
-    """Signed label-removable (MINUS) and label-addable (PLUS) nodes of the
-    p-strict rows `parts`, in reading order.  PARTITION: labels are contents
-    (`cont_p`), columns start at 1 and one empty row is appended.  WEIGHT:
-    labels are residues (`res_p`, `label` reduced mod p), columns may be
-    <= 0 and no row is appended.
+def signed_nodes(rows: tuple[int, ...], p: int, beta: int) -> SignedNodes:
+    """Signed beta-removable (MINUS) and beta-addable (PLUS) nodes of the
+    p-strict rows `rows`, in reading order.  The label of column c is its
+    residue `res_p(c, p)`, columns may be <= 0, and `beta` is reduced mod p.
 
     A node is signed when its label matches and the one-row change keeps
     the rows p-strict; the pair rule signs the second of two equal-label
     nodes when both changes do.  Changing row r can only break
     p-strictness against rows r-1 and r+1, so only those are tested.
     """
-    if convention not in (PARTITION, WEIGHT):
-        raise ValueError(f"unknown convention {convention!r}")
-    partition = convention == PARTITION
-    rows = (*parts, 0) if partition else tuple(parts)
-
-    def label_of(col: int) -> int | None:
-        if partition:
-            return cont_p(col, p) if col >= 1 else None
-        return res_p(col, p)
+    if p:
+        beta %= p
 
     def ordered(a: int, b: int) -> bool:
         return a > b or (a == b and congruent(a, 0, p))
@@ -169,15 +156,15 @@ def signed_nodes(
     out: list[tuple[int, Node]] = []
     for r, lr in enumerate(rows):
         row = r + 1
-        if label_of(lr + 1) == label and fits(r, lr + 1):
+        if res_p(lr + 1, p) == beta and fits(r, lr + 1):
             # addable (row, lr+2) via the pair rule, then (row, lr+1)
-            if label_of(lr + 2) == label and fits(r, lr + 2):
+            if res_p(lr + 2, p) == beta and fits(r, lr + 2):
                 out.append((PLUS, (row, lr + 2)))
             out.append((PLUS, (row, lr + 1)))
-        if label_of(lr) == label and fits(r, lr - 1):
+        if res_p(lr, p) == beta and fits(r, lr - 1):
             # removable (row, lr), then (row, lr-1) via the pair rule
             out.append((MINUS, (row, lr)))
-            if label_of(lr - 1) == label and fits(r, lr - 2):
+            if res_p(lr - 1, p) == beta and fits(r, lr - 2):
                 out.append((MINUS, (row, lr - 1)))
     return tuple(out)
 
@@ -232,7 +219,16 @@ class ContentReduction:
 
 
 def reduce_content(lam: PStrictPartition, i: int) -> ContentReduction:
-    signed = signed_nodes(lam.parts, lam.p, i)
+    """The i-nodes of lam, read through the dictionary content i <->
+    residue i(i+1): the signed nodes of its rows padded with one empty row,
+    less the removable node in column 0 of that row.  That node exists only
+    at content 0 and is last in reading order."""
+    p = lam.p
+    if i < 0 or (p and i > ell_of(p)):
+        raise ValueError(f"content {i} does not occur at p={p}")
+    signed = signed_nodes(lam.parts + (0,), p, beta_of_content(i, p))
+    if signed and signed[-1][1][1] == 0:
+        signed = signed[:-1]
     return ContentReduction(signed, reduce_seq(signed))
 
 
@@ -240,12 +236,6 @@ def content_reductions(lam: PStrictPartition) -> dict[int, ContentReduction]:
     """One reduction per content that can label a node of lam."""
     width = max([1] + [v + 2 for v in lam.parts])
     return {i: reduce_content(lam, i) for i in contents_for(lam.p, width)}
-
-
-def rim_nodes(lam: PStrictPartition, i: int) -> tuple[list[Node], list[Node]]:
-    """All i-removable and i-addable nodes, each read off the rim top right
-    to bottom left (rows ascending, columns descending within a row)."""
-    return _split(signed_nodes(lam.parts, lam.p, i))
 
 
 def rim_signature(lam: PStrictPartition, i: int, reduced: bool = False) -> Seq:
@@ -269,32 +259,11 @@ def good_nodes(lam: PStrictPartition, i: int) -> list[Node]:
     return reduce_content(lam, i).good
 
 
-def normal_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    return reduce_content(lam, i).normal
-
-
-def conormal_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    return reduce_content(lam, i).conormal
-
-
-def cogood_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    return reduce_content(lam, i).cogood
-
-
-def _weight_nodes(lam: Weight, beta: int) -> SignedNodes:
-    if not lam.is_p_strict():
-        raise NotDominantPStrict(f"{lam.parts} is not dominant p-strict")
-    p = lam.p
-    return signed_nodes(lam.parts, p, beta % p if p else beta, WEIGHT)
-
-
-def body_nodes(lam: Weight, beta: int) -> tuple[list[Node], list[Node]]:
-    return _split(_weight_nodes(lam, beta))
-
-
 def beta_signature(lam: Weight, beta: int, reduced: bool = False) -> Seq:
     """The beta-signature of a dominant p-strict weight (marks = rows)."""
-    raw = _rows(_weight_nodes(lam, beta))
+    if not lam.is_p_strict():
+        raise NotDominantPStrict(f"{lam.parts} is not dominant p-strict")
+    raw = _rows(signed_nodes(lam.parts, lam.p, beta))
     return reduce_seq(raw) if reduced else raw
 
 

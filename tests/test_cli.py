@@ -267,6 +267,21 @@ def test_verify_all_rejects_parameters_before_any_suite_runs(capsys, monkeypatch
     assert code == 2 and out == "" and "signature-bridge" in err and seen == {}
 
 
+def test_analyze_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "analyze", "--p", "3", "--weight", "1,2", "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
+def test_verify_unwritable_out_fails_before_any_suite_runs(capsys, monkeypatch, tmp_path):
+    seen = _stub_runners(monkeypatch)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "all", "--out", str(target))
+    assert code == 2 and out == "" and seen == {}
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
 # sha256 prefixes of the stdout of single-suite runs, recorded before the
 # flags were routed through verify.SUITE_FLAGS
 SINGLE_SUITE_STDOUT = {

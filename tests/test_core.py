@@ -87,3 +87,30 @@ def test_weight_basics():
     assert Weight((3, 1), 5).minus_w0() == Weight((-1, -3), 5)
     with pytest.raises(ValueError):
         Weight((), 5)
+
+
+def test_sub_eps_checks_its_index():
+    w = Weight((5, 3, 1), 3)
+    assert w.sub_eps(1).parts == (4, 3, 1) and w.sub_eps(3).parts == (5, 3, 0)
+    for i in (0, 4, -1):
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            w.sub_eps(i)
+
+
+def test_inputs_must_be_exact_integers():
+    from spinbranch.crystal import PStrictPartition
+
+    for bad in ((2.5, 1.9), ("4", "-1"), (3.0, 1)):
+        with pytest.raises(TypeError):
+            Weight(bad, 3)
+    with pytest.raises(TypeError):
+        PStrictPartition((3.7, 1.2), 3)
+    for p in (3.0, "3"):
+        with pytest.raises(TypeError):
+            check_characteristic(p)
+        with pytest.raises(TypeError):
+            Weight((4, 1), p)
+        with pytest.raises(TypeError):
+            PStrictPartition((4, 1), p)
+    w = Weight((4, 1), 3)
+    assert type(w.p) is int and w.residue(1) == 0 and type(w.residue(1)) is int

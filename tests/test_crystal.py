@@ -7,7 +7,6 @@ import pytest
 from spinbranch import cli, crystal
 from spinbranch.core import Weight, res_p
 from spinbranch.crystal import (
-    WEIGHT,
     CrystalGraph,
     NotDominantPStrict,
     NotPStrict,
@@ -15,20 +14,16 @@ from spinbranch.crystal import (
     PStrictPartition,
     beta_of_content,
     beta_signature,
-    body_nodes,
     branching_tables,
-    cogood_nodes,
-    conormal_nodes,
     cont_p,
     contents_for,
     crystal_graph,
     e_tilde,
     f_tilde,
     good_nodes,
-    rim_nodes,
-    normal_nodes,
     p_strict_violation,
     partitions_of,
+    reduce_content,
     rim_signature,
     signed_nodes,
     spin_stats,
@@ -51,21 +46,40 @@ def test_content_residue_dictionary():
             assert beta_of_content(cont_p(s, p), p) == (s * (s - 1)) % p
 
 
+def _rim_nodes(lam, i):
+    red = reduce_content(lam, i)
+    return red.removable, red.addable
+
+
+def _by_sign(signed):
+    return (
+        [nd for sign, nd in signed if sign == MINUS],
+        [nd for sign, nd in signed if sign == PLUS],
+    )
+
+
 def test_rim_nodes_worked_example():
-    rem, add = rim_nodes(WORKED, 0)
+    rem, add = _rim_nodes(WORKED, 0)
     assert rem == [(1, 16), (1, 15), (2, 11), (6, 5), (7, 1)]
     assert add == [(5, 10), (6, 6)]
 
 
 def test_rim_nodes_small():
     empty = PStrictPartition((), 5)
-    assert rim_nodes(empty, 0) == ([], [(1, 1)])
-    assert rim_nodes(empty, 1) == ([], [])
+    assert _rim_nodes(empty, 0) == ([], [(1, 1)])
+    assert _rim_nodes(empty, 1) == ([], [])
     # (2,1) is not addable to (1): the result (1,1) fails p-strictness
     one = PStrictPartition((1,), 5)
-    assert rim_nodes(one, 0) == ([(1, 1)], [])
-    assert rim_nodes(PStrictPartition((2,), 5), 1) == ([(1, 2)], [])
-    assert rim_nodes(PStrictPartition((5,), 5), 0) == ([(1, 5)], [(1, 6), (2, 1)])
+    assert _rim_nodes(one, 0) == ([(1, 1)], [])
+    assert _rim_nodes(PStrictPartition((2,), 5), 1) == ([(1, 2)], [])
+    assert _rim_nodes(PStrictPartition((5,), 5), 0) == ([(1, 5)], [(1, 6), (2, 1)])
+
+
+def test_reduce_content_rejects_contents_that_do_not_occur():
+    # i(i+1) mod p would read these as other contents: 3 -> 1 at p = 5
+    for p, i in ((5, 3), (5, -1), (3, 2), (0, -1)):
+        with pytest.raises(ValueError, match="does not occur"):
+            reduce_content(PStrictPartition((2, 1), p), i)
 
 
 def test_rim_signature_worked_example():
@@ -93,19 +107,19 @@ def test_f_tilde_examples():
     assert f_tilde(0, PStrictPartition((), 3)).parts == (1,)
     assert f_tilde(1, PStrictPartition((1,), 3)).parts == (2,)
     assert f_tilde(0, WORKED) is None
-    assert conormal_nodes(WORKED, 0) == [] and cogood_nodes(WORKED, 0) == []
+    red = reduce_content(WORKED, 0)
+    assert red.conormal == [] and red.cogood == []
 
 
 def test_body_nodes_examples():
-    rem, add = body_nodes(Weight((1, 0), 5), 0)
+    rem, add = _by_sign(signed_nodes((1, 0), 5, 0))
     assert rem == [(1, 1), (2, 0)] and add == []
-    rem2, add2 = body_nodes(Weight((0,), 5), 0)
+    rem2, add2 = _by_sign(signed_nodes((0,), 5, 0))
     assert rem2 == [(1, 0)] and add2 == [(1, 1)]
-    padded = Weight(WORKED.parts + (0,), 5)
-    row8 = [(s, nd) for s, nd in signed_nodes(padded.parts, 5, 0, WEIGHT) if nd[0] == 8]
+    row8 = [(s, nd) for s, nd in signed_nodes(WORKED.parts + (0,), 5, 0) if nd[0] == 8]
     assert row8 == [(MINUS, (8, 0))]
     with pytest.raises(NotDominantPStrict):
-        body_nodes(Weight((1, 2), 5), 0)
+        beta_signature(Weight((1, 2), 5), 0)
 
 
 def test_beta_signature_examples():
@@ -246,7 +260,7 @@ def test_normal_node_removal_can_leave_restrictedness():
     # (3,1) at p=3 has a normal node whose removal gives the non-restricted (3);
     # the Specht table therefore omits it
     lam = PStrictPartition((3, 1), 3)
-    assert (2, 1) in normal_nodes(lam, 0)
+    assert (2, 1) in reduce_content(lam, 0).normal
     _, rsp, _, _ = branching_tables(lam)
     assert all(node != (2, 1) for _, node in rsp)
 
@@ -275,7 +289,7 @@ def test_node_level_matches_index_level_on_padded_weights():
                         r for r in range(1, w.n)
                         if w.residue(r) == beta and classes[r - 1].normal
                     }
-                    assert rows_normal == {nd[0] for nd in normal_nodes(lam, i)}
+                    assert rows_normal == {nd[0] for nd in reduce_content(lam, i).normal}
                     rows_good = {
                         r for r in range(1, w.n)
                         if w.residue(r) == beta and classes[r - 1].good
@@ -283,7 +297,7 @@ def test_node_level_matches_index_level_on_padded_weights():
                     assert rows_good == {nd[0] for nd in good_nodes(lam, i)}
 
 
-# -- the merged signed-node routine and the generated graph, against oracles ------
+# -- the signed-node routine and the generated graph, against oracles ------------
 
 
 def _labels(parts, p):
@@ -295,6 +309,8 @@ def _labels(parts, p):
 
 
 def test_signed_nodes_match_both_oracles_on_partitions():
+    # the content oracle is built on cont_p, so this checks the dictionary
+    # content i <-> residue i(i+1) that reduce_content reads partitions by
     cases = 0
     for p in (0, 3, 5, 7):
         for n in range(15):
@@ -304,13 +320,13 @@ def test_signed_nodes_match_both_oracles_on_partitions():
                 except NotPStrict:
                     continue
                 for i in contents_for(p, max([1] + [v + 2 for v in parts])):
-                    assert signed_nodes(parts, p, i) == tuple(
+                    assert reduce_content(lam, i).signed == tuple(
                         definitional.rim_signed_nodes(lam, i)
                     ), (p, parts, i)
                     cases += 1
                 padded = lam.pad_weight()
                 for beta in _labels(parts, p):
-                    assert signed_nodes(padded.parts, p, beta, WEIGHT) == tuple(
+                    assert signed_nodes(padded.parts, p, beta) == tuple(
                         definitional.body_signed_nodes(padded, beta)
                     ), (p, parts, beta)
     assert cases >= 2000
@@ -328,13 +344,8 @@ def test_signed_nodes_match_weight_oracle_on_random_weights():
         seen += 1
         for beta in _labels(w.parts, p):
             expected = tuple(definitional.body_signed_nodes(w, beta))
-            assert signed_nodes(w.parts, p, beta, WEIGHT) == expected, (w, beta)
+            assert signed_nodes(w.parts, p, beta) == expected, (w, beta)
             assert beta_signature(w, beta) == tuple((s, nd[0]) for s, nd in expected)
-
-
-def test_signed_nodes_rejects_unknown_convention():
-    with pytest.raises(ValueError):
-        signed_nodes((2, 1), 3, 0, "columns")
 
 
 def test_generated_graph_matches_filtered_oracle():
