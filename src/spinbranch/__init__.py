@@ -61,7 +61,7 @@ def clear_caches() -> None:
     from . import indices, poly, raising
 
     for memo in (indices._reduction_cached, poly._g1_cached, poly._g2_cached,
-                 raising._bracket_cached, raising._rec_cached):
+                 raising._bracket_cached, raising._rec):
         memo.cache_clear()
 
 

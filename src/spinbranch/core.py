@@ -10,8 +10,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 
 class InvalidCharacteristic(ValueError):
     pass
@@ -59,6 +57,12 @@ def congruent(a: int, b: int, p: int) -> bool:
     return (a - b) % p == 0 if p > 0 else a == b
 
 
+def p_strict_pair(a: int, b: int, p: int) -> bool:
+    """Whether a, b may be neighbours a row apart in a p-strict sequence:
+    a > b, or a = b divisible by p."""
+    return a > b or (a == b and congruent(a, 0, p))
+
+
 @dataclass(frozen=True)
 class Weight:
     """An integer vector (lambda_1, ..., lambda_n) with its characteristic p."""
@@ -85,17 +89,9 @@ class Weight:
     def residue(self, i: int) -> int:
         return res_p(self.entry(i), self.p)
 
-    def is_dominant(self) -> bool:
-        return all(a >= b for a, b in zip(self.parts, self.parts[1:]))
-
     def is_p_strict(self) -> bool:
         """Dominant, and equal adjacent entries are divisible by p."""
-        if not self.is_dominant():
-            return False
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a == b and not congruent(a, 0, self.p):
-                return False
-        return True
+        return all(p_strict_pair(a, b, self.p) for a, b in zip(self.parts, self.parts[1:]))
 
     def minus_w0(self) -> "Weight":
         """(-lambda_n, ..., -lambda_1)."""
@@ -108,27 +104,20 @@ class Weight:
         return Weight(tuple(parts), self.p)
 
 
-def _order_key(value: int, barred: bool) -> tuple[int, int]:
-    # barred-before-unbarred at equal absolute value; never exercised by the
-    # recursions (a signed set holds at most one of k, kbar) but keeps the
-    # order total.
-    return (value, 0 if barred else 1)
-
-
 @dataclass(frozen=True)
 class SignedSet:
     """A finite set of integers, each carried unbarred (even) or barred (odd).
 
-    No integer may appear in both roles.  Elements are compared by
-    nbar < m, n < mbar, nbar < mbar whenever n < m.
+    No integer may appear in both roles, so elements are ordered by their
+    absolute values.
     """
 
     evens: frozenset[int] = field(default_factory=frozenset)
     odds: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "evens", frozenset(self.evens))
-        object.__setattr__(self, "odds", frozenset(self.odds))
+        object.__setattr__(self, "evens", frozenset(map(operator.index, self.evens)))
+        object.__setattr__(self, "odds", frozenset(map(operator.index, self.odds)))
         clash = self.evens & self.odds
         if clash:
             raise ValueError(f"{sorted(clash)} appear both barred and unbarred")
@@ -141,11 +130,6 @@ class SignedSet:
     def __len__(self) -> int:
         return len(self.evens) + len(self.odds)
 
-    def elements(self) -> list[tuple[int, bool]]:
-        """All (value, barred) pairs in increasing signed order."""
-        items = [(v, False) for v in self.evens] + [(v, True) for v in self.odds]
-        return sorted(items, key=lambda e: _order_key(*e))
-
     def support(self) -> frozenset[int]:
         """Absolute values (underlying integers) of all elements."""
         return self.evens | self.odds
@@ -154,12 +138,11 @@ class SignedSet:
         return len(self.odds) % 2
 
     def min(self) -> tuple[int, bool] | None:
-        els = self.elements()
-        return els[0] if els else None
-
-    def max(self) -> tuple[int, bool] | None:
-        els = self.elements()
-        return els[-1] if els else None
+        """The least element as (value, barred), or None when empty."""
+        if not self:
+            return None
+        v = min(self.support())
+        return v, v in self.odds
 
     def contains_even(self, v: int) -> bool:
         return v in self.evens
@@ -178,8 +161,7 @@ class SignedSet:
         """Keep the elements whose absolute value lies in `values`."""
         vals = set(values)
         return SignedSet(
-            frozenset(v for v in self.evens if v in vals),
-            frozenset(v for v in self.odds if v in vals),
+            (v for v in self.evens if v in vals), (v for v in self.odds if v in vals)
         )
 
     def replace(self, old: tuple[int, bool], new: tuple[int, bool]) -> "SignedSet":
@@ -194,7 +176,7 @@ class SignedSet:
         if nv in evens or nv in odds:
             raise InvalidReplace(f"replacement {new} collides with an existing element")
         (odds if nbar else evens).add(nv)
-        return SignedSet(frozenset(evens), frozenset(odds))
+        return SignedSet(evens, odds)
 
     def remove(self, el: tuple[int, bool]) -> "SignedSet":
         v, barred = el
@@ -208,7 +190,7 @@ class SignedSet:
 
     @staticmethod
     def of(evens=(), odds=()) -> "SignedSet":
-        return SignedSet(frozenset(evens), frozenset(odds))
+        return SignedSet(evens, odds)
 
 
 @dataclass(frozen=True)
@@ -221,7 +203,8 @@ class DeltaFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.values):
+        object.__setattr__(self, "lo", operator.index(self.lo))
+        if not set(map(operator.index, self.values)) <= {0, 1}:
             raise ValueError("delta values must be 0 or 1")
 
     @property
@@ -244,6 +227,9 @@ class DeltaFunction:
         return DeltaFunction(lo, tuple(self(t) for t in range(lo, hi + 1)))
 
     def with_value(self, t: int, v: int) -> "DeltaFunction":
+        """The function with its value at t set to v; t outside [lo..hi] is
+        the KeyError of a call."""
+        self(t)
         vals = list(self.values)
         vals[t - self.lo] = v
         return DeltaFunction(self.lo, tuple(vals))

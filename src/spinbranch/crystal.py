@@ -11,7 +11,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .core import Weight, check_characteristic, congruent, ell_of, res_p
+from .core import Weight, check_characteristic, ell_of, p_strict_pair, res_p
 from .sigseq import MINUS, PLUS, Seq, reduce_seq
 
 Node = tuple[int, int]
@@ -43,9 +43,9 @@ def cont_p(col: int, p: int) -> int:
 
 
 def beta_of_content(i: int, p: int) -> int:
-    """The residue attached to content i: i^2 + i mod p."""
-    v = i * i + i
-    return v % p if p else v
+    """The residue attached to content i: i(i+1), the residue of column
+    i + 1."""
+    return res_p(i + 1, p)
 
 
 def p_strict_violation(parts: tuple[int, ...], p: int) -> str | None:
@@ -55,7 +55,7 @@ def p_strict_violation(parts: tuple[int, ...], p: int) -> str | None:
     for k, (a, b) in enumerate(zip(parts, parts[1:]), start=1):
         if a < b:
             return f"parts increase at rows {k},{k + 1}: {a} < {b}"
-        if a == b and a > 0 and (p == 0 or a % p != 0):
+        if a > 0 and not p_strict_pair(a, b, p):
             return (
                 f"equal positive parts {a},{b} at rows {k},{k + 1}"
                 f" are not divisible by p={p}"
@@ -144,13 +144,10 @@ def signed_nodes(rows: tuple[int, ...], p: int, beta: int) -> SignedNodes:
     if p:
         beta %= p
 
-    def ordered(a: int, b: int) -> bool:
-        return a > b or (a == b and congruent(a, 0, p))
-
     def fits(r: int, v: int) -> bool:
         # row r (0-based) set to v, against the rows just above and below
-        return (r == 0 or ordered(rows[r - 1], v)) and (
-            r == len(rows) - 1 or ordered(v, rows[r + 1])
+        return (r == 0 or p_strict_pair(rows[r - 1], v, p)) and (
+            r == len(rows) - 1 or p_strict_pair(v, rows[r + 1], p)
         )
 
     out: list[tuple[int, Node]] = []

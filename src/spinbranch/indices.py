@@ -234,20 +234,15 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     gap = list(range(i + 1, n))
     red_gap = reduce_seq(product_of(u, gap))
     pluses = plus_count(red_gap)
-    beta_zero = congruent(lam.entry(i) * (lam.entry(i) - 1), 0, p)
 
-    if (not beta_zero and pluses >= 1) or (beta_zero and pluses >= 2):
-        tag = "a" if not beta_zero else "b"
+    if pluses >= (2 if beta == 0 else 1):
         j_set, flow = partial_flow(u.restrict(gap))
         j = max(j_set)
-        srcs = flow.sources()
-        m_set = SignedSet.of(
-            evens=[t for t in seg_oc(i, j) if t not in srcs], odds=[j + 1]
-        )
-        c = _residue_product(lam, beta, [t for t in seg_oc(i, j) if t not in srcs])
-        return Certificate("a" if tag == "a" else "b", i, j, flow, m_set, srcs, c)
+        m_set = _leftovers(seg_oc(i, j), flow, odds=[j + 1])
+        c = _residue_product(lam, beta, m_set.evens)
+        return Certificate("b" if beta == 0 else "a", i, j, flow, m_set, flow.sources(), c)
 
-    if beta_zero and pluses == 1 and congruent(lam.entry(i), 0, p):
+    if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
         j = lead_plus_index(u.restrict(gap))
         tag = "c"
     elif not red_gap and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
@@ -256,12 +251,18 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     else:
         raise UnreachableCase(f"no certificate case matched for {lam.parts}, i={i}")
 
-    inner = [t for t in seg_oo(i, j)]
+    inner = seg_oo(i, j)
     flow = build_full_flow(u.restrict(inner))
+    m_set = _leftovers(inner, flow, odds=[j])
+    c = _residue_product(lam, beta, m_set.evens)
+    return Certificate(tag, i, j, flow, m_set, flow.sources(), c)
+
+
+def _leftovers(dom, flow: Flow, odds=()) -> SignedSet:
+    """The set M of a certificate or a construction step: the indices of
+    dom that are not sources of the flow, unbarred, plus the barred odds."""
     srcs = flow.sources()
-    m_set = SignedSet.of(evens=[t for t in inner if t not in srcs], odds=[j])
-    c = _residue_product(lam, beta, [t for t in inner if t not in srcs])
-    return Certificate(tag, i, j, flow, m_set, srcs, c)
+    return SignedSet.of(evens=[t for t in dom if t not in srcs], odds=odds)
 
 
 def _residue_product(lam: Weight, beta: int, ts) -> int:
@@ -336,8 +337,7 @@ def _base_step(lam: Weight, u: SignMap, i: int, red_gap: Seq) -> PlanStep:
         raise UnreachableCase("base step at a non-normal index")
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
     flow = build_full_flow(u.restrict(dom))
-    srcs = flow.sources()
-    m_set = SignedSet.of(evens=[t for t in dom if t not in srcs], odds=[] if closed else [n])
+    m_set = _leftovers(dom, flow, odds=[] if closed else [n])
     return PlanStep("T6.1.3" if closed else "T6.2.3",
                     {"i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
@@ -346,10 +346,8 @@ def _resolution_step(lam: Weight, u: SignMap, i: int) -> PlanStep:
     """The one-odd construction driven by a resolution of u = r_0 on (i..n]."""
     n = lam.n
     delta = resolution_of(u.restrict(seg_oc(i, n)))
-    srcs = delta.sources()
     q = max(a for a, b in delta.edges if a == b)
-    leftovers = [t for t in seg_oc(i, n) if t not in srcs]
-    m_set = SignedSet.of(evens=leftovers, odds=[q])
+    m_set = _leftovers(seg_oc(i, n), delta, odds=[q])
     return PlanStep(
         "T6.3.3", {"i": i, "beta": 0, "resolution": delta, "q": q, "M": m_set}
     )
@@ -358,13 +356,10 @@ def _resolution_step(lam: Weight, u: SignMap, i: int) -> PlanStep:
 def _extension_flow_step(lam: Weight, u: SignMap, theorem: str, h: int, i: int) -> PlanStep:
     """Payload for the two flow-based extension steps from i down to h."""
     flow = build_full_flow(u.restrict(seg_oc(h, i)))
-    srcs = flow.sources()
     if theorem == "T6.4.2":
-        leftovers = [t for t in seg_oo(h, i) if t not in srcs]
-        m_set = SignedSet.of(evens=leftovers, odds=[i])
+        m_set = _leftovers(seg_oo(h, i), flow, odds=[i])
     else:  # T6.5.2
-        leftovers = [t for t in seg_oc(h, i) if t not in srcs]
-        m_set = SignedSet.of(evens=leftovers)
+        m_set = _leftovers(seg_oc(h, i), flow)
     return PlanStep(theorem, {"h": h, "i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
 
@@ -388,8 +383,7 @@ def _joined_extension_step(u: SignMap, h: int, i: int) -> PlanStep:
         loops |= {(a, a) for a in sec} | pieces
     gamma = Flow(frozenset(edges))
     delta = Flow(frozenset(loops))
-    srcs = gamma.sources() - {h}
-    m_set = SignedSet.of(evens=[t for t in inner if t not in srcs])
+    m_set = _leftovers(inner, gamma)  # h, a source of gamma, lies outside inner
     return PlanStep(
         "T6.6.2",
         {"h": h, "i": i, "beta": 0, "flow": gamma, "weak_flow": delta, "M": m_set},
@@ -435,8 +429,7 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
         raise PreconditionFailed(f"index {h} is not normal for {lam.parts}")
     p = lam.p
     u = own.sign_map
-    beta_zero = congruent(lam.entry(i) * (lam.entry(i) - 1), 0, p)
-    if not beta_zero:
+    if lam.residue(i) != 0:
         return ConstructionPlan((_extension_flow_step(lam, u, "T6.5.2", h, i),))
     red = reduce_seq(product_of(u, seg_oc(h, i)))
     pluses = plus_count(red)

@@ -209,11 +209,17 @@ def _bracket_cached(f: Polynomial) -> U0Element:
 # -- the raising-coefficient recursion -----------------------------------------
 
 
-def _check_m(i: int, j: int, m: SignedSet):
+def _check_args(i: int, j: int, m: SignedSet, delta: DeltaFunction | None = None):
+    """i < j, M a signed (i..j]-set holding j or j barred, and delta (when
+    given) on [i..j-1]."""
+    if not i < j:
+        raise BadSignedSet("need i < j")
     if not (m.contains_even(j) or m.contains_odd(j)):
         raise BadSignedSet(f"M must contain {j} or {j} barred")
     if not m.is_signed_subset_of(range(i + 1, j + 1)):
         raise BadSignedSet(f"M must be a signed ({i}..{j}]-set")
+    if delta is not None and (delta.lo, delta.hi) != (i, j - 1):
+        raise BadSignedSet(f"delta domain must be [{i}..{j - 1}]")
 
 
 def raising_rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U0Element:
@@ -222,30 +228,18 @@ def raising_rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) ->
     All sign exponents are evaluated in Z/2; the result is a normal-form
     degree-zero element over exact integers.
     """
-    if not i < j:
-        raise BadSignedSet("need i < j")
-    _check_m(i, j, m)
-    if (delta.lo, delta.hi) != (i, j - 1):
-        raise BadSignedSet(f"delta domain must be [{i}..{j - 1}]")
+    _check_args(i, j, m, delta)
     return _rec(i, j, eps % 2, delta, m)
-
-
-@lru_cache(maxsize=200000)
-def _rec_cached(i, j, eps, delta_values, evens, odds):
-    return _rec_work(
-        i, j, eps, DeltaFunction(i, delta_values), SignedSet(evens, odds)
-    )
-
-
-def _rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U0Element:
-    return _rec_cached(i, j, eps, delta.values, m.evens, m.odds)
 
 
 def _sgn(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _rec_work(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U0Element:
+# keyed by the frozen delta and M themselves: every call has delta on
+# [i..j-1], which the public entry points check
+@lru_cache(maxsize=200000)
+def _rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U0Element:
     sd = delta.sum_range
     if m == SignedSet.of(odds=[j]):
         # base: a single barred element
@@ -305,9 +299,7 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
     """Closed form: an indicator times the bracket of a g1 when M is all
     even, and a signed sum of g2 brackets against H-generators when M has
     exactly one barred element."""
-    if not i < j:
-        raise BadSignedSet("need i < j")
-    _check_m(i, j, m)
+    _check_args(i, j, m)
     eps %= 2
     if len(m.odds) == 0:
         if delta.total() != eps:
@@ -341,6 +333,7 @@ def two_term_sum_sides(
 ):
     """Both sides of the two-term summation identity used to assemble the
     one-barred closed form; delta lives on [m..j-1]."""
+    _check_args(m_idx, j, n_set, delta)
     sd_all = delta.total()
     lhs = U0Element.zero()
     for tau in (0, 1):

@@ -8,6 +8,7 @@ which agrees with any erasure order (tested, not assumed).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .core import Weight, res_p
@@ -196,7 +197,8 @@ class Flow:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "edges", frozenset((int(a), int(b)) for a, b in self.edges)
+            self, "edges",
+            frozenset((operator.index(a), operator.index(b)) for a, b in self.edges),
         )
 
     def sources(self) -> frozenset[int]:
@@ -240,28 +242,19 @@ def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
 def build_full_flow(u: SignMap) -> Flow:
     """A flow fully coherent with u, given [prod u] = -^m.
 
-    Single mode: the erasure-trace construction (each erased -+ pair is an
-    edge); bud count m.  Pair mode: one pass in index order, joining the
-    maximal available bud to each index whose value holds a +; bud count
-    m/2.
+    One pass in index order joins the maximal available bud to each index
+    whose value holds a +, then makes the index a bud when its value holds
+    a -.  Every prefix of prod u has at least as many - as +, so a bud is
+    always there; in single mode the edges are the erased -+ pairs.  Bud
+    count m (single mode) or m/2 (pair mode).
     """
-    if not is_all_minus(reduced_product(u)):
-        raise NotAllMinus(f"[prod u] = {signs(reduced_product(u))} contains a +")
+    red = reduced_product(u)
+    if not is_all_minus(red):
+        raise NotAllMinus(f"[prod u] = {signs(red)} contains a +")
     edges: set[tuple[int, int]] = set()
-    if u.mode == "single":
-        stack: list[tuple[int, int]] = []  # (sign, index)
-        for sign, mark in product_of(u):
-            if sign == PLUS and stack and stack[-1][0] == MINUS:
-                a = stack.pop()[1]
-                edges.add((a, mark))
-            else:
-                stack.append((sign, mark))
-        return Flow(frozenset(edges))
     buds: list[int] = []  # increasing, so the maximal bud is on top
     for e, v in u.values:
-        if v in ("+-", "++"):
-            if not buds:
-                raise AssertionError("no bud available; precondition violated")
+        if "+" in v:
             edges.add((buds.pop(), e))
         if "-" in v:
             buds.append(e)

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinbranch.core import (
+    DeltaFunction,
     InvalidCharacteristic,
     InvalidReplace,
     SignedSet,
@@ -36,7 +37,7 @@ def test_signed_measure_example():
     m = SignedSet.of(evens=[1, 5], odds=[3, 6, 7])
     assert m.parity() == 1
     assert m.min() == (1, False)
-    assert m.max() == (7, True)
+    assert SignedSet.of(evens=[4], odds=[-2, 9]).min() == (-2, True)
 
 
 def test_signed_measure_empty_and_singleton():
@@ -45,7 +46,7 @@ def test_signed_measure_empty_and_singleton():
     assert empty.min() is None
     single = SignedSet.of(odds=[2])
     assert single.parity() == 1
-    assert single.min() == single.max() == (2, True)
+    assert single.min() == (2, True)
 
 
 def test_signed_transforms():
@@ -99,6 +100,7 @@ def test_sub_eps_checks_its_index():
 
 def test_inputs_must_be_exact_integers():
     from spinbranch.crystal import PStrictPartition
+    from spinbranch.sigseq import Flow
 
     for bad in ((2.5, 1.9), ("4", "-1"), (3.0, 1)):
         with pytest.raises(TypeError):
@@ -114,3 +116,22 @@ def test_inputs_must_be_exact_integers():
             PStrictPartition((4, 1), p)
     w = Weight((4, 1), 3)
     assert type(w.p) is int and w.residue(1) == 0 and type(w.residue(1)) is int
+    for bad in (dict(evens=[1.5]), dict(odds=[2.0]), dict(evens=["3"])):
+        with pytest.raises(TypeError):
+            SignedSet.of(**bad)
+    for lo, values in ((0.5, (1,)), (1, (1.0, 0)), (1, (0, "1"))):
+        with pytest.raises(TypeError):
+            DeltaFunction(lo, values)
+    with pytest.raises(ValueError):
+        DeltaFunction(1, (0, 2))
+    for edge in ((1.7, 2), (1, 2.0)):
+        with pytest.raises(TypeError):
+            Flow(frozenset({edge}))
+
+
+def test_delta_with_value_checks_its_point():
+    d = DeltaFunction(2, (0, 0, 0))
+    assert d.with_value(2, 1).values == (1, 0, 0) and d.with_value(4, 1).values == (0, 0, 1)
+    for t in (1, 5, -1):
+        with pytest.raises(KeyError, match=r"outside \[2..4\]"):
+            d.with_value(t, 1)

@@ -1,10 +1,12 @@
 """The packed polynomial kernel against the dict-of-tuples reference in
 polyref.py, and each operation's defining property at random integer
 points.  Library results are read back through their printed form only."""
+import importlib
 import json
 import os
 import random
 import pickle
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -16,14 +18,12 @@ import polyref as ref
 import spinbranch
 from spinbranch import clear_caches
 from spinbranch.core import SignedSet, Weight
-from spinbranch.indices import _reduction_cached, classify_indices, reduce_residue
+from spinbranch.indices import classify_indices, reduce_residue
 from spinbranch.poly import (
     MAX_EXP,
     DegreeOverflow,
     NotDivisible,
     Polynomial,
-    _g1_cached,
-    _g2_cached,
     exact_div,
     format_poly,
     g1,
@@ -36,8 +36,6 @@ from spinbranch.poly import (
 )
 from spinbranch.raising import (
     DeltaFunction,
-    _bracket_cached,
-    _rec_cached,
     bracket_hom,
     raising_closed,
     raising_rec,
@@ -265,21 +263,32 @@ def test_pickles_do_not_depend_on_field_numbers():
 # -- caches ------------------------------------------------------------------------
 
 
-CACHES = (_reduction_cached, _g1_cached, _g2_cached, _bracket_cached, _rec_cached)
+def module_memos() -> dict:
+    """Every module-level object in spinbranch.* that can be cleared, so a
+    new or renamed memo cannot escape the hook unnoticed."""
+    memos = {}
+    for info in pkgutil.iter_modules(spinbranch.__path__):
+        mod = importlib.import_module(f"spinbranch.{info.name}")
+        for attr, obj in vars(mod).items():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == mod.__name__:
+                memos[f"{info.name}.{attr}"] = obj
+    return memos
 
 
 def test_caches_are_bounded_and_reset_by_one_hook():
+    memos = module_memos()
+    assert len(memos) >= 5
     delta = DeltaFunction(1, (0, 1, 0))
     m = SignedSet.of(evens=[2], odds=[4])
     raising_rec(1, 4, 0, delta, m)
     raising_closed(1, 4, 0, delta, m)
     g1(1, 4, {2})
     classify_indices(Weight((3, 1, 0), 5))
-    for cache in CACHES:
+    for name, cache in memos.items():
         info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize > 0
+        assert info.maxsize is not None and info.currsize > 0, name
     clear_caches()
-    assert all(cache.cache_info().currsize == 0 for cache in CACHES)
+    assert {name for name, cache in memos.items() if cache.cache_info().currsize} == set()
 
 
 def test_cached_results_cannot_be_changed_by_a_caller():

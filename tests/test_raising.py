@@ -19,6 +19,7 @@ from spinbranch.raising import (
     format_u0,
     raising_closed,
     raising_rec,
+    two_term_sum_sides,
     u0_b,
     u0_c,
     u0_h,
@@ -150,6 +151,18 @@ def test_raising_rejects_bad_input():
         raising_rec(1, 3, 0, DeltaFunction(1, (0, 0, 0)), SignedSet.of(evens=[3]))
     with pytest.raises(BadSignedSet):
         raising_rec(1, 3, 0, DeltaFunction(1, (0, 0)), SignedSet.of(evens=[3, 7]))
+    n_set = SignedSet.of(evens=[3], odds=[2])
+    lhs, rhs = two_term_sum_sides(1, 3, 2, 0, 0, DeltaFunction(1, (0, 1)), n_set)
+    assert lhs == rhs
+    for args in (
+        (1, 3, 2, 0, 0, DeltaFunction(0, (0, 0, 1)), n_set),  # delta on [0..2]
+        (1, 3, 2, 0, 0, DeltaFunction(1, (0,)), n_set),  # delta on [1..1]
+        (3, 3, 2, 0, 0, DeltaFunction(3, ()), n_set),  # m = j
+        (1, 3, 2, 0, 0, DeltaFunction(1, (0, 1)), SignedSet.of(odds=[2])),  # 3 not in N
+        (2, 3, 2, 0, 0, DeltaFunction(2, (0,)), n_set),  # 2 outside (2..3]
+    ):
+        with pytest.raises(BadSignedSet):
+            two_term_sum_sides(*args)
 
 
 def _sweep(i, width):
