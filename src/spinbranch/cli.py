@@ -7,7 +7,6 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict
 
 from . import crystal as cr
 from . import indices as ix
@@ -34,7 +33,7 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 def _weight_report(lam: Weight) -> dict:
     indices = []
     for cls in ix.classify_indices(lam):
-        entry = asdict(cls)
+        entry = dict(vars(cls))  # the flags are plain bools and ints
         i = entry.pop("index")
         entry.update(i=i, entry=lam.entry(i))
         if i < lam.n and not cls.normal:

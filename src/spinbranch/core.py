@@ -57,6 +57,15 @@ def congruent(a: int, b: int, p: int) -> bool:
     return (a - b) % p == 0 if p > 0 else a == b
 
 
+def _trusted(cls, **fields):
+    """A frozen `cls` instance with these attributes, skipping the checks of
+    `__post_init__`: only for fields read off an already valid instance."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def p_strict_pair(a: int, b: int, p: int) -> bool:
     """Whether a, b may be neighbours a row apart in a p-strict sequence:
     a > b, or a = b divisible by p."""
@@ -95,13 +104,13 @@ class Weight:
 
     def minus_w0(self) -> "Weight":
         """(-lambda_n, ..., -lambda_1)."""
-        return Weight(tuple(-x for x in reversed(self.parts)), self.p)
+        return _trusted(Weight, parts=tuple(-x for x in reversed(self.parts)), p=self.p)
 
     def sub_eps(self, i: int) -> "Weight":
         """lambda - epsilon_i, 1-based like `entry`."""
         parts = list(self.parts)
         parts[i - 1] = self.entry(i) - 1
-        return Weight(tuple(parts), self.p)
+        return _trusted(Weight, parts=tuple(parts), p=self.p)
 
 
 @dataclass(frozen=True)
@@ -160,14 +169,17 @@ class SignedSet:
     def restrict(self, values) -> "SignedSet":
         """Keep the elements whose absolute value lies in `values`."""
         vals = set(values)
-        return SignedSet(
-            (v for v in self.evens if v in vals), (v for v in self.odds if v in vals)
+        return _trusted(
+            SignedSet,
+            evens=frozenset(v for v in self.evens if v in vals),
+            odds=frozenset(v for v in self.odds if v in vals),
         )
 
     def replace(self, old: tuple[int, bool], new: tuple[int, bool]) -> "SignedSet":
         """M with one element rewritten: old must be present, new must fit."""
         ov, obar = old
         nv, nbar = new
+        nv = operator.index(nv)
         if obar and not self.contains_odd(ov) or (not obar and not self.contains_even(ov)):
             raise InvalidReplace(f"{old} not in signed set")
         evens = set(self.evens)
@@ -176,17 +188,17 @@ class SignedSet:
         if nv in evens or nv in odds:
             raise InvalidReplace(f"replacement {new} collides with an existing element")
         (odds if nbar else evens).add(nv)
-        return SignedSet(evens, odds)
+        return _trusted(SignedSet, evens=frozenset(evens), odds=frozenset(odds))
 
     def remove(self, el: tuple[int, bool]) -> "SignedSet":
         v, barred = el
         if barred:
             if not self.contains_odd(v):
                 raise KeyError(el)
-            return SignedSet(self.evens, self.odds - {v})
+            return _trusted(SignedSet, evens=self.evens, odds=self.odds - {v})
         if not self.contains_even(v):
             raise KeyError(el)
-        return SignedSet(self.evens - {v}, self.odds)
+        return _trusted(SignedSet, evens=self.evens - {v}, odds=self.odds)
 
     @staticmethod
     def of(evens=(), odds=()) -> "SignedSet":
@@ -224,15 +236,18 @@ class DeltaFunction:
         return sum(self(t) for t in range(a, b)) % 2
 
     def restrict(self, lo: int, hi: int) -> "DeltaFunction":
-        return DeltaFunction(lo, tuple(self(t) for t in range(lo, hi + 1)))
+        values = tuple(self(t) for t in range(lo, hi + 1))
+        return _trusted(DeltaFunction, lo=operator.index(lo), values=values)
 
     def with_value(self, t: int, v: int) -> "DeltaFunction":
         """The function with its value at t set to v; t outside [lo..hi] is
         the KeyError of a call."""
         self(t)
+        if operator.index(v) not in (0, 1):
+            raise ValueError("delta values must be 0 or 1")
         vals = list(self.values)
         vals[t - self.lo] = v
-        return DeltaFunction(self.lo, tuple(vals))
+        return _trusted(DeltaFunction, lo=self.lo, values=tuple(vals))
 
 
 # -- segment notation -------------------------------------------------------

@@ -11,7 +11,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .core import Weight, check_characteristic, ell_of, p_strict_pair, res_p
+from .core import Weight, _trusted, check_characteristic, ell_of, p_strict_pair, res_p
 from .sigseq import MINUS, PLUS, Seq, reduce_seq
 
 Node = tuple[int, int]
@@ -65,14 +65,11 @@ def p_strict_violation(parts: tuple[int, ...], p: int) -> str | None:
     return None
 
 
-def _is_restricted_parts(parts: tuple[int, ...], p: int) -> bool:
-    if p_strict_violation(parts, p) is not None:
-        return False
-    if p == 0:
-        return True
-    padded = parts + (0,)
-    return all(
-        a - b < p if a % p == 0 else a - b <= p for a, b in zip(padded, padded[1:])
+def _fits(rows, r: int, v: int, p: int) -> bool:
+    """Whether row r (0-based) of the p-strict rows may be set to v: a
+    one-row change can only break p-strictness against rows r-1 and r+1."""
+    return (r == 0 or p_strict_pair(rows[r - 1], v, p)) and (
+        r == len(rows) - 1 or p_strict_pair(v, rows[r + 1], p)
     )
 
 
@@ -105,27 +102,39 @@ class PStrictPartition:
         return self.parts[r - 1] if 1 <= r <= len(self.parts) else 0
 
     def is_restricted(self) -> bool:
-        return _is_restricted_parts(self.parts, self.p)
+        """Each row exceeds the next (0 past the last) by less than p when
+        it is divisible by p, and by at most p otherwise."""
+        p = self.p
+        padded = self.parts + (0,)
+        return p == 0 or all(
+            a - b < p if a % p == 0 else a - b <= p for a, b in zip(padded, padded[1:])
+        )
 
     def remove(self, node: Node) -> "PStrictPartition":
         r, c = node
-        if self.part(r) != c:
+        if not 1 <= r <= self.rows or self.part(r) != c:
             raise ValueError(f"{node} is not a rim node")
-        parts = list(self.parts)
-        parts[r - 1] -= 1
-        return PStrictPartition(tuple(parts), self.p)
+        return self._set_row(r, c - 1)
 
     def add(self, node: Node) -> "PStrictPartition":
         r, c = node
-        if self.part(r) + 1 != c:
+        if r < 1 or self.part(r) + 1 != c:
             raise ValueError(f"{node} does not extend row {r}")
-        parts = list(self.parts) + [0] * (r - len(self.parts))
-        parts[r - 1] += 1
-        return PStrictPartition(tuple(parts), self.p)
+        return self._set_row(r, c)
+
+    def _set_row(self, r: int, v: int) -> "PStrictPartition":
+        """The rows, padded with zeros up to row r, with row r set to v."""
+        parts = list(self.parts) + [0] * (r - self.rows)
+        parts[r - 1] = v
+        if not _fits(parts, r - 1, v, self.p):
+            raise NotPStrict(p_strict_violation(tuple(parts), self.p))
+        if not v:  # only the last row can empty and keep the rows p-strict
+            parts.pop()
+        return _trusted(PStrictPartition, parts=tuple(parts), p=self.p)
 
     def pad_weight(self) -> Weight:
         """The partition as a dominant weight with one trailing zero part."""
-        return Weight(self.parts + (0,), self.p)
+        return _trusted(Weight, parts=self.parts + (0,), p=self.p)
 
 
 # -- signed nodes --------------------------------------------------------------
@@ -143,25 +152,18 @@ def signed_nodes(rows: tuple[int, ...], p: int, beta: int) -> SignedNodes:
     """
     if p:
         beta %= p
-
-    def fits(r: int, v: int) -> bool:
-        # row r (0-based) set to v, against the rows just above and below
-        return (r == 0 or p_strict_pair(rows[r - 1], v, p)) and (
-            r == len(rows) - 1 or p_strict_pair(v, rows[r + 1], p)
-        )
-
     out: list[tuple[int, Node]] = []
     for r, lr in enumerate(rows):
         row = r + 1
-        if res_p(lr + 1, p) == beta and fits(r, lr + 1):
+        if res_p(lr + 1, p) == beta and _fits(rows, r, lr + 1, p):
             # addable (row, lr+2) via the pair rule, then (row, lr+1)
-            if res_p(lr + 2, p) == beta and fits(r, lr + 2):
+            if res_p(lr + 2, p) == beta and _fits(rows, r, lr + 2, p):
                 out.append((PLUS, (row, lr + 2)))
             out.append((PLUS, (row, lr + 1)))
-        if res_p(lr, p) == beta and fits(r, lr - 1):
+        if res_p(lr, p) == beta and _fits(rows, r, lr - 1, p):
             # removable (row, lr), then (row, lr-1) via the pair rule
             out.append((MINUS, (row, lr)))
-            if res_p(lr - 1, p) == beta and fits(r, lr - 2):
+            if res_p(lr - 1, p) == beta and _fits(rows, r, lr - 2, p):
                 out.append((MINUS, (row, lr - 1)))
     return tuple(out)
 
@@ -389,10 +391,9 @@ def crystal_graph(p: int, max_size: int) -> CrystalGraph:
     2001), so applying every f_tilde_i level by level reaches each vertex,
     and each edge mu -i-> f_tilde_i(mu) is found once, from its source.
     """
-    check_characteristic(p)
+    level = [PStrictPartition((), p)]  # checks p
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    level = [PStrictPartition((), p)]
     vertices = [level[0].parts]
     edges = []
     for _ in range(max_size):

@@ -461,52 +461,42 @@ def validate_plan(lam: Weight, plan: ConstructionPlan) -> bool:
     return all(validate_step(lam, step) for step in plan.steps)
 
 
+def _is_leftover(m: SignedSet, dom, flow: Flow, odds=()) -> bool:
+    """The rule every step's M obeys: unbarred, exactly the indices of dom
+    that are not sources of the flow; barred, exactly `odds`."""
+    return m.evens == set(dom) - flow.sources() and m.odds == set(odds)
+
+
 def validate_step(lam: Weight, step: PlanStep) -> bool:
     p = lam.p
     n = lam.n
     d = step.data
     th = step.theorem
-    if th == "T6.1.3":
+    if th in ("T6.1.3", "T6.2.3"):
         i, beta = d["i"], d["beta"]
-        u = r_beta(lam, beta).restrict(seg_oc(i, n))
+        closed = th == "T6.1.3"
+        dom = seg_oc(i, n) if closed else seg_oo(i, n)
+        u = r_beta(lam, beta).restrict(dom)
         rep = flow_analyze(d["flow"], u)
-        red = reduced_product(u)
+        both = congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
         return (
-            plus_count(red) == 0
+            plus_count(reduced_product(u)) == 0
+            and (closed or not both)
             and rep.is_flow
             and rep.fully_coherent
-            and d["M"].contains_even(n)
-            and set(d["M"].evens) == set(seg_oc(i, n)) - d["flow"].sources()
-        )
-    if th == "T6.2.3":
-        i, beta = d["i"], d["beta"]
-        u = r_beta(lam, beta).restrict(seg_oo(i, n))
-        rep = flow_analyze(d["flow"], u)
-        red = reduced_product(u)
-        not_both = not (
-            congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
-        )
-        return (
-            plus_count(red) == 0
-            and not_both
-            and rep.is_flow
-            and rep.fully_coherent
-            and d["M"].contains_odd(n)
-            and set(d["M"].evens) == set(seg_oo(i, n)) - d["flow"].sources()
+            and _is_leftover(d["M"], dom, d["flow"], () if closed else (n,))
         )
     if th == "T6.3.3":
         i = d["i"]
         u = r_beta(lam, 0).restrict(seg_oc(i, n))
-        red = reduced_product(u)
         rep = flow_analyze(d["resolution"], u)
-        shape = plus_count(red) == 1 and red and red[0][0] == PLUS
-        return bool(
-            shape
+        return (
+            plus_count(reduced_product(u)) == 1  # reduced words are +^s -^r: this is +-^m
             and congruent(lam.entry(i), 1, p)
             and rep.is_weak_flow
             and not rep.is_flow
             and rep.fully_coherent
-            and d["M"].contains_odd(d["q"])
+            and _is_leftover(d["M"], seg_oc(i, n), d["resolution"], (d["q"],))
         )
     if th == "T6.4.2":
         h, i = d["h"], d["i"]
@@ -518,7 +508,7 @@ def validate_step(lam: Weight, step: PlanStep) -> bool:
             and plus_count(reduced_product(u)) == 0
             and rep.is_flow
             and rep.fully_coherent
-            and d["M"].contains_odd(i)
+            and _is_leftover(d["M"], seg_oo(h, i), d["flow"], (i,))
         )
     if th == "T6.5.2":
         h, i, beta = d["h"], d["i"], d["beta"]
@@ -533,18 +523,16 @@ def validate_step(lam: Weight, step: PlanStep) -> bool:
             and plus_count(reduced_product(u)) == 0
             and rep.is_flow
             and rep.fully_coherent
-            and d["M"].contains_even(i)
+            and _is_leftover(d["M"], seg_oc(h, i), d["flow"])
         )
     if th == "T6.6.2":
         h, i = d["h"], d["i"]
-        u_closed = r_beta(lam, 0).restrict(seg_oc(h, i))
-        red = reduced_product(u_closed)
-        shape = plus_count(red) == 1 and red and red[0][0] == PLUS
-        u_full = r_beta(lam, 0).restrict(range(h, i + 1))
-        rep_gamma = flow_analyze(d["flow"], u_full)
+        u = r_beta(lam, 0)
+        u_closed = u.restrict(seg_oc(h, i))
+        rep_gamma = flow_analyze(d["flow"], u.restrict(range(h, i + 1)))
         rep_delta = flow_analyze(d["weak_flow"], u_closed)
-        return bool(
-            shape
+        return (
+            plus_count(reduced_product(u_closed)) == 1
             and congruent(lam.entry(h), 1, p)
             and congruent(lam.entry(i), 0, p)
             and rep_gamma.is_flow
@@ -552,5 +540,6 @@ def validate_step(lam: Weight, step: PlanStep) -> bool:
             and rep_delta.is_weak_flow
             and not rep_delta.is_flow
             and rep_delta.fully_coherent
+            and _is_leftover(d["M"], seg_oo(h, i), d["flow"])
         )
     raise UnreachableCase(f"unknown theorem tag {th}")

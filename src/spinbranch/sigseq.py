@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .core import Weight, res_p
+from .core import Weight, _trusted, res_p
 
 Entry = tuple[int, int]  # (sign, mark), sign in {+1, -1}
 Seq = tuple[Entry, ...]
@@ -101,7 +101,8 @@ class SignMap:
     """A map from a finite integer domain to short signature sequences.
 
     mode 'single' allows values '', '-', '+'; mode 'pair' allows '', '--',
-    '+-', '++'.  Mixing modes is a construction error.
+    '+-', '++'.  Mixing modes is a construction error.  `values` may be
+    given as a dict or as (index, value) pairs; it is stored sorted.
     """
 
     mode: str
@@ -111,16 +112,13 @@ class SignMap:
         allowed = {"single": SINGLE_VALUES, "pair": PAIR_VALUES}.get(self.mode)
         if allowed is None:
             raise ValueError(f"unknown mode {self.mode!r}")
-        pairs = tuple(sorted(dict(self.values).items()))
-        for _, v in pairs:
+        by_index = {}
+        for i, v in dict(self.values).items():
             if v not in allowed:
                 raise ValueError(f"value {v!r} not allowed in {self.mode} mode")
-        object.__setattr__(self, "values", pairs)
-        object.__setattr__(self, "_by_index", dict(pairs))
-
-    @staticmethod
-    def make(mode: str, mapping: dict[int, str]) -> "SignMap":
-        return SignMap(mode, tuple(mapping.items()))
+            by_index[operator.index(i)] = v
+        object.__setattr__(self, "values", tuple(sorted(by_index.items())))
+        object.__setattr__(self, "_by_index", by_index)
 
     @property
     def domain(self) -> tuple[int, ...]:
@@ -137,10 +135,9 @@ class SignMap:
 
     def restrict(self, indices) -> "SignMap":
         """The map on the given indices that lie in the domain."""
-        by_index = self._by_index
-        return SignMap(
-            self.mode, tuple((i, by_index[i]) for i in set(indices) if i in by_index)
-        )
+        keep = set(indices)
+        pairs = tuple(iv for iv in self.values if iv[0] in keep)
+        return _trusted(SignMap, mode=self.mode, values=pairs, _by_index=dict(pairs))
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "values": {str(i): v for i, v in self.values}}
@@ -173,17 +170,15 @@ def r_beta(lam: Weight, beta: int) -> SignMap:
     beta = beta % p if p else beta
     if beta == 0:
         pair = {1 % p: "--", 0: "+-", -1 % p: "++"} if p else {1: "--", 0: "+-", -1: "++"}
-        vals = {i: pair.get(x % p if p else x, "") for i, x in enumerate(lam.parts, 1)}
-        return SignMap.make("pair", vals)
-    vals = {}
-    for i, x in enumerate(lam.parts, 1):
-        if res_p(x, p) == beta:
-            vals[i] = "-"
-        elif res_p(x + 1, p) == beta:
-            vals[i] = "+"
-        else:
-            vals[i] = ""
-    return SignMap.make("single", vals)
+        mode = "pair"
+        vals = tuple((i, pair.get(x % p if p else x, "")) for i, x in enumerate(lam.parts, 1))
+    else:
+        mode = "single"
+        vals = tuple(
+            (i, "-" if res_p(x, p) == beta else "+" if res_p(x + 1, p) == beta else "")
+            for i, x in enumerate(lam.parts, 1)
+        )
+    return _trusted(SignMap, mode=mode, values=vals, _by_index=dict(vals))
 
 
 # -- flows -------------------------------------------------------------------

@@ -162,7 +162,7 @@ def verify_flows(max_domain: int = 6) -> VerdictReport:
     for mode, alphabet in (("single", SINGLE_VALUES), ("pair", PAIR_VALUES)):
         for d in range(max_domain + 1):
             for vals in product(alphabet, repeat=d):
-                u = SignMap.make(mode, {k + 1: v for k, v in enumerate(vals)})
+                u = SignMap(mode, {k + 1: v for k, v in enumerate(vals)})
                 _flow_cases(rep, u)
     return rep.finish()
 

@@ -100,7 +100,7 @@ def test_sub_eps_checks_its_index():
 
 def test_inputs_must_be_exact_integers():
     from spinbranch.crystal import PStrictPartition
-    from spinbranch.sigseq import Flow
+    from spinbranch.sigseq import Flow, SignMap
 
     for bad in ((2.5, 1.9), ("4", "-1"), (3.0, 1)):
         with pytest.raises(TypeError):
@@ -127,6 +127,11 @@ def test_inputs_must_be_exact_integers():
     for edge in ((1.7, 2), (1, 2.0)):
         with pytest.raises(TypeError):
             Flow(frozenset({edge}))
+    for key in (1.5, 2.0, "3"):
+        with pytest.raises(TypeError):
+            SignMap("single", {key: "-"})
+    kept = SignMap("single", {1: "+"}).restrict([1.0])
+    assert kept.domain == (1,) and type(kept.domain[0]) is int
 
 
 def test_delta_with_value_checks_its_point():

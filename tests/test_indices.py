@@ -8,8 +8,10 @@ import definitional
 from spinbranch import clear_caches
 from spinbranch.core import Weight
 from spinbranch.indices import (
+    ConstructionPlan,
     IsNormal,
     NotNormal,
+    PlanStep,
     classify_indices,
     extension_plan,
     index_report,
@@ -164,6 +166,28 @@ def test_extension_plan_two_step_cases():
     plan2 = extension_plan(lam2, 1, 3)
     assert [s.theorem for s in plan2.steps] == ["T6.4.2", "T6.6.2"]
     assert validate_plan(lam2, plan2)
+
+
+def test_plan_step_fails_when_m_loses_an_element():
+    # every theorem's M is checked whole: the evens are the domain less the
+    # flow's sources and the odds are the step's barred indices
+    seen = set()
+    for p in (3, 5):
+        for lam in _planner_weights(p):
+            normals = [c.index for c in classify_indices(lam) if c.normal]
+            plans = [primitive_plan(lam, i) for i in normals if i < lam.n]
+            plans += [extension_plan(lam, h, i) for h in normals for i in range(h + 1, lam.n)
+                      if lam.residue(h) == lam.residue(i)]
+            for plan in plans:
+                assert validate_plan(lam, plan)
+                for k, step in enumerate(plan.steps):
+                    m = step.data["M"]
+                    for el in [(v, False) for v in m.evens] + [(v, True) for v in m.odds]:
+                        data = dict(step.data, M=m.remove(el))
+                        steps = plan.steps[:k] + (PlanStep(step.theorem, data),) + plan.steps[k + 1:]
+                        assert not validate_plan(lam, ConstructionPlan(steps)), (lam, step, el)
+                        seen.add((step.theorem, el[1]))
+    assert {th for th, _ in seen} == {"T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2"}
 
 
 def test_shortcut_matches_definition():

@@ -49,10 +49,10 @@ def test_reduce_examples():
 
 
 def test_product_of_examples():
-    u = SignMap.make("pair", {1: "--", 2: "+-"})
+    u = SignMap("pair", {1: "--", 2: "+-"})
     assert product_of(u, {1, 2}) == ((M, 1), (M, 1), (P, 2), (M, 2))
     assert product_of(u, {2}) == ((P, 2), (M, 2))
-    v = SignMap.make("single", {1: "", 2: "+"})
+    v = SignMap("single", {1: "", 2: "+"})
     assert product_of(v, {1, 2}) == ((P, 2),)
 
 
@@ -76,79 +76,79 @@ def test_minus_w0_examples():
 
 
 def test_flow_analyze_examples():
-    u = SignMap.make("single", {1: "-", 2: "+"})
+    u = SignMap("single", {1: "-", 2: "+"})
     rep = flow_analyze(Flow(frozenset({(1, 2)})), u)
     assert rep.is_flow and rep.coherent and rep.fully_coherent and not rep.buds
 
-    u2 = SignMap.make("pair", {1: "+-"})
+    u2 = SignMap("pair", {1: "+-"})
     rep2 = flow_analyze(Flow(frozenset({(1, 1)})), u2)
     assert rep2.is_weak_flow and not rep2.is_flow
 
-    u3 = SignMap.make("single", {1: "-"})
+    u3 = SignMap("single", {1: "-"})
     rep3 = flow_analyze(Flow(frozenset()), u3)
     assert rep3.is_flow and rep3.coherent and rep3.fully_coherent
     assert rep3.buds == frozenset({1})
 
 
 def test_build_full_flow_examples():
-    u = SignMap.make("single", {1: "-", 2: "+"})
+    u = SignMap("single", {1: "-", 2: "+"})
     assert build_full_flow(u).edges == frozenset({(1, 2)})
 
-    v = SignMap.make("pair", {1: "--"})
+    v = SignMap("pair", {1: "--"})
     g = build_full_flow(v)
     assert g.edges == frozenset()
     assert flow_analyze(g, v).buds == frozenset({1})
 
-    w = SignMap.make("pair", {1: "--", 2: "++"})
+    w = SignMap("pair", {1: "--", 2: "++"})
     g2 = build_full_flow(w)
     assert g2.edges == frozenset({(1, 2)})
     assert not flow_analyze(g2, w).buds
 
     with pytest.raises(NotAllMinus):
-        build_full_flow(SignMap.make("single", {1: "+"}))
+        build_full_flow(SignMap("single", {1: "+"}))
 
 
 def test_split_index_examples():
-    assert split_index(SignMap.make("pair", {1: "--"})) == 1
-    assert split_index(SignMap.make("pair", {1: "--", 2: "+-"})) == 1
+    assert split_index(SignMap("pair", {1: "--"})) == 1
+    assert split_index(SignMap("pair", {1: "--", 2: "+-"})) == 1
     with pytest.raises(PreconditionFailed):
-        split_index(SignMap.make("pair", {1: "+-", 2: "--"}))
+        split_index(SignMap("pair", {1: "+-", 2: "--"}))
 
 
 def test_lead_plus_examples():
-    assert lead_plus_index(SignMap.make("pair", {1: "+-"})) == 1
-    assert lead_plus_index(SignMap.make("pair", {1: "--", 2: "++", 3: "+-"})) == 3
-    assert lead_plus_index(SignMap.make("pair", {1: "+-", 2: "--"})) == 1
+    assert lead_plus_index(SignMap("pair", {1: "+-"})) == 1
+    assert lead_plus_index(SignMap("pair", {1: "--", 2: "++", 3: "+-"})) == 3
+    assert lead_plus_index(SignMap("pair", {1: "+-", 2: "--"})) == 1
 
 
 def test_section_examples():
-    assert section_of(SignMap.make("pair", {1: "+-"})) == (1,)
-    assert section_of(SignMap.make("pair", {1: "+-", 2: "+-"})) == (1, 2)
-    assert section_of(SignMap.make("pair", {1: "--", 2: "++", 3: "+-"})) == (3,)
+    assert section_of(SignMap("pair", {1: "+-"})) == (1,)
+    assert section_of(SignMap("pair", {1: "+-", 2: "+-"})) == (1, 2)
+    assert section_of(SignMap("pair", {1: "--", 2: "++", 3: "+-"})) == (3,)
 
 
 def test_resolution_examples():
-    assert resolution_of(SignMap.make("pair", {1: "+-"})).edges == frozenset({(1, 1)})
+    assert resolution_of(SignMap("pair", {1: "+-"})).edges == frozenset({(1, 1)})
     assert resolution_of(
-        SignMap.make("pair", {1: "--", 2: "++", 3: "+-"})
+        SignMap("pair", {1: "--", 2: "++", 3: "+-"})
     ).edges == frozenset({(1, 2), (3, 3)})
     assert resolution_of(
-        SignMap.make("pair", {1: "+-", 2: "--", 3: "++"})
+        SignMap("pair", {1: "+-", 2: "--", 3: "++"})
     ).edges == frozenset({(1, 1), (2, 3)})
 
 
 def test_partial_flow_examples():
-    j, g = partial_flow(SignMap.make("single", {1: "+"}))
+    j, g = partial_flow(SignMap("single", {1: "+"}))
     assert j == (1,) and g.edges == frozenset()
-    j2, g2 = partial_flow(SignMap.make("pair", {1: "++"}))
+    j2, g2 = partial_flow(SignMap("pair", {1: "++"}))
     assert j2 == (1,) and g2.edges == frozenset()
-    u = SignMap.make("pair", {1: "--", 2: "++", 3: "++"})
+    u = SignMap("pair", {1: "--", 2: "++", 3: "++"})
     j3, g3 = partial_flow(u)
     assert j3 == (1, 2, 3)
     rep = flow_analyze(g3, u)
     assert rep.is_flow and rep.coherent and not rep.fully_coherent and not rep.buds
     with pytest.raises(PreconditionFailed):
-        partial_flow(SignMap.make("single", {1: "-"}))
+        partial_flow(SignMap("single", {1: "-"}))
 
 
 marked = st.lists(
@@ -182,7 +182,7 @@ def test_reduce_order_independent(u, seed):
     st.dictionaries(st.integers(1, 8), st.sampled_from(["", "--", "+-", "++"]), max_size=8)
 )
 def test_pair_mode_parity(values):
-    u = SignMap.make("pair", values)
+    u = SignMap("pair", values)
     red = reduced_product(u)
     assert (plus_count(red) - minus_count(red)) % 2 == 0
 
@@ -195,17 +195,17 @@ def test_minus_w0_commutes_with_reduction(u):
 
 def test_json_round_trips():
     assert seq_to_list(((M, 1), (P, 2))) == [["-", 1], ["+", 2]]
-    sm = SignMap.make("pair", {1: "--", 2: "+-"})
+    sm = SignMap("pair", {1: "--", 2: "+-"})
     assert sm.to_dict() == {"mode": "pair", "values": {"1": "--", "2": "+-"}}
 
 
 def test_mode_mixing_is_an_error():
     with pytest.raises(ValueError):
-        SignMap.make("single", {1: "--"})
+        SignMap("single", {1: "--"})
     with pytest.raises(ValueError):
-        SignMap.make("pair", {1: "-"})
+        SignMap("pair", {1: "-"})
     with pytest.raises(ValueError):
-        SignMap.make("triple", {1: "-"})
+        SignMap("triple", {1: "-"})
 
 
 def _random_map(rng: random.Random, mode: str) -> SignMap:
@@ -213,7 +213,7 @@ def _random_map(rng: random.Random, mode: str) -> SignMap:
     alphabet = ("", "-", "+") if mode == "single" else ("", "--", "+-", "++")
     size = rng.randint(0, 12)
     domain = sorted(rng.sample(range(1, 30), size))
-    return SignMap.make(mode, {i: rng.choice(alphabet) for i in domain})
+    return SignMap(mode, {i: rng.choice(alphabet) for i in domain})
 
 
 def test_scans_match_recursive_oracles():
@@ -241,10 +241,10 @@ def test_scans_match_recursive_oracles():
 def test_section_scan_on_long_plus_led_maps():
     # every value +- : each index is a section index; the scan must not
     # recurse, so a domain past the recursion limit is fine
-    u = SignMap.make("pair", {i: "+-" for i in range(1, 3001)})
+    u = SignMap("pair", {i: "+-" for i in range(1, 3001)})
     assert section_of(u) == tuple(range(1, 3001))
     assert lead_plus_index(u) == 1
-    v = SignMap.make("pair", {i: ("--" if i % 2 else "++") for i in range(1, 3001)})
+    v = SignMap("pair", {i: ("--" if i % 2 else "++") for i in range(1, 3001)})
     assert build_full_flow(v).edges == {(i, i + 1) for i in range(1, 3001, 2)}
 
 
@@ -265,11 +265,11 @@ def test_split_index_scan_matches_recursive_oracle():
 
 def test_split_index_on_a_long_map():
     # a recursion per domain index would pass the recursion limit here
-    u = SignMap.make("pair", {1: "--", **{i: "" for i in range(2, 1500)}})
+    u = SignMap("pair", {1: "--", **{i: "" for i in range(2, 1500)}})
     assert split_index(u) == 1
-    v = SignMap.make("pair", {i: ("--" if i <= 750 else "++") for i in range(1, 1501)})
+    v = SignMap("pair", {i: ("--" if i <= 750 else "++") for i in range(1, 1501)})
     with pytest.raises(PreconditionFailed):
         split_index(v)  # the product reduces to the empty word
     # 749 ++ values close the -- values 751 down to 3; 2 is the first left open
-    w = SignMap.make("pair", {i: ("--" if i <= 751 else "++") for i in range(1, 1501)})
+    w = SignMap("pair", {i: ("--" if i <= 751 else "++") for i in range(1, 1501)})
     assert split_index(w) == 2
