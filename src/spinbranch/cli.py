@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import time
 
@@ -14,20 +15,23 @@ from . import verify as vf
 from .core import InvalidCharacteristic, Weight, check_characteristic
 from .sigseq import seq_to_list
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() alone also takes 1_0 and non-ASCII digits
+_parser = None  # main's own parser: built on its first call, never handed out
+
 
 class ParseError(ValueError):
     pass
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; an empty text is no parts, but an empty
-    token between or after commas is an error."""
+    """Comma-separated integers (sign and ASCII digits); an empty text is no
+    parts, but an empty token between or after commas is an error."""
     if not text.strip():
         return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
+    tokens = text.split(",")
+    if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+        raise ParseError(f"expected comma-separated integers, got {text!r}")
+    return tuple(int(tok) for tok in tokens)
 
 
 def _weight_report(lam: Weight) -> dict:
@@ -106,7 +110,7 @@ def cmd_analyze(args) -> int:
         report["input"] = {"kind": "weight", "parts": list(lam.parts)}
         report.update(_weight_report(lam))
     with _open_out(args.out) as fh:
-        print(json.dumps(report, indent=2, sort_keys=True), file=fh)
+        print(json.dumps(report, sort_keys=True), file=fh)  # no indent: the C encoder
     return 0
 
 
@@ -182,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, InvalidCharacteristic, vf.InvalidSuiteParameter) as exc:

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import spinbranch
+from spinbranch import cli
 from spinbranch import verify as vf
 from spinbranch.cli import main
 
@@ -62,10 +68,15 @@ def test_analyze_rejects_bad_partition(capsys):
     ("analyze", "--p", "3", "--weight=1,,2"),
     ("analyze", "--p", "3", "--weight=1,2,"),
     ("analyze", "--p", "3", "--partition=3,,1"),
+    ("analyze", "--p", "3", "--weight=1_0"),
+    ("analyze", "--p", "3", "--weight=\u0663"),
+    ("analyze", "--p", "3", "--partition=1_0"),
+    ("analyze", "--p", "3", "--weight=2,\uff11"),
 ])
 def test_bad_sizes_are_usage_errors(capsys, argv):
-    # an empty weight, an empty list token or a negative --max is one
-    # `error:` line and exit 2
+    # an empty weight, an empty list token, a token that is not a sign and
+    # ASCII digits (int() would read 1_0 as 10 and Arabic-Indic 3 as 3) or a
+    # negative --max is one `error:` line and exit 2
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -304,8 +315,16 @@ def test_single_suite_stdout_is_unchanged(capsys, argv):
     _, out, _ = run_cli(capsys, "verify", *argv)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == SINGLE_SUITE_STDOUT[argv]
 
-# sha256 prefixes of `analyze --weight --out` files, recorded when each
-# certificate and r-map was still serialised and parsed back one by one
+
+def indented(text: str) -> str:
+    """A report in the indented form it was printed in when its sha256 was
+    pinned; the pins check the parsed report, whatever its layout."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+# sha256 prefixes of `analyze --weight --out` files (in their `indented`
+# form), recorded when each certificate and r-map was still serialised and
+# parsed back one by one
 WEIGHT_REPORT_DIGESTS = {
     (0, "0,0"): "d361e97c1da6d7d1",
     (0, "3,1,2,0"): "fec5869049f7cd90",
@@ -334,5 +353,66 @@ WEIGHT_REPORT_DIGESTS = {
 def test_weight_reports_are_byte_identical(tmp_path, p, weight):
     out = tmp_path / "report.json"
     assert main(["analyze", "--p", str(p), "--weight=" + weight, "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    digest = hashlib.sha256(indented(out.read_text()).encode()).hexdigest()[:16]
     assert digest == WEIGHT_REPORT_DIGESTS[(p, weight)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--p", "5", "--weight", "16,11,10,10,9,5,1"),
+    ("analyze", "--p", "3", "--partition", "9,6,5,3,1"),
+])
+def test_analyze_prints_one_line_of_key_sorted_json(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "report.json"
+    assert code == 0 and main([*argv, "--out", str(target)]) == 0
+    for text in (out, target.read_text()):
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert text.count("\n") == 1
+
+
+# `python -m spinbranch.cli ARGV...` with every verify suite replaced by
+# the passing stub of `_stub_runners`
+FRESH_CLI = """
+import runpy
+from spinbranch import verify as vf
+def stub(name):
+    def run(**kwargs):
+        rep = vf.VerdictReport(name, kwargs)
+        rep.check(name, True, True)
+        return rep
+    return run
+for name in vf.RUNNERS:
+    vf.RUNNERS[name] = stub(name)
+runpy.run_module("spinbranch.cli", run_name="__main__")
+"""
+
+
+def _seconds_masked(err: str) -> str:
+    # the last field of a verify stderr line is its wall time
+    return re.sub(r" [0-9]+\.[0-9]{2}$", " S", err, flags=re.M)
+
+
+def test_main_reuses_one_parser_like_fresh_processes(capsys, monkeypatch):
+    _stub_runners(monkeypatch)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spinbranch.__file__))}
+    runs = {
+        ("analyze", "--p", "5", "--weight", "0,0"): 0,
+        ("analyze", "--p", "5"): 2,  # argparse: one of --partition/--weight
+        ("analyze", "--p", "3", "--weight=1,,2"): 2,  # ParseError
+        ("crystal", "--p", "5", "--max", "4", "--format", "dot"): 0,
+        ("verify", "duality", "--samples", "5", "--seed", "2"): 0,
+        ("analyze", "--p", "5", "--partition", "16,11,10,10,9,5,1"): 0,
+    }
+    for argv, want in runs.items():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-c", FRESH_CLI, *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert code == want and (code, got.out, _seconds_masked(got.err)) == (
+            fresh.returncode, fresh.stdout, _seconds_masked(fresh.stderr)), argv
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser
