@@ -34,6 +34,13 @@ def _parse_parts(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in tokens)
 
 
+def _integer(text: str) -> int:
+    """The `type=` of every integer flag: a sign and ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _weight_report(lam: Weight) -> dict:
     indices = []
     for cls in ix.classify_indices(lam):
@@ -160,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="classify a weight or partition")
-    pa.add_argument("--p", type=int, required=True)
+    pa.add_argument("--p", type=_integer, required=True)
     group = pa.add_mutually_exclusive_group(required=True)
     group.add_argument("--partition", help="comma-separated parts")
     group.add_argument("--weight", help="comma-separated entries")
@@ -168,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pc = sub.add_parser("crystal", help="export the crystal graph")
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--max", type=int, required=True)
+    pc.add_argument("--p", type=_integer, required=True)
+    pc.add_argument("--max", type=_integer, required=True)
     pc.add_argument("--format", choices=("dot", "json"), default="json")
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_crystal)
@@ -178,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=("all", *vf.RUNNERS))
     for flag in vf.FLAGS:
         takers = [suite for suite, table in vf.SUITE_FLAGS.items() if flag in table]
-        pv.add_argument(f"--{flag}", type=int, help="taken by " + ", ".join(takers))
+        pv.add_argument(f"--{flag}", type=_integer, help="taken by " + ", ".join(takers))
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
 

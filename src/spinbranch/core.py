@@ -15,10 +15,6 @@ class InvalidCharacteristic(ValueError):
     pass
 
 
-class InvalidReplace(ValueError):
-    pass
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -131,75 +127,6 @@ class SignedSet:
         if clash:
             raise ValueError(f"{sorted(clash)} appear both barred and unbarred")
 
-    # -- basic queries ------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.evens or self.odds)
-
-    def __len__(self) -> int:
-        return len(self.evens) + len(self.odds)
-
-    def support(self) -> frozenset[int]:
-        """Absolute values (underlying integers) of all elements."""
-        return self.evens | self.odds
-
-    def parity(self) -> int:
-        return len(self.odds) % 2
-
-    def min(self) -> tuple[int, bool] | None:
-        """The least element as (value, barred), or None when empty."""
-        if not self:
-            return None
-        v = min(self.support())
-        return v, v in self.odds
-
-    def contains_even(self, v: int) -> bool:
-        return v in self.evens
-
-    def contains_odd(self, v: int) -> bool:
-        return v in self.odds
-
-    def is_signed_subset_of(self, values) -> bool:
-        """True when every absolute value lies in `values`."""
-        vals = set(values)
-        return all(v in vals for v in self.support())
-
-    # -- transformations ----------------------------------------------------
-
-    def restrict(self, values) -> "SignedSet":
-        """Keep the elements whose absolute value lies in `values`."""
-        vals = set(values)
-        return _trusted(
-            SignedSet,
-            evens=frozenset(v for v in self.evens if v in vals),
-            odds=frozenset(v for v in self.odds if v in vals),
-        )
-
-    def replace(self, old: tuple[int, bool], new: tuple[int, bool]) -> "SignedSet":
-        """M with one element rewritten: old must be present, new must fit."""
-        ov, obar = old
-        nv, nbar = new
-        nv = operator.index(nv)
-        if obar and not self.contains_odd(ov) or (not obar and not self.contains_even(ov)):
-            raise InvalidReplace(f"{old} not in signed set")
-        evens = set(self.evens)
-        odds = set(self.odds)
-        (odds if obar else evens).remove(ov)
-        if nv in evens or nv in odds:
-            raise InvalidReplace(f"replacement {new} collides with an existing element")
-        (odds if nbar else evens).add(nv)
-        return _trusted(SignedSet, evens=frozenset(evens), odds=frozenset(odds))
-
-    def remove(self, el: tuple[int, bool]) -> "SignedSet":
-        v, barred = el
-        if barred:
-            if not self.contains_odd(v):
-                raise KeyError(el)
-            return _trusted(SignedSet, evens=self.evens, odds=self.odds - {v})
-        if not self.contains_even(v):
-            raise KeyError(el)
-        return _trusted(SignedSet, evens=self.evens - {v}, odds=self.odds)
-
     @staticmethod
     def of(evens=(), odds=()) -> "SignedSet":
         return SignedSet(evens, odds)
@@ -216,7 +143,8 @@ class DeltaFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "lo", operator.index(self.lo))
-        if not set(map(operator.index, self.values)) <= {0, 1}:
+        object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
+        if not set(self.values) <= {0, 1}:
             raise ValueError("delta values must be 0 or 1")
 
     @property
@@ -227,27 +155,6 @@ class DeltaFunction:
         if not self.lo <= t <= self.hi:
             raise KeyError(f"{t} outside [{self.lo}..{self.hi}]")
         return self.values[t - self.lo]
-
-    def total(self) -> int:
-        return sum(self.values) % 2
-
-    def sum_range(self, a: int, b: int) -> int:
-        """delta_a + ... + delta_{b-1} mod 2 (empty when a >= b)."""
-        return sum(self(t) for t in range(a, b)) % 2
-
-    def restrict(self, lo: int, hi: int) -> "DeltaFunction":
-        values = tuple(self(t) for t in range(lo, hi + 1))
-        return _trusted(DeltaFunction, lo=operator.index(lo), values=values)
-
-    def with_value(self, t: int, v: int) -> "DeltaFunction":
-        """The function with its value at t set to v; t outside [lo..hi] is
-        the KeyError of a call."""
-        self(t)
-        if operator.index(v) not in (0, 1):
-            raise ValueError("delta values must be 0 or 1")
-        vals = list(self.values)
-        vals[t - self.lo] = v
-        return _trusted(DeltaFunction, lo=self.lo, values=tuple(vals))
 
 
 # -- segment notation -------------------------------------------------------

@@ -209,16 +209,17 @@ def _bracket_cached(f: Polynomial) -> U0Element:
 # -- the raising-coefficient recursion -----------------------------------------
 
 
-def _check_args(i: int, j: int, m: SignedSet, delta: DeltaFunction | None = None):
-    """i < j, M a signed (i..j]-set holding j or j barred, and delta (when
-    given) on [i..j-1]."""
+def _check_args(i: int, j: int, m: SignedSet, delta: DeltaFunction):
+    """i < j, M a signed (i..j]-set holding j or j barred, and delta on
+    [i..j-1]."""
     if not i < j:
         raise BadSignedSet("need i < j")
-    if not (m.contains_even(j) or m.contains_odd(j)):
+    support = m.evens | m.odds
+    if j not in support:
         raise BadSignedSet(f"M must contain {j} or {j} barred")
-    if not m.is_signed_subset_of(range(i + 1, j + 1)):
+    if not all(i < v <= j for v in support):
         raise BadSignedSet(f"M must be a signed ({i}..{j}]-set")
-    if delta is not None and (delta.lo, delta.hi) != (i, j - 1):
+    if (delta.lo, delta.hi) != (i, j - 1):
         raise BadSignedSet(f"delta domain must be [{i}..{j - 1}]")
 
 
@@ -229,67 +230,69 @@ def raising_rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) ->
     degree-zero element over exact integers.
     """
     _check_args(i, j, m, delta)
-    return _rec(i, j, eps % 2, delta, m)
+    return _rec(i, j, eps % 2, delta.values, m.evens, m.odds)
 
 
 def _sgn(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-# keyed by the frozen delta and M themselves: every call has delta on
-# [i..j-1], which the public entry points check
+# keyed by plain values: dv is delta's value tuple on [i..j-1] (dv[t - i] is
+# delta_t), and evens, odds are M's two frozensets, a signed (i..j]-set
+# holding j; the public entry points check both
 @lru_cache(maxsize=200000)
-def _rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U0Element:
-    sd = delta.sum_range
-    if m == SignedSet.of(odds=[j]):
+def _rec(i: int, j: int, eps: int, dv: tuple[int, ...],
+         evens: frozenset, odds: frozenset) -> U0Element:
+    if not evens and odds == {j}:
         # base: a single barred element
-        total = (eps + sd(i, j)) % 2
-        second = u0_h_eps(i + 1, total).scale(_sgn(delta(i) * (eps + sd(i + 1, j))))
+        total = (eps + sum(dv)) % 2
+        second = u0_h_eps(i + 1, total).scale(_sgn(dv[0] * (eps + sum(dv[1:]))))
         return u0_h_eps(i, total) - second
-    if m == SignedSet.of(evens=[j]):
+    if not odds and evens == {j}:
         # base: a single even element
-        if sd(i, j) == eps:
+        if sum(dv) % 2 == eps:
             return u0_b(i, i + 1)
         return U0Element.zero()
 
-    # min M = mval, barred or even; the shifts below exist only when mval > i + 1
-    mval, barred = m.min()
-    tail = m.restrict(range(mval + 1, j + 1))
-    par_tail = tail.parity()
-    if barred:
+    # min M = mval, barred or even; past it M's tail is M less mval, which
+    # holds j; the shifts below exist only when mval > i + 1
+    mval = min(evens | odds)
+    k = mval - i
+    head, right_dv = dv[:k], dv[k:]
+    tail_evens, tail_odds = evens - {mval}, odds - {mval}
+    tail_exp = 1 + len(tail_odds) + sum(right_dv)  # 1 + parity(tail) + sd(mval, j)
+    lone = frozenset((mval,))  # M = {mval barred} on (i..mval]
+    if mval in odds:
         out = U0Element.zero()
         for gamma in (0, 1):
             sigma = (eps + gamma) % 2
-            sign = _sgn(gamma * (1 + eps + par_tail + sd(mval, j)))
-            left = _rec(i, mval, gamma, delta.restrict(i, mval - 1), SignedSet.of(odds=[mval]))
-            right = _rec(mval, j, sigma, delta.restrict(mval, j - 1), tail)
+            sign = _sgn(gamma * (eps + tail_exp))
+            left = _rec(i, mval, gamma, head, frozenset(), lone)
+            right = _rec(mval, j, sigma, right_dv, tail_evens, tail_odds)
             out = out + (left * right).scale(sign)
-        if mval > i + 1:
-            shifted = m.replace((mval, True), (mval - 1, True))
-            return out + _rec(i, j, eps, delta, shifted)
-        rest = m.remove((i + 1, True))
+        if k > 1:
+            return out + _rec(i, j, eps, dv, evens, tail_odds | {mval - 1})
         for gamma in (0, 1):
             sigma = (eps + gamma) % 2
-            sign = _sgn(sigma * (1 + m.parity()))
-            out = out + (_rec(i, j, gamma, delta, rest) * u0_h_eps(i, sigma)).scale(sign)
+            sign = _sgn(sigma * (1 + len(odds)))
+            out = out + (_rec(i, j, gamma, dv, evens, tail_odds) * u0_h_eps(i, sigma)).scale(sign)
         return out
 
-    sign = _sgn(sd(i, mval) * (1 + eps + par_tail + sd(mval, j)))
-    right = _rec(mval, j, (eps + sd(i, mval)) % 2, delta.restrict(mval, j - 1), tail)
+    sd_head = sum(head) % 2
+    sign = _sgn(sd_head * (eps + tail_exp))
+    right = _rec(mval, j, (eps + sd_head) % 2, right_dv, tail_evens, tail_odds)
     out = (u0_b(i, i + 1) * right).scale(sign)
+    d_m = dv[k]
     for xi in (0, 1):
+        left = _rec(i, mval, xi, head, frozenset(), lone)
         for tau in (0, 1):
-            sigma = (eps + delta(mval) + xi + tau) % 2
-            sign = _sgn((xi + tau + delta(mval)) * (1 + eps + par_tail + sd(mval, j) + xi))
-            left = _rec(i, mval, xi, delta.restrict(i, mval - 1), SignedSet.of(odds=[mval]))
-            right_delta = delta.restrict(mval, j - 1).with_value(mval, tau)
-            right = _rec(mval, j, sigma, right_delta, tail)
+            sigma = (eps + d_m + xi + tau) % 2
+            sign = _sgn((xi + tau + d_m) * (eps + tail_exp + xi))
+            right = _rec(mval, j, sigma, (tau,) + right_dv[1:], tail_evens, tail_odds)
             out = out - (left * right).scale(sign)
-    if mval > i + 1:
-        shifted = m.replace((mval, False), (mval - 1, False))
-        out = out + _rec(i, j, eps, delta, shifted)
-    dropped = m.remove((mval, False))
-    return out + _rec(i, j, eps, delta, dropped) * u0_c(mval - 1, mval)
+    if k > 1:
+        out = out + _rec(i, j, eps, dv, tail_evens | {mval - 1}, odds)
+    return out + _rec(i, j, eps, dv, tail_evens, odds) * u0_c(mval - 1, mval)
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -299,25 +302,26 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
     """Closed form: an indicator times the bracket of a g1 when M is all
     even, and a signed sum of g2 brackets against H-generators when M has
     exactly one barred element."""
-    _check_args(i, j, m)
+    _check_args(i, j, m, delta)
     eps %= 2
+    dv = delta.values
     if len(m.odds) == 0:
-        if delta.total() != eps:
+        if sum(dv) % 2 != eps:
             return U0Element.zero()
-        s = frozenset(t for t in range(i + 1, j) if not m.contains_even(t))
+        s = frozenset(t for t in range(i + 1, j) if t not in m.evens)
         return bracket_hom(g1(i, j, s))
     if len(m.odds) > 1:
         raise UnsupportedShape("no closed form for two or more barred elements")
     q = next(iter(m.odds))
-    s = frozenset(t for t in range(i + 1, j + 1) if not m.contains_even(t))
-    total = (eps + delta.total()) % 2
+    s = frozenset(t for t in range(i + 1, j + 1) if t not in m.evens)
+    total = (eps + sum(dv)) % 2
     out = U0Element.zero()
     for k in range(i, q + 1):
-        if m.contains_even(k):
+        if k in m.evens:
             continue
         if not (k - 1 in m.evens or k - 1 in (i - 1, i)):
             continue
-        sign = _sgn((1 if k > i else 0) + (1 + total) * delta.sum_range(i, k))
+        sign = _sgn((1 if k > i else 0) + (1 + total) * sum(dv[: k - i]))
         out = out + (bracket_hom(g2(i, k, q, j, s)) * u0_h_eps(k, total)).scale(sign)
     return out
 
@@ -334,15 +338,14 @@ def two_term_sum_sides(
     """Both sides of the two-term summation identity used to assemble the
     one-barred closed form; delta lives on [m..j-1]."""
     _check_args(m_idx, j, n_set, delta)
-    sd_all = delta.total()
+    dv = delta.values
+    sd_all = sum(dv) % 2
     lhs = U0Element.zero()
     for tau in (0, 1):
-        sigma = (eps + delta(m_idx) + xi + tau) % 2
-        sign = _sgn((xi + tau + delta(m_idx)) * (eps + sd_all + xi))
-        lhs = lhs + _rec(
-            m_idx, j, sigma, delta.with_value(m_idx, tau), n_set
-        ).scale(sign)
-    s = frozenset(t for t in range(m_idx + 1, j + 1) if not n_set.contains_even(t))
+        sigma = (eps + dv[0] + xi + tau) % 2
+        sign = _sgn((xi + tau + dv[0]) * (eps + sd_all + xi))
+        lhs = lhs + _rec(m_idx, j, sigma, (tau,) + dv[1:], n_set.evens, n_set.odds).scale(sign)
+    s = frozenset(t for t in range(m_idx + 1, j + 1) if t not in n_set.evens)
     indicator = 2 if (xi % 2) == (eps + sd_all) % 2 else 0
     rhs = (bracket_hom(g2(m_idx, m_idx, q, j, s)) * u0_h(m_idx)).scale(indicator)
     return lhs, rhs

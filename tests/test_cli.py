@@ -82,6 +82,24 @@ def test_bad_sizes_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--p", "1_3", "--weight", "1"),
+    ("analyze", "--p", "\u0665", "--partition", "1"),
+    ("crystal", "--p", "\u0663", "--max", "\u0661"),
+    ("crystal", "--p", "3", "--max", "1_0"),
+    ("verify", "flows", "--n", "\u0662"),
+    ("verify", "duality", "--p", "\uff13"),
+    ("analyze", "--p", "x", "--weight", "1"),
+])
+def test_integer_flags_take_only_ascii_digits(capsys, argv):
+    # like the list flags, every integer flag refuses what int() alone
+    # would read (1_3 as 13, Arabic-Indic or full-width digits)
+    with pytest.raises(SystemExit) as got:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert got.value.code == 2 and out == "" and "invalid int value" in err
+
+
 def test_crystal_json(capsys):
     code, out, _ = run_cli(
         capsys, "crystal", "--p", "3", "--max", "2", "--format", "json"

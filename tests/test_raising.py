@@ -1,9 +1,12 @@
+import hashlib
+import json
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinbranch
 from spinbranch.core import SignedSet, Weight
 from spinbranch.poly import Polynomial, x, y
 from spinbranch.raising import (
@@ -154,6 +157,10 @@ def test_raising_rejects_bad_input():
     n_set = SignedSet.of(evens=[3], odds=[2])
     lhs, rhs = two_term_sum_sides(1, 3, 2, 0, 0, DeltaFunction(1, (0, 1)), n_set)
     assert lhs == rhs
+    for delta in (DeltaFunction(5, (0, 0)), DeltaFunction(2, (0, 0))):  # not on [1..2]
+        for compute in (raising_rec, raising_closed):
+            with pytest.raises(BadSignedSet, match=r"delta domain must be \[1..2\]"):
+                compute(1, 3, 0, delta, SignedSet.of(evens=[3]))
     for args in (
         (1, 3, 2, 0, 0, DeltaFunction(0, (0, 0, 1)), n_set),  # delta on [0..2]
         (1, 3, 2, 0, 0, DeltaFunction(1, (0,)), n_set),  # delta on [1..1]
@@ -182,6 +189,55 @@ def _sweep(i, width):
             for eps in (0, 1):
                 for dv in product((0, 1), repeat=w):
                     yield j, eps, DeltaFunction(i, dv), m
+
+
+def _every_signed_set(i, j):
+    """Every signed (i..j]-set holding j or j barred: each t in (i..j) is
+    absent, unbarred or barred."""
+    inner = range(i + 1, j)
+    for roles in product("-eo", repeat=len(inner)):
+        for last in "eo":
+            chosen = list(zip(inner, roles)) + [(j, last)]
+            yield SignedSet.of(evens=[t for t, r in chosen if r == "e"],
+                               odds=[t for t, r in chosen if r == "o"])
+
+
+# sha256 over the to_json() lines of raising_rec on every signed (i..j]-set
+# holding j, every eps and every delta, widths 1-4 at i = 1 (2,072 calls, 936
+# of them with two or more barred elements, which no closed form covers)
+ALL_SIGNED_SETS_DIGEST = "f8814931506d25d9ee2ce1b0aa2ec13167765ac71c13e8452bdc058d6571b6d2"
+
+
+def test_recursion_on_every_signed_set_is_pinned():
+    lines, multi = [], 0
+    for w in range(1, 5):
+        for m in _every_signed_set(1, 1 + w):
+            for eps, dv in product((0, 1), product((0, 1), repeat=w)):
+                multi += len(m.odds) >= 2
+                out = raising_rec(1, 1 + w, eps, DeltaFunction(1, dv), m)
+                lines.append(json.dumps(out.to_json()))
+    assert (len(lines), multi) == (2072, 936)
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == ALL_SIGNED_SETS_DIGEST
+
+
+def test_recursion_memo_keys_on_plain_values(monkeypatch):
+    # the memo never hashes a SignedSet or DeltaFunction, even from cold
+    def refuse(self):
+        raise AssertionError(f"hashed {type(self).__name__}")
+
+    spinbranch.clear_caches()
+    monkeypatch.setattr(SignedSet, "__hash__", refuse)
+    monkeypatch.setattr(DeltaFunction, "__hash__", refuse)
+    n_set = SignedSet.of(evens=[3, 4], odds=[2])
+    for eps, dv in product((0, 1), product((0, 1), repeat=3)):
+        delta = DeltaFunction(1, dv)
+        for m in _every_signed_set(1, 4):
+            assert isinstance(raising_rec(1, 4, eps, delta, m), U0Element)
+            if len(m.odds) < 2:
+                assert isinstance(raising_closed(1, 4, eps, delta, m), U0Element)
+        lhs, rhs = two_term_sum_sides(1, 4, 2, eps, dv[0], delta, n_set)
+        assert lhs == rhs
 
 
 def test_oracle_equivalence_small():

@@ -6,13 +6,7 @@ import random
 
 import pytest
 
-from spinbranch.core import (
-    DeltaFunction,
-    InvalidCharacteristic,
-    InvalidReplace,
-    SignedSet,
-    Weight,
-)
+from spinbranch.core import DeltaFunction, InvalidCharacteristic, SignedSet, Weight
 from spinbranch.crystal import NotPStrict, PStrictPartition, partitions_of, p_strict_violation
 from spinbranch.sigseq import PAIR_VALUES, SINGLE_VALUES, SignMap, r_beta
 
@@ -72,39 +66,6 @@ def test_partition_add_remove_match_the_constructor():
     assert checked > 900 and rejected > 500, (checked, rejected)
 
 
-def test_signed_set_methods_match_the_constructor():
-    rng = random.Random(12)
-    for _ in range(400):
-        support = rng.sample(range(-6, 10), rng.randint(1, 8))
-        odd = set(rng.sample(support, rng.randint(0, len(support))))
-        m = SignedSet.of(evens=[v for v in support if v not in odd], odds=odd)
-        keep = set(rng.sample(range(-7, 11), rng.randint(0, 10)))
-        same(m.restrict(keep), SignedSet.of([v for v in m.evens if v in keep],
-                                            [v for v in m.odds if v in keep]))
-        v = rng.choice(support)
-        barred = v in m.odds
-        rest = SignedSet.of(m.evens - {v}, m.odds - {v})
-        same(m.remove((v, barred)), rest)
-        new = rng.choice([x for x in range(-8, 12) if x not in rest.support()])
-        new_barred = rng.random() < 0.5
-        same(m.replace((v, barred), (new, new_barred)),
-             SignedSet.of(rest.evens | ({new} if not new_barred else set()),
-                          rest.odds | ({new} if new_barred else set())))
-
-
-def test_delta_function_methods_match_the_constructor():
-    rng = random.Random(13)
-    for _ in range(400):
-        d = DeltaFunction(rng.randint(-4, 6), tuple(rng.choice((0, 1)) for _ in range(rng.randint(1, 7))))
-        lo = rng.randint(d.lo, d.hi)
-        hi = rng.randint(lo - 1, d.hi)
-        same(d.restrict(lo, hi), DeltaFunction(lo, d.values[lo - d.lo : hi - d.lo + 1]))
-        t, v = rng.randint(d.lo, d.hi), rng.choice((0, 1))
-        vals = list(d.values)
-        vals[t - d.lo] = v
-        same(d.with_value(t, v), DeltaFunction(d.lo, tuple(vals)))
-
-
 def test_sign_map_restrict_matches_the_constructor():
     rng = random.Random(14)
     for _ in range(400):
@@ -140,8 +101,6 @@ def test_public_constructors_keep_every_check(build, error):
 
 
 LAM = PStrictPartition((3, 2), 3)
-M = SignedSet.of(evens=[1, 3], odds=[2])
-D = DeltaFunction(2, (0, 1, 0))
 NOT_RIM = "is not a rim node"
 NOT_NEXT = "does not extend row"
 
@@ -159,16 +118,6 @@ NOT_NEXT = "does not extend row"
         (lambda: LAM.add((2, 4)), ValueError, NOT_NEXT),
         (lambda: LAM.add((4, 1)), NotPStrict, "rows 3,4"),
         (lambda: PStrictPartition((2, 1), 3).add((2, 2)), NotPStrict, "rows 1,2"),
-        (lambda: M.remove((2, False)), KeyError, None),
-        (lambda: M.remove((1, True)), KeyError, None),
-        (lambda: M.replace((4, False), (5, False)), InvalidReplace, "not in signed set"),
-        (lambda: M.replace((1, False), (2, False)), InvalidReplace, "collides"),
-        (lambda: M.replace((1, False), (3, True)), InvalidReplace, "collides"),
-        (lambda: M.replace((1, False), (5.5, False)), TypeError, None),
-        (lambda: D.with_value(1, 1), KeyError, "outside"),
-        (lambda: D.with_value(5, 0), KeyError, "outside"),
-        (lambda: D.with_value(3, 2), ValueError, "0 or 1"),
-        (lambda: D.with_value(3, 1.0), TypeError, None),
     ],
 )
 def test_derived_values_reject_bad_arguments(call, error, match):
