@@ -6,13 +6,15 @@ Everything here is driven by reductions of the sign maps r_beta(lambda):
 an index is tensor normal when its minus survives the full reduction, and
 normal (for i < n) when it survives the reduction over [1..n) and the
 boundary exception does not apply.  Every query reaches its reduction
-through `reduce_residue`, whose bounded memo builds and reduces each sign
-map once per (lambda, beta); every flag, certificate and plan is read off
-that one result.
+through `reduce_residue`, whose bounded memo builds each sign map once per
+(lambda, beta mod p) as one word, and one scan gives the shape of every
+gap (i..n).  Every flag, certificate and plan is read off that one result;
+a classification builds only the residues its entries touch.
 """
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,7 +75,8 @@ class ResidueReduction:
     (empty reduction strictly after i while lambda_i and lambda_n are both
     divisible by p).  Good is the first normal index, tensor good the first
     tensor normal index and tensor cogood the last tensor conormal index
-    (None if absent)."""
+    (None if absent).  gaps[i] = (s, r) says the reduction over (i..n) is
+    +^s -^r, for 0 <= i < n."""
 
     beta: int
     sign_map: SignMap
@@ -84,12 +87,14 @@ class ResidueReduction:
     good: int | None
     tensor_good: int | None
     tensor_cogood: int | None
+    gaps: tuple[tuple[int, int], ...]
 
 
 def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
-    """r_beta(lambda) reduced over [1..n] and [1..n): the one source of a
-    reduction for every index query."""
-    return _reduction_cached(lam, beta)
+    """r_beta(lambda) reduced over [1..n], [1..n) and every (i..n), beta an
+    integer taken mod p: the one source of a reduction for every query."""
+    beta = operator.index(beta)
+    return _reduction_cached(lam, beta % lam.p if lam.p else beta)
 
 
 # bounded memo; one report reads at most one entry per residue, and
@@ -101,43 +106,49 @@ REDUCTION_CACHE_SIZE = 32
 def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
     """Build r_beta(lambda) once and reduce it.
 
-    The boundary exception needs, for each i, whether the reduction over
-    (i..n) is empty; one right-to-left scan gives all of them.  Prepending
-    to a reduced word +^s -^r, a - cancels a leading + or raises r, and a +
-    raises s.
+    One word: reduction is confluent, so the full reduction is that of the
+    reduced prefix over [1..n) followed by the entries at n.  One
+    right-to-left scan records the shape of the reduction over each (i..n):
+    prepending to a reduced word +^s -^r, a - cancels a leading + or raises
+    r, and a + raises s.  The boundary exception reads the empty shapes.
     """
     n, p = lam.n, lam.p
     u = r_beta(lam, beta)
-    reduced = reduce_seq(product_of(u))
-    head = reduce_seq(product_of(u, range(1, n)))
+    word = product_of(u)
+    k = len(word) - len(u.value(n))
+    head = reduce_seq(word[:k])
+    reduced = reduce_seq(head + word[k:])
     normal = {m for s, m in head if s == MINUS}
-    if normal and congruent(lam.entry(n), 0, p):
-        s = r = 0
-        for i in range(n - 1, 0, -1):
-            if s == r == 0 and congruent(lam.entry(i), 0, p):
-                normal.discard(i)
-            for ch in reversed(u.value(i)):
-                if ch == "+":
-                    s += 1
-                elif s:
-                    s -= 1
-                else:
-                    r += 1
+    gaps = [(0, 0)] * n
+    s = r = 0
+    for i, v in reversed(u.values[:-1]):
+        gaps[i] = (s, r)
+        if s == r == 0 and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
+            normal.discard(i)
+        for ch in reversed(v):
+            if ch == "+":
+                s += 1
+            elif s:
+                s -= 1
+            else:
+                r += 1
+    gaps[0] = (s, r)
     minus = frozenset(m for s, m in reduced if s == MINUS)
     plus = frozenset(m for s, m in reduced if s == PLUS)
     return ResidueReduction(beta, u, reduced, minus, plus, frozenset(normal),
                             min(normal, default=None), min(minus, default=None),
-                            max(plus, default=None))
+                            max(plus, default=None), tuple(gaps))
+
+
+def _touched(lam: Weight) -> set[int]:
+    """The residues of the entries and of the entries plus one."""
+    return {res_p(x + d, lam.p) for x in lam.parts for d in (0, 1)}
 
 
 def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
     """One reduction per residue: every beta in 0..p-1, or for p = 0 every
     residue of an entry or of an entry plus one."""
-    p = lam.p
-    if p:
-        betas = range(p)
-    else:
-        betas = sorted({res_p(x, 0) for x in lam.parts} | {res_p(x + 1, 0) for x in lam.parts})
+    betas = range(lam.p) if lam.p else sorted(_touched(lam))
     return {beta: reduce_residue(lam, beta) for beta in betas}
 
 
@@ -158,8 +169,9 @@ def _classify(i: int, own: ResidueReduction, up: ResidueReduction) -> IndexClass
 
 def classify_indices(lam: Weight) -> tuple[IndexClassification, ...]:
     """The classification of every index, read off one reduction per
-    residue."""
-    reductions = residue_reductions(lam)
+    residue that an entry touches: index i reads those at res_p(x) and
+    res_p(x + 1) of its entry x, and no other residue is built."""
+    reductions = {beta: reduce_residue(lam, beta) for beta in _touched(lam)}
     p = lam.p
     return tuple(
         _classify(i, reductions[res_p(x, p)], reductions[res_p(x + 1, p)])
@@ -168,6 +180,9 @@ def classify_indices(lam: Weight) -> tuple[IndexClassification, ...]:
 
 
 def _own(lam: Weight, i: int) -> ResidueReduction:
+    """The reduction at the residue of index i, for 1 <= i < n."""
+    if not 1 <= i < lam.n:
+        raise ValueError(f"need 1 <= i < n, got i={i}, n={lam.n}")
     return reduce_residue(lam, lam.residue(i))
 
 
@@ -223,17 +238,13 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     one surviving plus; (d) empty reduction after i with both boundary
     entries divisible by p.
     """
-    n = lam.n
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < n, got i={i}, n={n}")
     own = _own(lam, i)
     if i in own.normal:
         raise IsNormal(f"index {i} is normal for {lam.parts}")
-    p = lam.p
+    n, p = lam.n, lam.p
     beta, u = own.beta, own.sign_map
     gap = list(range(i + 1, n))
-    red_gap = reduce_seq(product_of(u, gap))
-    pluses = plus_count(red_gap)
+    pluses = own.gaps[i][0]
 
     if pluses >= (2 if beta == 0 else 1):
         j_set, flow = partial_flow(u.restrict(gap))
@@ -245,7 +256,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
         j = lead_plus_index(u.restrict(gap))
         tag = "c"
-    elif not red_gap and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
+    elif own.gaps[i] == (0, 0) and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
         j = n
         tag = "d"
     else:
@@ -323,20 +334,20 @@ class ConstructionPlan:
         return json.dumps({"steps": [s.to_jsonable() for s in self.steps]})
 
 
-def _base_step(lam: Weight, u: SignMap, i: int, red_gap: Seq) -> PlanStep:
+def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
     """Dispatch between the two base constructions at index i (producing a
     primitive vector of weight lambda - alpha(i, n)), given the reduction
-    of u = r_beta(lambda) strictly between i and n."""
-    n = lam.n
-    p = lam.p
-    if plus_count(red_gap):
+    `own` of u = r_beta(lambda), read strictly between i and n."""
+    n, p = lam.n, lam.p
+    pluses, minuses = own.gaps[i]
+    if pluses:
         raise UnreachableCase("base step with a surviving plus in the gap")
     # minuses survive: the closed-range construction on (i..n]
-    closed = bool(red_gap)
+    closed = bool(minuses)
     if not closed and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
         raise UnreachableCase("base step at a non-normal index")
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
-    flow = build_full_flow(u.restrict(dom))
+    flow = build_full_flow(own.sign_map.restrict(dom))
     m_set = _leftovers(dom, flow, odds=[] if closed else [n])
     return PlanStep("T6.1.3" if closed else "T6.2.3",
                     {"i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
@@ -395,22 +406,20 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
     for a normal index i, following the four-way case split on the
     reduction strictly between i and n.  Every step reads the one sign map
     at the residue of i (zero on the plus-led branches)."""
-    n = lam.n
-    own = _own(lam, i) if 1 <= i < n else None
-    if own is None or i not in own.normal:
+    own = _own(lam, i)
+    if i not in own.normal:
         raise NotNormal(f"index {i} is not normal for {lam.parts}")
-    p = lam.p
+    n, p = lam.n, lam.p
     u = own.sign_map
-    red_gap = reduce_seq(product_of(u, range(i + 1, n)))
-    if plus_count(red_gap) == 0:
-        return ConstructionPlan((_base_step(lam, u, i, red_gap),))
+    if own.gaps[i][0] == 0:
+        return ConstructionPlan((_base_step(lam, own, i),))
     # plus-led gap: only possible at residue zero with entry = 1 mod p
     if not congruent(lam.entry(i), 1, p):
         raise UnreachableCase("plus-led gap at a normal index needs entry = 1 mod p")
     if not congruent(lam.entry(n), -1, p):
         return ConstructionPlan((_resolution_step(lam, u, i),))
     a = max(section_of(u.restrict(seg_oo(i, n))))
-    base = _base_step(lam, u, a, reduce_seq(product_of(u, range(a + 1, n))))
+    base = _base_step(lam, own, a)
     return ConstructionPlan((base, _joined_extension_step(u, i, a)))
 
 

@@ -164,9 +164,10 @@ def r_beta(lam: Weight, beta: int) -> SignMap:
 
     beta = 0 gives the pair-mode map (--, +-, ++ at entries congruent to
     1, 0, -1 mod p); beta != 0 gives the single-mode map with - at entries
-    of residue beta and + where the residue of (entry + 1) is beta.
+    of residue beta and + where the residue of (entry + 1) is beta.  beta
+    is an integer, taken mod p; a float or a string is a TypeError.
     """
-    p = lam.p
+    p, beta = lam.p, operator.index(beta)
     beta = beta % p if p else beta
     if beta == 0:
         pair = {1 % p: "--", 0: "+-", -1 % p: "++"} if p else {1: "--", 0: "+-", -1: "++"}

@@ -3,12 +3,14 @@ the crystal's node routines and generation, kept as test oracles for the
 one-pass library code.
 
 Each predicate rebuilds r_beta and re-reduces the products it needs, and
-each construction recurses on the last index of the domain, re-reducing
-every prefix it looks at.  The signed-node routines re-check the whole
-partition or weight after each trial row change, and the crystal graph
-filters all partitions.  Nothing here reads the library's classification,
-scans or node routines; only the shared vocabulary (r_beta, product_of,
-reduce_seq, SignMap.restrict, cont_p, partitions, CrystalGraph) is imported.
+the two-word, two-reduction build of one residue is kept as the oracle of
+the one-word scan.  Each construction recurses on the last index of the
+domain, re-reducing every prefix it looks at.  The signed-node routines
+re-check the whole partition or weight after each trial row change, and
+the crystal graph filters all partitions.  Nothing here reads the
+library's classification, scans or node routines; only the shared
+vocabulary (r_beta, product_of, reduce_seq, SignMap.restrict, cont_p,
+partitions, CrystalGraph) is imported.
 """
 from __future__ import annotations
 
@@ -82,6 +84,40 @@ def tensor_cogood(lam: Weight, i: int) -> bool:
         for h in range(i + 1, lam.n + 1)
         if res_p(lam.entry(h) + 1, lam.p) == my
     )
+
+
+def residue_reduction(lam: Weight, beta: int) -> dict:
+    """The per-residue build that the one-word scan replaced: two words and
+    two reductions, over [1..n] and over [1..n), and a right-to-left scan for
+    the boundary exception only when it can apply."""
+    n, p = lam.n, lam.p
+    u = r_beta(lam, beta)
+    reduced = reduce_seq(product_of(u))
+    head = reduce_seq(product_of(u, range(1, n)))
+    normal = {m for s, m in head if s == MINUS}
+    if normal and congruent(lam.entry(n), 0, p):
+        s = r = 0
+        for i in range(n - 1, 0, -1):
+            if s == r == 0 and congruent(lam.entry(i), 0, p):
+                normal.discard(i)
+            for ch in reversed(u.value(i)):
+                if ch == "+":
+                    s += 1
+                elif s:
+                    s -= 1
+                else:
+                    r += 1
+    minus = frozenset(m for s, m in reduced if s == MINUS)
+    plus = frozenset(m for s, m in reduced if s == PLUS)
+    return {
+        "reduced": reduced,
+        "tensor_normal": minus,
+        "tensor_conormal": plus,
+        "normal": frozenset(normal),
+        "good": min(normal, default=None),
+        "tensor_good": min(minus, default=None),
+        "tensor_cogood": max(plus, default=None),
+    }
 
 
 def classify_index(lam: Weight, i: int) -> IndexClassification:

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import definitional
-from spinbranch import clear_caches
-from spinbranch.core import SignedSet, Weight
+from spinbranch import clear_caches, indices
+from spinbranch.cli import main
+from spinbranch.core import SignedSet, Weight, res_p
 from spinbranch.indices import (
     ConstructionPlan,
     IsNormal,
@@ -17,10 +18,18 @@ from spinbranch.indices import (
     index_report,
     non_normal_certificate,
     primitive_plan,
+    reduce_residue,
     validate_certificate,
     validate_plan,
 )
-from spinbranch.sigseq import PreconditionFailed
+from spinbranch.sigseq import (
+    PreconditionFailed,
+    minus_count,
+    plus_count,
+    product_of,
+    r_beta,
+    reduce_seq,
+)
 
 WORKED = Weight((16, 11, 10, 10, 9, 5, 1, 0), 5)
 
@@ -130,6 +139,15 @@ def test_primitive_plan_examples():
 
     with pytest.raises(NotNormal):
         primitive_plan(Weight((0, 0), 5), 1)
+
+
+def test_plan_rejects_an_index_out_of_range():
+    lam = Weight((3, 1, 2), 7)
+    for i in (-1, 0, 3, 4):
+        for build in (primitive_plan, non_normal_certificate):
+            with pytest.raises(ValueError, match=rf"need 1 <= i < n, got i={i}, n=3") as err:
+                build(lam, i)
+            assert not isinstance(err.value, (NotNormal, IsNormal))
 
 
 def test_extension_plan_examples():
@@ -266,6 +284,65 @@ def test_one_pass_classification_matches_definitions():
         assert all(c.residue == r for r, group in report.items() for c in group)
         flat = sorted((c for group in report.values() for c in group), key=lambda c: c.index)
         assert tuple(flat) == expected
+
+
+def _betas(lam: Weight):
+    """Every residue for p > 0; for p = 0 the touched residues and three
+    more, one of them (-1) the residue of no integer."""
+    if lam.p:
+        return range(lam.p)
+    return sorted({res_p(x + d, 0) for x in lam.parts for d in (0, 1)} | {-1, 2, 30})
+
+
+def test_one_word_scan_matches_the_two_word_build():
+    fields = ("reduced", "normal", "tensor_normal", "tensor_conormal", "good",
+              "tensor_good", "tensor_cogood")
+    for lam in _oracle_weights(seed=5150, count=400):
+        n = lam.n
+        for beta in _betas(lam):
+            red = reduce_residue(lam, beta)
+            expected = definitional.residue_reduction(lam, beta)
+            assert {f: getattr(red, f) for f in fields} == expected, (lam, beta)
+            u = r_beta(lam, beta)
+            gaps = []
+            for i in range(n):
+                gap = reduce_seq(product_of(u, range(i + 1, n)))
+                gaps.append((plus_count(gap), minus_count(gap)))
+            assert red.gaps == tuple(gaps), (lam, beta)
+
+
+def test_classification_builds_only_the_touched_residues(capsys):
+    fewer = 0
+    for lam in _oracle_weights(seed=77, count=200):
+        touched = {res_p(x + d, lam.p) for x in lam.parts for d in (0, 1)}
+        fewer += len(touched) < lam.p
+        clear_caches()
+        classify_indices(lam)
+        info = indices._reduction_cached.cache_info()
+        assert (info.misses, info.currsize) == (len(touched), len(touched)), lam
+    assert fewer > 50
+    # the report still lists the sign map and reduction of every residue
+    lam = Weight((3, 1, 2), 7)
+    assert {res_p(x + d, 7) for x in lam.parts for d in (0, 1)} == {0, 2, 5, 6}
+    assert main(["analyze", "--p", "7", "--weight", "3,1,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    every = {str(beta) for beta in range(7)}
+    assert set(report["r_maps"]) == set(report["reduced_signatures"]) == every
+
+
+def test_residue_must_be_an_integer_and_is_taken_mod_p():
+    lam = Weight((3, 1, 2), 7)
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            r_beta(lam, bad)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            reduce_residue(lam, bad)
+    clear_caches()
+    one = reduce_residue(lam, 1)
+    assert reduce_residue(lam, 8) is one and reduce_residue(lam, -6) is one
+    assert one.beta == 1 and indices._reduction_cached.cache_info().currsize == 1
+    assert r_beta(lam, 8) == r_beta(lam, 1) and reduce_residue(lam, 2).beta == 2
+    assert reduce_residue(Weight((3, 1), 0), 6).beta == 6  # p = 0: beta as given
 
 
 # sha256 over the to_json() lines of every primitive plan, extension plan and

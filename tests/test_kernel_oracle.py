@@ -319,12 +319,16 @@ def test_cached_results_cannot_be_changed_by_a_caller():
 def test_memoised_reductions_cannot_be_changed_by_a_caller():
     lam = Weight((16, 11, 10, 10, 9, 5, 1, 0), 5)
     red = reduce_residue(lam, 0)
-    kept = (red.good, red.normal, red.reduced)
-    for name, value in (("good", 3), ("normal", frozenset()), ("reduced", ())):
+    kept = (red.good, red.normal, red.reduced, red.gaps)
+    for name, value in (("good", 3), ("normal", frozenset()), ("reduced", ()), ("gaps", ())):
         with pytest.raises(FrozenInstanceError):
             setattr(red, name, value)
+    with pytest.raises(TypeError):
+        red.gaps[1] = (0, 0)
+    with pytest.raises(TypeError):
+        red.gaps[1][0] = 5
     again = reduce_residue(lam, 0)
-    assert again == red and (again.good, again.normal, again.reduced) == kept
+    assert again == red and (again.good, again.normal, again.reduced, again.gaps) == kept
     clear_caches()
     assert reduce_residue(lam, 0) == red
 
