@@ -150,6 +150,7 @@ def signed_nodes(rows: tuple[int, ...], p: int, beta: int) -> SignedNodes:
     nodes when both changes do.  Changing row r can only break
     p-strictness against rows r-1 and r+1, so only those are tested.
     """
+    beta = operator.index(beta)
     if p:
         beta %= p
     out: list[tuple[int, Node]] = []
@@ -221,8 +222,8 @@ def reduce_content(lam: PStrictPartition, i: int) -> ContentReduction:
     """The i-nodes of lam, read through the dictionary content i <->
     residue i(i+1): the signed nodes of its rows padded with one empty row,
     less the removable node in column 0 of that row.  That node exists only
-    at content 0 and is last in reading order."""
-    p = lam.p
+    at content 0 and is last in reading order.  i is an integer."""
+    p, i = lam.p, operator.index(i)
     if i < 0 or (p and i > ell_of(p)):
         raise ValueError(f"content {i} does not occur at p={p}")
     signed = signed_nodes(lam.parts + (0,), p, beta_of_content(i, p))

@@ -10,6 +10,11 @@ through `reduce_residue`, whose bounded memo builds each sign map once per
 (lambda, beta mod p) as one word, and one scan gives the shape of every
 gap (i..n).  Every flag, certificate and plan is read off that one result;
 a classification builds only the residues its entries touch.
+
+The re-checks share none of that: each certificate case a-d and each
+construction T6.1.3-T6.6.2 is stated once, as a row of `_statement`, and
+one checker, `_meets`, holds every certificate and plan step to its row
+with a sign map of its own.
 """
 from __future__ import annotations
 
@@ -179,11 +184,12 @@ def classify_indices(lam: Weight) -> tuple[IndexClassification, ...]:
     )
 
 
-def _own(lam: Weight, i: int) -> ResidueReduction:
-    """The reduction at the residue of index i, for 1 <= i < n."""
+def _own(lam: Weight, i: int) -> tuple[int, ResidueReduction]:
+    """Index i as an int, for 1 <= i < n, and the reduction at its residue."""
+    i = operator.index(i)
     if not 1 <= i < lam.n:
         raise ValueError(f"need 1 <= i < n, got i={i}, n={lam.n}")
-    return reduce_residue(lam, lam.residue(i))
+    return i, reduce_residue(lam, lam.residue(i))
 
 
 def index_report(lam: Weight) -> dict[int, list[IndexClassification]]:
@@ -212,8 +218,11 @@ class Certificate:
     j: int
     flow: Flow
     m_set: SignedSet
-    sources: frozenset[int]
     c: int
+
+    @property
+    def sources(self) -> frozenset[int]:
+        return self.flow.sources()
 
     def to_dict(self) -> dict:
         return {
@@ -238,7 +247,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     one surviving plus; (d) empty reduction after i with both boundary
     entries divisible by p.
     """
-    own = _own(lam, i)
+    i, own = _own(lam, i)
     if i in own.normal:
         raise IsNormal(f"index {i} is normal for {lam.parts}")
     n, p = lam.n, lam.p
@@ -251,7 +260,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
         j = max(j_set)
         m_set = _leftovers(seg_oc(i, j), flow, odds=[j + 1])
         c = _residue_product(lam, beta, m_set.evens)
-        return Certificate("b" if beta == 0 else "a", i, j, flow, m_set, flow.sources(), c)
+        return Certificate("b" if beta == 0 else "a", i, j, flow, m_set, c)
 
     if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
         j = lead_plus_index(u.restrict(gap))
@@ -266,7 +275,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     flow = build_full_flow(u.restrict(inner))
     m_set = _leftovers(inner, flow, odds=[j])
     c = _residue_product(lam, beta, m_set.evens)
-    return Certificate(tag, i, j, flow, m_set, flow.sources(), c)
+    return Certificate(tag, i, j, flow, m_set, c)
 
 
 def _leftovers(dom, flow: Flow, odds=()) -> SignedSet:
@@ -282,22 +291,6 @@ def _residue_product(lam: Weight, beta: int, ts) -> int:
     for t in ts:
         out *= beta - res_p(lam.entry(t), p)
     return out % p if p else out
-
-
-def validate_certificate(lam: Weight, cert: Certificate) -> bool:
-    """Re-check a certificate against the sign-map predicates."""
-    beta = lam.residue(cert.index)
-    u = r_beta(lam, beta)
-    i, j = cert.index, cert.j
-    if cert.case_tag in ("a", "b"):
-        rep = flow_analyze(cert.flow, u.restrict(seg_oc(i, j)))
-        shape_ok = rep.is_flow and rep.coherent and not rep.fully_coherent
-    else:
-        rep = flow_analyze(cert.flow, u.restrict(seg_oo(i, j)))
-        shape_ok = rep.is_flow and rep.fully_coherent
-    rng = seg_oc(i, j) if cert.case_tag in ("a", "b") else seg_oo(i, j)
-    c = _residue_product(lam, beta, [t for t in rng if t not in cert.sources])
-    return shape_ok and not rep.buds and c == cert.c and not congruent(c, 0, lam.p)
 
 
 # -- construction planners -------------------------------------------------------
@@ -406,7 +399,7 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
     for a normal index i, following the four-way case split on the
     reduction strictly between i and n.  Every step reads the one sign map
     at the residue of i (zero on the plus-led branches)."""
-    own = _own(lam, i)
+    i, own = _own(lam, i)
     if i not in own.normal:
         raise NotNormal(f"index {i} is not normal for {lam.parts}")
     n, p = lam.n, lam.p
@@ -428,12 +421,12 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
     one of weight lambda - alpha(h, n), for a normal h < i of equal residue.
     Every step reads the one sign map at that residue (zero whenever
     entry(i)(entry(i) - 1) = 0 mod p)."""
-    n = lam.n
+    n, h, i = lam.n, operator.index(h), operator.index(i)
     if not (1 <= h < i < n):
         raise PreconditionFailed(f"need h < i < n, got h={h}, i={i}, n={n}")
     if lam.residue(h) != lam.residue(i):
         raise PreconditionFailed("indices have different residues")
-    own = _own(lam, h)
+    _, own = _own(lam, h)
     if h not in own.normal:
         raise PreconditionFailed(f"index {h} is not normal for {lam.parts}")
     p = lam.p
@@ -463,6 +456,15 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
 
 # -- payload validation -----------------------------------------------------------
 
+# what each flow test asks of the flow's report against the restricted sign map
+_TESTS = {
+    "full": lambda r: r.is_flow and r.fully_coherent,
+    "budless full": lambda r: r.is_flow and r.fully_coherent and not r.buds,
+    "partial": lambda r: r.is_flow and r.coherent and not r.fully_coherent and not r.buds,
+    "weak": lambda r: r.is_weak_flow and not r.is_flow and r.fully_coherent,
+    "coherent": lambda r: r.is_flow and r.coherent,
+}
+
 
 def validate_plan(lam: Weight, plan: ConstructionPlan) -> bool:
     """Structural validation: every step's payload satisfies its
@@ -470,85 +472,76 @@ def validate_plan(lam: Weight, plan: ConstructionPlan) -> bool:
     return all(validate_step(lam, step) for step in plan.steps)
 
 
-def _is_leftover(m: SignedSet, dom, flow: Flow, odds=()) -> bool:
-    """The rule every step's M obeys: unbarred, exactly the indices of dom
-    that are not sources of the flow; barred, exactly `odds`."""
-    return m.evens == set(dom) - flow.sources() and m.odds == set(odds)
-
-
 def validate_step(lam: Weight, step: PlanStep) -> bool:
-    p = lam.p
-    n = lam.n
-    d = step.data
-    th = step.theorem
-    if th in ("T6.1.3", "T6.2.3"):
-        i, beta = d["i"], d["beta"]
-        closed = th == "T6.1.3"
-        dom = seg_oc(i, n) if closed else seg_oo(i, n)
-        u = r_beta(lam, beta).restrict(dom)
-        rep = flow_analyze(d["flow"], u)
-        both = congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
-        return (
-            plus_count(reduced_product(u)) == 0
-            and (closed or not both)
-            and rep.is_flow
-            and rep.fully_coherent
-            and _is_leftover(d["M"], dom, d["flow"], () if closed else (n,))
-        )
-    if th == "T6.3.3":
-        i = d["i"]
-        u = r_beta(lam, 0).restrict(seg_oc(i, n))
-        rep = flow_analyze(d["resolution"], u)
-        return (
-            plus_count(reduced_product(u)) == 1  # reduced words are +^s -^r: this is +-^m
-            and congruent(lam.entry(i), 1, p)
-            and rep.is_weak_flow
-            and not rep.is_flow
-            and rep.fully_coherent
-            and _is_leftover(d["M"], seg_oc(i, n), d["resolution"], (d["q"],))
-        )
-    if th == "T6.4.2":
-        h, i = d["h"], d["i"]
-        u = r_beta(lam, 0).restrict(seg_oc(h, i))
-        rep = flow_analyze(d["flow"], u)
-        return (
-            congruent(lam.entry(h), 0, p)
-            and congruent(lam.entry(i), 1, p)
-            and plus_count(reduced_product(u)) == 0
-            and rep.is_flow
-            and rep.fully_coherent
-            and _is_leftover(d["M"], seg_oo(h, i), d["flow"], (i,))
-        )
-    if th == "T6.5.2":
-        h, i, beta = d["h"], d["i"], d["beta"]
-        u = r_beta(lam, beta).restrict(seg_oc(h, i))
-        rep = flow_analyze(d["flow"], u)
-        hyp = not congruent(lam.entry(i), 0, p) and not (
-            congruent(lam.entry(h), 0, p) and congruent(lam.entry(i), 1, p)
-        )
-        return (
-            hyp
-            and lam.residue(h) == lam.residue(i)
-            and plus_count(reduced_product(u)) == 0
-            and rep.is_flow
-            and rep.fully_coherent
-            and _is_leftover(d["M"], seg_oc(h, i), d["flow"])
-        )
-    if th == "T6.6.2":
-        h, i = d["h"], d["i"]
-        u = r_beta(lam, 0)
-        u_closed = u.restrict(seg_oc(h, i))
-        rep_gamma = flow_analyze(d["flow"], u.restrict(range(h, i + 1)))
-        rep_delta = flow_analyze(d["weak_flow"], u_closed)
-        return (
-            plus_count(reduced_product(u_closed)) == 1
-            and congruent(lam.entry(h), 1, p)
-            and congruent(lam.entry(i), 0, p)
-            and rep_gamma.is_flow
-            and rep_gamma.coherent
-            and rep_delta.is_weak_flow
-            and not rep_delta.is_flow
-            and rep_delta.fully_coherent
-            and _is_leftover(d["M"], seg_oo(h, i), d["flow"])
-        )
-    raise UnreachableCase(f"unknown theorem tag {th}")
+    return _meets(lam, step.theorem, step.data)
+
+
+def validate_certificate(lam: Weight, cert: Certificate) -> bool:
+    """Re-check a certificate against its case's statement, then its scalar:
+    the product of (beta - residue) over M's unbarred indices, nonzero mod p."""
+    beta = lam.residue(cert.index)
+    data = {"i": cert.index, "j": cert.j, "beta": beta, "flow": cert.flow, "M": cert.m_set}
+    if not _meets(lam, cert.case_tag, data):
+        return False
+    c = _residue_product(lam, beta, cert.m_set.evens)
+    return c == cert.c and not congruent(c, 0, lam.p)
+
+
+def _statement(lam: Weight, tag: str, d: dict) -> tuple:
+    """Certificate case or construction `tag` on payload d, as one row
+    (beta, flows, m_dom, barred, hyp).  Each (flow, dom, test, pluses) of
+    flows must pass _TESTS[test] against r_beta(lambda) restricted to dom,
+    whose reduced product has `pluses` plus signs (None: not stated).  M is
+    m_dom less the sources of the first flow, unbarred, and `barred`, barred.
+    hyp holds the entry congruences and a certificate's case: b exactly when
+    beta = 0, d exactly when j = n; in c/d, i < j and both entries are
+    divisible by p, so the plus at j cancels the minus at i across (i..j)."""
+    n, p, e, h, i = lam.n, lam.p, lam.entry, d.get("h"), d["i"]
+    if tag in ("a", "b", "c", "d"):
+        j, flow, beta = d["j"], d["flow"], d["beta"]
+        if tag in ("a", "b"):
+            dom = seg_oc(i, j)
+            return (beta, ((flow, dom, "partial", None),), dom, (j + 1,),
+                    (tag == "b") == (beta == 0))
+        dom = seg_oo(i, j)
+        return (beta, ((flow, dom, "budless full", None),), dom, (j,),
+                (tag == "d") == (j == n) and i < j
+                and congruent(e(i), 0, p) and congruent(e(j), 0, p))
+    if tag == "T6.1.3":
+        dom = seg_oc(i, n)
+        return d["beta"], ((d["flow"], dom, "full", 0),), dom, (), True
+    if tag == "T6.2.3":
+        dom = seg_oo(i, n)
+        return (d["beta"], ((d["flow"], dom, "full", 0),), dom, (n,),
+                not (congruent(e(i), 0, p) and congruent(e(n), 0, p)))
+    if tag == "T6.3.3":
+        dom = seg_oc(i, n)
+        return 0, ((d["resolution"], dom, "weak", 1),), dom, (d["q"],), congruent(e(i), 1, p)
+    if tag == "T6.4.2":
+        return (0, ((d["flow"], seg_oc(h, i), "full", 0),), seg_oo(h, i), (i,),
+                congruent(e(h), 0, p) and congruent(e(i), 1, p))
+    if tag == "T6.5.2":
+        dom = seg_oc(h, i)
+        return (d["beta"], ((d["flow"], dom, "full", 0),), dom, (),
+                lam.residue(h) == lam.residue(i) and not congruent(e(i), 0, p)
+                and not (congruent(e(h), 0, p) and congruent(e(i), 1, p)))
+    if tag == "T6.6.2":  # the joining flow on [h..i], then the weak flow on (h..i]
+        return (0, ((d["flow"], range(h, i + 1), "coherent", None),
+                    (d["weak_flow"], seg_oc(h, i), "weak", 1)), seg_oo(h, i), (),
+                congruent(e(h), 1, p) and congruent(e(i), 0, p))
+    raise UnreachableCase(f"unknown theorem tag {tag}")
+
+
+def _meets(lam: Weight, tag: str, d: dict) -> bool:
+    """Hold payload d to the row of `tag`: one r_beta, one restriction per flow."""
+    beta, flows, m_dom, barred, hyp = _statement(lam, tag, d)
+    m, sources = d["M"], flows[0][0].sources()
+    if not (hyp and m.evens == set(m_dom) - sources and m.odds == set(barred)):
+        return False
+    u = r_beta(lam, beta)
+    for flow, dom, test, pluses in flows:
+        v = u.restrict(dom)
+        if not _TESTS[test](flow_analyze(flow, v)) or (
+                pluses is not None and plus_count(reduced_product(v)) != pluses):
+            return False
+    return True

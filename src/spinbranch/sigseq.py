@@ -212,26 +212,18 @@ class FlowReport:
 
 def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
     """Evaluate the flow, coherence and bud conditions of g against u."""
-    dom = set(u.domain)
+    vals = u._by_index
     edges = sorted(g.edges)
     srcs = [a for a, _ in edges]
     tgts = [b for _, b in edges]
-    in_domain = all(a in dom and b in dom for a, b in edges)
-    distinct = len(set(srcs)) == len(srcs) and len(set(tgts)) == len(tgts)
+    src_set, target_set = set(srcs), set(tgts)
+    in_domain = all(a in vals and b in vals for a, b in edges)
+    distinct = len(src_set) == len(edges) == len(target_set)
     weak = in_domain and distinct and all(a <= b for a, b in edges)
     strict = weak and all(a < b for a, b in edges)
-    coherent = (
-        all(u.contains_minus(a) for a in srcs)
-        and all(u.contains_plus(b) for b in tgts)
-    )
-    target_set = set(tgts)
-    fully = coherent and all(
-        i in target_set for i in dom if u.contains_plus(i)
-    )
-    src_set = set(srcs)
-    buds = frozenset(
-        i for i in dom if u.contains_minus(i) and i not in src_set
-    )
+    coherent = all("-" in vals[a] for a in srcs) and all("+" in vals[b] for b in tgts)
+    fully = coherent and all(i in target_set for i, v in u.values if "+" in v)
+    buds = frozenset(i for i, v in u.values if "-" in v and i not in src_set)
     return FlowReport(weak, strict, coherent, fully, buds)
 
 

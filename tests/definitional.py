@@ -7,14 +7,17 @@ the two-word, two-reduction build of one residue is kept as the oracle of
 the one-word scan.  Each construction recurses on the last index of the
 domain, re-reducing every prefix it looks at.  The signed-node routines
 re-check the whole partition or weight after each trial row change, and
-the crystal graph filters all partitions.  Nothing here reads the
-library's classification, scans or node routines; only the shared
-vocabulary (r_beta, product_of, reduce_seq, SignMap.restrict, cont_p,
-partitions, CrystalGraph) is imported.
+the crystal graph filters all partitions.  The re-checks of plan steps
+and certificates are kept as they were before the statement table: one
+branch per construction, each building its own r_beta.  Nothing here
+reads the library's classification, scans, node routines or statement
+table; only the shared vocabulary (r_beta, product_of, reduce_seq,
+SignMap.restrict, flow_analyze, cont_p, partitions, CrystalGraph) is
+imported.
 """
 from __future__ import annotations
 
-from spinbranch.core import Weight, congruent, res_p
+from spinbranch.core import SignedSet, Weight, congruent, res_p, seg_oc, seg_oo
 from spinbranch.crystal import (
     CrystalGraph,
     PStrictPartition,
@@ -28,10 +31,12 @@ from spinbranch.sigseq import (
     PLUS,
     Flow,
     SignMap,
+    flow_analyze,
     plus_count,
     product_of,
     r_beta,
     reduce_seq,
+    reduced_product,
 )
 
 # -- index predicates ----------------------------------------------------------
@@ -226,6 +231,115 @@ def split_index(u: SignMap) -> int:
         return rec(rest)
 
     return rec(list(u.domain))
+
+
+# -- re-checks of plan steps and certificates, one branch per construction ----------
+
+
+def _residue_product(lam: Weight, beta: int, ts) -> int:
+    out = 1
+    for t in ts:
+        out *= beta - res_p(lam.entry(t), lam.p)
+    return out % lam.p if lam.p else out
+
+
+def _is_leftover(m: SignedSet, dom, flow: Flow, odds=()) -> bool:
+    return m.evens == set(dom) - flow.sources() and m.odds == set(odds)
+
+
+def validate_certificate(lam: Weight, cert) -> bool:
+    """The flow shape of cases a/b on (i..j] and c/d on (i..j), and the
+    scalar over the range less the flow's sources; M is not read."""
+    beta = lam.residue(cert.index)
+    u = r_beta(lam, beta)
+    i, j = cert.index, cert.j
+    if cert.case_tag in ("a", "b"):
+        rep = flow_analyze(cert.flow, u.restrict(seg_oc(i, j)))
+        shape_ok = rep.is_flow and rep.coherent and not rep.fully_coherent
+    else:
+        rep = flow_analyze(cert.flow, u.restrict(seg_oo(i, j)))
+        shape_ok = rep.is_flow and rep.fully_coherent
+    rng = seg_oc(i, j) if cert.case_tag in ("a", "b") else seg_oo(i, j)
+    c = _residue_product(lam, beta, [t for t in rng if t not in cert.flow.sources()])
+    return shape_ok and not rep.buds and c == cert.c and not congruent(c, 0, lam.p)
+
+
+def validate_step(lam: Weight, step) -> bool:
+    p = lam.p
+    n = lam.n
+    d = step.data
+    th = step.theorem
+    if th in ("T6.1.3", "T6.2.3"):
+        i, beta = d["i"], d["beta"]
+        closed = th == "T6.1.3"
+        dom = seg_oc(i, n) if closed else seg_oo(i, n)
+        u = r_beta(lam, beta).restrict(dom)
+        rep = flow_analyze(d["flow"], u)
+        both = congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
+        return (
+            plus_count(reduced_product(u)) == 0
+            and (closed or not both)
+            and rep.is_flow
+            and rep.fully_coherent
+            and _is_leftover(d["M"], dom, d["flow"], () if closed else (n,))
+        )
+    if th == "T6.3.3":
+        i = d["i"]
+        u = r_beta(lam, 0).restrict(seg_oc(i, n))
+        rep = flow_analyze(d["resolution"], u)
+        return (
+            plus_count(reduced_product(u)) == 1
+            and congruent(lam.entry(i), 1, p)
+            and rep.is_weak_flow
+            and not rep.is_flow
+            and rep.fully_coherent
+            and _is_leftover(d["M"], seg_oc(i, n), d["resolution"], (d["q"],))
+        )
+    if th == "T6.4.2":
+        h, i = d["h"], d["i"]
+        u = r_beta(lam, 0).restrict(seg_oc(h, i))
+        rep = flow_analyze(d["flow"], u)
+        return (
+            congruent(lam.entry(h), 0, p)
+            and congruent(lam.entry(i), 1, p)
+            and plus_count(reduced_product(u)) == 0
+            and rep.is_flow
+            and rep.fully_coherent
+            and _is_leftover(d["M"], seg_oo(h, i), d["flow"], (i,))
+        )
+    if th == "T6.5.2":
+        h, i, beta = d["h"], d["i"], d["beta"]
+        u = r_beta(lam, beta).restrict(seg_oc(h, i))
+        rep = flow_analyze(d["flow"], u)
+        hyp = not congruent(lam.entry(i), 0, p) and not (
+            congruent(lam.entry(h), 0, p) and congruent(lam.entry(i), 1, p)
+        )
+        return (
+            hyp
+            and lam.residue(h) == lam.residue(i)
+            and plus_count(reduced_product(u)) == 0
+            and rep.is_flow
+            and rep.fully_coherent
+            and _is_leftover(d["M"], seg_oc(h, i), d["flow"])
+        )
+    if th == "T6.6.2":
+        h, i = d["h"], d["i"]
+        u = r_beta(lam, 0)
+        u_closed = u.restrict(seg_oc(h, i))
+        rep_gamma = flow_analyze(d["flow"], u.restrict(range(h, i + 1)))
+        rep_delta = flow_analyze(d["weak_flow"], u_closed)
+        return (
+            plus_count(reduced_product(u_closed)) == 1
+            and congruent(lam.entry(h), 1, p)
+            and congruent(lam.entry(i), 0, p)
+            and rep_gamma.is_flow
+            and rep_gamma.coherent
+            and rep_delta.is_weak_flow
+            and not rep_delta.is_flow
+            and rep_delta.fully_coherent
+            and _is_leftover(d["M"], seg_oo(h, i), d["flow"])
+        )
+    raise ValueError(f"unknown theorem tag {th}")
 
 
 # -- crystal: signed nodes by whole-partition checks, and the filtered graph ------

@@ -83,6 +83,25 @@ def test_reduce_content_rejects_contents_that_do_not_occur():
             reduce_content(PStrictPartition((2, 1), p), i)
 
 
+def test_content_and_residue_must_be_integers():
+    # a float used to match no node and read as an empty signature
+    lam = PStrictPartition((3, 1), 5)
+    calls = (
+        lambda: rim_signature(WORKED, 1.5),
+        lambda: beta_signature(Weight((3, 1), 5), 1.5),
+        lambda: e_tilde(0.0, lam),
+        lambda: f_tilde("0", lam),
+        lambda: signed_nodes((3, 1), 5, 2.0),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    # integers, including those a bool or a residue outside 0..p-1 spells, still work
+    assert rim_signature(WORKED, True) == rim_signature(WORKED, 1)
+    assert signed_nodes((3, 1), 5, 7) == signed_nodes((3, 1), 5, 2)
+    assert e_tilde(0, lam) is not None
+
+
 def test_rim_signature_worked_example():
     assert rim_signature(WORKED, 0) == (
         (MINUS, 1), (MINUS, 1), (MINUS, 2), (PLUS, 5), (PLUS, 6), (MINUS, 6), (MINUS, 7),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from spinbranch.indices import (
     validate_plan,
 )
 from spinbranch.sigseq import (
+    Flow,
     PreconditionFailed,
     minus_count,
     plus_count,
@@ -141,6 +143,28 @@ def test_primitive_plan_examples():
         primitive_plan(Weight((0, 0), 5), 1)
 
 
+def test_planner_indices_must_be_integers():
+    lam = Weight((3, 1, 2, 0), 7)
+    cert = non_normal_certificate(lam, True)
+    assert cert.index == 1 and type(cert.index) is int
+    assert json.loads(cert.to_json())["i"] == 1
+    assert cert.to_json() == non_normal_certificate(lam, 1).to_json()
+    calls = (
+        lambda: primitive_plan(lam, 1.0),
+        lambda: non_normal_certificate(lam, 1.0),
+        lambda: extension_plan(lam, 1, 3.0),
+        lambda: extension_plan(lam, 1.0, 3),
+        lambda: extension_plan(lam, "1", 3),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    lam2 = Weight((2, 2, 0), 5)
+    plan = extension_plan(lam2, True, 2)
+    assert plan.to_json() == extension_plan(lam2, 1, 2).to_json()
+    assert primitive_plan(lam2, True).to_json() == primitive_plan(lam2, 1).to_json()
+
+
 def test_plan_rejects_an_index_out_of_range():
     lam = Weight((3, 1, 2), 7)
     for i in (-1, 0, 3, 4):
@@ -187,26 +211,66 @@ def test_extension_plan_two_step_cases():
 
 
 def test_plan_step_fails_when_m_loses_an_element():
-    # every theorem's M is checked whole: the evens are the domain less the
-    # flow's sources and the odds are the step's barred indices
-    seen = set()
+    # every theorem's and every certificate case's M is checked whole: the
+    # evens are the domain less the flow's sources and the odds are the
+    # step's or case's barred indices
+    seen, cases = set(), set()
     for p in (3, 5):
         for lam in _planner_weights(p):
             normals = [c.index for c in classify_indices(lam) if c.normal]
+            for i in range(1, lam.n):
+                if i not in normals:
+                    cert = non_normal_certificate(lam, i)
+                    assert validate_certificate(lam, cert)
+                    for less in _less_one(cert.m_set):
+                        assert not validate_certificate(lam, replace(cert, m_set=less)), (lam, cert)
+                        cases.add(cert.case_tag)
             plans = [primitive_plan(lam, i) for i in normals if i < lam.n]
             plans += [extension_plan(lam, h, i) for h in normals for i in range(h + 1, lam.n)
                       if lam.residue(h) == lam.residue(i)]
             for plan in plans:
                 assert validate_plan(lam, plan)
                 for k, step in enumerate(plan.steps):
-                    m = step.data["M"]
-                    for el in [(v, False) for v in m.evens] + [(v, True) for v in m.odds]:
-                        less = SignedSet(m.evens - {el[0]}, m.odds - {el[0]})
+                    for less in _less_one(step.data["M"]):
                         data = dict(step.data, M=less)
                         steps = plan.steps[:k] + (PlanStep(step.theorem, data),) + plan.steps[k + 1:]
-                        assert not validate_plan(lam, ConstructionPlan(steps)), (lam, step, el)
-                        seen.add((step.theorem, el[1]))
-    assert {th for th, _ in seen} == {"T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2"}
+                        assert not validate_plan(lam, ConstructionPlan(steps)), (lam, step, less)
+                        seen.add(step.theorem)
+    assert seen == {"T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2"}
+    assert cases == {"a", "b", "c", "d"}
+    lam = Weight((0, 0), 5)
+    cert = non_normal_certificate(lam, 1)
+    assert cert.case_tag == "d" and not validate_certificate(lam, replace(cert, m_set=SignedSet()))
+
+
+def _less_one(m: SignedSet):
+    """M less one element, for each element, barred or not."""
+    for v in sorted(m.evens):
+        yield SignedSet(m.evens - {v}, m.odds)
+    for v in sorted(m.odds):
+        yield SignedSet(m.evens, m.odds - {v})
+
+
+def test_certificate_checks_its_case_against_beta_and_j():
+    lam = Weight((2, 1, 0), 5)
+    cert = non_normal_certificate(lam, 1)
+    assert cert.case_tag == "a" and validate_certificate(lam, cert)
+    for less in ({2}, {3}):  # M = {2, 3-bar} cut to one element
+        m = SignedSet(cert.m_set.evens & less, cert.m_set.odds & less)
+        assert not validate_certificate(lam, replace(cert, m_set=m))
+    assert not validate_certificate(lam, replace(cert, case_tag="b"))  # b needs beta = 0
+    zero = Weight((0, 0), 5)
+    cert_d = non_normal_certificate(zero, 1)
+    assert not validate_certificate(zero, replace(cert_d, case_tag="c"))  # d exactly when j = n
+    # moved to a normal index, a c/d certificate must not validate: c needs
+    # i < j, and both c and d need the entry at i divisible by p
+    for lam2, i, tag in ((Weight((0, 3, 1), 3), 1, "c"), (Weight((4, 6, 3, 0, 5), 5), 4, "d")):
+        moved = replace(non_normal_certificate(lam2, i), index=i - 1 if tag == "d" else i + 1)
+        assert moved.case_tag == tag and classify_indices(lam2)[moved.index - 1].normal
+        assert not validate_certificate(lam2, moved)
+        assert definitional.validate_certificate(lam2, moved)  # the old check let it pass
+    assert cert.sources == cert.flow.sources() == frozenset()
+    assert json.loads(cert.to_json())["sources"] == []
 
 
 def test_shortcut_matches_definition():
@@ -405,3 +469,80 @@ def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, 
     assert theorems == {"T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2"}
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == PLANNER_DIGESTS[p]
+
+
+_T6 = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
+_SWAP = {"a": "b", "b": "a", "c": "d", "d": "c"}
+
+
+def _without_one_edge(flow: Flow):
+    for edge in sorted(flow.edges):
+        yield Flow(flow.edges - {edge})
+
+
+def _step_mutants(step: PlanStep):
+    d = step.data
+    for less in _less_one(d["M"]):
+        yield "M", PlanStep(step.theorem, dict(d, M=less))
+    for theorem in _T6:
+        if theorem != step.theorem:
+            yield "tag", PlanStep(theorem, d)
+    for key in ("h", "i"):
+        for shift in (-1, 1):
+            if key in d:
+                yield "index", PlanStep(step.theorem, dict(d, **{key: d[key] + shift}))
+    for key in ("flow", "resolution", "weak_flow"):
+        for fewer in _without_one_edge(d.get(key, Flow())):
+            yield "edge", PlanStep(step.theorem, dict(d, **{key: fewer}))
+
+
+def _cert_mutants(cert):
+    for less in _less_one(cert.m_set):
+        yield "M", replace(cert, m_set=less)
+    yield "tag", replace(cert, case_tag=_SWAP[cert.case_tag])
+    for shift in (-1, 1):
+        yield "index", replace(cert, index=cert.index + shift)
+    for fewer in _without_one_edge(cert.flow):
+        yield "edge", replace(cert, flow=fewer)
+
+
+def _accepts(validate, lam, payload) -> bool:
+    """A mutant payload may name indices or keys its statement lacks; a
+    validator that raises on it rejects it."""
+    try:
+        return validate(lam, payload)
+    except (KeyError, IndexError, TypeError, ValueError):
+        return False
+
+
+@pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
+def test_statement_table_accepts_no_more_than_the_old_validators(p):
+    # the old one-branch-per-construction validators, kept in definitional,
+    # accept every genuine payload the new table does, and no mutant that
+    # they reject gets past the table
+    rejected = {}
+    for lam in _planner_weights(p):
+        normals = {c.index for c in classify_indices(lam) if c.normal}
+        pairs = []
+        for i in range(1, lam.n):
+            if i in normals:
+                pairs += [(s, _step_mutants) for s in primitive_plan(lam, i).steps]
+            else:
+                pairs.append((non_normal_certificate(lam, i), _cert_mutants))
+        for h in sorted(normals):
+            for i in range(h + 1, lam.n):
+                if lam.residue(h) == lam.residue(i):
+                    pairs += [(s, _step_mutants) for s in extension_plan(lam, h, i).steps]
+        for payload, mutants in pairs:
+            ours, old = ((indices.validate_step, definitional.validate_step)
+                         if mutants is _step_mutants else
+                         (validate_certificate, definitional.validate_certificate))
+            assert ours(lam, payload) and old(lam, payload), (lam, payload)
+            for kind, mutant in mutants(payload):
+                new_ok = _accepts(ours, lam, mutant)
+                assert not new_ok or _accepts(old, lam, mutant), (lam, kind, mutant)
+                # a certificate that validates names a non-normal index
+                if new_ok and mutants is _cert_mutants:
+                    assert mutant.index not in normals, (lam, mutant)
+                rejected[kind] = rejected.get(kind, 0) + (not new_ok)
+    assert all(rejected.get(kind) for kind in ("M", "tag", "index", "edge")), rejected
