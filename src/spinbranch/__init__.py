@@ -43,7 +43,6 @@ from .sigseq import (
     build_full_flow,
     flow_analyze,
     lead_plus_index,
-    minus_w0_seq,
     partial_flow,
     product_of,
     r_beta,

@@ -44,6 +44,7 @@ from .sigseq import (
     resolution_of,
     section_of,
     split_index,
+    _section_scan,
 )
 
 
@@ -368,25 +369,16 @@ def _extension_flow_step(lam: Weight, u: SignMap, theorem: str, h: int, i: int) 
 
 
 def _joined_extension_step(u: SignMap, h: int, i: int) -> PlanStep:
-    """Payload for the section-joining extension step (plus-led reduction
-    of u = r_0)."""
-    inner = list(seg_oo(h, i))
-    red_inner = reduce_seq(product_of(u, inner))
-    edges: set[tuple[int, int]] = set()
-    loops: set[tuple[int, int]] = {(i, i)}
-    if not red_inner:
-        gamma0 = build_full_flow(u.restrict(inner))
-        edges = set(gamma0.edges) | {(h, i)}
-        loops |= set(gamma0.edges)
-    else:
-        sec = section_of(u.restrict(inner))
-        chain = (h,) + sec + (i,)
-        edges = set(zip(chain, chain[1:]))
-        pieces = gap_flow_edges(u, inner, sec)
-        edges |= pieces
-        loops |= {(a, a) for a in sec} | pieces
-    gamma = Flow(frozenset(edges))
-    delta = Flow(frozenset(loops))
+    """Payload for the section-joining extension step (plus-led or empty
+    reduction of u = r_0 over (h..i)): the section of (h..i), empty when
+    that reduction is, chained from h to i, with fully coherent flows on
+    the stretches between."""
+    inner = seg_oo(h, i)
+    sec = _section_scan(u, inner)
+    chain = (h,) + sec + (i,)
+    pieces = gap_flow_edges(u, inner, sec)
+    gamma = Flow(frozenset(set(zip(chain, chain[1:])) | pieces))
+    delta = Flow(frozenset({(a, a) for a in sec + (i,)} | pieces))
     m_set = _leftovers(inner, gamma)  # h, a source of gamma, lies outside inner
     return PlanStep(
         "T6.6.2",
@@ -479,6 +471,8 @@ def validate_step(lam: Weight, step: PlanStep) -> bool:
 def validate_certificate(lam: Weight, cert: Certificate) -> bool:
     """Re-check a certificate against its case's statement, then its scalar:
     the product of (beta - residue) over M's unbarred indices, nonzero mod p."""
+    if not 1 <= cert.index < lam.n:
+        return False
     beta = lam.residue(cert.index)
     data = {"i": cert.index, "j": cert.j, "beta": beta, "flow": cert.flow, "M": cert.m_set}
     if not _meets(lam, cert.case_tag, data):
@@ -496,7 +490,7 @@ def _statement(lam: Weight, tag: str, d: dict) -> tuple:
     hyp holds the entry congruences and a certificate's case: b exactly when
     beta = 0, d exactly when j = n; in c/d, i < j and both entries are
     divisible by p, so the plus at j cancels the minus at i across (i..j)."""
-    n, p, e, h, i = lam.n, lam.p, lam.entry, d.get("h"), d["i"]
+    n, p, e, i = lam.n, lam.p, lam.entry, d["i"]
     if tag in ("a", "b", "c", "d"):
         j, flow, beta = d["j"], d["flow"], d["beta"]
         if tag in ("a", "b"):
@@ -518,14 +512,20 @@ def _statement(lam: Weight, tag: str, d: dict) -> tuple:
         dom = seg_oc(i, n)
         return 0, ((d["resolution"], dom, "weak", 1),), dom, (d["q"],), congruent(e(i), 1, p)
     if tag == "T6.4.2":
+        h = d["h"]
         return (0, ((d["flow"], seg_oc(h, i), "full", 0),), seg_oo(h, i), (i,),
                 congruent(e(h), 0, p) and congruent(e(i), 1, p))
     if tag == "T6.5.2":
+        h = d["h"]
         dom = seg_oc(h, i)
         return (d["beta"], ((d["flow"], dom, "full", 0),), dom, (),
                 lam.residue(h) == lam.residue(i) and not congruent(e(i), 0, p)
                 and not (congruent(e(h), 0, p) and congruent(e(i), 1, p)))
-    if tag == "T6.6.2":  # the joining flow on [h..i], then the weak flow on (h..i]
+    if tag == "T6.6.2":
+        # the joining flow on [h..i], then the weak flow on (h..i].  The
+        # joining flow is held to coherence, not to full coherence, so a
+        # flow with its edge out of h dropped still passes
+        h = d["h"]
         return (0, ((d["flow"], range(h, i + 1), "coherent", None),
                     (d["weak_flow"], seg_oc(h, i), "weak", 1)), seg_oo(h, i), (),
                 congruent(e(h), 1, p) and congruent(e(i), 0, p))
@@ -533,9 +533,14 @@ def _statement(lam: Weight, tag: str, d: dict) -> tuple:
 
 
 def _meets(lam: Weight, tag: str, d: dict) -> bool:
-    """Hold payload d to the row of `tag`: one r_beta, one restriction per flow."""
-    beta, flows, m_dom, barred, hyp = _statement(lam, tag, d)
-    m, sources = d["M"], flows[0][0].sources()
+    """Hold payload d to the row of `tag`: one r_beta, one restriction per
+    flow.  A payload lacking a field the row reads, or naming an index
+    outside 1..n, fails."""
+    try:
+        (beta, flows, m_dom, barred, hyp), m = _statement(lam, tag, d), d["M"]
+    except (KeyError, IndexError):
+        return False
+    sources = flows[0][0].sources()
     if not (hyp and m.evens == set(m_dom) - sources and m.odds == set(barred)):
         return False
     u = r_beta(lam, beta)

@@ -59,10 +59,6 @@ class U0Element:
     def from_poly(coeff: Polynomial, bars: Bars = ()) -> "U0Element":
         return U0Element({tuple(bars): coeff})
 
-    @staticmethod
-    def const(c: int) -> "U0Element":
-        return U0Element.from_poly(Polynomial.const(c))
-
     def __add__(self, other: "U0Element") -> "U0Element":
         terms = dict(self._t)
         for bars, coeff in other._t.items():
@@ -105,9 +101,6 @@ class U0Element:
 
     def is_zero(self) -> bool:
         return not self._t
-
-    def parities(self) -> set[int]:
-        return {len(b) % 2 for b in self._t}
 
     def __str__(self) -> str:
         return format_u0(self)
@@ -354,10 +347,10 @@ def two_term_sum_sides(
 # -- evaluation -----------------------------------------------------------------
 
 
-def eval_at_weight(u: U0Element, lam: Weight, p: int | None = None) -> U0Element:
+def eval_at_weight(u: U0Element, lam: Weight) -> U0Element:
     """Substitute the weight entries for the H's and reduce mod p, keeping
     barred factors formal."""
-    p = lam.p if p is None else p
+    p = lam.p
     if p == 0:
         raise CharacteristicZero("modular evaluation needs p > 0")
     out: dict[Bars, Polynomial] = {}

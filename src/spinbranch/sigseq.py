@@ -22,10 +22,6 @@ SINGLE_VALUES = ("", "-", "+")
 PAIR_VALUES = ("", "--", "+-", "++")
 
 
-class MarkOutOfRange(ValueError):
-    pass
-
-
 class NotAllMinus(ValueError):
     pass
 
@@ -81,14 +77,6 @@ def signs(u: Seq) -> str:
     return "".join("+" if s == PLUS else "-" for s, _ in u)
 
 
-def minus_w0_seq(u: Seq, n: int) -> Seq:
-    """Swap signs, send mark i to n+1-i, and reverse the sequence."""
-    for _, mark in u:
-        if not 1 <= mark <= n:
-            raise MarkOutOfRange(f"mark {mark} outside 1..{n}")
-    return tuple((-s, n + 1 - m) for s, m in reversed(u))
-
-
 def seq_to_list(u: Seq) -> list:
     return [["+" if s == PLUS else "-", m] for s, m in u]
 
@@ -126,12 +114,6 @@ class SignMap:
 
     def value(self, i: int) -> str:
         return self._by_index[i]
-
-    def contains_minus(self, i: int) -> bool:
-        return "-" in self.value(i)
-
-    def contains_plus(self, i: int) -> bool:
-        return "+" in self.value(i)
 
     def restrict(self, indices) -> "SignMap":
         """The map on the given indices that lie in the domain."""
@@ -212,7 +194,7 @@ class FlowReport:
 
 def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
     """Evaluate the flow, coherence and bud conditions of g against u."""
-    vals = u._by_index
+    vals = u._by_index  # an edge outside the domain fails every condition
     edges = sorted(g.edges)
     srcs = [a for a, _ in edges]
     tgts = [b for _, b in edges]
@@ -221,7 +203,8 @@ def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
     distinct = len(src_set) == len(edges) == len(target_set)
     weak = in_domain and distinct and all(a <= b for a, b in edges)
     strict = weak and all(a < b for a, b in edges)
-    coherent = all("-" in vals[a] for a in srcs) and all("+" in vals[b] for b in tgts)
+    coherent = (all("-" in vals.get(a, "") for a in srcs)
+                and all("+" in vals.get(b, "") for b in tgts))
     fully = coherent and all(i in target_set for i, v in u.values if "+" in v)
     buds = frozenset(i for i, v in u.values if "-" in v and i not in src_set)
     return FlowReport(weak, strict, coherent, fully, buds)
@@ -310,7 +293,12 @@ def section_of(u: SignMap) -> tuple[int, ...]:
     red = reduced_product(u)
     if plus_count(red) != 1 or not red or red[0][0] != PLUS:
         raise PreconditionFailed(f"[prod u] = {signs(red)} is not +-^m")
-    idxs = u.domain
+    return _section_scan(u, u.domain)
+
+
+def _section_scan(u: SignMap, idxs) -> tuple[int, ...]:
+    """The section of u over the indices idxs, unchecked: () when no prefix
+    of idxs reduces with a plus."""
     sec: list[int] = []
     k = _first_plus(u, idxs)
     while k is not None:
@@ -347,8 +335,8 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
     u restricted to J, having no buds there.
 
     J ends at the first index e whose prefix reduces with enough pluses.
-    If the indices before e reduce with a +, their section is chained to e;
-    otherwise they carry a fully coherent flow."""
+    The section of the indices before e (empty if they reduce with no +)
+    is chained to e, and the stretches between carry fully coherent flows."""
     red = reduced_product(u)
     need = 1 if u.mode == "single" else 2
     if plus_count(red) < need:
@@ -358,9 +346,6 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
     idxs = u.domain
     k = _first_plus(u, idxs, need=need)
     rest = idxs[:k]
-    if _first_plus(u, rest) is None:
-        edges = set(build_full_flow(u.restrict(rest)).edges)
-    else:
-        sec = section_of(u.restrict(rest))
-        edges = set(zip(sec, sec[1:] + (idxs[k],))) | gap_flow_edges(u, rest, sec)
+    sec = _section_scan(u, rest)
+    edges = set(zip(sec, sec[1:] + (idxs[k],))) | gap_flow_edges(u, rest, sec)
     return idxs[: k + 1], Flow(frozenset(edges))

@@ -72,9 +72,12 @@ class VerdictReport:
         if expected != actual:
             self.failures.append((descriptor, str(expected), str(actual)))
 
-    def record(self, descriptor: str, ok: bool, detail: str = ""):
+    def record(self, descriptor: str, ok: bool, detail=""):
+        """Count a case; on a failure keep `detail`, or what it returns when
+        it is a callable (built only then)."""
         self.cases += 1
         if not ok:
+            detail = detail() if callable(detail) else detail
             self.failures.append((descriptor, "ok", detail or "failed"))
 
     def finish(self) -> "VerdictReport":
@@ -644,9 +647,7 @@ def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
         for i in range(1, n):
             if i in normals:
                 plan = ix.primitive_plan(lam, i)
-                rep.record(
-                    f"plan {tag} i={i}", ix.validate_plan(lam, plan), plan.to_json()
-                )
+                rep.record(f"plan {tag} i={i}", ix.validate_plan(lam, plan), plan.to_json)
                 try:
                     ix.non_normal_certificate(lam, i)
                     rep.record(f"cert-reject {tag} i={i}", False, "no error")
@@ -654,11 +655,8 @@ def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
                     rep.record(f"cert-reject {tag} i={i}", True)
             else:
                 cert = ix.non_normal_certificate(lam, i)
-                rep.record(
-                    f"cert {tag} i={i}",
-                    ix.validate_certificate(lam, cert),
-                    cert.to_json(),
-                )
+                rep.record(f"cert {tag} i={i}", ix.validate_certificate(lam, cert),
+                           cert.to_json)
                 try:
                     ix.primitive_plan(lam, i)
                     rep.record(f"plan-reject {tag} i={i}", False, "no error")
@@ -670,11 +668,8 @@ def verify_certificates(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
             for i in range(h + 1, n):
                 if lam.residue(h) == lam.residue(i):
                     plan = ix.extension_plan(lam, h, i)
-                    rep.record(
-                        f"extension {tag} h={h} i={i}",
-                        ix.validate_plan(lam, plan),
-                        plan.to_json(),
-                    )
+                    rep.record(f"extension {tag} h={h} i={i}",
+                               ix.validate_plan(lam, plan), plan.to_json)
     return rep.finish()
 
 

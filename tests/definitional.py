@@ -1,6 +1,7 @@
 """Definitional forms of the index predicates, the flow constructions and
 the crystal's node routines and generation, kept as test oracles for the
-one-pass library code.
+one-pass library code, and the -w0 symmetry of a marked sequence, which
+only the tests use.
 
 Each predicate rebuilds r_beta and re-reduces the products it needs, and
 the two-word, two-reduction build of one residue is kept as the oracle of
@@ -38,6 +39,19 @@ from spinbranch.sigseq import (
     reduce_seq,
     reduced_product,
 )
+
+
+class MarkOutOfRange(ValueError):
+    pass
+
+
+def minus_w0_seq(u, n: int):
+    """Swap signs, send mark i to n+1-i, and reverse the sequence."""
+    for _, mark in u:
+        if not 1 <= mark <= n:
+            raise MarkOutOfRange(f"mark {mark} outside 1..{n}")
+    return tuple((-s, n + 1 - m) for s, m in reversed(u))
+
 
 # -- index predicates ----------------------------------------------------------
 

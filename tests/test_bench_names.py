@@ -65,3 +65,43 @@ def test_traced_methods_exist():
         for cls_name, names in classes.items():
             # the tracer wraps vars(cls)[name]: it must be defined on the class itself
             assert set(names) <= set(vars(getattr(module, cls_name))), (layer, cls_name)
+
+
+def _counted_names(tree: ast.Module) -> set[str]:
+    """Every library name the tracer counts or hooks: the constant keys of
+    `c[...]` in layer_metrics, FLOW_NAMES (sigseq functions), HOOKED_BEFORE,
+    HOOKED_AFTER and SKIP."""
+    consts = {
+        t.id: ast.literal_eval(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for t in node.targets if isinstance(t, ast.Name)
+        and t.id in ("FLOW_NAMES", "HOOKED_BEFORE", "HOOKED_AFTER", "SKIP")
+    }
+    (metrics,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"]
+    keys = {
+        node.slice.value
+        for node in ast.walk(metrics)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id == "c" and isinstance(node.slice, ast.Constant)
+    }
+    flows = {f"sigseq.{name}" for name in consts["FLOW_NAMES"]}
+    return keys | flows | consts["HOOKED_BEFORE"] | consts["HOOKED_AFTER"] | consts["SKIP"]
+
+
+def _resolves(name: str) -> bool:
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"spinbranch.{layer}")
+    for attr in path:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_counted_names_resolve():
+    # a name that no longer resolves zeroes its per-layer metric silently;
+    # indices.classify_index is the one stale name, left for the benchmark
+    names = _counted_names(_tree("tracer.py"))
+    assert {"sigseq.section_of", "poly.Polynomial.__mul__", "crystal.cont_p"} <= names
+    assert {name for name in names if not _resolves(name)} == {"indices.classify_index"}

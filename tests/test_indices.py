@@ -506,21 +506,13 @@ def _cert_mutants(cert):
         yield "edge", replace(cert, flow=fewer)
 
 
-def _accepts(validate, lam, payload) -> bool:
-    """A mutant payload may name indices or keys its statement lacks; a
-    validator that raises on it rejects it."""
-    try:
-        return validate(lam, payload)
-    except (KeyError, IndexError, TypeError, ValueError):
-        return False
-
-
 @pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
 def test_statement_table_accepts_no_more_than_the_old_validators(p):
     # the old one-branch-per-construction validators, kept in definitional,
     # accept every genuine payload the new table does, and no mutant that
-    # they reject gets past the table
-    rejected = {}
+    # they reject gets past the table; on every mutant the table returns a
+    # bool, whatever field or index the mutant lacks
+    rejected, joins, unjoined = {}, 0, 0
     for lam in _planner_weights(p):
         normals = {c.index for c in classify_indices(lam) if c.normal}
         pairs = []
@@ -538,11 +530,21 @@ def test_statement_table_accepts_no_more_than_the_old_validators(p):
                          if mutants is _step_mutants else
                          (validate_certificate, definitional.validate_certificate))
             assert ours(lam, payload) and old(lam, payload), (lam, payload)
+            joins += mutants is _step_mutants and payload.theorem == "T6.6.2"
             for kind, mutant in mutants(payload):
-                new_ok = _accepts(ours, lam, mutant)
-                assert not new_ok or _accepts(old, lam, mutant), (lam, kind, mutant)
+                new_ok = ours(lam, mutant)
+                assert type(new_ok) is bool, (lam, kind, mutant)
+                assert not new_ok or old(lam, mutant), (lam, kind, mutant)
                 # a certificate that validates names a non-normal index
                 if new_ok and mutants is _cert_mutants:
                     assert mutant.index not in normals, (lam, mutant)
+                # T6.6.2 holds its joining flow to coherence only, so the one
+                # edge mutant that validates drops the joining flow's edge out of h
+                if new_ok and kind == "edge":
+                    assert mutants is _step_mutants and payload.theorem == "T6.6.2"
+                    dropped = payload.data["flow"].edges - mutant.data["flow"].edges
+                    assert [a for a, _ in dropped] == [payload.data["h"]], (lam, mutant)
+                    unjoined += 1
                 rejected[kind] = rejected.get(kind, 0) + (not new_ok)
     assert all(rejected.get(kind) for kind in ("M", "tag", "index", "edge")), rejected
+    assert joins and unjoined == joins

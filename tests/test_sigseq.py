@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import definitional
+from spinbranch import indices
 from spinbranch.core import Weight
 from spinbranch.sigseq import (
     MINUS,
     PLUS,
     Flow,
-    MarkOutOfRange,
     NotAllMinus,
     PreconditionFailed,
     SignMap,
@@ -18,7 +18,6 @@ from spinbranch.sigseq import (
     flow_analyze,
     lead_plus_index,
     minus_count,
-    minus_w0_seq,
     partial_flow,
     plus_count,
     product_of,
@@ -68,11 +67,11 @@ def test_r_beta_examples():
 
 
 def test_minus_w0_examples():
-    assert minus_w0_seq(((M, 1), (M, 2)), 2) == ((P, 1), (P, 2))
-    assert minus_w0_seq((), 2) == ()
-    assert minus_w0_seq(((M, 1), (P, 2)), 2) == ((M, 1), (P, 2))
-    with pytest.raises(MarkOutOfRange):
-        minus_w0_seq(((M, 3),), 2)
+    assert definitional.minus_w0_seq(((M, 1), (M, 2)), 2) == ((P, 1), (P, 2))
+    assert definitional.minus_w0_seq((), 2) == ()
+    assert definitional.minus_w0_seq(((M, 1), (P, 2)), 2) == ((M, 1), (P, 2))
+    with pytest.raises(definitional.MarkOutOfRange):
+        definitional.minus_w0_seq(((M, 3),), 2)
 
 
 def test_flow_analyze_examples():
@@ -88,6 +87,10 @@ def test_flow_analyze_examples():
     rep3 = flow_analyze(Flow(frozenset()), u3)
     assert rep3.is_flow and rep3.coherent and rep3.fully_coherent
     assert rep3.buds == frozenset({1})
+
+    # an edge outside the domain makes a report that fails every flow test
+    rep4 = flow_analyze(Flow(frozenset({(1, 2)})), SignMap("single", {2: "+", 3: "-"}))
+    assert not any(test(rep4) for test in indices._TESTS.values())
 
 
 def test_build_full_flow_examples():
@@ -189,8 +192,8 @@ def test_pair_mode_parity(values):
 
 @given(marked.filter(lambda u: all(1 <= m <= 9 for _, m in u)))
 def test_minus_w0_commutes_with_reduction(u):
-    n = 9
-    assert reduce_seq(minus_w0_seq(u, n)) == minus_w0_seq(reduce_seq(u), n)
+    n, w0 = 9, definitional.minus_w0_seq
+    assert reduce_seq(w0(u, n)) == w0(reduce_seq(u), n)
 
 
 def test_json_round_trips():

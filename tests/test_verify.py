@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from spinbranch import verify
+from spinbranch.poly import Polynomial
 from spinbranch.raising import U0Element
 from spinbranch.verify import (
     InvalidSuiteParameter,
@@ -21,6 +22,20 @@ def test_duality_runs_at_characteristic_zero():
 def test_certificates_run_at_characteristic_zero():
     report = verify_certificates(ps=(0,), samples=200)
     assert report.cases > 0 and report.passed, report.failures[:3]
+
+
+def test_certificate_failures_carry_the_payload_json(monkeypatch):
+    # the JSON of a failing plan or certificate is built only on a failure;
+    # the report is pinned at the version that built it for every payload
+    from spinbranch import indices
+
+    monkeypatch.setattr(indices, "validate_plan", lambda lam, plan: False)
+    monkeypatch.setattr(indices, "validate_certificate", lambda lam, cert: False)
+    report = verify_certificates(ps=(0, 5), max_n=5, samples=40, seed=3)
+    assert (report.cases, len(report.failures)) == (228, 121)
+    assert {f[0].split()[0] for f in report.failures} == {"cert", "extension", "plan"}
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest[:16] == "0a8ce90ec1121b2d"
 
 
 def test_signature_bridge_rejects_characteristic_zero():
@@ -50,7 +65,7 @@ def test_failures_are_reported_with_tags_and_both_sides(monkeypatch):
     # expected and actual texts, order) is pinned at the version that ran
     # the oracle through a worker pool
     real_closed, real_sides = verify.raising_closed, verify.two_term_sum_sides
-    one = U0Element.const(1)
+    one = U0Element.from_poly(Polynomial.const(1))
 
     def off_sides(*args):
         lhs, rhs = real_sides(*args)
