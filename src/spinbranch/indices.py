@@ -33,7 +33,6 @@ from .sigseq import (
     SignMap,
     build_full_flow,
     flow_analyze,
-    gap_flow_edges,
     lead_plus_index,
     partial_flow,
     plus_count,
@@ -44,7 +43,7 @@ from .sigseq import (
     resolution_of,
     section_of,
     split_index,
-    _section_scan,
+    _bud_scan,
 )
 
 
@@ -374,11 +373,10 @@ def _joined_extension_step(u: SignMap, h: int, i: int) -> PlanStep:
     that reduction is, chained from h to i, with fully coherent flows on
     the stretches between."""
     inner = seg_oo(h, i)
-    sec = _section_scan(u, inner)
+    sec, pieces, _ = _bud_scan(u, inner)  # +-^m or empty: the scan never stops
     chain = (h,) + sec + (i,)
-    pieces = gap_flow_edges(u, inner, sec)
-    gamma = Flow(frozenset(set(zip(chain, chain[1:])) | pieces))
-    delta = Flow(frozenset({(a, a) for a in sec + (i,)} | pieces))
+    gamma = Flow(frozenset(pieces + list(zip(chain, chain[1:]))))
+    delta = Flow(frozenset(pieces + [(a, a) for a in sec + (i,)]))
     m_set = _leftovers(inner, gamma)  # h, a source of gamma, lies outside inner
     return PlanStep(
         "T6.6.2",
@@ -448,6 +446,9 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
 
 # -- payload validation -----------------------------------------------------------
 
+_CASES = ("a", "b", "c", "d")
+_THEOREMS = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
+
 # what each flow test asks of the flow's report against the restricted sign map
 _TESTS = {
     "full": lambda r: r.is_flow and r.fully_coherent,
@@ -465,13 +466,13 @@ def validate_plan(lam: Weight, plan: ConstructionPlan) -> bool:
 
 
 def validate_step(lam: Weight, step: PlanStep) -> bool:
-    return _meets(lam, step.theorem, step.data)
+    return step.theorem in _THEOREMS and _meets(lam, step.theorem, step.data)
 
 
 def validate_certificate(lam: Weight, cert: Certificate) -> bool:
     """Re-check a certificate against its case's statement, then its scalar:
     the product of (beta - residue) over M's unbarred indices, nonzero mod p."""
-    if not 1 <= cert.index < lam.n:
+    if cert.case_tag not in _CASES or not 1 <= cert.index < lam.n:
         return False
     beta = lam.residue(cert.index)
     data = {"i": cert.index, "j": cert.j, "beta": beta, "flow": cert.flow, "M": cert.m_set}
@@ -487,39 +488,46 @@ def _statement(lam: Weight, tag: str, d: dict) -> tuple:
     flows must pass _TESTS[test] against r_beta(lambda) restricted to dom,
     whose reduced product has `pluses` plus signs (None: not stated).  M is
     m_dom less the sources of the first flow, unbarred, and `barred`, barred.
-    hyp holds the entry congruences and a certificate's case: b exactly when
-    beta = 0, d exactly when j = n; in c/d, i < j and both entries are
-    divisible by p, so the plus at j cancels the minus at i across (i..j)."""
+    hyp holds the index range, the entry congruences and a certificate's
+    case: 1 <= i < n everywhere, i < j < n in a/b (j + 1 is barred), and
+    1 <= h < i in the rows that read h; b exactly when beta = 0, d exactly
+    when j = n; in c/d, i < j and both entries are divisible by p, so the
+    plus at j cancels the minus at i across (i..j).  A certificate takes
+    only the tags a-d (_CASES) and a plan step only the T6 tags
+    (_THEOREMS); the validators turn every other tag away."""
     n, p, e, i = lam.n, lam.p, lam.entry, d["i"]
-    if tag in ("a", "b", "c", "d"):
+    inside = 1 <= i < n
+    if tag in _CASES:
         j, flow, beta = d["j"], d["flow"], d["beta"]
         if tag in ("a", "b"):
             dom = seg_oc(i, j)
             return (beta, ((flow, dom, "partial", None),), dom, (j + 1,),
-                    (tag == "b") == (beta == 0))
+                    inside and i < j < n and (tag == "b") == (beta == 0))
         dom = seg_oo(i, j)
         return (beta, ((flow, dom, "budless full", None),), dom, (j,),
-                (tag == "d") == (j == n) and i < j
+                inside and (tag == "d") == (j == n) and i < j
                 and congruent(e(i), 0, p) and congruent(e(j), 0, p))
     if tag == "T6.1.3":
         dom = seg_oc(i, n)
-        return d["beta"], ((d["flow"], dom, "full", 0),), dom, (), True
+        return d["beta"], ((d["flow"], dom, "full", 0),), dom, (), inside
     if tag == "T6.2.3":
         dom = seg_oo(i, n)
         return (d["beta"], ((d["flow"], dom, "full", 0),), dom, (n,),
-                not (congruent(e(i), 0, p) and congruent(e(n), 0, p)))
+                inside and not (congruent(e(i), 0, p) and congruent(e(n), 0, p)))
     if tag == "T6.3.3":
         dom = seg_oc(i, n)
-        return 0, ((d["resolution"], dom, "weak", 1),), dom, (d["q"],), congruent(e(i), 1, p)
+        return (0, ((d["resolution"], dom, "weak", 1),), dom, (d["q"],),
+                inside and congruent(e(i), 1, p))
     if tag == "T6.4.2":
         h = d["h"]
         return (0, ((d["flow"], seg_oc(h, i), "full", 0),), seg_oo(h, i), (i,),
-                congruent(e(h), 0, p) and congruent(e(i), 1, p))
+                inside and 1 <= h < i and congruent(e(h), 0, p) and congruent(e(i), 1, p))
     if tag == "T6.5.2":
         h = d["h"]
         dom = seg_oc(h, i)
         return (d["beta"], ((d["flow"], dom, "full", 0),), dom, (),
-                lam.residue(h) == lam.residue(i) and not congruent(e(i), 0, p)
+                inside and 1 <= h < i and lam.residue(h) == lam.residue(i)
+                and not congruent(e(i), 0, p)
                 and not (congruent(e(h), 0, p) and congruent(e(i), 1, p)))
     if tag == "T6.6.2":
         # the joining flow on [h..i], then the weak flow on (h..i].  The
@@ -528,7 +536,7 @@ def _statement(lam: Weight, tag: str, d: dict) -> tuple:
         h = d["h"]
         return (0, ((d["flow"], range(h, i + 1), "coherent", None),
                     (d["weak_flow"], seg_oc(h, i), "weak", 1)), seg_oo(h, i), (),
-                congruent(e(h), 1, p) and congruent(e(i), 0, p))
+                inside and 1 <= h < i and congruent(e(h), 1, p) and congruent(e(i), 0, p))
     raise UnreachableCase(f"unknown theorem tag {tag}")
 
 

@@ -8,6 +8,7 @@ H and anticommute pairwise; the H's are central.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -202,9 +203,11 @@ def _bracket_cached(f: Polynomial) -> U0Element:
 # -- the raising-coefficient recursion -----------------------------------------
 
 
-def _check_args(i: int, j: int, m: SignedSet, delta: DeltaFunction):
-    """i < j, M a signed (i..j]-set holding j or j barred, and delta on
-    [i..j-1]."""
+def _check_args(i: int, j: int, m: SignedSet, delta: DeltaFunction, *flags: int) -> tuple:
+    """i, j and the flags (eps, and q, xi where taken) as ints, given
+    i < j, M a signed (i..j]-set holding j or j barred, and delta on
+    [i..j-1]; a float or a string is a TypeError."""
+    i, j, *flags = map(operator.index, (i, j, *flags))
     if not i < j:
         raise BadSignedSet("need i < j")
     support = m.evens | m.odds
@@ -214,6 +217,7 @@ def _check_args(i: int, j: int, m: SignedSet, delta: DeltaFunction):
         raise BadSignedSet(f"M must be a signed ({i}..{j}]-set")
     if (delta.lo, delta.hi) != (i, j - 1):
         raise BadSignedSet(f"delta domain must be [{i}..{j - 1}]")
+    return (i, j, *flags)
 
 
 def raising_rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U0Element:
@@ -222,7 +226,7 @@ def raising_rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) ->
     All sign exponents are evaluated in Z/2; the result is a normal-form
     degree-zero element over exact integers.
     """
-    _check_args(i, j, m, delta)
+    i, j, eps = _check_args(i, j, m, delta, eps)
     return _rec(i, j, eps % 2, delta.values, m.evens, m.odds)
 
 
@@ -295,7 +299,7 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
     """Closed form: an indicator times the bracket of a g1 when M is all
     even, and a signed sum of g2 brackets against H-generators when M has
     exactly one barred element."""
-    _check_args(i, j, m, delta)
+    i, j, eps = _check_args(i, j, m, delta, eps)
     eps %= 2
     dv = delta.values
     if len(m.odds) == 0:
@@ -330,7 +334,7 @@ def two_term_sum_sides(
 ):
     """Both sides of the two-term summation identity used to assemble the
     one-barred closed form; delta lives on [m..j-1]."""
-    _check_args(m_idx, j, n_set, delta)
+    m_idx, j, q, eps, xi = _check_args(m_idx, j, n_set, delta, q, eps, xi)
     dv = delta.values
     sd_all = sum(dv) % 2
     lhs = U0Element.zero()

@@ -5,6 +5,10 @@ A marked signature sequence is a tuple of (sign, mark) pairs with sign in
 {+1, -1}.  Reduction erases adjacent (-, +) pairs, whatever the marks; the
 canonical algorithm is a single left-to-right pass with a pending stack,
 which agrees with any erasure order (tested, not assumed).
+
+Every flow and section is read off one left-to-right bud scan
+(`_bud_scan`), which also answers each builder's precondition, so the
+reduction runs only to word an error.  `split_index` scans right to left.
 """
 from __future__ import annotations
 
@@ -67,10 +71,6 @@ def plus_count(u: Seq) -> int:
 
 def minus_count(u: Seq) -> int:
     return sum(1 for s, _ in u if s == MINUS)
-
-
-def is_all_minus(u: Seq) -> bool:
-    return plus_count(u) == 0
 
 
 def signs(u: Seq) -> str:
@@ -211,24 +211,12 @@ def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
 
 
 def build_full_flow(u: SignMap) -> Flow:
-    """A flow fully coherent with u, given [prod u] = -^m.
-
-    One pass in index order joins the maximal available bud to each index
-    whose value holds a +, then makes the index a bud when its value holds
-    a -.  Every prefix of prod u has at least as many - as +, so a bud is
-    always there; in single mode the edges are the erased -+ pairs.  Bud
-    count m (single mode) or m/2 (pair mode).
-    """
-    red = reduced_product(u)
-    if not is_all_minus(red):
-        raise NotAllMinus(f"[prod u] = {signs(red)} contains a +")
-    edges: set[tuple[int, int]] = set()
-    buds: list[int] = []  # increasing, so the maximal bud is on top
-    for e, v in u.values:
-        if "+" in v:
-            edges.add((buds.pop(), e))
-        if "-" in v:
-            buds.append(e)
+    """A flow fully coherent with u, given [prod u] = -^m: the edges of the
+    bud scan, which then finds no section index and never stops.  Bud count
+    m (single mode) or m/2 (pair mode)."""
+    sec, edges, stop = _bud_scan(u, u.domain)
+    if sec or stop is not None:
+        raise NotAllMinus(f"[prod u] = {signs(reduced_product(u))} contains a +")
     return Flow(frozenset(edges))
 
 
@@ -238,7 +226,7 @@ def split_index(u: SignMap) -> int:
     if u.mode != "pair":
         raise PreconditionFailed("split_index needs a pair-mode map")
     red = reduced_product(u)
-    if not is_all_minus(red) or not red:
+    if plus_count(red) or not red:
         raise PreconditionFailed(f"[prod u] = {signs(red)} is not -^m with m > 0")
 
     # one right-to-left scan: each -- closes the nearest open ++ to its
@@ -254,25 +242,34 @@ def split_index(u: SignMap) -> int:
     raise PreconditionFailed("no unmatched -- index")
 
 
-def _first_plus(u: SignMap, idxs, start: int = 0, need: int = 1) -> int | None:
-    """The first position k >= start in idxs at which [prod over
-    idxs[start..k]] has at least `need` plus signs, or None.
+def _bud_scan(u: SignMap, idxs) -> tuple[tuple[int, ...], list[tuple[int, int]], int | None]:
+    """(section, edges, stop) of one left-to-right scan of u over idxs.
 
-    One left-to-right scan.  The reduced word has shape +^s -^r: a - raises
-    r, and a + cancels a pending - or raises s, so s never decreases.
-    """
-    s = r = 0
-    for k in range(start, len(idxs)):
-        for ch in u.value(idxs[k]):
-            if ch == "-":
-                r += 1
-            elif r:
-                r -= 1
+    A + joins the latest open bud (an edge); a + with no bud open is a
+    section index at a +- value, whose - opens nothing, and elsewhere ends
+    the scan (stop).  A - opens a bud.  So the edges are fully coherent
+    flows on the stretches between section indices.  [prod over idxs] is
+    -^m iff the scan finds no section index and no stop, +-^m iff it finds
+    a section index but no stop, and has at least 1 (single mode) or 2
+    (pair mode) pluses iff it stops, at the first index whose prefix has
+    them."""
+    vals = u._by_index
+    sec: list[int] = []
+    edges: list[tuple[int, int]] = []
+    buds: list[int] = []  # increasing, so the latest bud is on top
+    for e in idxs:
+        v = vals[e]
+        if "+" in v:
+            if buds:
+                edges.append((buds.pop(), e))
+            elif v == "+-":
+                sec.append(e)
+                continue
             else:
-                s += 1
-        if s >= need:
-            return k
-    return None
+                return tuple(sec), edges, e
+        if "-" in v:
+            buds.append(e)
+    return tuple(sec), edges, None
 
 
 def lead_plus_index(u: SignMap) -> int:
@@ -284,49 +281,26 @@ def lead_plus_index(u: SignMap) -> int:
 def section_of(u: SignMap) -> tuple[int, ...]:
     """A section a_1 < ... < a_h of u (pair mode, [prod u] = +-^m):
     every u_{a_k} = +-, the gaps between them reduce to empty, and the tail
-    after a_h reduces to -^(m-1).
+    after a_h reduces to -^(m-1).  These are the section indices of the
+    bud scan."""
+    return _plus_led_scan(u)[0]
 
-    a_1 is the first index whose prefix reduces with a +, and a_{k+1} is
-    that of the tail after a_k: one scan, restarted after each a_k."""
+
+def _plus_led_scan(u: SignMap) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The bud scan's section and edges, given pair mode and [prod u] = +-^m."""
     if u.mode != "pair":
         raise PreconditionFailed("a section needs a pair-mode map")
-    red = reduced_product(u)
-    if plus_count(red) != 1 or not red or red[0][0] != PLUS:
-        raise PreconditionFailed(f"[prod u] = {signs(red)} is not +-^m")
-    return _section_scan(u, u.domain)
-
-
-def _section_scan(u: SignMap, idxs) -> tuple[int, ...]:
-    """The section of u over the indices idxs, unchecked: () when no prefix
-    of idxs reduces with a plus."""
-    sec: list[int] = []
-    k = _first_plus(u, idxs)
-    while k is not None:
-        sec.append(idxs[k])
-        k = _first_plus(u, idxs, k + 1)
-    return tuple(sec)
-
-
-def gap_flow_edges(u: SignMap, idxs, cuts) -> set[tuple[int, int]]:
-    """Edges of fully coherent flows on the stretches of idxs between cuts."""
-    cut = set(cuts)
-    edges: set[tuple[int, int]] = set()
-    stretch: list[int] = []
-    for i in idxs:
-        if i in cut:
-            edges |= build_full_flow(u.restrict(stretch)).edges
-            stretch = []
-        else:
-            stretch.append(i)
-    return edges | build_full_flow(u.restrict(stretch)).edges
+    sec, edges, stop = _bud_scan(u, u.domain)
+    if not sec or stop is not None:
+        raise PreconditionFailed(f"[prod u] = {signs(reduced_product(u))} is not +-^m")
+    return sec, edges
 
 
 def resolution_of(u: SignMap) -> Flow:
     """The weak flow built from a section: loops at the section indices plus
     fully coherent flows on the complementary stretches."""
-    sec = section_of(u)
-    edges = {(a, a) for a in sec} | gap_flow_edges(u, u.domain, sec)
-    return Flow(frozenset(edges))
+    sec, edges = _plus_led_scan(u)
+    return Flow(frozenset(edges + [(a, a) for a in sec]))
 
 
 def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
@@ -334,18 +308,14 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
     ++ (pair mode), and a flow on J coherent but not fully coherent with
     u restricted to J, having no buds there.
 
-    J ends at the first index e whose prefix reduces with enough pluses.
-    The section of the indices before e (empty if they reduce with no +)
-    is chained to e, and the stretches between carry fully coherent flows."""
-    red = reduced_product(u)
-    need = 1 if u.mode == "single" else 2
-    if plus_count(red) < need:
-        raise PreconditionFailed(
-            f"[prod u] = {signs(red)} has fewer than {need} plus signs"
-        )
+    J ends where the bud scan stops.  The section before that index (empty
+    if the indices before it reduce with no +) is chained to it, and the
+    stretches between carry the scan's fully coherent flows."""
     idxs = u.domain
-    k = _first_plus(u, idxs, need=need)
-    rest = idxs[:k]
-    sec = _section_scan(u, rest)
-    edges = set(zip(sec, sec[1:] + (idxs[k],))) | gap_flow_edges(u, rest, sec)
-    return idxs[: k + 1], Flow(frozenset(edges))
+    sec, edges, stop = _bud_scan(u, idxs)
+    if stop is None:
+        need = 1 if u.mode == "single" else 2
+        raise PreconditionFailed(f"[prod u] = {signs(reduced_product(u))} has fewer "
+                                 f"than {need} plus signs")
+    chain = sec + (stop,)
+    return idxs[: idxs.index(stop) + 1], Flow(frozenset(edges + list(zip(chain, chain[1:]))))

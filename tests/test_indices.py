@@ -8,8 +8,9 @@ import pytest
 import definitional
 from spinbranch import clear_caches, indices
 from spinbranch.cli import main
-from spinbranch.core import SignedSet, Weight, res_p
+from spinbranch.core import SignedSet, Weight, res_p, seg_oc, seg_oo
 from spinbranch.indices import (
+    Certificate,
     ConstructionPlan,
     IsNormal,
     NotNormal,
@@ -25,8 +26,11 @@ from spinbranch.indices import (
 )
 from spinbranch.sigseq import (
     Flow,
+    NotAllMinus,
     PreconditionFailed,
+    build_full_flow,
     minus_count,
+    partial_flow,
     plus_count,
     product_of,
     r_beta,
@@ -473,6 +477,9 @@ def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, 
 
 _T6 = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
 _SWAP = {"a": "b", "b": "a", "c": "d", "d": "c"}
+# mutant kinds that leave a payload's kind or its index range: the table
+# rejects every one of them
+_ALWAYS_REJECTED = ("unknown", "recast", "j=n", "range")
 
 
 def _without_one_edge(flow: Flow):
@@ -480,7 +487,11 @@ def _without_one_edge(flow: Flow):
         yield Flow(flow.edges - {edge})
 
 
-def _step_mutants(step: PlanStep):
+def _scalar(lam: Weight, i: int, m_set: SignedSet) -> int:
+    return indices._residue_product(lam, lam.residue(i), m_set.evens)
+
+
+def _step_mutants(lam: Weight, step: PlanStep):
     d = step.data
     for less in _less_one(d["M"]):
         yield "M", PlanStep(step.theorem, dict(d, M=less))
@@ -494,9 +505,51 @@ def _step_mutants(step: PlanStep):
     for key in ("flow", "resolution", "weak_flow"):
         for fewer in _without_one_edge(d.get(key, Flow())):
             yield "edge", PlanStep(step.theorem, dict(d, **{key: fewer}))
+    yield "unknown", PlanStep("T6.9.9", d)
+    flow = d.get("flow", d.get("resolution"))
+    yield "recast", Certificate(step.theorem, d["i"], lam.n, flow, d["M"],
+                                _scalar(lam, d["i"], d["M"]))
+    yield from _out_of_range(lam, step)
+    if step.theorem in ("T6.1.3", "T6.2.3"):
+        yield from _j_at_n(lam, d["i"])
 
 
-def _cert_mutants(cert):
+def _out_of_range(lam: Weight, step: PlanStep):
+    """Base steps moved to i = 0, -1 or n, and T6.5.2 steps to h = i, each
+    with the flow and M that its row then reads."""
+    d, n = step.data, lam.n
+    closed = step.theorem != "T6.2.3"
+    if step.theorem in ("T6.1.3", "T6.2.3"):
+        moves = [(dict(d, i=i), seg_oc(i, n) if closed else seg_oo(i, n)) for i in (0, -1, n)]
+    elif step.theorem == "T6.5.2":
+        moves = [(dict(d, h=d["i"]), ())]
+    else:
+        return
+    u = r_beta(lam, d["beta"])
+    for data, dom in moves:
+        try:
+            flow = build_full_flow(u.restrict(dom))
+        except NotAllMinus:
+            continue
+        m_set = SignedSet.of(evens=set(dom) - flow.sources(), odds=() if closed else [n])
+        yield "range", PlanStep(step.theorem, dict(data, flow=flow, M=m_set))
+
+
+def _j_at_n(lam: Weight, i: int):
+    """An a/b certificate at i with j = n, built as the certificates are, if
+    the partial flow on (i..n] ends at n."""
+    n, beta = lam.n, lam.residue(i)
+    try:
+        j_set, flow = partial_flow(r_beta(lam, beta).restrict(seg_oc(i, n)))
+    except PreconditionFailed:
+        return
+    if max(j_set) == n:
+        m_set = SignedSet.of(evens=set(seg_oc(i, n)) - flow.sources(), odds=[n + 1])
+        yield "j=n", Certificate("b" if beta == 0 else "a", i, n, flow, m_set,
+                                 _scalar(lam, i, m_set))
+
+
+def _cert_mutants(lam: Weight, cert: Certificate):
     for less in _less_one(cert.m_set):
         yield "M", replace(cert, m_set=less)
     yield "tag", replace(cert, case_tag=_SWAP[cert.case_tag])
@@ -504,6 +557,17 @@ def _cert_mutants(cert):
         yield "index", replace(cert, index=cert.index + shift)
     for fewer in _without_one_edge(cert.flow):
         yield "edge", replace(cert, flow=fewer)
+    yield "unknown", replace(cert, case_tag="e")
+    yield "recast", PlanStep(cert.case_tag, {"i": cert.index, "j": cert.j,
+                                             "beta": lam.residue(cert.index),
+                                             "flow": cert.flow, "M": cert.m_set})
+
+
+def _validators(payload):
+    """(table, old) validators of a plan step or a certificate."""
+    if isinstance(payload, PlanStep):
+        return indices.validate_step, definitional.validate_step
+    return validate_certificate, definitional.validate_certificate
 
 
 @pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
@@ -511,7 +575,8 @@ def test_statement_table_accepts_no_more_than_the_old_validators(p):
     # the old one-branch-per-construction validators, kept in definitional,
     # accept every genuine payload the new table does, and no mutant that
     # they reject gets past the table; on every mutant the table returns a
-    # bool, whatever field or index the mutant lacks
+    # bool, whatever field or index the mutant lacks.  A mutant of a wrong
+    # kind or out of its index range is always rejected
     rejected, joins, unjoined = {}, 0, 0
     for lam in _planner_weights(p):
         normals = {c.index for c in classify_indices(lam) if c.normal}
@@ -526,14 +591,14 @@ def test_statement_table_accepts_no_more_than_the_old_validators(p):
                 if lam.residue(h) == lam.residue(i):
                     pairs += [(s, _step_mutants) for s in extension_plan(lam, h, i).steps]
         for payload, mutants in pairs:
-            ours, old = ((indices.validate_step, definitional.validate_step)
-                         if mutants is _step_mutants else
-                         (validate_certificate, definitional.validate_certificate))
+            ours, old = _validators(payload)
             assert ours(lam, payload) and old(lam, payload), (lam, payload)
             joins += mutants is _step_mutants and payload.theorem == "T6.6.2"
-            for kind, mutant in mutants(payload):
+            for kind, mutant in mutants(lam, payload):
+                ours, old = _validators(mutant)
                 new_ok = ours(lam, mutant)
                 assert type(new_ok) is bool, (lam, kind, mutant)
+                assert not (new_ok and kind in _ALWAYS_REJECTED), (lam, kind, mutant)
                 assert not new_ok or old(lam, mutant), (lam, kind, mutant)
                 # a certificate that validates names a non-normal index
                 if new_ok and mutants is _cert_mutants:
@@ -547,4 +612,5 @@ def test_statement_table_accepts_no_more_than_the_old_validators(p):
                     unjoined += 1
                 rejected[kind] = rejected.get(kind, 0) + (not new_ok)
     assert all(rejected.get(kind) for kind in ("M", "tag", "index", "edge")), rejected
+    assert all(rejected.get(kind) for kind in _ALWAYS_REJECTED), rejected
     assert joins and unjoined == joins

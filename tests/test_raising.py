@@ -175,6 +175,21 @@ def test_raising_rejects_bad_input():
             two_term_sum_sides(*args)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("i", 1.0), ("j", 2.0), ("eps", 0.5), ("eps", 1.0), ("eps", "1"), ("q", 2.0), ("xi", 0.5),
+])
+def test_raising_entry_points_take_integer_indices_and_flags(key, value):
+    # an index or a Z/2 flag that is not an int is refused, not carried into H_i or read mod 2
+    args = dict(i=1, j=2, eps=0, delta=DeltaFunction(1, (0,)), m=SignedSet.of(odds=[2]))
+    for compute in (raising_rec, raising_closed) if key in args else ():
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            compute(**dict(args, **{key: value}))
+    sides = dict(m_idx=1, j=3, q=2, eps=0, xi=0, delta=DeltaFunction(1, (0, 1)),
+                 n_set=SignedSet.of(evens=[3], odds=[2]))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        two_term_sum_sides(**dict(sides, **{"m_idx" if key == "i" else key: value}))
+
+
 def _sweep(i, width):
     for w in range(1, width + 1):
         j = i + w

@@ -220,24 +220,31 @@ def _random_map(rng: random.Random, mode: str) -> SignMap:
 
 
 def test_scans_match_recursive_oracles():
+    # each builder matches its oracle where its precondition holds, and
+    # raises its precondition error exactly where the reduction says it fails
     rng = random.Random(515)
     seen = {"full": 0, "lead": 0, "partial-single": 0, "partial-pair": 0}
     for _ in range(6000):
         mode = rng.choice(("single", "pair"))
         u = _random_map(rng, mode)
-        red = reduced_product(u)
-        s = plus_count(red)
-        if s == 0:
-            assert build_full_flow(u) == definitional.build_full_flow(u)
-            seen["full"] += 1
-        if mode == "pair" and s == 1:
-            assert lead_plus_index(u) == definitional.lead_plus_index(u)
-            assert section_of(u) == definitional.section_of(u)
-            assert resolution_of(u) == definitional.resolution_of(u)
-            seen["lead"] += 1
-        if s >= (1 if mode == "single" else 2):
-            assert partial_flow(u) == definitional.partial_flow(u)
-            seen["partial-" + mode] += 1
+        s = plus_count(reduced_product(u))
+        plus_led = mode == "pair" and s == 1
+        builders = (
+            (build_full_flow, s == 0, NotAllMinus, "full"),
+            (lead_plus_index, plus_led, PreconditionFailed, "lead"),
+            (section_of, plus_led, PreconditionFailed, None),
+            (resolution_of, plus_led, PreconditionFailed, None),
+            (partial_flow, s >= (1 if mode == "single" else 2), PreconditionFailed,
+             "partial-" + mode),
+        )
+        for build, holds, error, key in builders:
+            if not holds:
+                with pytest.raises(error):
+                    build(u)
+                continue
+            assert build(u) == getattr(definitional, build.__name__)(u)
+            if key:
+                seen[key] += 1
     assert min(seen.values()) >= 300, seen
 
 
@@ -247,8 +254,13 @@ def test_section_scan_on_long_plus_led_maps():
     u = SignMap("pair", {i: "+-" for i in range(1, 3001)})
     assert section_of(u) == tuple(range(1, 3001))
     assert lead_plus_index(u) == 1
+    assert resolution_of(u).edges == {(i, i) for i in range(1, 3001)}
     v = SignMap("pair", {i: ("--" if i % 2 else "++") for i in range(1, 3001)})
     assert build_full_flow(v).edges == {(i, i + 1) for i in range(1, 3001, 2)}
+    # the section 1..2999 is chained to the ++ at 3000, which ends J
+    w = SignMap("pair", {**{i: "+-" for i in range(1, 3000)}, 3000: "++", 3001: "--"})
+    j, g = partial_flow(w)
+    assert j == tuple(range(1, 3001)) and g.edges == {(i, i + 1) for i in range(1, 3000)}
 
 
 def test_split_index_scan_matches_recursive_oracle():
