@@ -48,6 +48,11 @@ def res_p(j: int, p: int) -> int:
     return v % p if p > 0 else v
 
 
+def mod(a: int, p: int) -> int:
+    """a reduced mod p, or a itself when p = 0."""
+    return a % p if p > 0 else a
+
+
 def congruent(a: int, b: int, p: int) -> bool:
     """a = b mod p, with mod 0 meaning equality."""
     return (a - b) % p == 0 if p > 0 else a == b

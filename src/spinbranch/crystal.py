@@ -11,7 +11,8 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .core import Weight, _trusted, check_characteristic, ell_of, p_strict_pair, res_p
+from .core import (Weight, _trusted, check_characteristic, congruent, ell_of, mod,
+                   p_strict_pair, res_p)
 from .sigseq import MINUS, PLUS, Seq, reduce_seq
 
 Node = tuple[int, int]
@@ -150,9 +151,7 @@ def signed_nodes(rows: tuple[int, ...], p: int, beta: int) -> SignedNodes:
     nodes when both changes do.  Changing row r can only break
     p-strictness against rows r-1 and r+1, so only those are tested.
     """
-    beta = operator.index(beta)
-    if p:
-        beta %= p
+    beta = mod(operator.index(beta), p)
     out: list[tuple[int, Node]] = []
     for r, lr in enumerate(rows):
         row = r + 1
@@ -280,10 +279,7 @@ def contents_for(p: int, max_col: int) -> range:
 def spin_stats(lam: PStrictPartition):
     """(number of parts prime to p, type 'M'/'Q', content counts)."""
     p = lam.p
-    if p == 0:
-        h = sum(1 for x in lam.parts if x != 0)
-    else:
-        h = sum(1 for x in lam.parts if x % p != 0)
+    h = sum(1 for x in lam.parts if not congruent(x, 0, p))
     kind = "M" if h % 2 == 0 else "Q"
     width = max([0] + list(lam.parts))
     gamma = [0] * len(contents_for(p, max(width, 1)))

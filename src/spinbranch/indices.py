@@ -14,7 +14,8 @@ a classification builds only the residues its entries touch.
 The re-checks share none of that: each certificate case a-d and each
 construction T6.1.3-T6.6.2 is stated once, as a row of `_statement`, and
 one checker, `_meets`, holds every certificate and plan step to its row
-with a sign map of its own.
+with a sign map of its own.  `_meets` checks 1 <= i < n once and derives
+beta as the residue of i; no row reads beta from the payload.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import SignedSet, Weight, congruent, res_p, seg_oc, seg_oo
+from .core import SignedSet, Weight, congruent, mod, res_p, seg_oc, seg_oo
 from .sigseq import (
     MINUS,
     PLUS,
@@ -41,7 +42,6 @@ from .sigseq import (
     reduce_seq,
     reduced_product,
     resolution_of,
-    section_of,
     split_index,
     _bud_scan,
 )
@@ -98,8 +98,7 @@ class ResidueReduction:
 def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
     """r_beta(lambda) reduced over [1..n], [1..n) and every (i..n), beta an
     integer taken mod p: the one source of a reduction for every query."""
-    beta = operator.index(beta)
-    return _reduction_cached(lam, beta % lam.p if lam.p else beta)
+    return _reduction_cached(lam, mod(operator.index(beta), lam.p))
 
 
 # bounded memo; one report reads at most one entry per residue, and
@@ -109,27 +108,21 @@ REDUCTION_CACHE_SIZE = 32
 
 @lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
-    """Build r_beta(lambda) once and reduce it.
+    """Build r_beta(lambda) once and reduce it once.
 
-    One word: reduction is confluent, so the full reduction is that of the
-    reduced prefix over [1..n) followed by the entries at n.  One
-    right-to-left scan records the shape of the reduction over each (i..n):
-    prepending to a reduced word +^s -^r, a - cancels a leading + or raises
-    r, and a + raises s.  The boundary exception reads the empty shapes.
+    One right-to-left scan over [1..n) records the shape of the reduction
+    over each (i..n): prepending to a reduced word +^s -^r, a - cancels a
+    leading + or raises r, and a + raises s.  A - that finds no pending +
+    survives over [1..n), so its index is normal unless the boundary
+    exception, read off the empty shapes, applies.
     """
     n, p = lam.n, lam.p
     u = r_beta(lam, beta)
-    word = product_of(u)
-    k = len(word) - len(u.value(n))
-    head = reduce_seq(word[:k])
-    reduced = reduce_seq(head + word[k:])
-    normal = {m for s, m in head if s == MINUS}
-    gaps = [(0, 0)] * n
+    reduced = reduce_seq(product_of(u))
+    normal, gaps = set(), [(0, 0)] * n
     s = r = 0
     for i, v in reversed(u.values[:-1]):
         gaps[i] = (s, r)
-        if s == r == 0 and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
-            normal.discard(i)
         for ch in reversed(v):
             if ch == "+":
                 s += 1
@@ -137,6 +130,9 @@ def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
                 s -= 1
             else:
                 r += 1
+                normal.add(i)
+        if gaps[i] == (0, 0) and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
+            normal.discard(i)
     gaps[0] = (s, r)
     minus = frozenset(m for s, m in reduced if s == MINUS)
     plus = frozenset(m for s, m in reduced if s == PLUS)
@@ -153,7 +149,7 @@ def _touched(lam: Weight) -> set[int]:
 def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
     """One reduction per residue: every beta in 0..p-1, or for p = 0 every
     residue of an entry or of an entry plus one."""
-    betas = range(lam.p) if lam.p else sorted(_touched(lam))
+    betas = range(lam.p) or sorted(_touched(lam))  # range(0) is empty
     return {beta: reduce_residue(lam, beta) for beta in betas}
 
 
@@ -290,7 +286,7 @@ def _residue_product(lam: Weight, beta: int, ts) -> int:
     out = 1
     for t in ts:
         out *= beta - res_p(lam.entry(t), p)
-    return out % p if p else out
+    return mod(out, p)
 
 
 # -- construction planners -------------------------------------------------------
@@ -401,7 +397,7 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
         raise UnreachableCase("plus-led gap at a normal index needs entry = 1 mod p")
     if not congruent(lam.entry(n), -1, p):
         return ConstructionPlan((_resolution_step(lam, u, i),))
-    a = max(section_of(u.restrict(seg_oo(i, n))))
+    a = _bud_scan(u, seg_oo(i, n))[0][-1]
     base = _base_step(lam, own, a)
     return ConstructionPlan((base, _joined_extension_step(u, i, a)))
 
@@ -423,10 +419,10 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
     u = own.sign_map
     if lam.residue(i) != 0:
         return ConstructionPlan((_extension_flow_step(lam, u, "T6.5.2", h, i),))
-    red = reduce_seq(product_of(u, seg_oc(h, i)))
-    pluses = plus_count(red)
+    # [prod over (h..i]] is -^m, +-^m or has two pluses (the scan stops)
+    sec, _, stop = _bud_scan(u, seg_oc(h, i))
     one_mod = congruent(lam.entry(i), 1, p)
-    if pluses == 0:
+    if stop is None and not sec:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         if one_mod:
             return ConstructionPlan((_extension_flow_step(lam, u, theorem, h, i),))
@@ -434,10 +430,10 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
         return ConstructionPlan(
             (_joined_extension_step(u, a, i), _extension_flow_step(lam, u, theorem, h, a))
         )
-    if pluses == 1:
+    if stop is None:
         if not one_mod:
             return ConstructionPlan((_joined_extension_step(u, h, i),))
-        a = max(section_of(u.restrict(seg_oc(h, i))))
+        a = sec[-1]
         return ConstructionPlan(
             (_extension_flow_step(lam, u, "T6.4.2", a, i), _joined_extension_step(u, h, a))
         )
@@ -472,84 +468,84 @@ def validate_step(lam: Weight, step: PlanStep) -> bool:
 def validate_certificate(lam: Weight, cert: Certificate) -> bool:
     """Re-check a certificate against its case's statement, then its scalar:
     the product of (beta - residue) over M's unbarred indices, nonzero mod p."""
-    if cert.case_tag not in _CASES or not 1 <= cert.index < lam.n:
+    data = {"i": cert.index, "j": cert.j, "flow": cert.flow, "M": cert.m_set}
+    if cert.case_tag not in _CASES or not _meets(lam, cert.case_tag, data):
         return False
-    beta = lam.residue(cert.index)
-    data = {"i": cert.index, "j": cert.j, "beta": beta, "flow": cert.flow, "M": cert.m_set}
-    if not _meets(lam, cert.case_tag, data):
-        return False
-    c = _residue_product(lam, beta, cert.m_set.evens)
+    c = _residue_product(lam, lam.residue(cert.index), cert.m_set.evens)
     return c == cert.c and not congruent(c, 0, lam.p)
 
 
-def _statement(lam: Weight, tag: str, d: dict) -> tuple:
-    """Certificate case or construction `tag` on payload d, as one row
-    (beta, flows, m_dom, barred, hyp).  Each (flow, dom, test, pluses) of
-    flows must pass _TESTS[test] against r_beta(lambda) restricted to dom,
-    whose reduced product has `pluses` plus signs (None: not stated).  M is
-    m_dom less the sources of the first flow, unbarred, and `barred`, barred.
-    hyp holds the index range, the entry congruences and a certificate's
-    case: 1 <= i < n everywhere, i < j < n in a/b (j + 1 is barred), and
-    1 <= h < i in the rows that read h; b exactly when beta = 0, d exactly
+def _statement(lam: Weight, tag: str, d: dict, i: int, beta: int) -> tuple:
+    """Certificate case or construction `tag` on payload d at index i, of
+    residue beta, as one row (flows, m_dom, barred, hyp).  Each (flow, dom,
+    test, pluses) of flows must pass _TESTS[test] against r_beta(lambda)
+    restricted to dom, whose reduced product has `pluses` plus signs (None:
+    not stated).  M is m_dom less the sources of the first flow, unbarred,
+    and `barred`, barred.  hyp holds the rest of the index range (i < j < n
+    in a/b, where j + 1 is barred; 1 <= h < i where h is read), the entry
+    congruences and a certificate's case: b exactly when beta = 0, d exactly
     when j = n; in c/d, i < j and both entries are divisible by p, so the
-    plus at j cancels the minus at i across (i..j).  A certificate takes
+    plus at j cancels the minus at i across (i..j).  The congruence of e(i)
+    makes beta = 0 in c, d, T6.3.3, T6.4.2 and T6.6.2.  A certificate takes
     only the tags a-d (_CASES) and a plan step only the T6 tags
     (_THEOREMS); the validators turn every other tag away."""
-    n, p, e, i = lam.n, lam.p, lam.entry, d["i"]
-    inside = 1 <= i < n
+    n, p, e = lam.n, lam.p, lam.entry
     if tag in _CASES:
-        j, flow, beta = d["j"], d["flow"], d["beta"]
+        j, flow = d["j"], d["flow"]
         if tag in ("a", "b"):
             dom = seg_oc(i, j)
-            return (beta, ((flow, dom, "partial", None),), dom, (j + 1,),
-                    inside and i < j < n and (tag == "b") == (beta == 0))
+            return (((flow, dom, "partial", None),), dom, (j + 1,),
+                    i < j < n and (tag == "b") == (beta == 0))
         dom = seg_oo(i, j)
-        return (beta, ((flow, dom, "budless full", None),), dom, (j,),
-                inside and (tag == "d") == (j == n) and i < j
+        return (((flow, dom, "budless full", None),), dom, (j,),
+                (tag == "d") == (j == n) and i < j
                 and congruent(e(i), 0, p) and congruent(e(j), 0, p))
     if tag == "T6.1.3":
         dom = seg_oc(i, n)
-        return d["beta"], ((d["flow"], dom, "full", 0),), dom, (), inside
+        return ((d["flow"], dom, "full", 0),), dom, (), True
     if tag == "T6.2.3":
         dom = seg_oo(i, n)
-        return (d["beta"], ((d["flow"], dom, "full", 0),), dom, (n,),
-                inside and not (congruent(e(i), 0, p) and congruent(e(n), 0, p)))
+        return (((d["flow"], dom, "full", 0),), dom, (n,),
+                not (congruent(e(i), 0, p) and congruent(e(n), 0, p)))
     if tag == "T6.3.3":
         dom = seg_oc(i, n)
-        return (0, ((d["resolution"], dom, "weak", 1),), dom, (d["q"],),
-                inside and congruent(e(i), 1, p))
+        return ((d["resolution"], dom, "weak", 1),), dom, (d["q"],), congruent(e(i), 1, p)
     if tag == "T6.4.2":
         h = d["h"]
-        return (0, ((d["flow"], seg_oc(h, i), "full", 0),), seg_oo(h, i), (i,),
-                inside and 1 <= h < i and congruent(e(h), 0, p) and congruent(e(i), 1, p))
+        return (((d["flow"], seg_oc(h, i), "full", 0),), seg_oo(h, i), (i,),
+                1 <= h < i and congruent(e(h), 0, p) and congruent(e(i), 1, p))
     if tag == "T6.5.2":
         h = d["h"]
         dom = seg_oc(h, i)
-        return (d["beta"], ((d["flow"], dom, "full", 0),), dom, (),
-                inside and 1 <= h < i and lam.residue(h) == lam.residue(i)
-                and not congruent(e(i), 0, p)
+        return (((d["flow"], dom, "full", 0),), dom, (),
+                1 <= h < i and lam.residue(h) == beta and not congruent(e(i), 0, p)
                 and not (congruent(e(h), 0, p) and congruent(e(i), 1, p)))
     if tag == "T6.6.2":
         # the joining flow on [h..i], then the weak flow on (h..i].  The
         # joining flow is held to coherence, not to full coherence, so a
         # flow with its edge out of h dropped still passes
         h = d["h"]
-        return (0, ((d["flow"], range(h, i + 1), "coherent", None),
-                    (d["weak_flow"], seg_oc(h, i), "weak", 1)), seg_oo(h, i), (),
-                inside and 1 <= h < i and congruent(e(h), 1, p) and congruent(e(i), 0, p))
+        return (((d["flow"], range(h, i + 1), "coherent", None),
+                 (d["weak_flow"], seg_oc(h, i), "weak", 1)), seg_oo(h, i), (),
+                1 <= h < i and congruent(e(h), 1, p) and congruent(e(i), 0, p))
     raise UnreachableCase(f"unknown theorem tag {tag}")
 
 
 def _meets(lam: Weight, tag: str, d: dict) -> bool:
-    """Hold payload d to the row of `tag`: one r_beta, one restriction per
-    flow.  A payload lacking a field the row reads, or naming an index
-    outside 1..n, fails."""
+    """Hold payload d to the row of `tag` at beta = the residue of i, after
+    the one range check 1 <= i < n: one r_beta, one restriction per flow.  A
+    payload lacking a field the row reads or recording another beta fails."""
     try:
-        (beta, flows, m_dom, barred, hyp), m = _statement(lam, tag, d), d["M"]
+        i = d["i"]
+        if not 1 <= i < lam.n:
+            return False
+        beta = lam.residue(i)
+        (flows, m_dom, barred, hyp), m = _statement(lam, tag, d, i, beta), d["M"]
     except (KeyError, IndexError):
         return False
     sources = flows[0][0].sources()
-    if not (hyp and m.evens == set(m_dom) - sources and m.odds == set(barred)):
+    if not (hyp and d.get("beta", beta) == beta
+            and m.evens == set(m_dom) - sources and m.odds == set(barred)):
         return False
     u = r_beta(lam, beta)
     for flow, dom, test, pluses in flows:

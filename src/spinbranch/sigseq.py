@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .core import Weight, _trusted, res_p
+from .core import Weight, _trusted, mod, res_p
 
 Entry = tuple[int, int]  # (sign, mark), sign in {+1, -1}
 Seq = tuple[Entry, ...]
@@ -149,12 +149,11 @@ def r_beta(lam: Weight, beta: int) -> SignMap:
     of residue beta and + where the residue of (entry + 1) is beta.  beta
     is an integer, taken mod p; a float or a string is a TypeError.
     """
-    p, beta = lam.p, operator.index(beta)
-    beta = beta % p if p else beta
+    p, beta = lam.p, mod(operator.index(beta), lam.p)
     if beta == 0:
-        pair = {1 % p: "--", 0: "+-", -1 % p: "++"} if p else {1: "--", 0: "+-", -1: "++"}
+        pair = {mod(1, p): "--", 0: "+-", mod(-1, p): "++"}
         mode = "pair"
-        vals = tuple((i, pair.get(x % p if p else x, "")) for i, x in enumerate(lam.parts, 1))
+        vals = tuple((i, pair.get(mod(x, p), "")) for i, x in enumerate(lam.parts, 1))
     else:
         mode = "single"
         vals = tuple(

@@ -254,6 +254,10 @@ def test_spin_stats_examples():
     assert spin_stats(WORKED)[:2] == (4, "M")
     assert spin_stats(PStrictPartition((2,), 3))[2] == (1, 1)
     assert spin_stats(PStrictPartition((), 5)) == (0, "M", (0, 0, 0))
+    # p = 0 counts the nonzero parts; p > 0 the parts prime to p
+    assert spin_stats(PStrictPartition((3, 1), 0)) == (2, "M", (2, 1, 1))
+    assert spin_stats(PStrictPartition((5, 5, 3), 5)) == (1, "Q", (5, 5, 3))
+    assert spin_stats(PStrictPartition((3, 3, 1), 3)) == (1, "Q", (5, 2))
 
 
 def test_branching_tables_examples():

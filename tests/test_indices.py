@@ -477,9 +477,9 @@ def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, 
 
 _T6 = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
 _SWAP = {"a": "b", "b": "a", "c": "d", "d": "c"}
-# mutant kinds that leave a payload's kind or its index range: the table
-# rejects every one of them
-_ALWAYS_REJECTED = ("unknown", "recast", "j=n", "range")
+# mutant kinds that leave a payload's kind, its index range or the residue
+# of its index: the table rejects every one of them
+_ALWAYS_REJECTED = ("unknown", "recast", "j=n", "range", "beta")
 
 
 def _without_one_edge(flow: Flow):
@@ -510,6 +510,7 @@ def _step_mutants(lam: Weight, step: PlanStep):
     yield "recast", Certificate(step.theorem, d["i"], lam.n, flow, d["M"],
                                 _scalar(lam, d["i"], d["M"]))
     yield from _out_of_range(lam, step)
+    yield from _other_betas(lam, step)
     if step.theorem in ("T6.1.3", "T6.2.3"):
         yield from _j_at_n(lam, d["i"])
 
@@ -533,6 +534,28 @@ def _out_of_range(lam: Weight, step: PlanStep):
             continue
         m_set = SignedSet.of(evens=set(dom) - flow.sources(), odds=() if closed else [n])
         yield "range", PlanStep(step.theorem, dict(data, flow=flow, M=m_set))
+
+
+def _other_betas(lam: Weight, step: PlanStep):
+    """T6.1.3, T6.2.3 and T6.5.2 steps moved to every other beta (for p = 0,
+    every other residue of an entry or of an entry plus one), with the full
+    flow and M rebuilt on the same domain wherever a full flow exists."""
+    d, n = step.data, lam.n
+    if step.theorem == "T6.5.2":
+        dom, odds = seg_oc(d["h"], d["i"]), ()
+    elif step.theorem in ("T6.1.3", "T6.2.3"):
+        closed = step.theorem == "T6.1.3"
+        dom, odds = (seg_oc(d["i"], n), ()) if closed else (seg_oo(d["i"], n), (n,))
+    else:
+        return
+    betas = range(lam.p) if lam.p else {res_p(x + e, 0) for x in lam.parts for e in (0, 1)}
+    for beta in sorted(set(betas) - {d["beta"]}):
+        try:
+            flow = build_full_flow(r_beta(lam, beta).restrict(dom))
+        except NotAllMinus:
+            continue
+        m_set = SignedSet.of(evens=set(dom) - flow.sources(), odds=odds)
+        yield "beta", PlanStep(step.theorem, dict(d, beta=beta, flow=flow, M=m_set))
 
 
 def _j_at_n(lam: Weight, i: int):
@@ -576,7 +599,9 @@ def test_statement_table_accepts_no_more_than_the_old_validators(p):
     # accept every genuine payload the new table does, and no mutant that
     # they reject gets past the table; on every mutant the table returns a
     # bool, whatever field or index the mutant lacks.  A mutant of a wrong
-    # kind or out of its index range is always rejected
+    # kind, out of its index range or at a beta other than the residue of
+    # its index is always rejected, though the old validators read beta off
+    # the payload and accept every such step
     rejected, joins, unjoined = {}, 0, 0
     for lam in _planner_weights(p):
         normals = {c.index for c in classify_indices(lam) if c.normal}
