@@ -37,11 +37,6 @@ def check_characteristic(p: int) -> int:
     raise InvalidCharacteristic(f"characteristic must be 0 or an odd prime, got {p}")
 
 
-def ell_of(p: int) -> int | None:
-    """Number of distinct nonzero contents: (p-1)/2, or None when p = 0."""
-    return None if p == 0 else (p - 1) // 2
-
-
 def res_p(j: int, p: int) -> int:
     """Residue of the integer j: j(j-1) reduced mod p (exact when p = 0)."""
     v = j * (j - 1)

@@ -11,7 +11,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .core import (Weight, _trusted, check_characteristic, congruent, ell_of, mod,
+from .core import (Weight, _trusted, check_characteristic, congruent, mod,
                    p_strict_pair, res_p)
 from .sigseq import MINUS, PLUS, Seq, reduce_seq
 
@@ -39,8 +39,7 @@ def cont_p(col: int, p: int) -> int:
     if p == 0:
         return col - 1
     m = (col - 1) % p
-    ell = (p - 1) // 2
-    return m if m <= ell else p - 1 - m
+    return m if m < p - m else p - 1 - m
 
 
 def beta_of_content(i: int, p: int) -> int:
@@ -168,12 +167,6 @@ def signed_nodes(rows: tuple[int, ...], p: int, beta: int) -> SignedNodes:
     return tuple(out)
 
 
-def _split(signed: SignedNodes) -> tuple[list[Node], list[Node]]:
-    removable = [node for sign, node in signed if sign == MINUS]
-    addable = [node for sign, node in signed if sign == PLUS]
-    return removable, addable
-
-
 def _rows(signed: SignedNodes) -> Seq:
     return tuple((sign, node[0]) for sign, node in signed)
 
@@ -190,19 +183,19 @@ class ContentReduction:
 
     @property
     def removable(self) -> list[Node]:
-        return _split(self.signed)[0]
+        return [node for sign, node in self.signed if sign == MINUS]
 
     @property
     def addable(self) -> list[Node]:
-        return _split(self.signed)[1]
+        return [node for sign, node in self.signed if sign == PLUS]
 
     @property
     def normal(self) -> list[Node]:
-        return _split(self.reduced)[0]
+        return [node for sign, node in self.reduced if sign == MINUS]
 
     @property
     def conormal(self) -> list[Node]:
-        return _split(self.reduced)[1]
+        return [node for sign, node in self.reduced if sign == PLUS]
 
     @property
     def good(self) -> list[Node]:
@@ -223,7 +216,7 @@ def reduce_content(lam: PStrictPartition, i: int) -> ContentReduction:
     less the removable node in column 0 of that row.  That node exists only
     at content 0 and is last in reading order.  i is an integer."""
     p, i = lam.p, operator.index(i)
-    if i < 0 or (p and i > ell_of(p)):
+    if i not in contents_for(p, i + 1):  # at p = 0 column i + 1 has content i
         raise ValueError(f"content {i} does not occur at p={p}")
     signed = signed_nodes(lam.parts + (0,), p, beta_of_content(i, p))
     if signed and signed[-1][1][1] == 0:
@@ -273,7 +266,7 @@ def contents_for(p: int, max_col: int) -> range:
     """All contents that can occur in columns 1..max_col."""
     if p == 0:
         return range(0, max(max_col, 1))
-    return range(0, ell_of(p) + 1)
+    return range(0, (p - 1) // 2 + 1)
 
 
 def spin_stats(lam: PStrictPartition):

@@ -37,9 +37,7 @@ from .sigseq import (
     lead_plus_index,
     partial_flow,
     plus_count,
-    product_of,
     r_beta,
-    reduce_seq,
     reduced_product,
     resolution_of,
     split_index,
@@ -106,6 +104,12 @@ def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
 REDUCTION_CACHE_SIZE = 32
 
 
+def _zero_boundary(lam: Weight, i: int) -> bool:
+    """The entry test of the boundary exception: lambda_i and lambda_n are
+    both divisible by p."""
+    return congruent(lam.entry(i), 0, lam.p) and congruent(lam.entry(lam.n), 0, lam.p)
+
+
 @lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
     """Build r_beta(lambda) once and reduce it once.
@@ -116,9 +120,9 @@ def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
     survives over [1..n), so its index is normal unless the boundary
     exception, read off the empty shapes, applies.
     """
-    n, p = lam.n, lam.p
+    n = lam.n
     u = r_beta(lam, beta)
-    reduced = reduce_seq(product_of(u))
+    reduced = reduced_product(u)
     normal, gaps = set(), [(0, 0)] * n
     s = r = 0
     for i, v in reversed(u.values[:-1]):
@@ -131,7 +135,7 @@ def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
             else:
                 r += 1
                 normal.add(i)
-        if gaps[i] == (0, 0) and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
+        if gaps[i] == (0, 0) and _zero_boundary(lam, i):
             normal.discard(i)
     gaps[0] = (s, r)
     minus = frozenset(m for s, m in reduced if s == MINUS)
@@ -261,7 +265,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
         j = lead_plus_index(u.restrict(gap))
         tag = "c"
-    elif own.gaps[i] == (0, 0) and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
+    elif own.gaps[i] == (0, 0) and _zero_boundary(lam, i):
         j = n
         tag = "d"
     else:
@@ -297,9 +301,6 @@ class PlanStep:
     theorem: str
     data: dict
 
-    def to_jsonable(self) -> dict:
-        return {"theorem": self.theorem, "data": _jsonable(self.data)}
-
 
 def _jsonable(value):
     if isinstance(value, Flow):
@@ -320,20 +321,21 @@ class ConstructionPlan:
     steps: tuple[PlanStep, ...]
 
     def to_json(self) -> str:
-        return json.dumps({"steps": [s.to_jsonable() for s in self.steps]})
+        return json.dumps({"steps": [_jsonable({"theorem": s.theorem, "data": s.data})
+                                     for s in self.steps]})
 
 
 def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
     """Dispatch between the two base constructions at index i (producing a
     primitive vector of weight lambda - alpha(i, n)), given the reduction
     `own` of u = r_beta(lambda), read strictly between i and n."""
-    n, p = lam.n, lam.p
+    n = lam.n
     pluses, minuses = own.gaps[i]
     if pluses:
         raise UnreachableCase("base step with a surviving plus in the gap")
     # minuses survive: the closed-range construction on (i..n]
     closed = bool(minuses)
-    if not closed and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p):
+    if not closed and _zero_boundary(lam, i):
         raise UnreachableCase("base step at a non-normal index")
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
     flow = build_full_flow(own.sign_map.restrict(dom))
@@ -456,9 +458,9 @@ _TESTS = {
 
 
 def validate_plan(lam: Weight, plan: ConstructionPlan) -> bool:
-    """Structural validation: every step's payload satisfies its
-    construction's combinatorial hypotheses."""
-    return all(validate_step(lam, step) for step in plan.steps)
+    """Structural validation: the plan has a step, and every step's payload
+    satisfies its construction's combinatorial hypotheses."""
+    return bool(plan.steps) and all(validate_step(lam, step) for step in plan.steps)
 
 
 def validate_step(lam: Weight, step: PlanStep) -> bool:
@@ -483,12 +485,12 @@ def _statement(lam: Weight, tag: str, d: dict, i: int, beta: int) -> tuple:
     not stated).  M is m_dom less the sources of the first flow, unbarred,
     and `barred`, barred.  hyp holds the rest of the index range (i < j < n
     in a/b, where j + 1 is barred; 1 <= h < i where h is read), the entry
-    congruences and a certificate's case: b exactly when beta = 0, d exactly
-    when j = n; in c/d, i < j and both entries are divisible by p, so the
-    plus at j cancels the minus at i across (i..j).  The congruence of e(i)
-    makes beta = 0 in c, d, T6.3.3, T6.4.2 and T6.6.2.  A certificate takes
-    only the tags a-d (_CASES) and a plan step only the T6 tags
-    (_THEOREMS); the validators turn every other tag away."""
+    congruences, T6.3.3's loop at q and a certificate's case: b exactly
+    when beta = 0, d exactly when j = n; in c/d, i < j and both entries are
+    divisible by p, so the plus at j cancels the minus at i across (i..j).
+    The congruence of e(i) makes beta = 0 in c, d, T6.3.3, T6.4.2 and
+    T6.6.2.  A certificate takes only the tags a-d (_CASES) and a plan step
+    only the T6 tags (_THEOREMS); the validators turn every other tag away."""
     n, p, e = lam.n, lam.p, lam.entry
     if tag in _CASES:
         j, flow = d["j"], d["flow"]
@@ -508,8 +510,12 @@ def _statement(lam: Weight, tag: str, d: dict, i: int, beta: int) -> tuple:
         return (((d["flow"], dom, "full", 0),), dom, (n,),
                 not (congruent(e(i), 0, p) and congruent(e(n), 0, p)))
     if tag == "T6.3.3":
-        dom = seg_oc(i, n)
-        return ((d["resolution"], dom, "weak", 1),), dom, (d["q"],), congruent(e(i), 1, p)
+        # the barred q is a loop of the resolution.  The builder takes the
+        # last loop, but without the paper's text the row does not pin which
+        # one, so any other loop still passes
+        dom, q, delta = seg_oc(i, n), d["q"], d["resolution"]
+        return (((delta, dom, "weak", 1),), dom, (q,),
+                congruent(e(i), 1, p) and (q, q) in delta.edges)
     if tag == "T6.4.2":
         h = d["h"]
         return (((d["flow"], seg_oc(h, i), "full", 0),), seg_oo(h, i), (i,),

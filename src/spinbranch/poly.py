@@ -388,10 +388,7 @@ def g2(i: int, k: int, q: int, j: int, s) -> Polynomial:
     """g2 = f with D = {k} and the l2 selector."""
     if not (i <= k <= q <= j and i < q):
         raise BadParameters(f"bad g2 parameters ({i},{k},{q},{j})")
-    s = frozenset(s)
-    if any(not i < t <= j for t in s):
-        raise BadParameters(f"S = {sorted(s)} not inside ({i}..{j}]")
-    return _g2_cached(i, k, q, j, s)
+    return _g2_cached(i, k, q, j, frozenset(s))  # f_poly checks S inside (i..j]
 
 
 def lin_reduce(f: Polynomial, subst: dict[int, int]) -> Polynomial:

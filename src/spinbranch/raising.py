@@ -53,10 +53,6 @@ class U0Element:
         return MappingProxyType(self._t)
 
     @staticmethod
-    def zero() -> "U0Element":
-        return U0Element()
-
-    @staticmethod
     def from_poly(coeff: Polynomial, bars: Bars = ()) -> "U0Element":
         return U0Element({tuple(bars): coeff})
 
@@ -249,7 +245,7 @@ def _rec(i: int, j: int, eps: int, dv: tuple[int, ...],
         # base: a single even element
         if sum(dv) % 2 == eps:
             return u0_b(i, i + 1)
-        return U0Element.zero()
+        return U0Element()
 
     # min M = mval, barred or even; past it M's tail is M less mval, which
     # holds j; the shifts below exist only when mval > i + 1
@@ -260,7 +256,7 @@ def _rec(i: int, j: int, eps: int, dv: tuple[int, ...],
     tail_exp = 1 + len(tail_odds) + sum(right_dv)  # 1 + parity(tail) + sd(mval, j)
     lone = frozenset((mval,))  # M = {mval barred} on (i..mval]
     if mval in odds:
-        out = U0Element.zero()
+        out = U0Element()
         for gamma in (0, 1):
             sigma = (eps + gamma) % 2
             sign = _sgn(gamma * (eps + tail_exp))
@@ -304,7 +300,7 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
     dv = delta.values
     if len(m.odds) == 0:
         if sum(dv) % 2 != eps:
-            return U0Element.zero()
+            return U0Element()
         s = frozenset(t for t in range(i + 1, j) if t not in m.evens)
         return bracket_hom(g1(i, j, s))
     if len(m.odds) > 1:
@@ -312,7 +308,7 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
     q = next(iter(m.odds))
     s = frozenset(t for t in range(i + 1, j + 1) if t not in m.evens)
     total = (eps + sum(dv)) % 2
-    out = U0Element.zero()
+    out = U0Element()
     for k in range(i, q + 1):
         if k in m.evens:
             continue
@@ -337,7 +333,7 @@ def two_term_sum_sides(
     m_idx, j, q, eps, xi = _check_args(m_idx, j, n_set, delta, q, eps, xi)
     dv = delta.values
     sd_all = sum(dv) % 2
-    lhs = U0Element.zero()
+    lhs = U0Element()
     for tau in (0, 1):
         sigma = (eps + dv[0] + xi + tau) % 2
         sign = _sgn((xi + tau + dv[0]) * (eps + sd_all + xi))

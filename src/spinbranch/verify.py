@@ -39,7 +39,6 @@ from .sigseq import (
     minus_count,
     partial_flow,
     plus_count,
-    product_of,
     r_beta,
     reduce_random_order,
     reduce_seq,
@@ -192,8 +191,8 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
             rep.record(f"full-flow-reject {tag}", True)
     if mode == "pair" and s == 0 and r > 0:
         a = split_index(u)
-        tail = reduce_seq(product_of(u, [k for k in u.domain if k > a]))
-        head = reduce_seq(product_of(u, [k for k in u.domain if k <= a]))
+        tail = reduced_product(u, [k for k in u.domain if k > a])
+        head = reduced_product(u, [k for k in u.domain if k <= a])
         ok = (
             u.value(a) == "--"
             and signs(tail) in ("", "+-")
@@ -202,16 +201,16 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         rep.record(f"split {tag}", ok, f"a={a}")
     if mode == "pair" and s == 1 and red[0][0] == PLUS:
         a = lead_plus_index(u)
-        prefix = reduce_seq(product_of(u, [k for k in u.domain if k < a]))
+        prefix = reduced_product(u, [k for k in u.domain if k < a])
         rep.record(f"lead {tag}", u.value(a) == "+-" and not prefix, f"a={a}")
         sec = section_of(u)
         ok = bool(sec) and all(u.value(k) == "+-" for k in sec)
         bounds = (0,) + sec  # the domain starts at 1
         for lo, hi in zip(bounds, sec):
             gap = [k for k in u.domain if lo < k < hi]
-            ok = ok and not reduce_seq(product_of(u, gap))
+            ok = ok and not reduced_product(u, gap)
         tail = [k for k in u.domain if k > sec[-1]]
-        ok = ok and signs(reduce_seq(product_of(u, tail))) == "-" * (r - 1)
+        ok = ok and signs(reduced_product(u, tail)) == "-" * (r - 1)
         rep.record(f"section {tag}", ok, str(sec))
         res = resolution_of(u)
         fa = flow_analyze(res, u)
@@ -595,7 +594,7 @@ def verify_signature_bridge(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
         for beta in range(lam.p):
             rep.check(
                 f"bridge {tag} beta={beta}",
-                reduce_seq(product_of(r_beta(lam, beta))),
+                reduced_product(r_beta(lam, beta)),
                 cr.beta_signature(lam, beta, reduced=True),
             )
     return rep.finish()
@@ -614,8 +613,8 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
             cls, dual = classes[i - 1], duals[n - i]
             # rebuilt per index: an oracle for the one-pass classification
             u = r_beta(lam, lam.residue(i))
-            full = reduce_seq(product_of(u))
-            tail = reduce_seq(product_of(u, range(i, n + 1)))
+            full = reduced_product(u)
+            tail = reduced_product(u, range(i, n + 1))
             rep.check(
                 f"tail-shortcut {tag} i={i}",
                 any(s == MINUS and mk == i for s, mk in full),

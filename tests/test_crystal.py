@@ -39,6 +39,10 @@ def test_cont_p_examples():
     assert cont_p(3, 5) == 2
     assert [cont_p(c, 5) for c in range(1, 11)] == [0, 1, 2, 1, 0, 0, 1, 2, 1, 0]
     assert all(cont_p(k, 0) == k - 1 for k in range(1, 9))
+    for p in (3, 5, 7, 11, 13):
+        for c in range(1, 4 * p + 1):
+            m = (c - 1) % p
+            assert cont_p(c, p) == min(m, p - 1 - m), (p, c)
 
 
 def test_content_residue_dictionary():
@@ -81,6 +85,14 @@ def test_reduce_content_rejects_contents_that_do_not_occur():
     for p, i in ((5, 3), (5, -1), (3, 2), (0, -1)):
         with pytest.raises(ValueError, match="does not occur"):
             reduce_content(PStrictPartition((2, 1), p), i)
+    # the contents are 0..l, l = (p - 1)/2, and every i >= 0 at p = 0
+    for p in (3, 5, 7, 11, 13):
+        lam, ell = PStrictPartition((2, 1), p), (p - 1) // 2
+        reduce_content(lam, ell)  # accepted
+        with pytest.raises(ValueError, match=f"content {ell + 1} does not occur at p={p}"):
+            reduce_content(lam, ell + 1)
+    for i in range(31):
+        reduce_content(PStrictPartition((2, 1), 0), i)
 
 
 def test_content_and_residue_must_be_integers():

@@ -145,6 +145,8 @@ def test_primitive_plan_examples():
 
     with pytest.raises(NotNormal):
         primitive_plan(Weight((0, 0), 5), 1)
+    # every planner emits a step, so a plan without one is no plan
+    assert not validate_plan(Weight((1, 0), 5), ConstructionPlan(()))
 
 
 def test_planner_indices_must_be_integers():
@@ -478,8 +480,9 @@ def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, 
 _T6 = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
 _SWAP = {"a": "b", "b": "a", "c": "d", "d": "c"}
 # mutant kinds that leave a payload's kind, its index range or the residue
-# of its index: the table rejects every one of them
-_ALWAYS_REJECTED = ("unknown", "recast", "j=n", "range", "beta")
+# of its index, or move T6.3.3's barred q off the loops of its resolution:
+# the table rejects every one of them
+_ALWAYS_REJECTED = ("unknown", "recast", "j=n", "range", "beta", "q")
 
 
 def _without_one_edge(flow: Flow):
@@ -511,6 +514,7 @@ def _step_mutants(lam: Weight, step: PlanStep):
                                 _scalar(lam, d["i"], d["M"]))
     yield from _out_of_range(lam, step)
     yield from _other_betas(lam, step)
+    yield from _other_qs(lam, step)
     if step.theorem in ("T6.1.3", "T6.2.3"):
         yield from _j_at_n(lam, d["i"])
 
@@ -558,6 +562,19 @@ def _other_betas(lam: Weight, step: PlanStep):
         yield "beta", PlanStep(step.theorem, dict(d, beta=beta, flow=flow, M=m_set))
 
 
+def _other_qs(lam: Weight, step: PlanStep):
+    """T6.3.3 steps with q, and M's barred element with it, moved to every
+    index in -1..n+2 that is neither a loop of the resolution nor in M's
+    evens."""
+    if step.theorem != "T6.3.3":
+        return
+    d = step.data
+    loops = {a for a, b in d["resolution"].edges if a == b}
+    for q in range(-1, lam.n + 3):
+        if q not in loops | d["M"].evens:
+            yield "q", PlanStep("T6.3.3", dict(d, q=q, M=SignedSet(d["M"].evens, {q})))
+
+
 def _j_at_n(lam: Weight, i: int):
     """An a/b certificate at i with j = n, built as the certificates are, if
     the partial flow on (i..n] ends at n."""
@@ -599,9 +616,10 @@ def test_statement_table_accepts_no_more_than_the_old_validators(p):
     # accept every genuine payload the new table does, and no mutant that
     # they reject gets past the table; on every mutant the table returns a
     # bool, whatever field or index the mutant lacks.  A mutant of a wrong
-    # kind, out of its index range or at a beta other than the residue of
-    # its index is always rejected, though the old validators read beta off
-    # the payload and accept every such step
+    # kind, out of its index range, at a beta other than the residue of its
+    # index or with a T6.3.3 q that is no loop of its resolution is always
+    # rejected, though the old validators read beta and q off the payload
+    # and accept every such step
     rejected, joins, unjoined = {}, 0, 0
     for lam in _planner_weights(p):
         normals = {c.index for c in classify_indices(lam) if c.normal}

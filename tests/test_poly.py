@@ -77,6 +77,13 @@ def test_g_family_examples():
         g2(1, 3, 2, 4, ())
     with pytest.raises(BadParameters):
         g1(1, 4, {4})  # 4 outside (1..4)
+    # g2's S range is checked by f_poly, before anything is cached
+    from spinbranch.poly import _g2_cached
+    cached = _g2_cached.cache_info().currsize
+    for s in ({5}, {1}):
+        with pytest.raises(BadParameters, match=rf"S = \[{min(s)}\] not inside \(1..4\]"):
+            g2(1, 1, 2, 4, s)
+    assert _g2_cached.cache_info().currsize == cached
 
 
 def test_lin_reduce_examples():

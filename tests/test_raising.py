@@ -91,7 +91,7 @@ u0_elements = st.lists(
             * _word(bars)
             for c, bars in rows
         ),
-        U0Element.zero(),
+        U0Element(),
     )
 )
 
@@ -132,13 +132,13 @@ def test_raising_base_cases():
     assert raising_rec(1, 2, 0, d0, SignedSet.of(odds=[2])) == u0_h(1) - u0_h(2)
     assert raising_rec(1, 2, 0, d0, SignedSet.of(evens=[2])) == u0_b(1, 2)
     assert raising_rec(1, 2, 1, d0, SignedSet.of(odds=[2])) == u0_hbar(1) - u0_hbar(2)
-    assert raising_rec(1, 2, 1, d0, SignedSet.of(evens=[2])) == U0Element.zero()
+    assert raising_rec(1, 2, 1, d0, SignedSet.of(evens=[2])) == U0Element()
 
 
 def test_raising_closed_base_cases():
     d0 = DeltaFunction(1, (0,))
     assert raising_closed(1, 2, 0, d0, SignedSet.of(evens=[2])) == u0_b(1, 2)
-    assert raising_closed(1, 2, 1, d0, SignedSet.of(evens=[2])) == U0Element.zero()
+    assert raising_closed(1, 2, 1, d0, SignedSet.of(evens=[2])) == U0Element()
     assert raising_closed(1, 2, 0, d0, SignedSet.of(odds=[2])) == u0_h(1) - u0_h(2)
     with pytest.raises(UnsupportedShape):
         raising_closed(1, 3, 0, DeltaFunction(1, (0, 0)), SignedSet.of(odds=[2, 3]))
@@ -286,6 +286,6 @@ def test_format_u0():
         }
     )
     assert format_u0(el) == "4 + (H1^2 - H1)*Hb2*Hb3"
-    assert format_u0(U0Element.zero()) == "0"
+    assert format_u0(U0Element()) == "0"
     js = el.to_json()
     assert {"bars": [], "coeff": "4"} in js
