@@ -55,11 +55,11 @@ from .sigseq import (
 
 
 def clear_caches() -> None:
-    """Empty the residue-reduction, g1/g2, bracket and raising-recursion
-    memos (all bounded)."""
+    """Empty the four bounded memos: residue reductions, the f family (g1
+    and g2 share one), brackets and the raising recursion."""
     from . import indices, poly, raising
 
-    for memo in (indices._reduction_cached, poly._g1_cached, poly._g2_cached,
+    for memo in (indices._reduction_cached, poly._g2_cached,
                  raising._bracket_cached, raising._rec):
         memo.cache_clear()
 

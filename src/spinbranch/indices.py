@@ -7,9 +7,10 @@ an index is tensor normal when its minus survives the full reduction, and
 normal (for i < n) when it survives the reduction over [1..n) and the
 boundary exception does not apply.  Every query reaches its reduction
 through `reduce_residue`, whose bounded memo builds each sign map once per
-(lambda, beta mod p) as one word, and one scan gives the shape of every
-gap (i..n).  Every flag, certificate and plan is read off that one result;
-a classification builds only the residues its entries touch.
+(lambda, beta mod p) as one word, and `sigseq.suffix_shapes` gives the
+shape of every gap (i..n); this module reads no sign-map value itself.
+Every flag, certificate and plan is read off that one result; a
+classification builds only the residues its entries touch.
 
 The re-checks share none of that: each certificate case a-d and each
 construction T6.1.3-T6.6.2 is stated once, as a row of `_statement`, and
@@ -41,6 +42,7 @@ from .sigseq import (
     reduced_product,
     resolution_of,
     split_index,
+    suffix_shapes,
     _bud_scan,
 )
 
@@ -114,35 +116,21 @@ def _zero_boundary(lam: Weight, i: int) -> bool:
 def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
     """Build r_beta(lambda) once and reduce it once.
 
-    One right-to-left scan over [1..n) records the shape of the reduction
-    over each (i..n): prepending to a reduced word +^s -^r, a - cancels a
-    leading + or raises r, and a + raises s.  A - that finds no pending +
-    survives over [1..n), so its index is normal unless the boundary
-    exception, read off the empty shapes, applies.
+    gaps[i], the shape of the reduction over (i..n), comes from one
+    right-to-left scan over [1..n).  Index i is normal when a minus of u_i
+    survives over [1..n), so that gaps[i - 1] has more minuses than gaps[i],
+    unless the boundary exception, read off the empty shapes, applies.
     """
-    n = lam.n
     u = r_beta(lam, beta)
     reduced = reduced_product(u)
-    normal, gaps = set(), [(0, 0)] * n
-    s = r = 0
-    for i, v in reversed(u.values[:-1]):
-        gaps[i] = (s, r)
-        for ch in reversed(v):
-            if ch == "+":
-                s += 1
-            elif s:
-                s -= 1
-            else:
-                r += 1
-                normal.add(i)
-        if gaps[i] == (0, 0) and _zero_boundary(lam, i):
-            normal.discard(i)
-    gaps[0] = (s, r)
+    gaps = suffix_shapes(u.values[:-1])
+    normal = frozenset(i for i in range(1, lam.n) if gaps[i - 1][1] > gaps[i][1]
+                       and not (gaps[i] == (0, 0) and _zero_boundary(lam, i)))
     minus = frozenset(m for s, m in reduced if s == MINUS)
     plus = frozenset(m for s, m in reduced if s == PLUS)
-    return ResidueReduction(beta, u, reduced, minus, plus, frozenset(normal),
+    return ResidueReduction(beta, u, reduced, minus, plus, normal,
                             min(normal, default=None), min(minus, default=None),
-                            max(plus, default=None), tuple(gaps))
+                            max(plus, default=None), gaps)
 
 
 def _touched(lam: Weight) -> set[int]:
@@ -256,26 +244,21 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     pluses = own.gaps[i][0]
 
     if pluses >= (2 if beta == 0 else 1):
+        tag = "b" if beta == 0 else "a"
         j_set, flow = partial_flow(u.restrict(gap))
         j = max(j_set)
         m_set = _leftovers(seg_oc(i, j), flow, odds=[j + 1])
-        c = _residue_product(lam, beta, m_set.evens)
-        return Certificate("b" if beta == 0 else "a", i, j, flow, m_set, c)
-
-    if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
-        j = lead_plus_index(u.restrict(gap))
-        tag = "c"
-    elif own.gaps[i] == (0, 0) and _zero_boundary(lam, i):
-        j = n
-        tag = "d"
     else:
-        raise UnreachableCase(f"no certificate case matched for {lam.parts}, i={i}")
-
-    inner = seg_oo(i, j)
-    flow = build_full_flow(u.restrict(inner))
-    m_set = _leftovers(inner, flow, odds=[j])
-    c = _residue_product(lam, beta, m_set.evens)
-    return Certificate(tag, i, j, flow, m_set, c)
+        if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
+            tag, j = "c", lead_plus_index(u.restrict(gap))
+        elif own.gaps[i] == (0, 0) and _zero_boundary(lam, i):
+            tag, j = "d", n
+        else:
+            raise UnreachableCase(f"no certificate case matched for {lam.parts}, i={i}")
+        inner = seg_oo(i, j)
+        flow = build_full_flow(u.restrict(inner))
+        m_set = _leftovers(inner, flow, odds=[j])
+    return Certificate(tag, i, j, flow, m_set, _residue_product(lam, beta, m_set.evens))
 
 
 def _leftovers(dom, flow: Flow, odds=()) -> SignedSet:

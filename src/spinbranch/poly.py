@@ -174,9 +174,6 @@ class Polynomial:
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._t
-
     def variables(self) -> set[Var]:
         return {v for v, _ in _fields(reduce(or_, self._t, 0))}
 
@@ -246,7 +243,7 @@ def _fields(m: int):
 
 
 def format_poly(f: Polynomial) -> str:
-    if f.is_zero():
+    if not f:
         return "0"
     rows = []
     for m, c in f.terms.items():
@@ -312,7 +309,7 @@ def exact_div(f: Polynomial, a: int, b: int) -> Polynomial:
         carry = carry * x(b) + coeffs.get(k, 0)
         quot = quot + carry * Polynomial.var("x", a, k - 1)
     remainder = carry * x(b) + coeffs.get(0, 0)
-    if not remainder.is_zero():
+    if remainder:
         raise NotDivisible(remainder)
     return quot
 
@@ -360,13 +357,8 @@ def f_poly(i: int, j: int, d, l: DeltaFunction, s) -> Polynomial:
     return out
 
 
-# bounded memos; spinbranch.clear_caches() empties them
+# bounded memo of the f family; spinbranch.clear_caches() empties it
 G_CACHE_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=G_CACHE_SIZE)
-def _g1_cached(i: int, j: int, s: frozenset) -> Polynomial:
-    return f_poly(i, j, frozenset(), DeltaFunction(i + 1, (1,) * (j - i)), s)
 
 
 @lru_cache(maxsize=G_CACHE_SIZE)
@@ -381,7 +373,9 @@ def g1(i: int, j: int, s) -> Polynomial:
     s = frozenset(s)
     if any(not i < t < j for t in s):
         raise BadParameters(f"S = {sorted(s)} not inside ({i}..{j})")
-    return _g1_cached(i, j, s)
+    # g2 at k = q = i: D = {i} moves no floor (d_floor takes i anyway), and
+    # l2 is 1 on (i..j), where S lies; its 0 at j is never read
+    return _g2_cached(i, i, i, j, s)
 
 
 def g2(i: int, k: int, q: int, j: int, s) -> Polynomial:

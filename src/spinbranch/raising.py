@@ -52,10 +52,6 @@ class U0Element:
     def terms(self) -> MappingProxyType:
         return MappingProxyType(self._t)
 
-    @staticmethod
-    def from_poly(coeff: Polynomial, bars: Bars = ()) -> "U0Element":
-        return U0Element({tuple(bars): coeff})
-
     def __add__(self, other: "U0Element") -> "U0Element":
         terms = dict(self._t)
         for bars, coeff in other._t.items():
@@ -146,12 +142,12 @@ def format_u0(u: U0Element) -> str:
 
 def u0_h(i: int) -> U0Element:
     _check_index(i)
-    return U0Element.from_poly(H(i))
+    return U0Element({(): H(i)})
 
 
 def u0_hbar(i: int) -> U0Element:
     _check_index(i)
-    return U0Element.from_poly(Polynomial.const(1), (i,))
+    return U0Element({(i,): Polynomial.const(1)})
 
 
 def u0_h_eps(i: int, eps: int) -> U0Element:
@@ -162,14 +158,14 @@ def u0_c(i: int, j: int) -> U0Element:
     """H_i(H_i - 1) - H_j(H_j - 1)."""
     _check_index(i)
     _check_index(j)
-    return U0Element.from_poly(H(i) * (H(i) - 1) - H(j) * (H(j) - 1))
+    return U0Element({(): H(i) * (H(i) - 1) - H(j) * (H(j) - 1)})
 
 
 def u0_b(i: int, j: int) -> U0Element:
     """H_i(H_i - 1) - (H_j + 1)H_j."""
     _check_index(i)
     _check_index(j)
-    return U0Element.from_poly(H(i) * (H(i) - 1) - (H(j) + 1) * H(j))
+    return U0Element({(): H(i) * (H(i) - 1) - (H(j) + 1) * H(j)})
 
 
 def _check_index(i: int):
@@ -193,7 +189,7 @@ def _bracket_cached(f: Polynomial) -> U0Element:
             assignment[(axis, idx)] = (H(idx) + 1) * H(idx)
         else:
             raise IndexOutOfRange(f"bracket undefined on axis {axis!r}")
-    return U0Element.from_poly(f.substitute(assignment))
+    return U0Element({(): f.substitute(assignment)})
 
 
 # -- the raising-coefficient recursion -----------------------------------------

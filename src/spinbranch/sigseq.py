@@ -8,7 +8,9 @@ which agrees with any erasure order (tested, not assumed).
 
 Every flow and section is read off one left-to-right bud scan
 (`_bud_scan`), which also answers each builder's precondition, so the
-reduction runs only to word an error.  `split_index` scans right to left.
+reduction runs only to word an error.  Every suffix shape is read off one
+right-to-left scan (`suffix_shapes`): the gap shapes behind normal indices
+and the split index.
 """
 from __future__ import annotations
 
@@ -141,6 +143,26 @@ def reduced_product(u: SignMap, indices=None) -> Seq:
     return reduce_seq(product_of(u, indices))
 
 
+def suffix_shapes(values) -> tuple[tuple[int, int], ...]:
+    """shapes[k] = (s, r): the reduced product of the (index, value) pairs
+    after the k-th is +^s -^r, and shapes[0] covers them all.  One
+    right-to-left scan: prepending to +^s -^r, a - cancels a leading + or
+    raises r, and a + raises s."""
+    s = r = 0
+    shapes = [(0, 0)]
+    for _, v in reversed(values):
+        for ch in reversed(v):
+            if ch == "+":
+                s += 1
+            elif s:
+                s -= 1
+            else:
+                r += 1
+        shapes.append((s, r))
+    shapes.reverse()
+    return tuple(shapes)
+
+
 def r_beta(lam: Weight, beta: int) -> SignMap:
     """The sign map r_beta(lambda) on [1..n].
 
@@ -221,23 +243,17 @@ def build_full_flow(u: SignMap) -> Flow:
 
 def split_index(u: SignMap) -> int:
     """The pair-mode index a with u_a = --, [prod over (a..)] in {empty, +-}
-    and [prod over (-inf..a]] = -^m, for [prod u] = -^m with m > 0."""
+    and [prod over (-inf..a]] = -^m, for [prod u] = -^m with m > 0: the
+    last -- index whose suffix shape has at most one plus."""
     if u.mode != "pair":
         raise PreconditionFailed("split_index needs a pair-mode map")
-    red = reduced_product(u)
-    if plus_count(red) or not red:
-        raise PreconditionFailed(f"[prod u] = {signs(red)} is not -^m with m > 0")
-
-    # one right-to-left scan: each -- closes the nearest open ++ to its
-    # right (a stack kept as its depth); the first -- with none open wins
-    waiting = 0
-    for e, v in reversed(u.values):
-        if v == "++":
-            waiting += 1
-        elif v == "--":
-            if not waiting:
-                return e
-            waiting -= 1
+    shapes = suffix_shapes(u.values)
+    s, r = shapes[0]
+    if s or not r:
+        raise PreconditionFailed(f"[prod u] = {'+' * s + '-' * r} is not -^m with m > 0")
+    for (e, v), (s, _) in zip(reversed(u.values), reversed(shapes[1:])):
+        if v == "--" and s <= 1:
+            return e
     raise PreconditionFailed("no unmatched -- index")
 
 

@@ -32,8 +32,8 @@ from spinbranch.raising import (
 
 
 def test_atoms():
-    assert u0_c(1, 2) == U0Element.from_poly(H(1) ** 2 - H(1) - H(2) ** 2 + H(2))
-    assert u0_b(1, 2) == U0Element.from_poly(H(1) ** 2 - H(1) - H(2) ** 2 - H(2))
+    assert u0_c(1, 2) == U0Element({(): H(1) ** 2 - H(1) - H(2) ** 2 + H(2)})
+    assert u0_b(1, 2) == U0Element({(): H(1) ** 2 - H(1) - H(2) ** 2 - H(2)})
     assert u0_h_eps(3, 1) == u0_hbar(3)
     assert u0_h_eps(3, 0) == u0_h(3)
 
@@ -61,7 +61,7 @@ def test_product_on_generator_pairs():
 def test_bracket_hom_examples():
     assert bracket_hom(x(1) - y(2)) == u0_b(1, 2)
     assert bracket_hom(x(1) - x(2)) == u0_c(1, 2)
-    assert bracket_hom(Polynomial.const(1)) == U0Element.from_poly(Polynomial.const(1))
+    assert bracket_hom(Polynomial.const(1)) == U0Element({(): Polynomial.const(1)})
 
 
 @given(
@@ -87,7 +87,7 @@ u0_elements = st.lists(
 ).map(
     lambda rows: sum(
         (
-            U0Element.from_poly(Polynomial.const(c)).scale(1)
+            U0Element({(): Polynomial.const(c)}).scale(1)
             * _word(bars)
             for c, bars in rows
         ),
@@ -97,7 +97,7 @@ u0_elements = st.lists(
 
 
 def _word(bars):
-    out = U0Element.from_poly(Polynomial.const(1))
+    out = U0Element({(): Polynomial.const(1)})
     for b in bars:
         out = out * u0_hbar(b)
     return out

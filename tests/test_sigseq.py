@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from spinbranch import indices
 from spinbranch.core import Weight
 from spinbranch.sigseq import (
     MINUS,
+    PAIR_VALUES,
     PLUS,
+    SINGLE_VALUES,
     Flow,
     NotAllMinus,
     PreconditionFailed,
@@ -30,6 +34,7 @@ from spinbranch.sigseq import (
     seq_to_list,
     signs,
     split_index,
+    suffix_shapes,
 )
 
 M, P = MINUS, PLUS
@@ -263,7 +268,35 @@ def test_section_scan_on_long_plus_led_maps():
     assert j == tuple(range(1, 3001)) and g.edges == {(i, i + 1) for i in range(1, 3000)}
 
 
+def _all_maps(mode: str, max_size: int):
+    """Every sign map of the mode on 1..d, for 1 <= d <= max_size."""
+    alphabet = SINGLE_VALUES if mode == "single" else PAIR_VALUES
+    for d in range(1, max_size + 1):
+        for vals in itertools.product(alphabet, repeat=d):
+            yield SignMap(mode, dict(enumerate(vals, 1)))
+
+
+def test_suffix_shapes_match_the_reduction_of_every_suffix():
+    for mode in ("single", "pair"):
+        for u in _all_maps(mode, 6):
+            shapes, dom = suffix_shapes(u.values), u.domain
+            assert len(shapes) == len(dom) + 1
+            for k, shape in enumerate(shapes):
+                red = reduced_product(u, dom[k:])
+                assert shape == (plus_count(red), minus_count(red)), (u, k)
+
+
 def test_split_index_scan_matches_recursive_oracle():
+    # exhaustively on every pair map on 1..d, d <= 7, then on random gapped
+    # domains; where the precondition fails, the error words the reduction
+    for u in _all_maps("pair", 7):
+        red = reduced_product(u)
+        if not red or plus_count(red):
+            text = f"[prod u] = {signs(red)} is not -^m with m > 0"
+            with pytest.raises(PreconditionFailed, match=re.escape(text)):
+                split_index(u)
+        else:
+            assert split_index(u) == definitional.split_index(u), u
     rng = random.Random(2718)
     seen = 0
     for _ in range(6000):
@@ -285,6 +318,7 @@ def test_split_index_on_a_long_map():
     v = SignMap("pair", {i: ("--" if i <= 750 else "++") for i in range(1, 1501)})
     with pytest.raises(PreconditionFailed):
         split_index(v)  # the product reduces to the empty word
-    # 749 ++ values close the -- values 751 down to 3; 2 is the first left open
+    # for 2 <= a <= 751 the suffix after the -- at a reduces to +^(2a - 4),
+    # so 2 is the last -- whose suffix has at most one plus
     w = SignMap("pair", {i: ("--" if i <= 751 else "++") for i in range(1, 1501)})
     assert split_index(w) == 2

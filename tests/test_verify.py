@@ -65,7 +65,7 @@ def test_failures_are_reported_with_tags_and_both_sides(monkeypatch):
     # expected and actual texts, order) is pinned at the version that ran
     # the oracle through a worker pool
     real_closed, real_sides = verify.raising_closed, verify.two_term_sum_sides
-    one = U0Element.from_poly(Polynomial.const(1))
+    one = U0Element({(): Polynomial.const(1)})
 
     def off_sides(*args):
         lhs, rhs = real_sides(*args)
