@@ -64,36 +64,26 @@ def _partition_report(lam: cr.PStrictPartition) -> dict:
     for i, red in reductions.items():
         good, cogood = red.good, red.cogood
         contents[str(i)] = {
-            "removable": [list(nd) for nd in red.removable],
-            "addable": [list(nd) for nd in red.addable],
+            key: [list(nd) for nd in getattr(red, key)]
+            for key in ("removable", "addable", "good", "normal", "conormal", "cogood")
+        }
+        contents[str(i)].update({
             "signature": seq_to_list(red.signature()),
             "reduced": seq_to_list(red.signature(reduced=True)),
-            "good": [list(nd) for nd in good],
-            "normal": [list(nd) for nd in red.normal],
-            "conormal": [list(nd) for nd in red.conormal],
-            "cogood": [list(nd) for nd in cogood],
             "e_tilde": list(lam.remove(good[0]).parts) if good else None,
             "f_tilde": list(lam.add(cogood[0]).parts) if cogood else None,
-        }
+        })
     h, kind, gamma = cr.spin_stats(lam)
     out = {
         "contents": contents,
         "spin": {"h_p_prime": h, "type": kind, "gamma": list(gamma)},
     }
     if lam.is_restricted():
-        rsoc, rsp, isoc, isp = cr.branching_tables(lam, reductions)
-
-        def rows(table):
-            return [
-                {"partition": list(mu.parts), "node": list(node)}
-                for mu, node in table
-            ]
-
+        tables = cr.branching_tables(lam, reductions)
+        names = ("restriction_socle", "restriction_specht", "induction_socle", "induction_specht")
         out["branching"] = {
-            "restriction_socle": rows(rsoc),
-            "restriction_specht": rows(rsp),
-            "induction_socle": rows(isoc),
-            "induction_specht": rows(isp),
+            name: [{"partition": list(mu.parts), "node": list(node)} for mu, node in table]
+            for name, table in zip(names, tables)
         }
     return out
 

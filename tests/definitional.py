@@ -14,7 +14,9 @@ branch per construction, each building its own r_beta.  Nothing here
 reads the library's classification, scans, node routines or statement
 table; only the shared vocabulary (r_beta, product_of, reduce_seq,
 SignMap.restrict, flow_analyze, cont_p, partitions, CrystalGraph) is
-imported.
+imported.  The one exception is the crystal graph generated from the
+library's signed nodes (`reduce_content`), kept as the oracle of the
+weight-side scan that generates it now.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from spinbranch.crystal import (
     PStrictPartition,
     cont_p,
     contents_for,
-    partitions_of,
+    reduce_content,
 )
 from spinbranch.indices import IndexClassification
 from spinbranch.sigseq import (
@@ -439,6 +441,19 @@ def body_signed_nodes(lam: Weight, beta: int):
     return out
 
 
+def partitions_of(n: int):
+    """All integer partitions of n as weakly decreasing tuples."""
+
+    def gen(remaining: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            yield from gen(remaining - first, first, prefix + (first,))
+
+    yield from gen(n, n, ())
+
+
 def restricted_partitions(p: int, n: int) -> list[PStrictPartition]:
     return [
         PStrictPartition(parts, p)
@@ -467,3 +482,24 @@ def crystal_graph(p: int, max_size: int) -> CrystalGraph:
                 edges.append((lam.parts, i, mu.parts))
     edges.sort()
     return CrystalGraph(p, max_size, tuple(v.parts for v in vertices), tuple(edges))
+
+
+def signed_node_crystal_graph(p: int, max_size: int) -> CrystalGraph:
+    """Generate the graph level by level from the empty partition, adding
+    the cogood node of the library's signed i-nodes for every content."""
+    level = [PStrictPartition((), p)]
+    vertices = [level[0].parts]
+    edges = []
+    for _ in range(max_size):
+        found: dict[tuple[int, ...], PStrictPartition] = {}
+        for mu in level:
+            for i in contents_for(p, mu.part(1) + 1):
+                cogood = reduce_content(mu, i).cogood
+                if cogood:
+                    lam = mu.add(cogood[0])
+                    edges.append((mu.parts, i, lam.parts))
+                    found.setdefault(lam.parts, lam)
+        level = [found[parts] for parts in sorted(found)]
+        vertices.extend(lam.parts for lam in level)
+    edges.sort()
+    return CrystalGraph(p, max_size, tuple(vertices), tuple(edges))

@@ -5,6 +5,7 @@ verdicts; every tolerance and budget is pinned here.
 """
 import time
 
+from definitional import partitions_of
 from spinbranch.crystal import (
     PStrictPartition,
     beta_of_content,
@@ -14,9 +15,8 @@ from spinbranch.crystal import (
     crystal_graph,
     e_tilde,
     f_tilde,
-    good_nodes,
+    reduce_content,
     rim_signature,
-    partitions_of,
 )
 from spinbranch.sigseq import MINUS, PLUS
 from spinbranch.verify import (
@@ -53,7 +53,7 @@ def test_c01_worked_example():
     ok = ok and [s for s, _ in raw] == [MINUS, MINUS, MINUS, PLUS, PLUS, MINUS, MINUS]
     red = rim_signature(lam, 0, reduced=True)
     ok = ok and [s for s, _ in red] == [MINUS, MINUS, MINUS]
-    ok = ok and good_nodes(lam, 0) == [(1, 16)]
+    ok = ok and reduce_content(lam, 0).good == [(1, 16)]
     ok = ok and e_tilde(0, lam).parts == (15, 11, 10, 10, 9, 5, 1)
     ok = ok and f_tilde(0, lam) is None
     elapsed = time.time() - start
@@ -192,7 +192,7 @@ def test_c10_crystal_consistency():
                 cases += 1
                 if up is not None and e_tilde(i, up).parts != parts:
                     failures.append((p, parts, i, "e(f) != id"))
-            if parts and not any(good_nodes(lam, i) for i in contents_for(p, 12)):
+            if parts and not any(reduce_content(lam, i).good for i in contents_for(p, 12)):
                 failures.append((p, parts, "no good node"))
     elapsed = time.time() - start
     _verdict(

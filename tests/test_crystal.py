@@ -4,6 +4,7 @@ import random
 
 import definitional
 import pytest
+from definitional import partitions_of
 
 from spinbranch import cli, crystal
 from spinbranch.core import Weight, res_p
@@ -21,9 +22,7 @@ from spinbranch.crystal import (
     crystal_graph,
     e_tilde,
     f_tilde,
-    good_nodes,
     p_strict_violation,
-    partitions_of,
     reduce_content,
     rim_signature,
     signed_nodes,
@@ -330,7 +329,7 @@ def test_node_level_matches_index_level_on_padded_weights():
                         r for r in range(1, w.n)
                         if w.residue(r) == beta and classes[r - 1].good
                     }
-                    assert rows_good == {nd[0] for nd in good_nodes(lam, i)}
+                    assert rows_good == {nd[0] for nd in reduce_content(lam, i).good}
 
 
 # -- the signed-node routine and the generated graph, against oracles ------------
@@ -394,6 +393,46 @@ def test_generated_graph_matches_filtered_oracle():
             graph = crystal_graph(p, max_size)
             assert graph.to_json() == expected.to_json(), (p, max_size)
             assert graph.to_dot() == expected.to_dot()
+
+
+@pytest.mark.parametrize(
+    "p,max_size",
+    [(3, 40), (5, 36), (7, 34), (11, 32), (13, 30), (0, 16), (0, 18), (0, 20)],
+)
+def test_generated_graph_matches_signed_node_generator(p, max_size):
+    # the weight-side scan against the cogood nodes of the signed i-nodes
+    graph = crystal_graph(p, max_size)
+    oracle = definitional.signed_node_crystal_graph(p, max_size)
+    assert graph.to_json() == oracle.to_json()
+    assert graph.to_dot() == oracle.to_dot()
+
+
+def test_f_tilde_scan_matches_signed_cogood_on_every_p_strict_partition():
+    # restricted or not, every content whose columns can hold a node
+    for p, top, pairs in ((0, 12, 566), (3, 18, 708), (5, 18, 834), (7, 18, 1040),
+                          (11, 18, 1518)):
+        cases = 0
+        for n in range(top + 1):
+            for parts in partitions_of(n):
+                if p_strict_violation(parts, p):
+                    continue
+                lam = PStrictPartition(parts, p)
+                for i in contents_for(p, max([1] + [v + 2 for v in parts])):
+                    cogood = reduce_content(lam, i).cogood
+                    expected = lam.add(cogood[0]) if cogood else None
+                    assert f_tilde(i, lam) == expected, (p, parts, i)
+                    cases += 1
+        assert cases == pairs, (p, cases)
+
+
+def test_crystal_graph_reads_max_size_as_an_integer():
+    # a bool reads as 0 or 1, a float is a TypeError at the call
+    assert '"max_size": 1' in crystal_graph(3, True).to_json()
+    assert crystal_graph(3, True).to_json() == crystal_graph(3, 1).to_json()
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        crystal_graph(3, 2.0)
+    with pytest.raises(ValueError, match="max_size must be >= 0"):
+        crystal_graph(3, -1)
 
 
 def test_generated_graph_counts_match_generating_function():

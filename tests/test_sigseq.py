@@ -20,12 +20,14 @@ from spinbranch.sigseq import (
     SignMap,
     build_full_flow,
     flow_analyze,
+    last_free_plus,
     lead_plus_index,
     minus_count,
     partial_flow,
     plus_count,
     product_of,
     r_beta,
+    r_words,
     reduce_random_order,
     reduce_seq,
     reduced_product,
@@ -284,6 +286,31 @@ def test_suffix_shapes_match_the_reduction_of_every_suffix():
             for k, shape in enumerate(shapes):
                 red = reduced_product(u, dom[k:])
                 assert shape == (plus_count(red), minus_count(red)), (u, k)
+
+
+def test_last_free_plus_is_the_mark_of_the_last_plus_of_the_reduction():
+    for mode in ("single", "pair"):
+        for u in _all_maps(mode, 6):
+            pluses = [m for s, m in reduced_product(u) if s == PLUS]
+            assert last_free_plus(u.values) == (pluses[-1] if pluses else None), u
+
+
+def test_r_words_are_r_beta_in_sparse_form():
+    # every beta's word is the non-empty part of r_beta, on random weights
+    # with negative entries; at p = 0 the betas are every residue an entry
+    # or an entry plus one has, and three that none has (residues are
+    # products x(x - 1), so 1 and 3 never occur, and 992 = 32 * 31 only
+    # beyond these entries)
+    rng = random.Random(4242)
+    for _ in range(3000):
+        p = rng.choice((0, 3, 5, 7, 11))
+        w = Weight(tuple(rng.randint(-12, 30) for _ in range(rng.randint(1, 9))), p)
+        words = r_words(w.parts, p)
+        betas = range(p) if p else {x * (x + d) for x in w.parts for d in (-1, 1)} | {1, 3, 992}
+        assert set(words) <= set(betas)
+        for beta in betas:
+            sparse = [(i, v) for i, v in r_beta(w, beta).values if v]
+            assert words.get(beta, []) == sparse, (w, beta)
 
 
 def test_split_index_scan_matches_recursive_oracle():

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from definitional import partitions_of
 from spinbranch.core import DeltaFunction, InvalidCharacteristic, SignedSet, Weight
-from spinbranch.crystal import NotPStrict, PStrictPartition, partitions_of, p_strict_violation
+from spinbranch.crystal import NotPStrict, PStrictPartition, p_strict_violation
 from spinbranch.sigseq import PAIR_VALUES, SINGLE_VALUES, SignMap, r_beta
 
 
