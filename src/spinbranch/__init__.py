@@ -53,7 +53,6 @@ from .sigseq import (
 )
 
 
-
 def clear_caches() -> None:
     """Empty the four bounded memos: residue reductions, the f family (g1
     and g2 share one), brackets and the raising recursion."""

@@ -98,14 +98,6 @@ class PStrictPartition:
             raise NotPStrict(problem)
         object.__setattr__(self, "parts", tuple(x for x in parts if x != 0))
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def rows(self) -> int:
-        return len(self.parts)
-
     def part(self, r: int) -> int:
         """Row length, 0 beyond the last row."""
         return self.parts[r - 1] if 1 <= r <= len(self.parts) else 0
@@ -121,7 +113,7 @@ class PStrictPartition:
 
     def remove(self, node: Node) -> "PStrictPartition":
         r, c = node
-        if not 1 <= r <= self.rows or self.part(r) != c:
+        if not 1 <= r <= len(self.parts) or self.part(r) != c:
             raise ValueError(f"{node} is not a rim node")
         return _trusted(PStrictPartition, parts=_set_row(self.parts, r, c - 1, self.p), p=self.p)
 

@@ -9,10 +9,11 @@ H and anticommute pairwise; the H's are central.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from types import MappingProxyType
 
+from . import poly
 from .core import DeltaFunction, SignedSet, Weight
 from .poly import Polynomial, format_poly, g1, g2
 
@@ -41,50 +42,47 @@ def H(i: int) -> Polynomial:
 
 class U0Element:
     """Immutable element of the degree-zero algebra in normal form.
-    `terms` is a read-only view from bar tuples to nonzero coefficients."""
+    `terms` is a read-only view from bar tuples to nonzero coefficients.
+    The constructor brings any words of barred generators to normal form
+    (`_normal_order`) and merges equal keys; an int coefficient is a constant."""
 
     __slots__ = ("_t",)
 
-    def __init__(self, terms: dict[Bars, Polynomial] | None = None):
-        self._t = {bars: coeff for bars, coeff in (terms or {}).items() if coeff}
+    def __init__(self, terms: dict[Bars, Polynomial | int] | None = None):
+        acc: dict[Bars, dict[int, int]] = {}
+        for word, coeff in (terms or {}).items():
+            if not isinstance(coeff, (int, Polynomial)):
+                raise TypeError(f"coefficient {coeff!r} is not a Polynomial or an int")
+            sign, bars, merged = _normal_order(tuple(word))  # bars in normal form
+            _mac(acc, _central(Polynomial.const(sign) * coeff),
+                 U0Element._of({bars: Polynomial._of({merged: 1})}))
+        self._t = _freeze(acc)._t
+
+    @staticmethod
+    def _of(t: dict[Bars, Polynomial]) -> "U0Element":
+        """Wrap terms in normal form with no zero coefficients."""
+        u = object.__new__(U0Element)
+        u._t = t
+        return u
 
     @property
     def terms(self) -> MappingProxyType:
         return MappingProxyType(self._t)
 
     def __add__(self, other: "U0Element") -> "U0Element":
-        terms = dict(self._t)
-        for bars, coeff in other._t.items():
-            if bars in terms:
-                coeff = terms[bars] + coeff
-            terms[bars] = coeff
-        return U0Element(terms)
+        return _freeze(_mac(_mac({}, self, _ONE), other, _ONE))
 
     def __neg__(self) -> "U0Element":
-        return U0Element({b: -c for b, c in self._t.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "U0Element") -> "U0Element":
-        return self + (-other)
+        return _freeze(_mac(_mac({}, self, _ONE), other, _ONE, -1))
 
-    def scale(self, factor: Polynomial | int) -> "U0Element":
-        if factor == 1:
-            return self
-        if factor == -1:
-            return -self
-        return U0Element({b: c * factor for b, c in self._t.items()})
+    def scale(self, factor: int) -> "U0Element":
+        return _freeze(_mac({}, self, _ONE, operator.index(factor)))
 
     def __mul__(self, other: "U0Element") -> "U0Element":
-        out: dict[Bars, Polynomial] = {}
-        for b1, c1 in self._t.items():
-            for b2, c2 in other._t.items():
-                sign, bars, extra = _normal_order(b1 + b2)
-                coeff = c1 * c2 * extra if extra is not None else c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                if bars in out:
-                    coeff = out[bars] + coeff
-                out[bars] = coeff
-        return U0Element(out)
+        return _freeze(_mac({}, self, other))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, U0Element) and self._t == other._t
@@ -92,8 +90,8 @@ class U0Element:
     def __hash__(self):
         return hash(frozenset((b, hash(c)) for b, c in self._t.items()))
 
-    def is_zero(self) -> bool:
-        return not self._t
+    def __bool__(self) -> bool:
+        return bool(self._t)
 
     def __str__(self) -> str:
         return format_u0(self)
@@ -101,31 +99,70 @@ class U0Element:
     __repr__ = __str__
 
     def to_json(self):
-        return [
-            {"bars": list(bars), "coeff": format_poly(coeff)}
-            for bars, coeff in sorted(self._t.items())
-        ]
+        return [{"bars": list(b), "coeff": format_poly(c)} for b, c in sorted(self._t.items())]
 
 
-def _normal_order(bars: Bars) -> tuple[int, Bars, Polynomial | None]:
-    """Sort a word of barred generators: distinct generators anticommute
-    (one sign per inversion), and adjacent equal ones merge into the
-    matching central H.  The product of those H's is returned, or None
-    when nothing merged."""
+def _normal_order(bars: Bars) -> tuple[int, Bars, int]:
+    """Sort a word of barred generators: distinct ones anticommute (one sign
+    per inversion) and equal neighbours merge into their central H.  Returns
+    the sign, the sorted bars and the packed monomial of the merged H's."""
     sign = -1 if sum(a > b for a, b in combinations(bars, 2)) % 2 else 1
-    out: list[int] = []
-    extra = None
+    out, merged = [], 0
     for g in sorted(bars):
         if out and out[-1] == g:
             out.pop()
-            extra = H(g) if extra is None else extra * H(g)
+            merged += 1 << poly._shift(("H", g))
         else:
             out.append(g)
-    return sign, tuple(out), extra
+    return sign, tuple(out), merged
+
+
+def _mac(acc: dict[Bars, dict[int, int]], a: U0Element, b: U0Element, sign: int = 1) -> dict:
+    """Add sign * a * b into acc, a map from bar tuples to packed-monomial
+    term dicts, and return acc.  Each pair of bar tuples is normal-ordered
+    once, and not at all when either is empty (a central factor)."""
+    for b1, c1 in a._t.items():
+        for b2, c2 in b._t.items():
+            s, bars, merged = _normal_order(b1 + b2) if b1 and b2 else (1, b1 or b2, 0)
+            s *= sign
+            t1, t2 = (c1._t, c2._t) if len(c1._t) <= len(c2._t) else (c2._t, c1._t)
+            if len(t1) == 1 and bars not in acc:  # a new row: no two keys collide
+                ((m1, x1),) = t1.items()
+                acc[bars] = {m1 + merged + m2: s * x1 * x2 for m2, x2 in t2.items()}
+                continue
+            row = acc.setdefault(bars, {})
+            get = row.get
+            for m1, x1 in t1.items():
+                m1, x1 = m1 + merged, s * x1
+                for m2, x2 in t2.items():
+                    row[m1 + m2] = get(m1 + m2, 0) + x1 * x2
+    return acc
+
+
+def _freeze(acc: dict[Bars, dict[int, int]]) -> U0Element:
+    """The element acc holds, zeros dropped; acc is spent.  As in poly's
+    product, a surviving monomial with a guard bit set raises
+    DegreeOverflow instead of carrying into the next field."""
+    terms = {}
+    for bars, row in acc.items():
+        if 0 in row.values():
+            row = {m: c for m, c in row.items() if c}
+        if row and reduce(operator.or_, row) & poly._guard:
+            raise poly.DegreeOverflow(f"an exponent exceeds {poly.MAX_EXP}")
+        if row:
+            terms[bars] = Polynomial._of(row)
+    return U0Element._of(terms)
+
+
+def _central(c: Polynomial) -> U0Element:
+    return U0Element._of({(): c} if c else {})
+
+
+_ONE = _central(Polynomial.const(1))
 
 
 def format_u0(u: U0Element) -> str:
-    if u.is_zero():
+    if not u:
         return "0"
     bits = []
     for bars, coeff in sorted(u.terms.items(), key=lambda t: (len(t[0]), t[0])):
@@ -141,13 +178,11 @@ def format_u0(u: U0Element) -> str:
 
 
 def u0_h(i: int) -> U0Element:
-    _check_index(i)
-    return U0Element({(): H(i)})
+    return _central(H(_check_index(i)))
 
 
 def u0_hbar(i: int) -> U0Element:
-    _check_index(i)
-    return U0Element({(i,): Polynomial.const(1)})
+    return U0Element._of({(_check_index(i),): Polynomial.const(1)})
 
 
 def u0_h_eps(i: int, eps: int) -> U0Element:
@@ -156,21 +191,24 @@ def u0_h_eps(i: int, eps: int) -> U0Element:
 
 def u0_c(i: int, j: int) -> U0Element:
     """H_i(H_i - 1) - H_j(H_j - 1)."""
-    _check_index(i)
-    _check_index(j)
-    return U0Element({(): H(i) * (H(i) - 1) - H(j) * (H(j) - 1)})
+    return _quadratic(i, j, -1)
 
 
 def u0_b(i: int, j: int) -> U0Element:
     """H_i(H_i - 1) - (H_j + 1)H_j."""
-    _check_index(i)
-    _check_index(j)
-    return U0Element({(): H(i) * (H(i) - 1) - (H(j) + 1) * H(j)})
+    return _quadratic(i, j, 1)
 
 
-def _check_index(i: int):
+def _quadratic(i: int, j: int, c: int) -> U0Element:
+    """H_i^2 - H_i - H_j^2 - c*H_j, on packed monomials."""
+    hi, hj = (1 << poly._shift(("H", _check_index(k))) for k in (i, j))
+    return _central(Polynomial._of({2 * hi: 1, hi: -1}) - Polynomial._of({2 * hj: 1, hj: c}))
+
+
+def _check_index(i: int) -> int:
     if i < 1:
         raise IndexOutOfRange(f"index {i} is below 1")
+    return i
 
 
 def bracket_hom(f: Polynomial) -> U0Element:
@@ -189,7 +227,7 @@ def _bracket_cached(f: Polynomial) -> U0Element:
             assignment[(axis, idx)] = (H(idx) + 1) * H(idx)
         else:
             raise IndexOutOfRange(f"bracket undefined on axis {axis!r}")
-    return U0Element({(): f.substitute(assignment)})
+    return _central(f.substitute(assignment))
 
 
 # -- the raising-coefficient recursion -----------------------------------------
@@ -213,11 +251,9 @@ def _check_args(i: int, j: int, m: SignedSet, delta: DeltaFunction, *flags: int)
 
 
 def raising_rec(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet) -> U0Element:
-    """The raising coefficient by the case recursion on min M.
-
-    All sign exponents are evaluated in Z/2; the result is a normal-form
-    degree-zero element over exact integers.
-    """
+    """The raising coefficient by the case recursion on min M.  All sign
+    exponents are evaluated in Z/2; the result is a normal-form degree-zero
+    element over exact integers."""
     i, j, eps = _check_args(i, j, m, delta, eps)
     return _rec(i, j, eps % 2, delta.values, m.evens, m.odds)
 
@@ -239,9 +275,7 @@ def _rec(i: int, j: int, eps: int, dv: tuple[int, ...],
         return u0_h_eps(i, total) - second
     if not odds and evens == {j}:
         # base: a single even element
-        if sum(dv) % 2 == eps:
-            return u0_b(i, i + 1)
-        return U0Element()
+        return u0_b(i, i + 1) if sum(dv) % 2 == eps else U0Element()
 
     # min M = mval, barred or even; past it M's tail is M less mval, which
     # holds j; the shifts below exist only when mval > i + 1
@@ -251,26 +285,23 @@ def _rec(i: int, j: int, eps: int, dv: tuple[int, ...],
     tail_evens, tail_odds = evens - {mval}, odds - {mval}
     tail_exp = 1 + len(tail_odds) + sum(right_dv)  # 1 + parity(tail) + sd(mval, j)
     lone = frozenset((mval,))  # M = {mval barred} on (i..mval]
+    acc: dict[Bars, dict[int, int]] = {}
     if mval in odds:
-        out = U0Element()
         for gamma in (0, 1):
-            sigma = (eps + gamma) % 2
-            sign = _sgn(gamma * (eps + tail_exp))
             left = _rec(i, mval, gamma, head, frozenset(), lone)
-            right = _rec(mval, j, sigma, right_dv, tail_evens, tail_odds)
-            out = out + (left * right).scale(sign)
+            right = _rec(mval, j, (eps + gamma) % 2, right_dv, tail_evens, tail_odds)
+            _mac(acc, left, right, _sgn(gamma * (eps + tail_exp)))
         if k > 1:
-            return out + _rec(i, j, eps, dv, evens, tail_odds | {mval - 1})
+            return _freeze(_mac(acc, _rec(i, j, eps, dv, evens, tail_odds | {mval - 1}), _ONE))
         for gamma in (0, 1):
             sigma = (eps + gamma) % 2
-            sign = _sgn(sigma * (1 + len(odds)))
-            out = out + (_rec(i, j, gamma, dv, evens, tail_odds) * u0_h_eps(i, sigma)).scale(sign)
-        return out
+            _mac(acc, _rec(i, j, gamma, dv, evens, tail_odds), u0_h_eps(i, sigma),
+                 _sgn(sigma * (1 + len(odds))))
+        return _freeze(acc)
 
     sd_head = sum(head) % 2
-    sign = _sgn(sd_head * (eps + tail_exp))
     right = _rec(mval, j, (eps + sd_head) % 2, right_dv, tail_evens, tail_odds)
-    out = (u0_b(i, i + 1) * right).scale(sign)
+    _mac(acc, u0_b(i, i + 1), right, _sgn(sd_head * (eps + tail_exp)))
     d_m = dv[k]
     for xi in (0, 1):
         left = _rec(i, mval, xi, head, frozenset(), lone)
@@ -278,10 +309,10 @@ def _rec(i: int, j: int, eps: int, dv: tuple[int, ...],
             sigma = (eps + d_m + xi + tau) % 2
             sign = _sgn((xi + tau + d_m) * (eps + tail_exp + xi))
             right = _rec(mval, j, sigma, (tau,) + right_dv[1:], tail_evens, tail_odds)
-            out = out - (left * right).scale(sign)
+            _mac(acc, left, right, -sign)
     if k > 1:
-        out = out + _rec(i, j, eps, dv, tail_evens | {mval - 1}, odds)
-    return out + _rec(i, j, eps, dv, tail_evens, odds) * u0_c(mval - 1, mval)
+        _mac(acc, _rec(i, j, eps, dv, tail_evens | {mval - 1}, odds), _ONE)
+    return _freeze(_mac(acc, _rec(i, j, eps, dv, tail_evens, odds), u0_c(mval - 1, mval)))
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -304,40 +335,33 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
     q = next(iter(m.odds))
     s = frozenset(t for t in range(i + 1, j + 1) if t not in m.evens)
     total = (eps + sum(dv)) % 2
-    out = U0Element()
+    acc: dict[Bars, dict[int, int]] = {}
     for k in range(i, q + 1):
         if k in m.evens:
             continue
         if not (k - 1 in m.evens or k - 1 in (i - 1, i)):
             continue
         sign = _sgn((1 if k > i else 0) + (1 + total) * sum(dv[: k - i]))
-        out = out + (bracket_hom(g2(i, k, q, j, s)) * u0_h_eps(k, total)).scale(sign)
-    return out
+        _mac(acc, bracket_hom(g2(i, k, q, j, s)), u0_h_eps(k, total), sign)
+    return _freeze(acc)
 
 
-def two_term_sum_sides(
-    m_idx: int,
-    j: int,
-    q: int,
-    eps: int,
-    xi: int,
-    delta: DeltaFunction,
-    n_set: SignedSet,
-):
+def two_term_sum_sides(m_idx: int, j: int, q: int, eps: int, xi: int,
+                       delta: DeltaFunction, n_set: SignedSet):
     """Both sides of the two-term summation identity used to assemble the
     one-barred closed form; delta lives on [m..j-1]."""
     m_idx, j, q, eps, xi = _check_args(m_idx, j, n_set, delta, q, eps, xi)
     dv = delta.values
     sd_all = sum(dv) % 2
-    lhs = U0Element()
+    acc: dict[Bars, dict[int, int]] = {}
     for tau in (0, 1):
         sigma = (eps + dv[0] + xi + tau) % 2
         sign = _sgn((xi + tau + dv[0]) * (eps + sd_all + xi))
-        lhs = lhs + _rec(m_idx, j, sigma, (tau,) + dv[1:], n_set.evens, n_set.odds).scale(sign)
+        _mac(acc, _rec(m_idx, j, sigma, (tau,) + dv[1:], n_set.evens, n_set.odds), _ONE, sign)
     s = frozenset(t for t in range(m_idx + 1, j + 1) if t not in n_set.evens)
     indicator = 2 if (xi % 2) == (eps + sd_all) % 2 else 0
-    rhs = (bracket_hom(g2(m_idx, m_idx, q, j, s)) * u0_h(m_idx)).scale(indicator)
-    return lhs, rhs
+    rhs = _mac({}, bracket_hom(g2(m_idx, m_idx, q, j, s)), u0_h(m_idx), indicator)
+    return _freeze(acc), _freeze(rhs)
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -361,4 +385,4 @@ def eval_at_weight(u: U0Element, lam: Weight) -> U0Element:
         value = coeff.substitute(assignment).constant_value() % p
         if value:
             out[bars] = Polynomial.const(value)
-    return U0Element(out)
+    return U0Element._of(out)

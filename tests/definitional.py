@@ -1,7 +1,7 @@
 """Definitional forms of the index predicates, the flow constructions and
 the crystal's node routines and generation, kept as test oracles for the
-one-pass library code, and the -w0 symmetry of a marked sequence, which
-only the tests use.
+one-pass library code, the -w0 symmetry of a marked sequence, which only
+the tests use, and the raising recursion on immutable degree-zero values.
 
 Each predicate rebuilds r_beta and re-reduces the products it needs, and
 the two-word, two-reduction build of one residue is kept as the oracle of
@@ -16,9 +16,14 @@ table; only the shared vocabulary (r_beta, product_of, reduce_seq,
 SignMap.restrict, flow_analyze, cont_p, partitions, CrystalGraph) is
 imported.  The one exception is the crystal graph generated from the
 library's signed nodes (`reduce_content`), kept as the oracle of the
-weight-side scan that generates it now.
+weight-side scan that generates it now.  The raising recursion builds
+every product, sign and sum as a new {bars: coefficient} dict, with its own
+normal ordering by adjacent swaps and `polyref`'s dict-of-tuples
+polynomials as coefficients, so it shares no arithmetic with the library.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from spinbranch.core import SignedSet, Weight, congruent, res_p, seg_oc, seg_oo
 from spinbranch.crystal import (
@@ -28,6 +33,7 @@ from spinbranch.crystal import (
     contents_for,
     reduce_content,
 )
+import polyref as ref
 from spinbranch.indices import IndexClassification
 from spinbranch.sigseq import (
     MINUS,
@@ -388,9 +394,9 @@ def rim_signed_nodes(lam: PStrictPartition, i: int):
     """Signed i-nodes of a partition (contents, one extra empty row)."""
     p = lam.p
     out = []
-    for r in range(1, lam.rows + 2):
+    for r in range(1, len(lam.parts) + 2):
         lr = lam.part(r)
-        base = list(lam.parts) + [0] * max(r - lam.rows, 0)
+        base = list(lam.parts) + [0] * max(r - len(lam.parts), 0)
 
         def ok(delta: int) -> bool:
             parts = base.copy()
@@ -401,7 +407,7 @@ def rim_signed_nodes(lam: PStrictPartition, i: int):
             out.append((PLUS, (r, lr + 2)))
         if cont_p(lr + 1, p) == i and ok(1):
             out.append((PLUS, (r, lr + 1)))
-        if r <= lam.rows:
+        if r <= len(lam.parts):
             if lr >= 1 and cont_p(lr, p) == i and ok(-1):
                 out.append((MINUS, (r, lr)))
             if (
@@ -473,11 +479,11 @@ def crystal_graph(p: int, max_size: int) -> CrystalGraph:
     """Filter every partition of size <= max_size, then find each vertex's
     incoming edges by e_tilde."""
     vertices = [lam for n in range(max_size + 1) for lam in restricted_partitions(p, n)]
-    vertices.sort(key=lambda lam: (lam.size, lam.parts))
+    vertices.sort(key=lambda lam: (sum(lam.parts), lam.parts))
     edges = []
     for mu in vertices:
         for i in contents_for(p, max([0] + list(mu.parts))):
-            lam = e_tilde(i, mu) if mu.size else None
+            lam = e_tilde(i, mu) if mu.parts else None
             if lam is not None:
                 edges.append((lam.parts, i, mu.parts))
     edges.sort()
@@ -503,3 +509,114 @@ def signed_node_crystal_graph(p: int, max_size: int) -> CrystalGraph:
         vertices.extend(lam.parts for lam in level)
     edges.sort()
     return CrystalGraph(p, max_size, tuple(vertices), tuple(edges))
+
+
+# -- the raising recursion on immutable degree-zero values -----------------------
+
+
+def _word(bars) -> tuple[tuple[int, ...], dict]:
+    """Sort a word of barred generators by adjacent swaps: each swap of two
+    distinct generators flips the sign, and two equal neighbours merge into
+    their central H."""
+    word, coeff, k = list(bars), ref.const(1), 0
+    while k + 1 < len(word):
+        a, b = word[k], word[k + 1]
+        if a < b:
+            k += 1
+            continue
+        if a == b:
+            del word[k:k + 2]
+            coeff = ref.mul(coeff, ref.var("H", a))
+        else:
+            word[k], word[k + 1] = b, a
+            coeff = ref.scale(coeff, -1)
+        k = max(k - 1, 0)
+    return tuple(word), coeff
+
+
+def _u0_sum(*elements: dict) -> dict:
+    out: dict = {}
+    for u in elements:
+        for bars, c in u.items():
+            out[bars] = ref.add(out.get(bars, {}), c)
+    return {bars: c for bars, c in out.items() if c}
+
+
+def _u0_mul(a: dict, b: dict) -> dict:
+    terms = []
+    for b1, c1 in a.items():
+        for b2, c2 in b.items():
+            bars, sign = _word(b1 + b2)
+            terms.append({bars: ref.mul(ref.mul(c1, c2), sign)})
+    return _u0_sum(*terms)
+
+
+def _u0_scale(u: dict, k: int) -> dict:
+    return _u0_sum({bars: ref.scale(c, k) for bars, c in u.items()})
+
+
+def _h_eps(i: int, e: int) -> dict:
+    return {(i,): ref.const(1)} if e % 2 else {(): ref.var("H", i)}
+
+
+def _quadratic(i: int, j: int, c: int) -> dict:
+    """H_i(H_i - 1) - H_j(H_j + c)."""
+    hi, hj = ref.var("H", i), ref.var("H", j)
+    left = ref.mul(hi, ref.add(hi, ref.const(-1)))
+    return _u0_sum({(): left}, {(): ref.scale(ref.mul(hj, ref.add(hj, ref.const(c))), -1)})
+
+
+def _sgn(e: int) -> int:
+    return -1 if e % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def raising_rec(i: int, j: int, eps: int, dv: tuple[int, ...],
+                evens: frozenset, odds: frozenset) -> dict:
+    """The raising coefficient by the case recursion on min M, as {bars:
+    polyref polynomial}; dv is delta's value tuple on [i..j-1] and evens,
+    odds are M's two sets.  Call `raising_rec.cache_clear()` for a cold run."""
+    if not evens and odds == {j}:
+        total = (eps + sum(dv)) % 2
+        second = _u0_scale(_h_eps(i + 1, total), _sgn(dv[0] * (eps + sum(dv[1:]))))
+        return _u0_sum(_h_eps(i, total), _u0_scale(second, -1))
+    if not odds and evens == {j}:
+        return _quadratic(i, i + 1, 1) if sum(dv) % 2 == eps else {}
+
+    mval = min(evens | odds)
+    k = mval - i
+    head, right_dv = dv[:k], dv[k:]
+    tail_evens, tail_odds = evens - {mval}, odds - {mval}
+    tail_exp = 1 + len(tail_odds) + sum(right_dv)
+    lone = frozenset((mval,))
+    if mval in odds:
+        out = {}
+        for gamma in (0, 1):
+            sigma = (eps + gamma) % 2
+            left = raising_rec(i, mval, gamma, head, frozenset(), lone)
+            right = raising_rec(mval, j, sigma, right_dv, tail_evens, tail_odds)
+            out = _u0_sum(out, _u0_scale(_u0_mul(left, right), _sgn(gamma * (eps + tail_exp))))
+        if k > 1:
+            return _u0_sum(out, raising_rec(i, j, eps, dv, evens, tail_odds | {mval - 1}))
+        for gamma in (0, 1):
+            sigma = (eps + gamma) % 2
+            shorter = raising_rec(i, j, gamma, dv, evens, tail_odds)
+            out = _u0_sum(out, _u0_scale(_u0_mul(shorter, _h_eps(i, sigma)),
+                                         _sgn(sigma * (1 + len(odds)))))
+        return out
+
+    sd_head = sum(head) % 2
+    right = raising_rec(mval, j, (eps + sd_head) % 2, right_dv, tail_evens, tail_odds)
+    out = _u0_scale(_u0_mul(_quadratic(i, i + 1, 1), right), _sgn(sd_head * (eps + tail_exp)))
+    d_m = dv[k]
+    for xi in (0, 1):
+        left = raising_rec(i, mval, xi, head, frozenset(), lone)
+        for tau in (0, 1):
+            sigma = (eps + d_m + xi + tau) % 2
+            sign = _sgn((xi + tau + d_m) * (eps + tail_exp + xi))
+            right = raising_rec(mval, j, sigma, (tau,) + right_dv[1:], tail_evens, tail_odds)
+            out = _u0_sum(out, _u0_scale(_u0_mul(left, right), -sign))
+    if k > 1:
+        out = _u0_sum(out, raising_rec(i, j, eps, dv, tail_evens | {mval - 1}, odds))
+    shorter = raising_rec(i, j, eps, dv, tail_evens, odds)
+    return _u0_sum(out, _u0_mul(shorter, _quadratic(mval - 1, mval, -1)))

@@ -36,9 +36,12 @@ from spinbranch.poly import (
 )
 from spinbranch.raising import (
     DeltaFunction,
+    U0Element,
     bracket_hom,
     raising_closed,
     raising_rec,
+    u0_h,
+    u0_hbar,
 )
 
 AXES = "xy"
@@ -216,6 +219,17 @@ def test_degree_guard_raises_instead_of_wrapping():
         exact_div(Polynomial.var("x", 2, MAX_EXP) * x(1) ** 2, 1, 2)
     with pytest.raises(DegreeOverflow):
         top.substitute({("x", 1): x(1) ** 2})
+    # U0: the H's merged by the product and by normal ordering carry the guard
+    h_top = U0Element({(): Polynomial.var("H", 1, MAX_EXP)})
+    assert format_poly((h_top * u0_h(2)).terms[()]) == f"H1^{MAX_EXP}*H2"
+    with pytest.raises(DegreeOverflow):
+        h_top * u0_h(1)
+    with pytest.raises(DegreeOverflow):
+        h_top * (u0_hbar(1) * u0_hbar(1))
+    with pytest.raises(DegreeOverflow):
+        h_top * u0_hbar(1) * u0_hbar(1)
+    with pytest.raises(DegreeOverflow):
+        U0Element({(1, 1): Polynomial.var("H", 1, MAX_EXP)})
 
 
 def test_variable_fields_are_handed_out_once_under_threads():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import definitional
+import polyref as ref
 import spinbranch
 from spinbranch.core import SignedSet, Weight
-from spinbranch.poly import Polynomial, x, y
+from spinbranch.poly import Polynomial, format_poly, x, y
 from spinbranch.raising import (
     BadSignedSet,
     CharacteristicZero,
@@ -45,6 +47,32 @@ def test_product_relations():
     assert mixed == U0Element(
         {(1,): Polynomial.var("H", 1), (): Polynomial.var("H", 1)}
     )
+
+
+def test_constructor_brings_keys_to_normal_form():
+    one = Polynomial.const(1)
+    assert U0Element({(2, 1): one}) == u0_hbar(2) * u0_hbar(1)
+    assert U0Element({(1, 1): one}) == u0_h(1)
+    assert U0Element({(2, 1): one, (1, 2): one}) == U0Element()
+    assert str(U0Element({(1, 2): 5})) == "5*Hb1*Hb2"
+    assert U0Element({(): 0}) == U0Element() and not U0Element({(3,): 0})
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError, match="is not a Polynomial or an int"):
+            U0Element({(): bad})
+    assert u0_hbar(2).scale(-3) == U0Element({(2,): -3}) and not u0_h(1).scale(0)
+    with pytest.raises(TypeError):
+        u0_h(1).scale(H(1))
+
+
+@given(st.lists(st.integers(1, 4), max_size=6),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=3))
+@settings(max_examples=80)
+def test_constructor_is_the_product_of_its_word(word, coeff_terms):
+    c = sum((k * H(i) for k, i in coeff_terms), Polynomial.const(2))
+    product = U0Element({(): c})
+    for g in word:
+        product = product * u0_hbar(g)
+    assert U0Element({tuple(word): c}) == product
 
 
 def test_product_on_generator_pairs():
@@ -115,7 +143,7 @@ def test_u0_product_respects_parity(a, b):
     def parities(u):
         return {len(bars) % 2 for bars in u.terms}
 
-    if len(parities(a)) == 1 and len(parities(b)) == 1 and not (a * b).is_zero():
+    if len(parities(a)) == 1 and len(parities(b)) == 1 and a * b:
         pa, pb = parities(a).pop(), parities(b).pop()
         assert parities(a * b) == {(pa + pb) % 2}
 
@@ -239,6 +267,23 @@ def test_recursion_on_every_signed_set_is_pinned():
     assert digest == ALL_SIGNED_SETS_DIGEST
 
 
+def test_recursion_matches_the_immutable_oracle():
+    # from cold memos, every signed (i..j]-set at widths 1-4, offsets 1 and 3
+    spinbranch.clear_caches()
+    definitional.raising_rec.cache_clear()
+    cases = 0
+    for i in (1, 3):
+        for w in range(1, 5):
+            for m in _every_signed_set(i, i + w):
+                for eps, dv in product((0, 1), product((0, 1), repeat=w)):
+                    ours = raising_rec(i, i + w, eps, DeltaFunction(i, dv), m)
+                    theirs = definitional.raising_rec(i, i + w, eps, dv, m.evens, m.odds)
+                    ours = {bars: ref.from_text(format_poly(c)) for bars, c in ours.terms.items()}
+                    assert ours == theirs, (i, w, eps, dv, m)
+                    cases += 1
+    assert cases == 2 * 2072
+
+
 def test_recursion_memo_keys_on_plain_values(monkeypatch):
     # the memo never hashes a SignedSet or DeltaFunction, even from cold
     def refuse(self):
@@ -270,10 +315,10 @@ def test_oracle_equivalence_shifted_base():
 
 def test_eval_at_weight_examples():
     lam = Weight((16, 11), 5)
-    assert eval_at_weight(u0_c(1, 2), lam).is_zero()
+    assert not eval_at_weight(u0_c(1, 2), lam)
     lam2 = Weight((2, 1, 3), 5)
     assert eval_at_weight(u0_hbar(3), lam2) == u0_hbar(3)
-    assert eval_at_weight(u0_b(1, 2), Weight((2, 1), 5)).is_zero()
+    assert not eval_at_weight(u0_b(1, 2), Weight((2, 1), 5))
     with pytest.raises(CharacteristicZero):
         eval_at_weight(u0_h(1), Weight((3,), 0))
 

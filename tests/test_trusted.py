@@ -46,10 +46,10 @@ def test_partition_add_remove_match_the_constructor():
                     continue
                 lam = PStrictPartition(parts, p)
                 same(lam.pad_weight(), Weight(parts + (0,), p))
-                for r in range(1, lam.rows + 3):
-                    padded = list(parts) + [0] * (r - lam.rows)
+                for r in range(1, len(parts) + 3):
+                    padded = list(parts) + [0] * (r - len(parts))
                     for method, delta in (("add", 1), ("remove", -1)):
-                        if method == "remove" and r > lam.rows:
+                        if method == "remove" and r > len(parts):
                             continue
                         new = list(padded)
                         new[r - 1] += delta
