@@ -1,6 +1,8 @@
 """Exact combinatorics of modular branching: signature sequences, crystal
 operators on p-strict partitions, and raising-coefficient algebra."""
 
+from types import ModuleType as _ModuleType
+
 from .core import DeltaFunction, SignedSet, Weight, check_characteristic, res_p
 from .crystal import (
     CrystalGraph,
@@ -63,5 +65,7 @@ def clear_caches() -> None:
         memo.cache_clear()
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, less the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

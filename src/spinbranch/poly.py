@@ -10,6 +10,7 @@ DegreeOverflow instead of carrying into the next field.
 """
 from __future__ import annotations
 
+import operator
 import re
 import threading
 from functools import lru_cache, reduce
@@ -48,34 +49,45 @@ class NotDivisible(ValueError):
 
 
 def _shift(v: Var) -> int:
-    """The bit offset of v's field, handed out on first use."""
+    """The bit offset of v's field, handed out on first use; a hit takes no lock."""
     global _guard
-    with _REGISTER:
-        if v not in _SHIFTS:
-            _SHIFTS[v] = len(_VARS) * EXP_BITS
-            _VARS.append(v)
-            _guard |= 1 << (_SHIFTS[v] + EXP_BITS - 1)
+    if v not in _SHIFTS:
+        v = (v[0], operator.index(v[1]))
+        with _REGISTER:
+            if v not in _SHIFTS:
+                _VARS.append(v)
+                _guard |= 1 << (len(_VARS) * EXP_BITS - 1)
+                _SHIFTS[v] = (len(_VARS) - 1) * EXP_BITS  # published after its guard bit
     return _SHIFTS[v]
 
 
-def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _mac(row: dict[int, int], a: dict[int, int], b: dict[int, int],
+         shift: int = 0, sign: int = 1) -> dict[int, int]:
+    """Add sign * a * b into the term dict row, every monomial shifted by
+    shift, and return row.  With fields of at most MAX_EXP in a and b and
+    at most 1 in shift, no key carries; `_clean` checks the guard bits."""
     if len(a) > len(b):
         a, b = b, a
-    if not a:
-        return {}
-    if len(a) == 1:
+    if len(a) == 1 and not row:  # a fresh row: no two keys collide
         ((m1, c1),) = a.items()
-        t = {m1 + m2: c1 * c2 for m2, c2 in b.items()}
-    else:
-        t = {}
-        get = t.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 + m2
-                t[m] = get(m, 0) + c1 * c2
+        m1, c1 = m1 + shift, sign * c1
+        for m2, c2 in b.items():
+            row[m1 + m2] = c1 * c2
+        return row
+    get = row.get
+    for m1, c1 in a.items():
+        m1, c1 = m1 + shift, sign * c1
+        for m2, c2 in b.items():
+            row[m1 + m2] = get(m1 + m2, 0) + c1 * c2
+    return row
+
+
+def _clean(t: dict[int, int]) -> dict[int, int]:
+    """t without its zero coefficients; a surviving monomial with a guard
+    bit set raises DegreeOverflow instead of carrying into the next field."""
+    if 0 in t.values():
         t = {m: c for m, c in t.items() if c}
-    # a field of an OR of keys bounds that field in every key
-    if (reduce(or_, a) + reduce(or_, b)) & _guard and any(m & _guard for m in t):
+    if t and reduce(or_, t) & _guard:
         raise DegreeOverflow(f"an exponent exceeds {MAX_EXP}")
     return t
 
@@ -87,7 +99,7 @@ class Polynomial:
     __slots__ = ("_t",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        self._t = {m: c for m, c in terms.items() if c} if terms else {}
+        self._t = _clean(dict(terms)) if terms else {}
 
     @staticmethod
     def _of(t: dict[int, int]) -> "Polynomial":
@@ -112,7 +124,7 @@ class Polynomial:
             raise DegreeOverflow(f"exponent {exp} outside 0..{MAX_EXP}")
         if exp == 0:
             return Polynomial.const(1)
-        return Polynomial._of({exp << _shift((axis, index)): 1})
+        return Polynomial._of({exp << _shift((axis, operator.index(index))): 1})
 
     # -- ring operations -----------------------------------------------------
 
@@ -140,9 +152,8 @@ class Polynomial:
         return -self + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            return Polynomial._of({m: c * other for m, c in self._t.items()} if other else {})
-        return Polynomial._of(_mul(self._t, other._t))
+        t = {0: other} if isinstance(other, int) else other._t
+        return Polynomial._of(_clean(_mac({}, self._t, t)))
 
     __rmul__ = __mul__
 
@@ -152,10 +163,10 @@ class Polynomial:
         out, t = {0: 1}, self._t
         while n:  # by squaring
             if n & 1:
-                out = _mul(out, t)
+                out = _clean(_mac({}, out, t))
             n >>= 1
             if n:
-                t = _mul(t, t)
+                t = _clean(_mac({}, t, t))
         return Polynomial._of(out)
 
     def __eq__(self, other) -> bool:
@@ -203,10 +214,9 @@ class Polynomial:
                 if e:
                     if (s, e) not in powers:
                         powers[(s, e)] = (base**e)._t
-                    image = _mul(image, powers[(s, e)])
-            for m, c in image.items():
-                out[m] = out.get(m, 0) + c
-        return Polynomial._of({m: c for m, c in out.items() if c})
+                    image = _clean(_mac({}, image, powers[(s, e)]))
+            _mac(out, image, {0: 1})
+        return Polynomial._of(_clean(out))
 
     def constant_value(self) -> int:
         if not self._t:
@@ -392,13 +402,13 @@ def lin_reduce(f: Polynomial, subst: dict[int, int]) -> Polynomial:
 
     `subst` maps y-indices to x-indices.
     """
-    moves = [(_shift(("y", b)), _shift(("x", a))) for b, a in subst.items()]
-    out: dict[int, int] = {}
-    for m, c in f._t.items():
-        for sy, sx in moves:
+    t = f._t
+    for b, a in subst.items():  # one move per pass: no field can carry
+        sy, sx = _shift(("y", b)), _shift(("x", a))
+        out: dict[int, int] = {}
+        for m, c in t.items():
             e = (m >> sy) & _FIELD
             m += (e << sx) - (e << sy)
-            if m & _guard:
-                raise DegreeOverflow(f"an exponent exceeds {MAX_EXP}")
-        out[m] = out.get(m, 0) + c
-    return Polynomial._of({m: c for m, c in out.items() if c})
+            out[m] = out.get(m, 0) + c
+        t = _clean(out)
+    return Polynomial._of(t)

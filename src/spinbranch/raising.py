@@ -9,7 +9,7 @@ H and anticommute pairwise; the H's are central.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
@@ -53,9 +53,9 @@ class U0Element:
         for word, coeff in (terms or {}).items():
             if not isinstance(coeff, (int, Polynomial)):
                 raise TypeError(f"coefficient {coeff!r} is not a Polynomial or an int")
-            sign, bars, merged = _normal_order(tuple(word))  # bars in normal form
-            _mac(acc, _central(Polynomial.const(sign) * coeff),
-                 U0Element._of({bars: Polynomial._of({merged: 1})}))
+            sign, bars, merged = _normal_order(tuple(map(operator.index, word)))
+            t = coeff._t if isinstance(coeff, Polynomial) else {0: coeff}
+            poly._mac(acc.setdefault(bars, {}), t, {merged: sign})
         self._t = _freeze(acc)._t
 
     @staticmethod
@@ -124,34 +124,14 @@ def _mac(acc: dict[Bars, dict[int, int]], a: U0Element, b: U0Element, sign: int 
     for b1, c1 in a._t.items():
         for b2, c2 in b._t.items():
             s, bars, merged = _normal_order(b1 + b2) if b1 and b2 else (1, b1 or b2, 0)
-            s *= sign
-            t1, t2 = (c1._t, c2._t) if len(c1._t) <= len(c2._t) else (c2._t, c1._t)
-            if len(t1) == 1 and bars not in acc:  # a new row: no two keys collide
-                ((m1, x1),) = t1.items()
-                acc[bars] = {m1 + merged + m2: s * x1 * x2 for m2, x2 in t2.items()}
-                continue
-            row = acc.setdefault(bars, {})
-            get = row.get
-            for m1, x1 in t1.items():
-                m1, x1 = m1 + merged, s * x1
-                for m2, x2 in t2.items():
-                    row[m1 + m2] = get(m1 + m2, 0) + x1 * x2
+            poly._mac(acc.setdefault(bars, {}), c1._t, c2._t, merged, s * sign)
     return acc
 
 
 def _freeze(acc: dict[Bars, dict[int, int]]) -> U0Element:
-    """The element acc holds, zeros dropped; acc is spent.  As in poly's
-    product, a surviving monomial with a guard bit set raises
-    DegreeOverflow instead of carrying into the next field."""
-    terms = {}
-    for bars, row in acc.items():
-        if 0 in row.values():
-            row = {m: c for m, c in row.items() if c}
-        if row and reduce(operator.or_, row) & poly._guard:
-            raise poly.DegreeOverflow(f"an exponent exceeds {poly.MAX_EXP}")
-        if row:
-            terms[bars] = Polynomial._of(row)
-    return U0Element._of(terms)
+    """The element acc holds, each row through `poly._clean`; acc is spent."""
+    return U0Element._of({bars: Polynomial._of(t) for bars, row in acc.items()
+                          if (t := poly._clean(row))})
 
 
 def _central(c: Polynomial) -> U0Element:
@@ -190,22 +170,23 @@ def u0_h_eps(i: int, eps: int) -> U0Element:
 
 
 def u0_c(i: int, j: int) -> U0Element:
-    """H_i(H_i - 1) - H_j(H_j - 1)."""
-    return _quadratic(i, j, -1)
+    """H_i(H_i - 1) - H_j(H_j - 1), the bracket of x_i - x_j."""
+    return _central(_image("x", _check_index(i)) - _image("x", _check_index(j)))
 
 
 def u0_b(i: int, j: int) -> U0Element:
-    """H_i(H_i - 1) - (H_j + 1)H_j."""
-    return _quadratic(i, j, 1)
+    """H_i(H_i - 1) - (H_j + 1)H_j, the bracket of x_i - y_j."""
+    return _central(_image("x", _check_index(i)) - _image("y", _check_index(j)))
 
 
-def _quadratic(i: int, j: int, c: int) -> U0Element:
-    """H_i^2 - H_i - H_j^2 - c*H_j, on packed monomials."""
-    hi, hj = (1 << poly._shift(("H", _check_index(k))) for k in (i, j))
-    return _central(Polynomial._of({2 * hi: 1, hi: -1}) - Polynomial._of({2 * hj: 1, hj: c}))
+def _image(axis: str, i: int) -> Polynomial:
+    """The bracket of x_i, H_i^2 - H_i, or of y_i, H_i^2 + H_i, on packed monomials."""
+    h = 1 << poly._shift(("H", i))
+    return Polynomial._of({2 * h: 1, h: 1 if axis == "y" else -1})
 
 
 def _check_index(i: int) -> int:
+    i = operator.index(i)
     if i < 1:
         raise IndexOutOfRange(f"index {i} is below 1")
     return i
@@ -221,12 +202,9 @@ def bracket_hom(f: Polynomial) -> U0Element:
 def _bracket_cached(f: Polynomial) -> U0Element:
     assignment = {}
     for axis, idx in f.variables():
-        if axis == "x":
-            assignment[(axis, idx)] = H(idx) * (H(idx) - 1)
-        elif axis == "y":
-            assignment[(axis, idx)] = (H(idx) + 1) * H(idx)
-        else:
+        if axis not in ("x", "y"):
             raise IndexOutOfRange(f"bracket undefined on axis {axis!r}")
+        assignment[(axis, idx)] = _image(axis, idx)
     return _central(f.substitute(assignment))
 
 

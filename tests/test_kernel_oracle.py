@@ -219,6 +219,11 @@ def test_degree_guard_raises_instead_of_wrapping():
         exact_div(Polynomial.var("x", 2, MAX_EXP) * x(1) ** 2, 1, 2)
     with pytest.raises(DegreeOverflow):
         top.substitute({("x", 1): x(1) ** 2})
+    # the constructor takes outside terms: x1^(MAX_EXP + 1) is refused there
+    (x1,) = x(1).terms
+    assert Polynomial({MAX_EXP * x1: 1, 0: 0}) == top
+    with pytest.raises(DegreeOverflow):
+        Polynomial({(MAX_EXP + 1) * x1: 1})
     # U0: the H's merged by the product and by normal ordering carry the guard
     h_top = U0Element({(): Polynomial.var("H", 1, MAX_EXP)})
     assert format_poly((h_top * u0_h(2)).terms[()]) == f"H1^{MAX_EXP}*H2"
@@ -252,6 +257,36 @@ def test_variable_fields_are_handed_out_once_under_threads():
     assert read(total) == {(((a, i), 1),): 1 for a, i in names}
     square = read(Polynomial.var("t", 0) * Polynomial.var("t", 3999) * x(1))
     assert square == {((("t", 0), 1), (("t", 3999), 1), (("x", 1), 1)): 1}
+
+
+_FIRST_USE = """
+import sys
+from spinbranch.poly import Polynomial, x
+from spinbranch.raising import U0Element, u0_b, u0_h, u0_hbar
+for expr in sys.argv[1:]:
+    try:
+        print(eval(expr))
+    except TypeError:
+        print("TypeError")
+"""
+
+
+@pytest.mark.parametrize("exprs, printed", [
+    (["u0_hbar(1.5)", "u0_hbar(1)"], ["TypeError", "Hb1"]),
+    (["u0_b(1, 2.5)", "u0_b(1, 2)"], ["TypeError", "(H1^2 - H2^2 - H1 - H2)"]),
+    (["u0_h(2.0)", "u0_h(2)"], ["TypeError", "H2"]),
+    (["Polynomial.var('x', True)", "x(1)"], ["x1", "x1"]),
+    (["Polynomial.var('x', 2.0)", "x(2)", "Polynomial.var('x', 2.0)"], ["TypeError", "x2", "TypeError"]),
+    (["U0Element({(2.0, 1): 1})", "U0Element({(True, 2): 3})"], ["TypeError", "3*Hb1*Hb2"]),
+])
+def test_variables_and_bars_take_integer_indices_only(exprs, printed):
+    # field names are per process: each first use runs in a fresh one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _FIRST_USE, *exprs], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
+    )
+    assert done.stdout.splitlines() == printed
 
 
 _UNPICKLE = """

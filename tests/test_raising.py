@@ -10,7 +10,7 @@ import definitional
 import polyref as ref
 import spinbranch
 from spinbranch.core import SignedSet, Weight
-from spinbranch.poly import Polynomial, format_poly, x, y
+from spinbranch.poly import Polynomial, format_poly, parse_poly, x, y
 from spinbranch.raising import (
     BadSignedSet,
     CharacteristicZero,
@@ -129,6 +129,56 @@ def _word(bars):
     for b in bars:
         out = out * u0_hbar(b)
     return out
+
+
+def _ref_coeff(rows) -> dict:
+    out: dict = {}
+    for c, factors in rows:
+        term = ref.const(c)
+        for i, e in factors:
+            term = ref.mul(term, ref.var("H", i, e))
+        out = ref.add(out, term)
+    return out
+
+
+def _word_map(rows) -> dict:
+    """{word of barred generators: polyref coefficient}, words summed."""
+    out: dict = {}
+    for word, coeff in rows:
+        out[tuple(word)] = ref.add(out.get(tuple(word), {}), _ref_coeff(coeff))
+    return out
+
+
+# random words, not in normal form, with multi-term polyref coefficients
+word_maps = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 3), max_size=4),
+        st.lists(st.tuples(st.integers(-3, 3),
+                           st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), max_size=2)),
+                 min_size=1, max_size=3),
+    ),
+    max_size=3,
+).map(_word_map)
+
+
+@given(word_maps, word_maps, st.integers(-3, 3))
+@settings(max_examples=80)
+def test_u0_arithmetic_matches_the_definitional_oracle(wa, wb, k):
+    def ours(words):
+        return U0Element({w: parse_poly(ref.to_text(c)) for w, c in words.items()})
+
+    def theirs(words):  # normal-ordered by adjacent swaps, in polyref
+        return definitional._u0_mul({(): ref.const(1)}, words)
+
+    def read(u):
+        return {bars: ref.from_text(format_poly(c)) for bars, c in u.terms.items()}
+
+    a, b, ra, rb = ours(wa), ours(wb), theirs(wa), theirs(wb)
+    assert read(a) == ra
+    assert read(a * b) == definitional._u0_mul(ra, rb)
+    assert read(a + b) == definitional._u0_sum(ra, rb)
+    assert read(a - b) == definitional._u0_sum(ra, definitional._u0_scale(rb, -1))
+    assert read(a.scale(k)) == definitional._u0_scale(ra, k)
 
 
 @given(u0_elements, u0_elements, u0_elements)
