@@ -56,11 +56,11 @@ from .sigseq import (
 
 
 def clear_caches() -> None:
-    """Empty the four bounded memos: residue reductions, the f family (g1
-    and g2 share one), brackets and the raising recursion."""
-    from . import indices, poly, raising
+    """Empty the five bounded memos: r_beta's words, residue reductions,
+    the f family (g1 and g2 share one), brackets and the raising recursion."""
+    from . import indices, poly, raising, sigseq
 
-    for memo in (indices._reduction_cached, poly._g2_cached,
+    for memo in (sigseq._words, indices._reduction_cached, poly._g2_cached,
                  raising._bracket_cached, raising._rec):
         memo.cache_clear()
 

@@ -44,6 +44,7 @@ from .sigseq import (
     split_index,
     suffix_shapes,
     _bud_scan,
+    _words,
 )
 
 
@@ -133,15 +134,10 @@ def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
                             max(plus, default=None), gaps)
 
 
-def _touched(lam: Weight) -> set[int]:
-    """The residues of the entries and of the entries plus one."""
-    return {res_p(x + d, lam.p) for x in lam.parts for d in (0, 1)}
-
-
 def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
     """One reduction per residue: every beta in 0..p-1, or for p = 0 every
-    residue of an entry or of an entry plus one."""
-    betas = range(lam.p) or sorted(_touched(lam))  # range(0) is empty
+    residue of an entry or of an entry plus one (the betas of its words)."""
+    betas = range(lam.p) or sorted(_words(lam))  # range(0) is empty
     return {beta: reduce_residue(lam, beta) for beta in betas}
 
 
@@ -161,10 +157,10 @@ def _classify(i: int, own: ResidueReduction, up: ResidueReduction) -> IndexClass
 
 
 def classify_indices(lam: Weight) -> tuple[IndexClassification, ...]:
-    """The classification of every index, read off one reduction per
-    residue that an entry touches: index i reads those at res_p(x) and
-    res_p(x + 1) of its entry x, and no other residue is built."""
-    reductions = {beta: reduce_residue(lam, beta) for beta in _touched(lam)}
+    """The classification of every index, read off one reduction per beta
+    of lambda's `r_words`, the residues its entries touch: index i reads
+    those at res_p(x) and res_p(x + 1) of its entry x, and no other."""
+    reductions = {beta: reduce_residue(lam, beta) for beta in _words(lam)}
     p = lam.p
     return tuple(
         _classify(i, reductions[res_p(x, p)], reductions[res_p(x + 1, p)])

@@ -99,7 +99,10 @@ class Polynomial:
     __slots__ = ("_t",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        self._t = _clean(dict(terms)) if terms else {}
+        t = _clean(dict(terms)) if terms else {}
+        if reduce(or_, t, 0) >> (len(_VARS) * EXP_BITS):  # a negative key too
+            raise ValueError("a monomial uses a field that no variable has")
+        self._t = t
 
     @staticmethod
     def _of(t: dict[int, int]) -> "Polynomial":
@@ -131,6 +134,8 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, int):
             other = Polynomial.const(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         t = dict(self._t)
         for m, c in other._t.items():
             c += t.get(m, 0)
@@ -152,6 +157,8 @@ class Polynomial:
         return -self + other
 
     def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, (int, Polynomial)):
+            return NotImplemented
         t = {0: other} if isinstance(other, int) else other._t
         return Polynomial._of(_clean(_mac({}, self._t, t)))
 

@@ -70,18 +70,24 @@ class U0Element:
         return MappingProxyType(self._t)
 
     def __add__(self, other: "U0Element") -> "U0Element":
+        if not isinstance(other, U0Element):
+            return NotImplemented
         return _freeze(_mac(_mac({}, self, _ONE), other, _ONE))
 
     def __neg__(self) -> "U0Element":
         return self.scale(-1)
 
     def __sub__(self, other: "U0Element") -> "U0Element":
+        if not isinstance(other, U0Element):
+            return NotImplemented
         return _freeze(_mac(_mac({}, self, _ONE), other, _ONE, -1))
 
     def scale(self, factor: int) -> "U0Element":
         return _freeze(_mac({}, self, _ONE, operator.index(factor)))
 
     def __mul__(self, other: "U0Element") -> "U0Element":
+        if not isinstance(other, U0Element):
+            return NotImplemented
         return _freeze(_mac({}, self, other))
 
     def __eq__(self, other) -> bool:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .core import Weight, _trusted, mod, res_p
+from .core import Weight, _trusted, mod
 
 Entry = tuple[int, int]  # (sign, mark), sign in {+1, -1}
 Seq = tuple[Entry, ...]
@@ -199,26 +200,21 @@ def r_words(parts: tuple[int, ...], p: int) -> dict[int, list[tuple[int, str]]]:
     return words
 
 
-def r_beta(lam: Weight, beta: int) -> SignMap:
-    """The sign map r_beta(lambda) on [1..n].
+@lru_cache(maxsize=8)  # a few weights at a time; spinbranch.clear_caches() empties it
+def _words(lam: Weight) -> dict[int, list[tuple[int, str]]]:
+    """`r_words` of lambda, one pass for all its betas; callers only read it."""
+    return r_words(lam.parts, lam.p)
 
-    beta = 0 gives the pair-mode map (--, +-, ++ at entries congruent to
-    1, 0, -1 mod p); beta != 0 gives the single-mode map with - at entries
-    of residue beta and + where the residue of (entry + 1) is beta.  beta
-    is an integer, taken mod p; a float or a string is a TypeError.
-    """
-    p, beta = lam.p, mod(operator.index(beta), lam.p)
-    if beta == 0:
-        pair = {mod(1, p): "--", 0: "+-", mod(-1, p): "++"}
-        mode = "pair"
-        vals = tuple((i, pair.get(mod(x, p), "")) for i, x in enumerate(lam.parts, 1))
-    else:
-        mode = "single"
-        vals = tuple(
-            (i, "-" if res_p(x, p) == beta else "+" if res_p(x + 1, p) == beta else "")
-            for i, x in enumerate(lam.parts, 1)
-        )
-    return _trusted(SignMap, mode=mode, values=vals, _by_index=dict(vals))
+
+def r_beta(lam: Weight, beta: int) -> SignMap:
+    """The sign map r_beta(lambda) on [1..n]: the word of beta in lambda's
+    `r_words` (pair mode at beta = 0, single mode otherwise), with the empty
+    value at every other index.  beta is an integer, taken mod p; a float
+    or a string is a TypeError."""
+    beta = mod(operator.index(beta), lam.p)
+    word = dict(_words(lam).get(beta, ()))
+    vals = tuple((i, word.get(i, "")) for i in range(1, lam.n + 1))
+    return _trusted(SignMap, mode="single" if beta else "pair", values=vals, _by_index=dict(vals))
 
 
 # -- flows -------------------------------------------------------------------

@@ -12,9 +12,10 @@ the crystal graph filters all partitions.  The re-checks of plan steps
 and certificates are kept as they were before the statement table: one
 branch per construction, each building its own r_beta.  Nothing here
 reads the library's classification, scans, node routines or statement
-table; only the shared vocabulary (r_beta, product_of, reduce_seq,
-SignMap.restrict, flow_analyze, cont_p, partitions, CrystalGraph) is
-imported.  The one exception is the crystal graph generated from the
+table, nor its r_beta: r_beta is built here entry by entry, the oracle of
+the library's one pass per weight (`sigseq.r_words`).  Only the shared
+vocabulary (product_of, reduce_seq, SignMap.restrict, flow_analyze,
+cont_p, partitions, CrystalGraph) is imported.  The one exception is the crystal graph generated from the
 library's signed nodes (`reduce_content`), kept as the oracle of the
 weight-side scan that generates it now.  The raising recursion builds
 every product, sign and sum as a new {bars: coefficient} dict, with its own
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from spinbranch.core import SignedSet, Weight, congruent, res_p, seg_oc, seg_oo
+from spinbranch.core import SignedSet, Weight, _trusted, congruent, mod, res_p, seg_oc, seg_oo
 from spinbranch.crystal import (
     CrystalGraph,
     PStrictPartition,
@@ -43,7 +44,6 @@ from spinbranch.sigseq import (
     flow_analyze,
     plus_count,
     product_of,
-    r_beta,
     reduce_seq,
     reduced_product,
 )
@@ -51,6 +51,25 @@ from spinbranch.sigseq import (
 
 class MarkOutOfRange(ValueError):
     pass
+
+
+def r_beta(lam: Weight, beta: int) -> SignMap:
+    """The sign map r_beta(lambda) entry by entry, as the library built it
+    before its one pass per weight (`sigseq.r_words`): at beta = 0 a pair
+    map with --, +-, ++ at entries congruent to 1, 0, -1 mod p; otherwise -
+    where the entry has residue beta and + where the entry plus one has."""
+    p, beta = lam.p, mod(beta, lam.p)
+    if beta == 0:
+        pair = {mod(1, p): "--", 0: "+-", mod(-1, p): "++"}
+        mode = "pair"
+        vals = tuple((i, pair.get(mod(x, p), "")) for i, x in enumerate(lam.parts, 1))
+    else:
+        mode = "single"
+        vals = tuple(
+            (i, "-" if res_p(x, p) == beta else "+" if res_p(x + 1, p) == beta else "")
+            for i, x in enumerate(lam.parts, 1)
+        )
+    return _trusted(SignMap, mode=mode, values=vals, _by_index=dict(vals))
 
 
 def minus_w0_seq(u, n: int):

@@ -34,6 +34,7 @@ from spinbranch.sigseq import (
     plus_count,
     product_of,
     r_beta,
+    r_words,
     reduce_seq,
 )
 
@@ -413,6 +414,50 @@ def test_residue_must_be_an_integer_and_is_taken_mod_p():
     assert one.beta == 1 and indices._reduction_cached.cache_info().currsize == 1
     assert r_beta(lam, 8) == r_beta(lam, 1) and reduce_residue(lam, 2).beta == 2
     assert reduce_residue(Weight((3, 1), 0), 6).beta == 6  # p = 0: beta as given
+
+
+def _plans_and_certificates(lam: Weight) -> list[str]:
+    """The JSON of the primitive plan or the certificate of every i < n."""
+    normals = {c.index for c in classify_indices(lam) if c.normal}
+    return [(primitive_plan if i in normals else non_normal_certificate)(lam, i).to_json()
+            for i in range(1, lam.n)]
+
+
+def test_every_index_query_is_periodic_in_the_entries():
+    # r_beta reads an entry only mod p, so lambda and lambda + k p e_t have
+    # the same words, classification, certificates and primitive plans
+    rng = random.Random(1104)
+    for _ in range(1000):
+        p = rng.choice((3, 5, 7))
+        parts = [rng.randint(-20, 20) for _ in range(rng.randint(1, 8))]
+        lam = Weight(tuple(parts), p)
+        parts[rng.randrange(len(parts))] += rng.choice((-3, -2, -1, 1, 2, 3)) * p
+        moved = Weight(tuple(parts), p)
+        assert r_words(lam.parts, p) == r_words(moved.parts, p), (lam, moved)
+        assert classify_indices(lam) == classify_indices(moved), (lam, moved)
+        assert _plans_and_certificates(lam) == _plans_and_certificates(moved), (lam, moved)
+
+
+def _unstable(q: int, bound: int = 10, draws: int = 1000) -> int:
+    """How many weights with entries in [-bound, bound] classify differently
+    at q and at p = 0, residues compared mod q."""
+    rng = random.Random(2311)
+    differ = 0
+    for _ in range(draws):
+        parts = tuple(rng.randint(-bound, bound) for _ in range(rng.randint(1, 8)))
+        at_zero = tuple(replace(c, residue=c.residue % q)
+                        for c in classify_indices(Weight(parts, 0)))
+        differ += classify_indices(Weight(parts, q)) != at_zero
+    return differ
+
+
+def test_classification_at_a_large_prime_is_the_one_at_zero():
+    # for |x|, |y| <= B, q | x(x - 1) - y(y - 1) = (x - y)(x + y - 1) forces
+    # x = y once q > 2B + 2 (also for the entries plus one), and q | x
+    # forces x = 0: p = 0 has no other oracle of this kind
+    assert _unstable(23) == 0
+    # negative control: below 2B + 2 residues collide and classes merge
+    assert _unstable(7) > 400
 
 
 # sha256 over the to_json() lines of every primitive plan, extension plan and

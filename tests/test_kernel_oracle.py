@@ -9,7 +9,6 @@ import pickle
 import pkgutil
 import subprocess
 import sys
-import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -237,26 +236,46 @@ def test_degree_guard_raises_instead_of_wrapping():
         U0Element({(1, 1): Polynomial.var("H", 1, MAX_EXP)})
 
 
+def fresh(script: str, *args, stdin: bytes | None = None) -> str:
+    """The standard output of `script` run with `args` in a fresh
+    interpreter that imports the library and the test helpers: field
+    numbers are per process, so a first use must run in a new one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
+    path = os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__))))
+    done = subprocess.run([sys.executable, "-c", script, *args], input=stdin,
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode()
+
+
+_THREADS = """
+import sys, threading
+import polyref as ref
+from spinbranch.poly import Polynomial, format_poly, x
+read = lambda p: ref.from_text(format_poly(p))
+names = [("t", k) for k in range(4000)]
+sys.setswitchinterval(1e-6)
+threads = [
+    threading.Thread(target=lambda part=names[k::8]: [Polynomial.var(*v) for v in part])
+    for k in range(16)
+]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+total = sum((Polynomial.var(*v) for v in names), Polynomial())
+assert read(total) == {(((a, i), 1),): 1 for a, i in names}
+square = read(Polynomial.var("t", 0) * Polynomial.var("t", 3999) * x(1))
+assert square == {((("t", 0), 1), (("t", 3999), 1), (("x", 1), 1)): 1}
+print(len(names))
+"""
+
+
 def test_variable_fields_are_handed_out_once_under_threads():
-    names = [("t", k) for k in range(4000)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=lambda part=names[k::8]: [Polynomial.var(*v) for v in part])
-            for k in range(16)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(old)
-    total = sum((Polynomial.var(*v) for v in names), Polynomial())
-    assert read(total) == {(((a, i), 1),): 1 for a, i in names}
-    square = read(Polynomial.var("t", 0) * Polynomial.var("t", 3999) * x(1))
-    assert square == {((("t", 0), 1), (("t", 3999), 1), (("x", 1), 1)): 1}
+    # in a fresh process: 4 000 fields in this one would make every later
+    # monomial a huge int and slow the rest of the suite
+    assert fresh(_THREADS) == "4000\n"
 
 
 _FIRST_USE = """
@@ -280,13 +299,41 @@ for expr in sys.argv[1:]:
     (["U0Element({(2.0, 1): 1})", "U0Element({(True, 2): 3})"], ["TypeError", "3*Hb1*Hb2"]),
 ])
 def test_variables_and_bars_take_integer_indices_only(exprs, printed):
-    # field names are per process: each first use runs in a fresh one
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", _FIRST_USE, *exprs], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
-    )
-    assert done.stdout.splitlines() == printed
+    assert fresh(_FIRST_USE, *exprs).splitlines() == printed
+
+
+_FIELDS = """
+from spinbranch.poly import EXP_BITS, Polynomial, x, y
+def build(terms):
+    try:
+        return str(Polynomial(terms))
+    except ValueError as exc:
+        return type(exc).__name__
+second, far = 1 << EXP_BITS, 1 << 40
+print(x(1), build({second: 1}), build({far: 1}), build({second: 2, 1: 3}))
+print(y(1), build({second: 1}), build({far: 1}), build({2 * second - 1: 1}))
+"""
+
+
+def test_the_constructor_takes_only_handed_out_fields():
+    # x1 alone owns field 0: field 1 is no variable's until y1 takes it, and
+    # a monomial of a later field never builds; a guard bit stays a
+    # DegreeOverflow (fresh process: field numbers are per process)
+    assert fresh(_FIELDS).splitlines() == ["x1 ValueError ValueError ValueError",
+                                           "y1 y1 ValueError DegreeOverflow"]
+
+
+@pytest.mark.parametrize("expr", [
+    "x(1) * 2.5", "x(1) + 2.5", "2.5 * x(1)", "x(1) - 2.5", "2.5 - x(1)", "x(1) + None",
+    "u0_h(1) + 1", "1 + u0_h(1)", "u0_h(1) - 1", "u0_h(1) * 2", "u0_h(1) * x(1)",
+    "x(1) * u0_h(1)", "u0_h(1) + x(1)",
+])
+def test_foreign_operands_are_a_type_error(expr):
+    # each method answers NotImplemented, so Python raises the TypeError;
+    # int operands of a Polynomial stay allowed
+    with pytest.raises(TypeError, match="unsupported operand"):
+        eval(expr)
+    assert x(1) * 2 == 2 * x(1) == x(1) + x(1) and x(1) + 1 - x(1) == 1
 
 
 _UNPICKLE = """
@@ -301,12 +348,7 @@ def test_pickles_do_not_depend_on_field_numbers():
     f = 3 * x(1) * y(2) ** 2 - x(3) + 4
     data = pickle.dumps(f)
     assert pickle.loads(data) == f
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", _UNPICKLE], input=data, capture_output=True,
-        env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120,
-    )
-    assert done.stdout.decode().strip() == format_poly(f)
+    assert fresh(_UNPICKLE, stdin=data).strip() == format_poly(f)
 
 
 # -- caches ------------------------------------------------------------------------
@@ -326,7 +368,7 @@ def module_memos() -> dict:
 
 def test_caches_are_bounded_and_reset_by_one_hook():
     memos = module_memos()
-    assert set(memos) == {"indices._reduction_cached", "poly._g2_cached",
+    assert set(memos) == {"sigseq._words", "indices._reduction_cached", "poly._g2_cached",
                           "raising._bracket_cached", "raising._rec"}
     delta = DeltaFunction(1, (0, 1, 0))
     m = SignedSet.of(evens=[2], odds=[4])

@@ -296,7 +296,8 @@ def test_last_free_plus_is_the_mark_of_the_last_plus_of_the_reduction():
 
 
 def test_r_words_are_r_beta_in_sparse_form():
-    # every beta's word is the non-empty part of r_beta, on random weights
+    # every beta's word is the non-empty part of the per-entry r_beta of
+    # the oracle, and the library's r_beta is that map, on random weights
     # with negative entries; at p = 0 the betas are every residue an entry
     # or an entry plus one has, and three that none has (residues are
     # products x(x - 1), so 1 and 3 never occur, and 992 = 32 * 31 only
@@ -309,8 +310,10 @@ def test_r_words_are_r_beta_in_sparse_form():
         betas = range(p) if p else {x * (x + d) for x in w.parts for d in (-1, 1)} | {1, 3, 992}
         assert set(words) <= set(betas)
         for beta in betas:
-            sparse = [(i, v) for i, v in r_beta(w, beta).values if v]
+            expected = definitional.r_beta(w, beta)
+            sparse = [(i, v) for i, v in expected.values if v]
             assert words.get(beta, []) == sparse, (w, beta)
+            assert r_beta(w, beta) == expected, (w, beta)
 
 
 def test_split_index_scan_matches_recursive_oracle():
