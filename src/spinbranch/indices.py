@@ -136,7 +136,7 @@ def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
 
 def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
     """One reduction per residue: every beta in 0..p-1, or for p = 0 every
-    residue of an entry or of an entry plus one (the betas of its words)."""
+    residue of an entry or of an entry plus one (the betas of its `r_words`)."""
     betas = range(lam.p) or sorted(_words(lam))  # range(0) is empty
     return {beta: reduce_residue(lam, beta) for beta in betas}
 

@@ -208,13 +208,13 @@ def _words(lam: Weight) -> dict[int, list[tuple[int, str]]]:
 
 def r_beta(lam: Weight, beta: int) -> SignMap:
     """The sign map r_beta(lambda) on [1..n]: the word of beta in lambda's
-    `r_words` (pair mode at beta = 0, single mode otherwise), with the empty
-    value at every other index.  beta is an integer, taken mod p; a float
-    or a string is a TypeError."""
+    `r_words`, the empty value elsewhere, in pair mode exactly at beta = 0.
+    beta is an integer, taken mod p; a float or a string is a TypeError."""
     beta = mod(operator.index(beta), lam.p)
-    word = dict(_words(lam).get(beta, ()))
-    vals = tuple((i, word.get(i, "")) for i in range(1, lam.n + 1))
-    return _trusted(SignMap, mode="single" if beta else "pair", values=vals, _by_index=dict(vals))
+    by_index = dict.fromkeys(range(1, lam.n + 1), "")
+    by_index.update(_words(lam).get(beta, ()))
+    return _trusted(SignMap, mode="single" if beta else "pair",
+                    values=tuple(by_index.items()), _by_index=by_index)
 
 
 # -- flows -------------------------------------------------------------------
