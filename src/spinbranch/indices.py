@@ -10,7 +10,8 @@ through `reduce_residue`, whose bounded memo builds each sign map once per
 (lambda, beta mod p) as one word, and `sigseq.suffix_shapes` gives the
 shape of every gap (i..n); this module reads no sign-map value itself.
 Every flag, certificate and plan is read off that one result; a
-classification builds only the residues its entries touch.
+classification builds only the residues its entries touch, the keys of
+the weight's `sigseq.r_words`.
 
 The re-checks share none of that: each certificate case a-d and each
 construction T6.1.3-T6.6.2 is stated once, as a row of `_statement`, and

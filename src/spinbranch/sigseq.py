@@ -11,7 +11,9 @@ Every flow and section is read off one left-to-right bud scan
 reduction runs only to word an error.  Every suffix shape is read off one
 right-to-left scan (`suffix_shapes`): the gap shapes behind normal indices
 and the split index; its forward twin (`last_free_plus`) gives the crystal's
-cogood rows off the sparse words of every residue (`r_words`).
+cogood rows off the sparse words of every residue (`r_words`).  `r_words`
+alone turns entries into r_beta marks: `r_beta` is the dense view of one
+word, from one pass per weight that a small memo (`_words`) keeps.
 """
 from __future__ import annotations
 

@@ -236,14 +236,15 @@ def test_degree_guard_raises_instead_of_wrapping():
         U0Element({(1, 1): Polynomial.var("H", 1, MAX_EXP)})
 
 
-def fresh(script: str, *args, stdin: bytes | None = None) -> str:
+def fresh(script: str, *args, stdin: bytes | None = None, **env) -> str:
     """The standard output of `script` run with `args` in a fresh
-    interpreter that imports the library and the test helpers: field
-    numbers are per process, so a first use must run in a new one."""
+    interpreter, with `env` set, that imports the library and the test
+    helpers: field numbers are per process, so a first use must run in a
+    new one."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
     path = os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__))))
-    done = subprocess.run([sys.executable, "-c", script, *args], input=stdin,
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, *args], input=stdin, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env), timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout.decode()
 
@@ -329,11 +330,11 @@ def test_the_constructor_takes_only_handed_out_fields():
     "x(1) * u0_h(1)", "u0_h(1) + x(1)",
 ])
 def test_foreign_operands_are_a_type_error(expr):
-    # each method answers NotImplemented, so Python raises the TypeError;
-    # int operands of a Polynomial stay allowed
+    # each method answers NotImplemented for an operand type it does not
+    # take, so Python raises the TypeError (int operands of a Polynomial
+    # stay allowed)
     with pytest.raises(TypeError, match="unsupported operand"):
         eval(expr)
-    assert x(1) * 2 == 2 * x(1) == x(1) + x(1) and x(1) + 1 - x(1) == 1
 
 
 _UNPICKLE = """
@@ -443,14 +444,6 @@ print(json.dumps(out))
 
 
 def test_closed_forms_do_not_depend_on_the_hash_seed():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spinbranch.__file__)))
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", _CLOSED_FORMS],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        outputs.append(done.stdout)
+    outputs = [fresh(_CLOSED_FORMS, PYTHONHASHSEED=seed) for seed in ("0", "1")]
     assert outputs[0] == outputs[1]
     assert any(rows for rows in json.loads(outputs[0]))
