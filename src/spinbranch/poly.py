@@ -92,6 +92,16 @@ def _clean(t: dict[int, int]) -> dict[int, int]:
     return t
 
 
+def _move(t: dict[int, int], src: int, dst: int) -> dict[int, int]:
+    """t with the exponents of the field at bit offset src moved onto dst's."""
+    out: dict[int, int] = {}
+    for m, c in t.items():
+        e = (m >> src) & _FIELD
+        m += (e << dst) - (e << src)
+        out[m] = out.get(m, 0) + c
+    return _clean(out)
+
+
 class Polynomial:
     """Immutable sparse polynomial with integer coefficients.  `terms` is a
     read-only view from packed monomials to coefficients."""
@@ -99,7 +109,7 @@ class Polynomial:
     __slots__ = ("_t",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        t = _clean(dict(terms)) if terms else {}
+        t = _clean({m: operator.index(c) for m, c in dict(terms).items()}) if terms else {}
         if reduce(or_, t, 0) >> (len(_VARS) * EXP_BITS):  # a negative key too
             raise ValueError("a monomial uses a field that no variable has")
         self._t = t
@@ -119,10 +129,12 @@ class Polynomial:
 
     @staticmethod
     def const(c: int) -> "Polynomial":
+        c = operator.index(c)
         return Polynomial._of({0: c} if c else {})
 
     @staticmethod
     def var(axis: str, index: int, exp: int = 1) -> "Polynomial":
+        exp = operator.index(exp)
         if not 0 <= exp <= MAX_EXP:
             raise DegreeOverflow(f"exponent {exp} outside 0..{MAX_EXP}")
         if exp == 0:
@@ -151,10 +163,12 @@ class Polynomial:
         return Polynomial._of({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other) -> "Polynomial":
+        if not isinstance(other, (int, Polynomial)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return -self + other
+        return (-self).__add__(other)  # NotImplemented for a foreign other
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, (int, Polynomial)):
@@ -165,6 +179,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             raise ValueError("negative power")
         out, t = {0: 1}, self._t
@@ -182,6 +198,8 @@ class Polynomial:
         return isinstance(other, Polynomial) and self._t == other._t
 
     def __hash__(self):
+        if self._t.keys() <= {0}:  # a constant hashes as its int, as __eq__ compares
+            return hash(self._t.get(0, 0))
         return hash(frozenset(self._t.items()))
 
     def __bool__(self) -> bool:
@@ -194,15 +212,6 @@ class Polynomial:
 
     def variables(self) -> set[Var]:
         return {v for v, _ in _fields(reduce(or_, self._t, 0))}
-
-    def coefficients_in(self, var: Var) -> dict[int, "Polynomial"]:
-        """Split as a univariate polynomial in var with polynomial coefficients."""
-        s = _shift(var)
-        out: dict[int, dict[int, int]] = {}
-        for m, c in self._t.items():
-            k = (m >> s) & _FIELD
-            out.setdefault(k, {})[m - (k << s)] = c
-        return {k: Polynomial._of(t) for k, t in out.items()}
 
     def substitute(self, assignment: dict[Var, "Polynomial"]) -> "Polynomial":
         """Ring-homomorphic substitution of the listed variables.  Terms
@@ -300,35 +309,50 @@ def parse_poly(text: str) -> Polynomial:
 
 def sigma_apply(a: int, b: int, k: int, f: Polynomial) -> Polynomial:
     """The ring endomorphism sending z_t to z_t + x_a - x_b for t >= k
-    (z either x or y) and fixing the variables below k.  Requires a < b."""
+    (z either x or y) and fixing the variables below k.  Requires a < b.
+    Every moved variable moves by the same s, so sigma f is the sum of
+    s^m * D^(m) f by Horner, D^(m) = D^m / m! along the moved fields."""
     if a >= b:
         raise BadIndices(f"sigma needs a < b, got a={a}, b={b}")
-    shift = x(a) - x(b)
-    assignment: dict[Var, Polynomial] = {}
+    step = {1 << _shift(("x", a)): 1, 1 << _shift(("x", b)): -1}
+    moved = []
     for axis, idx in f.variables():
         if axis not in ("x", "y"):
             raise BadIndices(f"sigma undefined on axis {axis!r}")
         if idx >= k:
-            assignment[(axis, idx)] = Polynomial.var(axis, idx) + shift
-    return f.substitute(assignment)
+            moved.append(_shift((axis, idx)))
+    layers = [f._t]
+    while layers[-1]:  # D^(n) f = D(D^(n-1) f) / n exactly; D: z^e -> e * z^(e-1)
+        d: dict[int, int] = {}
+        for m, c in layers[-1].items():
+            for s in moved:
+                e = (m >> s) & _FIELD
+                if e:
+                    d[m - (1 << s)] = d.get(m - (1 << s), 0) + c * e
+        layers.append({m: c // len(layers) for m, c in d.items() if c})
+    acc: dict[int, int] = {}
+    for layer in reversed(layers):  # a guard bit is read before a field can carry
+        acc = _clean(_mac(dict(layer), acc, step))
+    return Polynomial._of(acc)
 
 
 def exact_div(f: Polynomial, a: int, b: int) -> Polynomial:
-    """Quotient of f by (x_a - x_b), raising NotDivisible on any remainder.
-
-    Synthetic division along x_a; the remainder is f with x_a set to x_b
-    and must vanish identically.
-    """
-    coeffs = f.coefficients_in(("x", a))
-    quot = Polynomial()
-    carry = Polynomial()
-    for k in range(max(coeffs, default=0), 0, -1):
-        carry = carry * x(b) + coeffs.get(k, 0)
-        quot = quot + carry * Polynomial.var("x", a, k - 1)
-    remainder = carry * x(b) + coeffs.get(0, 0)
+    """Quotient of f by (x_a - x_b), raising NotDivisible on any remainder:
+    f with x_a's field moved onto x_b's, which must vanish identically."""
+    sa, sb = _shift(("x", a)), _shift(("x", b))
+    remainder = _move(f._t, sa, sb)
     if remainder:
-        raise NotDivisible(remainder)
-    return quot
+        raise NotDivisible(Polynomial._of(remainder))
+    quot: dict[int, int] = {}
+    turn = (1 << sa) - (1 << sb)
+    for m, c in f._t.items():  # c*m*x_a^e gives c*m*x_a^r*x_b^(e-1-r), r < e
+        e = (m >> sa) & _FIELD
+        if e:
+            m += ((e - 1) << sb) - (e << sa)
+            for _ in range(e):
+                quot[m] = quot.get(m, 0) + c
+                m += turn
+    return Polynomial._of(_clean(quot))
 
 
 # -- the polynomial families --------------------------------------------------
@@ -403,19 +427,10 @@ def g2(i: int, k: int, q: int, j: int, s) -> Polynomial:
 
 
 def lin_reduce(f: Polynomial, subst: dict[int, int]) -> Polynomial:
-    """Replace each listed y_b by its x_a: the normal form of f modulo the
-    ideal generated by the differences x_a - y_b.  This only moves
-    exponents from y-fields to x-fields; nothing is multiplied.
-
-    `subst` maps y-indices to x-indices.
-    """
+    """Replace each listed y_b by its x_a (`subst` maps y-indices to
+    x-indices): the normal form of f modulo the ideal generated by the
+    differences x_a - y_b, by moving exponents alone."""
     t = f._t
     for b, a in subst.items():  # one move per pass: no field can carry
-        sy, sx = _shift(("y", b)), _shift(("x", a))
-        out: dict[int, int] = {}
-        for m, c in t.items():
-            e = (m >> sy) & _FIELD
-            m += (e << sx) - (e << sy)
-            out[m] = out.get(m, 0) + c
-        t = _clean(out)
+        t = _move(t, _shift(("y", b)), _shift(("x", a)))
     return Polynomial._of(t)

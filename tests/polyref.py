@@ -11,6 +11,7 @@ exponents.  Library results come in through their printed form
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 _FACTOR = re.compile(r"([A-Za-z])(\d+)(?:\^(\d+))?$")
 
@@ -114,3 +115,55 @@ def to_text(f: dict) -> str:
         else:
             bits.append(("+ " if c > 0 else "- ") + body)
     return " ".join(bits)
+
+
+# -- the divided-difference step by substitution and synthetic division ------
+
+
+def sigma(a: int, b: int, k: int, f: dict) -> dict:
+    """sigma_{a,b}^k by substitution: z_t -> z_t + x_a - x_b for every x_t
+    and y_t of f with t >= k."""
+    shift = add(var("x", a), scale(var("x", b), -1))
+    moved = {v for m in f for v, _ in m if v[1] >= k}
+    return substitute(f, {v: add(var(*v), shift) for v in moved})
+
+
+def exact_div(f: dict, a: int, b: int) -> dict:
+    """The quotient of f by x_a - x_b by synthetic division along x_a;
+    a nonzero remainder (f at x_a = x_b) raises ArithmeticError."""
+    xa = ("x", a)
+    coeffs: dict = {}
+    for m, c in f.items():
+        e = dict(m).pop(xa, 0)
+        rest = tuple((v, n) for v, n in m if v != xa)
+        coeffs[e] = add(coeffs.get(e, {}), {rest: c})
+    quot: dict = {}
+    carry: dict = {}
+    for e in range(max(coeffs, default=0), 0, -1):
+        carry = add(mul(carry, var("x", b)), coeffs.get(e, {}))
+        quot = add(quot, mul(carry, var("x", a, e - 1) if e > 1 else const(1)))
+    remainder = add(mul(carry, var("x", b)), coeffs.get(0, {}))
+    if remainder:
+        raise ArithmeticError(f"remainder {to_text(remainder)}")
+    return quot
+
+
+def f_family(i: int, j: int, d, l, s) -> dict:
+    """f(i, j, D, l, S): u = prod over t in (i..j] of (x_{D_t} - y_t), with
+    D_t the largest element of D u {i} below t; then for each t of S from
+    the top, f -> (f - sigma_{D_t, t}^{t + l[t]} f) / (x_{D_t} - x_t).
+    l maps each t of S to 0 or 1; results are memoised, so never mutate one."""
+    s = sorted(s)
+    return _f_family(i, j, frozenset(d), tuple(s), tuple(l[t] for t in s))
+
+
+@lru_cache(maxsize=None)
+def _f_family(i: int, j: int, d: frozenset, s: tuple, ls: tuple) -> dict:
+    floor = lambda t: max([v for v in d if v < t] + [i])
+    if not s:
+        out = const(1)
+        for t in range(i + 1, j + 1):
+            out = mul(out, add(var("x", floor(t)), scale(var("y", t), -1)))
+        return out
+    t, out = s[0], _f_family(i, j, d, s[1:], ls[1:])  # the lowest t of S is the last step
+    return exact_div(add(out, scale(sigma(floor(t), t, t + ls[0], out), -1)), floor(t), t)

@@ -2,9 +2,11 @@
 polyref.py, and each operation's defining property at random integer
 points.  Library results are read back through their printed form only."""
 import importlib
+import itertools
 import json
 import os
 import random
+import re
 import pickle
 import pkgutil
 import subprocess
@@ -15,7 +17,7 @@ import pytest
 
 import polyref as ref
 import spinbranch
-from spinbranch import clear_caches
+from spinbranch import clear_caches, verify
 from spinbranch.core import SignedSet, Weight
 from spinbranch.indices import classify_indices, reduce_residue
 from spinbranch.poly import (
@@ -24,6 +26,7 @@ from spinbranch.poly import (
     NotDivisible,
     Polynomial,
     exact_div,
+    f_poly,
     format_poly,
     g1,
     g2,
@@ -165,6 +168,49 @@ def test_lin_reduce():
             assert ref.evaluate(out, pt) == ref.evaluate(f, moved)
 
 
+def _subsets(univ) -> list[frozenset]:
+    return [frozenset(c) for r in range(len(univ) + 1) for c in itertools.combinations(univ, r)]
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_f_family_matches_the_substitution_route(i):
+    # every (D, l, S) at widths <= 4 against sigma by substitution and
+    # synthetic division; calls that read the same l on S must agree, and
+    # the first of them is read back against the reference
+    first: dict = {}
+    for j in range(i + 1, i + 5):
+        univ = range(i + 1, j + 1)
+        subsets = _subsets(univ)
+        for d, lvals, s in itertools.product(subsets, itertools.product((0, 1), repeat=j - i), subsets):
+            l = dict(zip(univ, lvals))
+            out = f_poly(i, j, d, DeltaFunction(i + 1, lvals), s)
+            key = (j, d, s, tuple(l[t] for t in sorted(s)))
+            if key not in first:
+                first[key] = out
+                assert read(out) == ref.f_family(i, j, d, l, s), key
+            assert out == first[key], key
+
+
+def test_g_families_match_the_substitution_route(monkeypatch):
+    # the g1/g2 arguments of the poly-identities sweep at widths <= 4
+    calls = {"g1": set(), "g2": set()}
+    for name in calls:
+        def record(*args, name=name, lib=getattr(verify, name)):
+            calls[name].add(args)
+            return lib(*args)
+        monkeypatch.setattr(verify, name, record)
+    rep = verify.VerdictReport("poly-identities", {})
+    for w in range(1, 5):
+        verify._g_identities(rep, 1, 1 + w)
+    assert rep.finish().passed and len(calls["g1"]) > 20 and len(calls["g2"]) > 100
+    for i, j, s in calls["g1"]:
+        ones = dict.fromkeys(range(i + 1, j + 1), 1)
+        assert read(g1(i, j, s)) == ref.f_family(i, j, (), ones, s), (i, j, s)
+    for i, k, q, j, s in calls["g2"]:
+        l2 = {t: int(i < t < k or q < t < j) for t in range(i + 1, j + 1)}
+        assert read(g2(i, k, q, j, s)) == ref.f_family(i, j, {k}, l2, s), (i, k, q, j, s)
+
+
 def test_bracket_hom():
     rng = random.Random(18)
     for _ in range(200):
@@ -234,6 +280,44 @@ def test_degree_guard_raises_instead_of_wrapping():
         h_top * u0_hbar(1) * u0_hbar(1)
     with pytest.raises(DegreeOverflow):
         U0Element({(1, 1): Polynomial.var("H", 1, MAX_EXP)})
+
+
+def test_shift_and_division_raise_instead_of_carrying():
+    top1, top2, top3 = (Polynomial.var("x", t, MAX_EXP) for t in (1, 2, 3))
+    # sigma_{1,2}^3 moves x3 by x1 - x2, which takes x1 past MAX_EXP; x3^MAX_EXP
+    # has 32 768 Taylor layers, and the first Horner step must already raise
+    assert sigma_apply(1, 2, 4, top1 * top3) == top1 * top3
+    with pytest.raises(DegreeOverflow):
+        sigma_apply(1, 2, 3, top1 * x(3))
+    with pytest.raises(DegreeOverflow):
+        sigma_apply(1, 2, 3, top1 * top3)
+    # the remainder moves x1's field onto x2's: up to MAX_EXP it fits
+    below = Polynomial.var("x", 2, MAX_EXP - 1)
+    assert exact_div(below * (x(1) - x(2)), 1, 2) == below
+    with pytest.raises(DegreeOverflow):
+        exact_div(x(1) * top2, 1, 2)
+    with pytest.raises(DegreeOverflow):
+        exact_div(top1 * top2, 1, 2)
+
+
+def test_constants_hash_as_their_ints():
+    five, zero = Polynomial.const(5), Polynomial()
+    assert five == 5 and hash(five) == hash(5) and hash(zero) == hash(0)
+    assert 5 in {five} and five in {5} and zero in {0} and 0 in {zero}
+    assert len({five, 5, zero, 0}) == 2
+    assert {5: "five", 0: "zero"}[five] == "five" and {zero: "zero"}[0] == "zero"
+    assert x(1) not in {1} and hash(x(1) + 5) != hash(5)
+
+
+def test_coefficients_are_integers():
+    (x1,) = x(1).terms
+    for terms in ({x1: 2.5}, {0: 2.5}, {x1: 1, 0: "1"}):
+        with pytest.raises(TypeError):
+            Polynomial(terms)
+    for c in (2.5, None, "1"):
+        with pytest.raises(TypeError):
+            Polynomial.const(c)
+    assert Polynomial({x1: True}) == x(1) and Polynomial.const(True) == 1
 
 
 def fresh(script: str, *args, stdin: bytes | None = None, **env) -> str:
@@ -327,13 +411,16 @@ def test_the_constructor_takes_only_handed_out_fields():
 @pytest.mark.parametrize("expr", [
     "x(1) * 2.5", "x(1) + 2.5", "2.5 * x(1)", "x(1) - 2.5", "2.5 - x(1)", "x(1) + None",
     "u0_h(1) + 1", "1 + u0_h(1)", "u0_h(1) - 1", "u0_h(1) * 2", "u0_h(1) * x(1)",
-    "x(1) * u0_h(1)", "u0_h(1) + x(1)",
+    "x(1) * u0_h(1)", "u0_h(1) + x(1)", "x(1) ** 2.0", "x(1) ** x(1)",
+    "Polynomial.var('x', 1, 2.0)",
 ])
 def test_foreign_operands_are_a_type_error(expr):
     # each method answers NotImplemented for an operand type it does not
-    # take, so Python raises the TypeError (int operands of a Polynomial
-    # stay allowed)
-    with pytest.raises(TypeError, match="unsupported operand"):
+    # take, so Python raises a TypeError that names the operator (int
+    # operands of a Polynomial stay allowed); an exponent must be an int
+    op = re.search(r" (\*\*|[-+*]) ", expr)
+    message = rf"unsupported operand type\(s\) for {re.escape(op[1])}[: ]" if op else "integer"
+    with pytest.raises(TypeError, match=message):
         eval(expr)
 
 
