@@ -13,7 +13,7 @@ from . import crystal as cr
 from . import indices as ix
 from . import verify as vf
 from .core import InvalidCharacteristic, Weight, check_characteristic
-from .sigseq import seq_to_list
+from .sigseq import r_beta, seq_to_list
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() alone also takes 1_0 and non-ASCII digits
 _parser = None  # main's own parser: built on its first call, never handed out
@@ -53,7 +53,7 @@ def _weight_report(lam: Weight) -> dict:
     r_maps = {}
     signatures = {}
     for beta, red in ix.residue_reductions(lam).items():
-        r_maps[str(beta)] = red.sign_map.to_dict()
+        r_maps[str(beta)] = r_beta(lam, beta).to_dict()
         signatures[str(beta)] = seq_to_list(red.reduced)
     return {"indices": indices, "r_maps": r_maps, "reduced_signatures": signatures}
 

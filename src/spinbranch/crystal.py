@@ -263,7 +263,8 @@ def contents_for(p: int, max_col: int) -> range:
 
 
 def spin_stats(lam: PStrictPartition):
-    """(number of parts prime to p, type 'M'/'Q', content counts)."""
+    """(h, 'M' if h is even else 'Q', content counts), h the number of parts prime
+    to p: the type in the convention of the Sergeev superalgebra Cl_n (x) T_n, not T_n's."""
     p = lam.p
     h = sum(1 for x in lam.parts if not congruent(x, 0, p))
     kind = "M" if h % 2 == 0 else "Q"

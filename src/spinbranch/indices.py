@@ -2,31 +2,33 @@
 dual variants), certificates of non-normality, and the combinatorial
 planners behind primitive-vector constructions and extensions.
 
-Everything here is driven by reductions of the sign maps r_beta(lambda):
-an index is tensor normal when its minus survives the full reduction, and
-normal (for i < n) when it survives the reduction over [1..n) and the
-boundary exception does not apply.  Every query reaches its reduction
-through `reduce_residue`, whose bounded memo builds each sign map once per
-(lambda, beta mod p) as one word, and `sigseq.suffix_shapes` gives the
-shape of every gap (i..n); this module reads no sign-map value itself.
-Every flag, certificate and plan is read off that one result; a
+Everything here is driven by reductions of the sign maps r_beta(lambda),
+read only as the sparse words of `sigseq._words`: an index is tensor
+normal when its minus survives the full reduction, and normal (for i < n)
+when it survives the reduction over [1..n) and the boundary exception does
+not apply.  Every query reaches its reduction through `reduce_residue`,
+whose bounded memo reduces the word once per (lambda, beta mod p), and
+`sigseq.suffix_shapes` gives the shape of the gap (i..n) at every index of
+the word.  Every flag, certificate and plan is read off that one result; a
 classification builds only the residues its entries touch, the keys of
-the weight's `sigseq.r_words`.
+the words, and a builder gets the word's slice over its range.
 
-The re-checks share none of that: each certificate case a-d and each
-construction T6.1.3-T6.6.2 is stated once, as a row of `_statement`, and
-one checker, `_meets`, holds every certificate and plan step to its row
-with a sign map of its own.  `_meets` checks 1 <= i < n once and derives
-beta as the residue of i; no row reads beta from the payload.
+The re-checks share none of that but the words: each certificate case a-d
+and each construction T6.1.3-T6.6.2 is stated once, as a row of
+`_statement`, and one checker, `_meets`, holds every certificate and plan
+step to its row with a slice of its own.  `_meets` checks 1 <= i < n once
+and derives beta as the residue of i; no row reads beta from the payload.
 """
 from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
-from .core import SignedSet, Weight, congruent, mod, res_p, seg_oc, seg_oo
+from .core import SignedSet, Weight, _trusted, congruent, mod, res_p, seg_oc, seg_oo
 from .sigseq import (
     MINUS,
     PLUS,
@@ -39,7 +41,6 @@ from .sigseq import (
     lead_plus_index,
     partial_flow,
     plus_count,
-    r_beta,
     reduced_product,
     resolution_of,
     split_index,
@@ -75,7 +76,7 @@ class IndexClassification:
 
 @dataclass(frozen=True)
 class ResidueReduction:
-    """r_beta(lambda), its reduction, and the indices read off it.  A minus
+    """The reduction of r_beta(lambda) and the indices read off it.  A minus
     of r_beta sits at an index of residue beta and a plus at one whose entry
     + 1 has residue beta, so each set lies in one class.  Normal indices
     are those whose minus survives over [1..n), less the boundary exception
@@ -83,10 +84,9 @@ class ResidueReduction:
     divisible by p).  Good is the first normal index, tensor good the first
     tensor normal index and tensor cogood the last tensor conormal index
     (None if absent).  gaps[i] = (s, r) says the reduction over (i..n) is
-    +^s -^r, for 0 <= i < n."""
+    +^s -^r, for every index i < n of beta's word; gaps is read-only."""
 
     beta: int
-    sign_map: SignMap
     reduced: Seq
     tensor_normal: frozenset[int]
     tensor_conormal: frozenset[int]
@@ -94,7 +94,7 @@ class ResidueReduction:
     good: int | None
     tensor_good: int | None
     tensor_cogood: int | None
-    gaps: tuple[tuple[int, int], ...]
+    gaps: MappingProxyType[int, tuple[int, int]]
 
 
 def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
@@ -103,8 +103,8 @@ def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
     return _reduction_cached(lam, mod(operator.index(beta), lam.p))
 
 
-# bounded memo; one report reads at most one entry per residue, and
-# spinbranch.clear_caches() empties it
+# bounded memo, emptied by spinbranch.clear_caches(); a weight touches up to
+# min(p, 2n) residues (2n at p = 0), and a report on more rebuilds evictions
 REDUCTION_CACHE_SIZE = 32
 
 
@@ -114,25 +114,33 @@ def _zero_boundary(lam: Weight, i: int) -> bool:
     return congruent(lam.entry(i), 0, lam.p) and congruent(lam.entry(lam.n), 0, lam.p)
 
 
+def _restricted(lam: Weight, beta: int, dom: range) -> SignMap:
+    """r_beta(lambda) on the range dom less its empty values, the slice of beta's
+    sorted word: an edge end at an empty value fails coherence either way."""
+    word = _words(lam).get(beta, ())
+    pairs = tuple(word[bisect_left(word, (dom.start,)):bisect_left(word, (dom.stop,))])
+    return _trusted(SignMap, mode="single" if beta else "pair", values=pairs,
+                    _by_index=dict(pairs))
+
+
 @lru_cache(maxsize=REDUCTION_CACHE_SIZE)
 def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
-    """Build r_beta(lambda) once and reduce it once.
-
-    gaps[i], the shape of the reduction over (i..n), comes from one
-    right-to-left scan over [1..n).  Index i is normal when a minus of u_i
-    survives over [1..n), so that gaps[i - 1] has more minuses than gaps[i],
-    unless the boundary exception, read off the empty shapes, applies.
-    """
-    u = r_beta(lam, beta)
+    """Reduce beta's word once, and read the shapes over [i..n) and (i..n)
+    at every index i < n of the word off one right-to-left scan: i is normal
+    when the first has more minuses (a minus of u_i survives over [1..n)),
+    unless the boundary exception, read off the empty shapes, applies."""
+    u = _restricted(lam, beta, seg_oc(0, lam.n))
+    head = u.values[:bisect_left(u.values, (lam.n,))]
+    shapes = suffix_shapes(head)
+    gaps = {t: after for (t, _), after in zip(head, shapes[1:])}
+    normal = frozenset(t for (t, _), before, after in zip(head, shapes, shapes[1:]) if
+                       before[1] > after[1] and not (after == (0, 0) and _zero_boundary(lam, t)))
     reduced = reduced_product(u)
-    gaps = suffix_shapes(u.values[:-1])
-    normal = frozenset(i for i in range(1, lam.n) if gaps[i - 1][1] > gaps[i][1]
-                       and not (gaps[i] == (0, 0) and _zero_boundary(lam, i)))
     minus = frozenset(m for s, m in reduced if s == MINUS)
     plus = frozenset(m for s, m in reduced if s == PLUS)
-    return ResidueReduction(beta, u, reduced, minus, plus, normal,
+    return ResidueReduction(beta, reduced, minus, plus, normal,
                             min(normal, default=None), min(minus, default=None),
-                            max(plus, default=None), gaps)
+                            max(plus, default=None), MappingProxyType(gaps))
 
 
 def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
@@ -235,25 +243,23 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     i, own = _own(lam, i)
     if i in own.normal:
         raise IsNormal(f"index {i} is normal for {lam.parts}")
-    n, p = lam.n, lam.p
-    beta, u = own.beta, own.sign_map
-    gap = list(range(i + 1, n))
+    n, p, beta = lam.n, lam.p, own.beta
     pluses = own.gaps[i][0]
 
     if pluses >= (2 if beta == 0 else 1):
         tag = "b" if beta == 0 else "a"
-        j_set, flow = partial_flow(u.restrict(gap))
+        j_set, flow = partial_flow(_restricted(lam, beta, seg_oo(i, n)))
         j = max(j_set)
         m_set = _leftovers(seg_oc(i, j), flow, odds=[j + 1])
     else:
         if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
-            tag, j = "c", lead_plus_index(u.restrict(gap))
+            tag, j = "c", lead_plus_index(_restricted(lam, beta, seg_oo(i, n)))
         elif own.gaps[i] == (0, 0) and _zero_boundary(lam, i):
             tag, j = "d", n
         else:
             raise UnreachableCase(f"no certificate case matched for {lam.parts}, i={i}")
         inner = seg_oo(i, j)
-        flow = build_full_flow(u.restrict(inner))
+        flow = build_full_flow(_restricted(lam, beta, inner))
         m_set = _leftovers(inner, flow, odds=[j])
     return Certificate(tag, i, j, flow, m_set, _residue_product(lam, beta, m_set.evens))
 
@@ -308,7 +314,7 @@ class ConstructionPlan:
 def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
     """Dispatch between the two base constructions at index i (producing a
     primitive vector of weight lambda - alpha(i, n)), given the reduction
-    `own` of u = r_beta(lambda), read strictly between i and n."""
+    `own` of r_beta(lambda), read strictly between i and n."""
     n = lam.n
     pluses, minuses = own.gaps[i]
     if pluses:
@@ -318,16 +324,16 @@ def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
     if not closed and _zero_boundary(lam, i):
         raise UnreachableCase("base step at a non-normal index")
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
-    flow = build_full_flow(own.sign_map.restrict(dom))
+    flow = build_full_flow(_restricted(lam, own.beta, dom))
     m_set = _leftovers(dom, flow, odds=[] if closed else [n])
     return PlanStep("T6.1.3" if closed else "T6.2.3",
                     {"i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
 
-def _resolution_step(lam: Weight, u: SignMap, i: int) -> PlanStep:
-    """The one-odd construction driven by a resolution of u = r_0 on (i..n]."""
+def _resolution_step(lam: Weight, i: int) -> PlanStep:
+    """The one-odd construction driven by a resolution of r_0 on (i..n]."""
     n = lam.n
-    delta = resolution_of(u.restrict(seg_oc(i, n)))
+    delta = resolution_of(_restricted(lam, 0, seg_oc(i, n)))
     q = max(a for a, b in delta.edges if a == b)
     m_set = _leftovers(seg_oc(i, n), delta, odds=[q])
     return PlanStep(
@@ -335,9 +341,9 @@ def _resolution_step(lam: Weight, u: SignMap, i: int) -> PlanStep:
     )
 
 
-def _extension_flow_step(lam: Weight, u: SignMap, theorem: str, h: int, i: int) -> PlanStep:
+def _extension_flow_step(lam: Weight, theorem: str, h: int, i: int) -> PlanStep:
     """Payload for the two flow-based extension steps from i down to h."""
-    flow = build_full_flow(u.restrict(seg_oc(h, i)))
+    flow = build_full_flow(_restricted(lam, lam.residue(i), seg_oc(h, i)))
     if theorem == "T6.4.2":
         m_set = _leftovers(seg_oo(h, i), flow, odds=[i])
     else:  # T6.5.2
@@ -345,13 +351,13 @@ def _extension_flow_step(lam: Weight, u: SignMap, theorem: str, h: int, i: int) 
     return PlanStep(theorem, {"h": h, "i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
 
-def _joined_extension_step(u: SignMap, h: int, i: int) -> PlanStep:
+def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
     """Payload for the section-joining extension step (plus-led or empty
-    reduction of u = r_0 over (h..i)): the section of (h..i), empty when
-    that reduction is, chained from h to i, with fully coherent flows on
-    the stretches between."""
+    reduction of r_0 over (h..i)): the section of (h..i), empty when that
+    reduction is, chained from h to i, with fully coherent flows on the
+    stretches between."""
     inner = seg_oo(h, i)
-    sec, pieces, _ = _bud_scan(u, inner)  # +-^m or empty: the scan never stops
+    sec, pieces, _ = _bud_scan(_restricted(lam, 0, inner).values)  # +-^m or empty: no stop
     chain = (h,) + sec + (i,)
     gamma = Flow(frozenset(pieces + list(zip(chain, chain[1:]))))
     delta = Flow(frozenset(pieces + [(a, a) for a in sec + (i,)]))
@@ -365,29 +371,28 @@ def _joined_extension_step(u: SignMap, h: int, i: int) -> PlanStep:
 def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
     """Steps producing a primitive vector of weight lambda - alpha(i, n)
     for a normal index i, following the four-way case split on the
-    reduction strictly between i and n.  Every step reads the one sign map
-    at the residue of i (zero on the plus-led branches)."""
+    reduction strictly between i and n.  Every step reads the word at the
+    residue of i (zero on the plus-led branches)."""
     i, own = _own(lam, i)
     if i not in own.normal:
         raise NotNormal(f"index {i} is not normal for {lam.parts}")
     n, p = lam.n, lam.p
-    u = own.sign_map
     if own.gaps[i][0] == 0:
         return ConstructionPlan((_base_step(lam, own, i),))
     # plus-led gap: only possible at residue zero with entry = 1 mod p
     if not congruent(lam.entry(i), 1, p):
         raise UnreachableCase("plus-led gap at a normal index needs entry = 1 mod p")
     if not congruent(lam.entry(n), -1, p):
-        return ConstructionPlan((_resolution_step(lam, u, i),))
-    a = _bud_scan(u, seg_oo(i, n))[0][-1]
+        return ConstructionPlan((_resolution_step(lam, i),))
+    a = _bud_scan(_restricted(lam, 0, seg_oo(i, n)).values)[0][-1]
     base = _base_step(lam, own, a)
-    return ConstructionPlan((base, _joined_extension_step(u, i, a)))
+    return ConstructionPlan((base, _joined_extension_step(lam, i, a)))
 
 
 def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
     """Steps extending a primitive vector of weight lambda - alpha(i, n) to
     one of weight lambda - alpha(h, n), for a normal h < i of equal residue.
-    Every step reads the one sign map at that residue (zero whenever
+    Every step reads the word at that residue (zero whenever
     entry(i)(entry(i) - 1) = 0 mod p)."""
     n, h, i = lam.n, operator.index(h), operator.index(i)
     if not (1 <= h < i < n):
@@ -398,26 +403,25 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
     if h not in own.normal:
         raise PreconditionFailed(f"index {h} is not normal for {lam.parts}")
     p = lam.p
-    u = own.sign_map
-    if lam.residue(i) != 0:
-        return ConstructionPlan((_extension_flow_step(lam, u, "T6.5.2", h, i),))
+    if own.beta != 0:
+        return ConstructionPlan((_extension_flow_step(lam, "T6.5.2", h, i),))
     # [prod over (h..i]] is -^m, +-^m or has two pluses (the scan stops)
-    sec, _, stop = _bud_scan(u, seg_oc(h, i))
+    sec, _, stop = _bud_scan(_restricted(lam, 0, seg_oc(h, i)).values)
     one_mod = congruent(lam.entry(i), 1, p)
     if stop is None and not sec:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         if one_mod:
-            return ConstructionPlan((_extension_flow_step(lam, u, theorem, h, i),))
-        a = split_index(u.restrict(seg_oo(h, i)))
+            return ConstructionPlan((_extension_flow_step(lam, theorem, h, i),))
+        a = split_index(_restricted(lam, 0, seg_oo(h, i)))
         return ConstructionPlan(
-            (_joined_extension_step(u, a, i), _extension_flow_step(lam, u, theorem, h, a))
+            (_joined_extension_step(lam, a, i), _extension_flow_step(lam, theorem, h, a))
         )
     if stop is None:
         if not one_mod:
-            return ConstructionPlan((_joined_extension_step(u, h, i),))
+            return ConstructionPlan((_joined_extension_step(lam, h, i),))
         a = sec[-1]
         return ConstructionPlan(
-            (_extension_flow_step(lam, u, "T6.4.2", a, i), _joined_extension_step(u, h, a))
+            (_extension_flow_step(lam, "T6.4.2", a, i), _joined_extension_step(lam, h, a))
         )
     raise UnreachableCase(f"extension dispatch fell through for {lam.parts}, h={h}, i={i}")
 
@@ -519,7 +523,7 @@ def _statement(lam: Weight, tag: str, d: dict, i: int, beta: int) -> tuple:
 
 def _meets(lam: Weight, tag: str, d: dict) -> bool:
     """Hold payload d to the row of `tag` at beta = the residue of i, after
-    the one range check 1 <= i < n: one r_beta, one restriction per flow.  A
+    the one range check 1 <= i < n: one slice of beta's word per flow.  A
     payload lacking a field the row reads or recording another beta fails."""
     try:
         i = d["i"]
@@ -533,9 +537,8 @@ def _meets(lam: Weight, tag: str, d: dict) -> bool:
     if not (hyp and d.get("beta", beta) == beta
             and m.evens == set(m_dom) - sources and m.odds == set(barred)):
         return False
-    u = r_beta(lam, beta)
     for flow, dom, test, pluses in flows:
-        v = u.restrict(dom)
+        v = _restricted(lam, beta, dom)
         if not _TESTS[test](flow_analyze(flow, v)) or (
                 pluses is not None and plus_count(reduced_product(v)) != pluses):
             return False

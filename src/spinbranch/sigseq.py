@@ -6,18 +6,19 @@ A marked signature sequence is a tuple of (sign, mark) pairs with sign in
 canonical algorithm is a single left-to-right pass with a pending stack,
 which agrees with any erasure order (tested, not assumed).
 
-Every flow and section is read off one left-to-right bud scan
-(`_bud_scan`), which also answers each builder's precondition, so the
-reduction runs only to word an error.  Every suffix shape is read off one
-right-to-left scan (`suffix_shapes`): the gap shapes behind normal indices
-and the split index; its forward twin (`last_free_plus`) gives the crystal's
-cogood rows off the sparse words of every residue (`r_words`).  `r_words`
-alone turns entries into r_beta marks: `r_beta` is the dense view of one
-word, from one pass per weight that a small memo (`_words`) keeps.
+Every flow and section is read off one left-to-right bud scan of (index,
+value) pairs (`_bud_scan`), which also answers each builder's precondition,
+so the reduction runs only to word an error.  Every suffix shape is read
+off one right-to-left scan (`suffix_shapes`): the gap shapes behind normal
+indices and the split index; its forward twin (`last_free_plus`) gives the
+crystal's cogood rows.  `r_words` alone turns entries into r_beta marks:
+one pass per weight gives the sparse word of every residue, which a small
+memo (`_words`) keeps and the index layer reads; `r_beta` is a dense view.
 """
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -120,12 +121,6 @@ class SignMap:
 
     def value(self, i: int) -> str:
         return self._by_index[i]
-
-    def restrict(self, indices) -> "SignMap":
-        """The map on the given indices that lie in the domain."""
-        keep = set(indices)
-        pairs = tuple(iv for iv in self.values if iv[0] in keep)
-        return _trusted(SignMap, mode=self.mode, values=pairs, _by_index=dict(pairs))
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "values": {str(i): v for i, v in self.values}}
@@ -269,7 +264,7 @@ def build_full_flow(u: SignMap) -> Flow:
     """A flow fully coherent with u, given [prod u] = -^m: the edges of the
     bud scan, which then finds no section index and never stops.  Bud count
     m (single mode) or m/2 (pair mode)."""
-    sec, edges, stop = _bud_scan(u, u.domain)
+    sec, edges, stop = _bud_scan(u.values)
     if sec or stop is not None:
         raise NotAllMinus(f"[prod u] = {signs(reduced_product(u))} contains a +")
     return Flow(frozenset(edges))
@@ -291,23 +286,21 @@ def split_index(u: SignMap) -> int:
     raise PreconditionFailed("no unmatched -- index")
 
 
-def _bud_scan(u: SignMap, idxs) -> tuple[tuple[int, ...], list[tuple[int, int]], int | None]:
-    """(section, edges, stop) of one left-to-right scan of u over idxs.
+def _bud_scan(values) -> tuple[tuple[int, ...], list[tuple[int, int]], int | None]:
+    """(section, edges, stop) of one left-to-right scan of (index, value) pairs.
 
     A + joins the latest open bud (an edge); a + with no bud open is a
     section index at a +- value, whose - opens nothing, and elsewhere ends
     the scan (stop).  A - opens a bud.  So the edges are fully coherent
-    flows on the stretches between section indices.  [prod over idxs] is
+    flows on the stretches between section indices.  [prod of the pairs] is
     -^m iff the scan finds no section index and no stop, +-^m iff it finds
     a section index but no stop, and has at least 1 (single mode) or 2
     (pair mode) pluses iff it stops, at the first index whose prefix has
     them."""
-    vals = u._by_index
     sec: list[int] = []
     edges: list[tuple[int, int]] = []
     buds: list[int] = []  # increasing, so the latest bud is on top
-    for e in idxs:
-        v = vals[e]
+    for e, v in values:
         if "+" in v:
             if buds:
                 edges.append((buds.pop(), e))
@@ -339,7 +332,7 @@ def _plus_led_scan(u: SignMap) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """The bud scan's section and edges, given pair mode and [prod u] = +-^m."""
     if u.mode != "pair":
         raise PreconditionFailed("a section needs a pair-mode map")
-    sec, edges, stop = _bud_scan(u, u.domain)
+    sec, edges, stop = _bud_scan(u.values)
     if not sec or stop is not None:
         raise PreconditionFailed(f"[prod u] = {signs(reduced_product(u))} is not +-^m")
     return sec, edges
@@ -360,11 +353,11 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
     J ends where the bud scan stops.  The section before that index (empty
     if the indices before it reduce with no +) is chained to it, and the
     stretches between carry the scan's fully coherent flows."""
-    idxs = u.domain
-    sec, edges, stop = _bud_scan(u, idxs)
+    sec, edges, stop = _bud_scan(u.values)
     if stop is None:
         need = 1 if u.mode == "single" else 2
         raise PreconditionFailed(f"[prod u] = {signs(reduced_product(u))} has fewer "
                                  f"than {need} plus signs")
     chain = sec + (stop,)
-    return idxs[: idxs.index(stop) + 1], Flow(frozenset(edges + list(zip(chain, chain[1:]))))
+    j_set = tuple(i for i, _ in u.values[: bisect_left(u.values, (stop,)) + 1])
+    return j_set, Flow(frozenset(edges + list(zip(chain, chain[1:]))))

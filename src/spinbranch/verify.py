@@ -125,11 +125,13 @@ def random_weight(rng: random.Random, p: int, n: int) -> Weight:
 
 
 def random_dominant_p_strict(rng: random.Random, p: int, n: int, hi: int = 12) -> Weight:
-    while True:
-        parts = tuple(sorted((rng.randint(0, hi) for _ in range(n)), reverse=True))
-        w = Weight(parts, p)
-        if w.is_p_strict():
-            return w
+    """Entries drawn from [0..hi] one at a time, again on a repeat prime to p."""
+    parts: list[int] = []
+    while len(parts) < n:
+        x = rng.randint(0, hi)
+        if congruent(x, 0, p) or x not in parts:
+            parts.append(x)
+    return Weight(tuple(sorted(parts, reverse=True)), p)
 
 
 # -- suite: reduction ----------------------------------------------------------
@@ -222,7 +224,7 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
     need = 1 if mode == "single" else 2
     if s >= need:
         j_set, g = partial_flow(u)
-        uj = u.restrict(j_set)
+        uj = SignMap(mode, {k: u.value(k) for k in j_set})
         fa = flow_analyze(g, uj)
         want = "+" if mode == "single" else "++"
         ok = (

@@ -12,10 +12,12 @@ the crystal graph filters all partitions.  The re-checks of plan steps
 and certificates are kept as they were before the statement table: one
 branch per construction, each building its own r_beta.  Nothing here
 reads the library's classification, scans, node routines or statement
-table, nor its r_beta: r_beta is built here entry by entry, the oracle of
-the library's one pass per weight (`sigseq.r_words`).  Only the shared
-vocabulary (product_of, reduce_seq, SignMap.restrict, flow_analyze,
-cont_p, partitions, CrystalGraph) is imported.  The one exception is the crystal graph generated from the
+table, nor its r_beta or its words: r_beta is built here entry by entry,
+the oracle of the library's one pass per weight (`sigseq.r_words`), and
+restricted to a set of indices by `restrict`, through the public
+constructor, the oracle of the library's slices of a word.  Only the
+shared vocabulary (SignMap, product_of, reduce_seq, flow_analyze, cont_p,
+partitions, CrystalGraph) is imported.  The one exception is the crystal graph generated from the
 library's signed nodes (`reduce_content`), kept as the oracle of the
 weight-side scan that generates it now.  The raising recursion builds
 every product, sign and sum as a new {bars: coefficient} dict, with its own
@@ -70,6 +72,12 @@ def r_beta(lam: Weight, beta: int) -> SignMap:
             for i, x in enumerate(lam.parts, 1)
         )
     return _trusted(SignMap, mode=mode, values=vals, _by_index=dict(vals))
+
+
+def restrict(u: SignMap, indices) -> SignMap:
+    """u on the given indices that lie in its domain, empty values kept."""
+    keep = set(indices)
+    return SignMap(u.mode, {i: v for i, v in u.values if i in keep})
 
 
 def minus_w0_seq(u, n: int):
@@ -221,14 +229,14 @@ def section_of(u: SignMap) -> tuple[int, ...]:
     tail = [i for i in u.domain if i > a]
     if _pc(u, tail) == 0:
         return (a,)
-    return (a,) + section_of(u.restrict(tail))
+    return (a,) + section_of(restrict(u, tail))
 
 
 def _gap_edges(u: SignMap, idxs, sec) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     bounds = (float("-inf"),) + tuple(sec) + (float("inf"),)
     for lo, hi in zip(bounds, bounds[1:]):
-        edges |= build_full_flow(u.restrict([i for i in idxs if lo < i < hi])).edges
+        edges |= build_full_flow(restrict(u, [i for i in idxs if lo < i < hi])).edges
     return edges
 
 
@@ -248,8 +256,8 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
         if s >= need:
             return rec(rest)
         if s == 0:
-            return idxs, set(build_full_flow(u.restrict(rest)).edges)
-        sec = section_of(u.restrict(rest))
+            return idxs, set(build_full_flow(restrict(u, rest)).edges)
+        sec = section_of(restrict(u, rest))
         return idxs, set(zip(sec, sec[1:] + (idxs[-1],))) | _gap_edges(u, rest, sec)
 
     j, edges = rec(list(u.domain))
@@ -295,10 +303,10 @@ def validate_certificate(lam: Weight, cert) -> bool:
     u = r_beta(lam, beta)
     i, j = cert.index, cert.j
     if cert.case_tag in ("a", "b"):
-        rep = flow_analyze(cert.flow, u.restrict(seg_oc(i, j)))
+        rep = flow_analyze(cert.flow, restrict(u, seg_oc(i, j)))
         shape_ok = rep.is_flow and rep.coherent and not rep.fully_coherent
     else:
-        rep = flow_analyze(cert.flow, u.restrict(seg_oo(i, j)))
+        rep = flow_analyze(cert.flow, restrict(u, seg_oo(i, j)))
         shape_ok = rep.is_flow and rep.fully_coherent
     rng = seg_oc(i, j) if cert.case_tag in ("a", "b") else seg_oo(i, j)
     c = _residue_product(lam, beta, [t for t in rng if t not in cert.flow.sources()])
@@ -314,7 +322,7 @@ def validate_step(lam: Weight, step) -> bool:
         i, beta = d["i"], d["beta"]
         closed = th == "T6.1.3"
         dom = seg_oc(i, n) if closed else seg_oo(i, n)
-        u = r_beta(lam, beta).restrict(dom)
+        u = restrict(r_beta(lam, beta), dom)
         rep = flow_analyze(d["flow"], u)
         both = congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
         return (
@@ -326,7 +334,7 @@ def validate_step(lam: Weight, step) -> bool:
         )
     if th == "T6.3.3":
         i = d["i"]
-        u = r_beta(lam, 0).restrict(seg_oc(i, n))
+        u = restrict(r_beta(lam, 0), seg_oc(i, n))
         rep = flow_analyze(d["resolution"], u)
         return (
             plus_count(reduced_product(u)) == 1
@@ -338,7 +346,7 @@ def validate_step(lam: Weight, step) -> bool:
         )
     if th == "T6.4.2":
         h, i = d["h"], d["i"]
-        u = r_beta(lam, 0).restrict(seg_oc(h, i))
+        u = restrict(r_beta(lam, 0), seg_oc(h, i))
         rep = flow_analyze(d["flow"], u)
         return (
             congruent(lam.entry(h), 0, p)
@@ -350,7 +358,7 @@ def validate_step(lam: Weight, step) -> bool:
         )
     if th == "T6.5.2":
         h, i, beta = d["h"], d["i"], d["beta"]
-        u = r_beta(lam, beta).restrict(seg_oc(h, i))
+        u = restrict(r_beta(lam, beta), seg_oc(h, i))
         rep = flow_analyze(d["flow"], u)
         hyp = not congruent(lam.entry(i), 0, p) and not (
             congruent(lam.entry(h), 0, p) and congruent(lam.entry(i), 1, p)
@@ -366,8 +374,8 @@ def validate_step(lam: Weight, step) -> bool:
     if th == "T6.6.2":
         h, i = d["h"], d["i"]
         u = r_beta(lam, 0)
-        u_closed = u.restrict(seg_oc(h, i))
-        rep_gamma = flow_analyze(d["flow"], u.restrict(range(h, i + 1)))
+        u_closed = restrict(u, seg_oc(h, i))
+        rep_gamma = flow_analyze(d["flow"], restrict(u, range(h, i + 1)))
         rep_delta = flow_analyze(d["weak_flow"], u_closed)
         return (
             plus_count(reduced_product(u_closed)) == 1

@@ -86,8 +86,6 @@ def test_inputs_must_be_exact_integers():
     for key in (1.5, 2.0, "3"):
         with pytest.raises(TypeError):
             SignMap("single", {key: "-"})
-    kept = SignMap("single", {1: "+"}).restrict([1.0])
-    assert kept.domain == (1,) and type(kept.domain[0]) is int
 
 
 def test_delta_values_are_stored_as_an_int_tuple():

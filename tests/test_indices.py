@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import definitional
-from spinbranch import clear_caches, indices
+from spinbranch import clear_caches, indices, sigseq
 from spinbranch.cli import main
 from spinbranch.core import SignedSet, Weight, res_p, seg_oc, seg_oo
 from spinbranch.indices import (
@@ -374,12 +374,14 @@ def test_one_word_scan_matches_the_two_word_build():
             red = reduce_residue(lam, beta)
             expected = definitional.residue_reduction(lam, beta)
             assert {f: getattr(red, f) for f in fields} == expected, (lam, beta)
-            u = r_beta(lam, beta)
-            gaps = []
-            for i in range(n):
-                gap = reduce_seq(product_of(u, range(i + 1, n)))
-                gaps.append((plus_count(gap), minus_count(gap)))
-            assert red.gaps == tuple(gaps), (lam, beta)
+            # the dense shape of (i..n) at every index i < n of beta's word
+            u = definitional.r_beta(lam, beta)
+            gaps = {}
+            for i, v in u.values:
+                if v and i < n:
+                    gap = reduce_seq(product_of(u, range(i + 1, n)))
+                    gaps[i] = (plus_count(gap), minus_count(gap))
+            assert red.gaps == gaps, (lam, beta)
 
 
 def test_classification_builds_only_the_touched_residues(capsys):
@@ -486,23 +488,20 @@ def _planner_weights(p: int):
 
 
 @pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
-def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, p):
-    # every planner reads the reduction its weight's classification already
-    # made (no r_beta call); from cold caches it builds exactly one
-    from spinbranch import indices
-
-    calls = []
-    real = indices.r_beta
-    monkeypatch.setattr(indices, "r_beta", lambda *a: calls.append(a) or real(*a))
+def test_planners_match_recorded_output_with_one_sign_map_per_plan(p):
+    # every planner reads the words its weight's classification already
+    # made (no miss of the words memo); from cold caches it makes them once
+    def misses():
+        return sigseq._words.cache_info().misses
 
     def built(fn, lam, *args):
         classify_indices(lam)
-        calls.clear()
+        before = misses()
         out = fn(lam, *args)
-        assert not calls, (fn.__name__, lam, args)
+        assert misses() == before, (fn.__name__, lam, args)
         clear_caches()
         cold = fn(lam, *args)
-        assert len(calls) == 1, (fn.__name__, lam, args)
+        assert misses() == 1, (fn.__name__, lam, args)
         assert cold.to_json() == out.to_json()
         if fn is not non_normal_certificate:
             theorems.update(step.theorem for step in out.steps)
@@ -523,6 +522,48 @@ def test_planners_match_recorded_output_with_one_sign_map_per_plan(monkeypatch, 
 
 
 _T6 = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
+
+
+def _long_weights(p: int, n: int = 200):
+    """Two seeded weights of n entries: entries in [-n, n], and entries
+    within one of a multiple of p (of 0 at p = 0), which reach the
+    residue-zero branches."""
+    rng = random.Random(9000 + p)
+    yield Weight(tuple(rng.randint(-n, n) for _ in range(n)), p)
+    yield Weight(tuple(p * rng.randint(-3, 3) + rng.choice((-1, 0, 1)) for _ in range(n)), p)
+
+
+def test_long_weights_match_the_definitional_oracles():
+    # at n = 200 the certificates and plans slice words far from both ends:
+    # the classification equals the per-index predicates, and every
+    # certificate, primitive plan and extension plan (from the last three
+    # normal indices h < i of i's residue) passes both the pre-table
+    # validators, which build and restrict their own r_beta, and the table's
+    kinds = set()
+    for p in (0, 3, 101):
+        for lam in _long_weights(p):
+            n = lam.n
+            expected = tuple(definitional.classify_index(lam, i) for i in range(1, n + 1))
+            assert classify_indices(lam) == expected, lam
+            normals = [c.index for c in expected if c.normal]
+            for i in range(1, n):
+                steps = []
+                if i in normals:
+                    steps += primitive_plan(lam, i).steps
+                else:
+                    cert = non_normal_certificate(lam, i)
+                    assert definitional.validate_certificate(lam, cert), (lam, i)
+                    assert validate_certificate(lam, cert), (lam, i)
+                    kinds.add(cert.case_tag)
+                for h in [h for h in normals if h < i and lam.residue(h) == lam.residue(i)][-3:]:
+                    steps += extension_plan(lam, h, i).steps
+                for step in steps:
+                    assert definitional.validate_step(lam, step), (lam, i, step)
+                    assert indices.validate_step(lam, step), (lam, i, step)
+                    kinds.add(step.theorem)
+    assert kinds == {"a", "b", "c", *_T6}
+
+
 _SWAP = {"a": "b", "b": "a", "c": "d", "d": "c"}
 # mutant kinds that leave a payload's kind, its index range or the residue
 # of its index, or move T6.3.3's barred q off the loops of its resolution:
@@ -578,7 +619,7 @@ def _out_of_range(lam: Weight, step: PlanStep):
     u = r_beta(lam, d["beta"])
     for data, dom in moves:
         try:
-            flow = build_full_flow(u.restrict(dom))
+            flow = build_full_flow(definitional.restrict(u, dom))
         except NotAllMinus:
             continue
         m_set = SignedSet.of(evens=set(dom) - flow.sources(), odds=() if closed else [n])
@@ -600,7 +641,7 @@ def _other_betas(lam: Weight, step: PlanStep):
     betas = range(lam.p) if lam.p else {res_p(x + e, 0) for x in lam.parts for e in (0, 1)}
     for beta in sorted(set(betas) - {d["beta"]}):
         try:
-            flow = build_full_flow(r_beta(lam, beta).restrict(dom))
+            flow = build_full_flow(definitional.restrict(r_beta(lam, beta), dom))
         except NotAllMinus:
             continue
         m_set = SignedSet.of(evens=set(dom) - flow.sources(), odds=odds)
@@ -625,7 +666,7 @@ def _j_at_n(lam: Weight, i: int):
     the partial flow on (i..n] ends at n."""
     n, beta = lam.n, lam.residue(i)
     try:
-        j_set, flow = partial_flow(r_beta(lam, beta).restrict(seg_oc(i, n)))
+        j_set, flow = partial_flow(definitional.restrict(r_beta(lam, beta), seg_oc(i, n)))
     except PreconditionFailed:
         return
     if max(j_set) == n:

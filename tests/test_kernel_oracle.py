@@ -506,7 +506,11 @@ def test_memoised_reductions_cannot_be_changed_by_a_caller():
     with pytest.raises(TypeError):
         red.gaps[1] = (0, 0)
     with pytest.raises(TypeError):
+        del red.gaps[1]
+    with pytest.raises(TypeError):
         red.gaps[1][0] = 5
+    for mutator in ("clear", "pop", "update", "setdefault"):
+        assert not hasattr(red.gaps, mutator), mutator
     again = reduce_residue(lam, 0)
     assert again == red and (again.good, again.normal, again.reduced, again.gaps) == kept
     clear_caches()

@@ -9,7 +9,8 @@ import pytest
 from definitional import partitions_of
 from spinbranch.core import DeltaFunction, InvalidCharacteristic, SignedSet, Weight
 from spinbranch.crystal import NotPStrict, PStrictPartition, p_strict_violation
-from spinbranch.sigseq import PAIR_VALUES, SINGLE_VALUES, SignMap, r_beta
+from spinbranch.indices import _restricted
+from spinbranch.sigseq import SignMap, r_beta, r_words
 
 
 def same(trusted, public):
@@ -67,14 +68,21 @@ def test_partition_add_remove_match_the_constructor():
     assert checked > 900 and rejected > 500, (checked, rejected)
 
 
-def test_sign_map_restrict_matches_the_constructor():
+def test_word_slices_match_the_constructor():
+    # the certificates, plans and re-checks read r_beta over a range as the
+    # slice of beta's word that bisection finds: the public constructor's
+    # map on the word's pairs in that range, for ranges that reach past
+    # either end of [1..n] or are empty, and for a beta with no word
     rng = random.Random(14)
-    for _ in range(400):
-        mode, alphabet = rng.choice((("single", SINGLE_VALUES), ("pair", PAIR_VALUES)))
-        u = SignMap(mode, {i: rng.choice(alphabet) for i in rng.sample(range(-3, 15), rng.randint(0, 9))})
-        keep = rng.sample(range(-5, 17), rng.randint(0, 12))
-        same(u.restrict(keep), SignMap(mode, {i: v for i, v in u.values if i in keep}))
-    assert type(SignMap("single", {1: "+"}).restrict([1.0]).domain[0]) is int
+    for _ in range(600):
+        p = rng.choice((0, 3, 5, 7))
+        lam = Weight(tuple(rng.randint(-6, 9) for _ in range(rng.randint(1, 9))), p)
+        beta = rng.randrange(p) if p else rng.choice(sorted(r_words(lam.parts, p)) + [-1])
+        lo = rng.randint(-1, lam.n + 2)
+        dom = range(lo, rng.randint(lo - 2, lam.n + 3))
+        u = r_beta(lam, beta)
+        same(_restricted(lam, beta, dom),
+             SignMap(u.mode, {i: v for i, v in u.values if i in dom and v}))
 
 
 @pytest.mark.parametrize(

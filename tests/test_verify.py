@@ -1,17 +1,47 @@
 import hashlib
+import json
+import random
+import time
+from itertools import product
 
 import pytest
 
 from spinbranch import verify
+from spinbranch.cli import main
+from spinbranch.core import Weight
 from spinbranch.poly import Polynomial
 from spinbranch.raising import U0Element
 from spinbranch.verify import (
     InvalidSuiteParameter,
     VerdictReport,
+    random_dominant_p_strict,
     verify_certificates,
     verify_duality,
     verify_signature_bridge,
 )
+
+
+def test_signature_bridge_runs_long_weights_in_seconds(capsys):
+    # redrawing a whole weight until it is p-strict would take about
+    # 800 000 draws per weight at n = 20 and p = 7; entry by entry it takes
+    # a few draws per entry
+    start = time.perf_counter()
+    code = main(["verify", "signature-bridge", "--p", "7", "--n", "24", "--samples", "20"])
+    assert code == 0 and time.perf_counter() - start < 5.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and report["cases"] == 20 * 7
+
+
+def test_random_dominant_p_strict_reaches_every_p_strict_weight():
+    rng = random.Random(5)
+    for p in (3, 5, 7):
+        every = {parts for parts in product(range(5), repeat=3)
+                 if list(parts) == sorted(parts, reverse=True) and Weight(parts, p).is_p_strict()}
+        seen = {random_dominant_p_strict(rng, p, 3, hi=4).parts for _ in range(2000)}
+        assert seen == every, p
+        for n in (13, 40):  # more entries than [0..12] has values prime to p
+            lam = random_dominant_p_strict(rng, p, n)
+            assert lam.n == n and lam.is_p_strict() and 0 <= min(lam.parts) <= max(lam.parts) <= 12
 
 
 def test_duality_runs_at_characteristic_zero():
