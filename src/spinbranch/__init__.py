@@ -56,12 +56,12 @@ from .sigseq import (
 
 
 def clear_caches() -> None:
-    """Empty the five bounded memos: r_beta's words, residue reductions,
-    the f family (g1 and g2 share one), brackets and the raising recursion."""
-    from . import indices, poly, raising, sigseq
+    """Empty the four bounded memos: r_beta's words with the residue
+    reductions kept beside them, the f family (g1 and g2 share one),
+    brackets and the raising recursion."""
+    from . import poly, raising, sigseq
 
-    for memo in (sigseq._words, indices._reduction_cached, poly._g2_cached,
-                 raising._bracket_cached, raising._rec):
+    for memo in (sigseq._words, poly._g2_cached, raising._bracket_cached, raising._rec):
         memo.cache_clear()
 
 

@@ -7,11 +7,13 @@ read only as the sparse words of `sigseq._words`: an index is tensor
 normal when its minus survives the full reduction, and normal (for i < n)
 when it survives the reduction over [1..n) and the boundary exception does
 not apply.  Every query reaches its reduction through `reduce_residue`,
-whose bounded memo reduces the word once per (lambda, beta mod p), and
-`sigseq.suffix_shapes` gives the shape of the gap (i..n) at every index of
-the word.  Every flag, certificate and plan is read off that one result; a
-classification builds only the residues its entries touch, the keys of
-the words, and a builder gets the word's slice over its range.
+which reduces the word once per (lambda, beta mod p) and keeps it beside
+the weight's words, and `sigseq.suffix_shapes` gives the shape of the gap
+(i..n) at every index of the word.  Every flag, certificate and plan is
+read off that one result; a classification builds only the residues its
+entries touch, the keys of the words.  The builders hand the `sigseq`
+kernels bare slices of the word, and a certificate scans it from i + 1 and
+stops where its flow closes, in O(j - i), not O(n - i).
 
 The re-checks share none of that but the words: each certificate case a-d
 and each construction T6.1.3-T6.6.2 is stated once, as a row of
@@ -25,7 +27,6 @@ import json
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 from .core import SignedSet, Weight, _trusted, congruent, mod, res_p, seg_oc, seg_oo
@@ -35,17 +36,15 @@ from .sigseq import (
     Flow,
     PreconditionFailed,
     Seq,
-    SignMap,
-    build_full_flow,
-    flow_analyze,
-    lead_plus_index,
-    partial_flow,
-    plus_count,
-    reduced_product,
-    resolution_of,
-    split_index,
+    reduce_seq,
     suffix_shapes,
     _bud_scan,
+    _flow_report,
+    _full_flow,
+    _partial_flow,
+    _product,
+    _resolution,
+    _split_index,
     _words,
 )
 
@@ -84,7 +83,8 @@ class ResidueReduction:
     divisible by p).  Good is the first normal index, tensor good the first
     tensor normal index and tensor cogood the last tensor conormal index
     (None if absent).  gaps[i] = (s, r) says the reduction over (i..n) is
-    +^s -^r, for every index i < n of beta's word; gaps is read-only."""
+    +^s -^r, for every index i < n of beta's word, and at[t] is the position
+    of index t in the word; both are read-only."""
 
     beta: int
     reduced: Seq
@@ -95,17 +95,24 @@ class ResidueReduction:
     tensor_good: int | None
     tensor_cogood: int | None
     gaps: MappingProxyType[int, tuple[int, int]]
+    word: tuple[tuple[int, str], ...]
+    at: MappingProxyType[int, int]
 
 
 def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
     """r_beta(lambda) reduced over [1..n], [1..n) and every (i..n), beta an
-    integer taken mod p: the one source of a reduction for every query."""
-    return _reduction_cached(lam, mod(operator.index(beta), lam.p))
-
-
-# bounded memo, emptied by spinbranch.clear_caches(); a weight touches up to
-# min(p, 2n) residues (2n at p = 0), and a report on more rebuilds evictions
-REDUCTION_CACHE_SIZE = 32
+    integer taken mod p: the one source of a reduction for every query.
+    The reduction of each beta with a word is made once and kept beside
+    lambda's words (`sigseq._words`); one with no word is empty, and kept
+    nowhere, so a weight keeps at most 2n."""
+    beta = mod(operator.index(beta), lam.p)
+    words, reductions = _words(lam)
+    red = reductions.get(beta)
+    if red is None:
+        red = _reduce(lam, beta, words.get(beta, ()))
+        if beta in words:
+            reductions[beta] = red
+    return red
 
 
 def _zero_boundary(lam: Weight, i: int) -> bool:
@@ -114,39 +121,35 @@ def _zero_boundary(lam: Weight, i: int) -> bool:
     return congruent(lam.entry(i), 0, lam.p) and congruent(lam.entry(lam.n), 0, lam.p)
 
 
-def _restricted(lam: Weight, beta: int, dom: range) -> SignMap:
-    """r_beta(lambda) on the range dom less its empty values, the slice of beta's
-    sorted word: an edge end at an empty value fails coherence either way."""
-    word = _words(lam).get(beta, ())
-    pairs = tuple(word[bisect_left(word, (dom.start,)):bisect_left(word, (dom.stop,))])
-    return _trusted(SignMap, mode="single" if beta else "pair", values=pairs,
-                    _by_index=dict(pairs))
-
-
-@lru_cache(maxsize=REDUCTION_CACHE_SIZE)
-def _reduction_cached(lam: Weight, beta: int) -> ResidueReduction:
+def _reduce(lam: Weight, beta: int, word: tuple) -> ResidueReduction:
     """Reduce beta's word once, and read the shapes over [i..n) and (i..n)
     at every index i < n of the word off one right-to-left scan: i is normal
     when the first has more minuses (a minus of u_i survives over [1..n)),
     unless the boundary exception, read off the empty shapes, applies."""
-    u = _restricted(lam, beta, seg_oc(0, lam.n))
-    head = u.values[:bisect_left(u.values, (lam.n,))]
+    at = {t: k for k, (t, _) in enumerate(word)}
+    head = word[:at.get(lam.n, len(word))]
     shapes = suffix_shapes(head)
     gaps = {t: after for (t, _), after in zip(head, shapes[1:])}
     normal = frozenset(t for (t, _), before, after in zip(head, shapes, shapes[1:]) if
                        before[1] > after[1] and not (after == (0, 0) and _zero_boundary(lam, t)))
-    reduced = reduced_product(u)
+    reduced = reduce_seq(_product(word))
     minus = frozenset(m for s, m in reduced if s == MINUS)
     plus = frozenset(m for s, m in reduced if s == PLUS)
     return ResidueReduction(beta, reduced, minus, plus, normal,
                             min(normal, default=None), min(minus, default=None),
-                            max(plus, default=None), MappingProxyType(gaps))
+                            max(plus, default=None), MappingProxyType(gaps), word,
+                            MappingProxyType(at))
+
+
+def _slice(word: tuple, dom: range) -> tuple:
+    """The word over the range dom as a bare slice, found by bisection."""
+    return word[bisect_left(word, (dom.start,)):bisect_left(word, (dom.stop,))]
 
 
 def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
     """One reduction per residue: every beta in 0..p-1, or for p = 0 every
     residue of an entry or of an entry plus one (the betas of its `r_words`)."""
-    betas = range(lam.p) or sorted(_words(lam))  # range(0) is empty
+    betas = range(lam.p) or sorted(_words(lam)[0])  # range(0) is empty
     return {beta: reduce_residue(lam, beta) for beta in betas}
 
 
@@ -169,7 +172,7 @@ def classify_indices(lam: Weight) -> tuple[IndexClassification, ...]:
     """The classification of every index, read off one reduction per beta
     of lambda's `r_words`, the residues its entries touch: index i reads
     those at res_p(x) and res_p(x + 1) of its entry x, and no other."""
-    reductions = {beta: reduce_residue(lam, beta) for beta in _words(lam)}
+    reductions = {beta: reduce_residue(lam, beta) for beta in _words(lam)[0]}
     p = lam.p
     return tuple(
         _classify(i, reductions[res_p(x, p)], reductions[res_p(x + 1, p)])
@@ -245,22 +248,23 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
         raise IsNormal(f"index {i} is normal for {lam.parts}")
     n, p, beta = lam.n, lam.p, own.beta
     pluses = own.gaps[i][0]
+    start = own.at[i] + 1  # the scans read the word from i + 1 up to j
 
     if pluses >= (2 if beta == 0 else 1):
         tag = "b" if beta == 0 else "a"
-        j_set, flow = partial_flow(_restricted(lam, beta, seg_oo(i, n)))
-        j = max(j_set)
+        j, flow = _partial_flow(own.word, start, "single" if beta else "pair")
         m_set = _leftovers(seg_oc(i, j), flow, odds=[j + 1])
     else:
         if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
-            tag, j = "c", lead_plus_index(_restricted(lam, beta, seg_oo(i, n)))
+            # [prod over (i..n)] is +-^m: j is the first section index, and
+            # the edges the scan made before it are the full flow on (i..j)
+            sec, edges, _ = _bud_scan(own.word, start, lead=True)
+            tag, j, flow = "c", sec[0], _trusted(Flow, edges=frozenset(edges))
         elif own.gaps[i] == (0, 0) and _zero_boundary(lam, i):
-            tag, j = "d", n
+            tag, j, flow = "d", n, _full_flow(own.word[start:own.at.get(n, len(own.word))])
         else:
             raise UnreachableCase(f"no certificate case matched for {lam.parts}, i={i}")
-        inner = seg_oo(i, j)
-        flow = build_full_flow(_restricted(lam, beta, inner))
-        m_set = _leftovers(inner, flow, odds=[j])
+        m_set = _leftovers(seg_oo(i, j), flow, odds=[j])
     return Certificate(tag, i, j, flow, m_set, _residue_product(lam, beta, m_set.evens))
 
 
@@ -268,7 +272,8 @@ def _leftovers(dom, flow: Flow, odds=()) -> SignedSet:
     """The set M of a certificate or a construction step: the indices of
     dom that are not sources of the flow, unbarred, plus the barred odds."""
     srcs = flow.sources()
-    return SignedSet.of(evens=[t for t in dom if t not in srcs], odds=odds)
+    return _trusted(SignedSet, evens=frozenset(t for t in dom if t not in srcs),
+                    odds=frozenset(odds))
 
 
 def _residue_product(lam: Weight, beta: int, ts) -> int:
@@ -324,43 +329,43 @@ def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
     if not closed and _zero_boundary(lam, i):
         raise UnreachableCase("base step at a non-normal index")
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
-    flow = build_full_flow(_restricted(lam, own.beta, dom))
+    flow = _full_flow(_slice(own.word, dom))
     m_set = _leftovers(dom, flow, odds=[] if closed else [n])
     return PlanStep("T6.1.3" if closed else "T6.2.3",
                     {"i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
 
-def _resolution_step(lam: Weight, i: int) -> PlanStep:
+def _resolution_step(lam: Weight, zero: ResidueReduction, i: int) -> PlanStep:
     """The one-odd construction driven by a resolution of r_0 on (i..n]."""
-    n = lam.n
-    delta = resolution_of(_restricted(lam, 0, seg_oc(i, n)))
+    dom = seg_oc(i, lam.n)
+    delta = _resolution(_slice(zero.word, dom))
     q = max(a for a, b in delta.edges if a == b)
-    m_set = _leftovers(seg_oc(i, n), delta, odds=[q])
+    m_set = _leftovers(dom, delta, odds=[q])
     return PlanStep(
         "T6.3.3", {"i": i, "beta": 0, "resolution": delta, "q": q, "M": m_set}
     )
 
 
-def _extension_flow_step(lam: Weight, theorem: str, h: int, i: int) -> PlanStep:
+def _extension_flow_step(own: ResidueReduction, theorem: str, h: int, i: int) -> PlanStep:
     """Payload for the two flow-based extension steps from i down to h."""
-    flow = build_full_flow(_restricted(lam, lam.residue(i), seg_oc(h, i)))
+    flow = _full_flow(_slice(own.word, seg_oc(h, i)))
     if theorem == "T6.4.2":
         m_set = _leftovers(seg_oo(h, i), flow, odds=[i])
     else:  # T6.5.2
         m_set = _leftovers(seg_oc(h, i), flow)
-    return PlanStep(theorem, {"h": h, "i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
+    return PlanStep(theorem, {"h": h, "i": i, "beta": own.beta, "flow": flow, "M": m_set})
 
 
-def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
+def _joined_extension_step(zero: ResidueReduction, h: int, i: int) -> PlanStep:
     """Payload for the section-joining extension step (plus-led or empty
     reduction of r_0 over (h..i)): the section of (h..i), empty when that
     reduction is, chained from h to i, with fully coherent flows on the
     stretches between."""
     inner = seg_oo(h, i)
-    sec, pieces, _ = _bud_scan(_restricted(lam, 0, inner).values)  # +-^m or empty: no stop
+    sec, pieces, _ = _bud_scan(_slice(zero.word, inner))  # +-^m or empty: no stop
     chain = (h,) + sec + (i,)
-    gamma = Flow(frozenset(pieces + list(zip(chain, chain[1:]))))
-    delta = Flow(frozenset(pieces + [(a, a) for a in sec + (i,)]))
+    gamma = _trusted(Flow, edges=frozenset(pieces + list(zip(chain, chain[1:]))))
+    delta = _trusted(Flow, edges=frozenset(pieces + [(a, a) for a in sec + (i,)]))
     m_set = _leftovers(inner, gamma)  # h, a source of gamma, lies outside inner
     return PlanStep(
         "T6.6.2",
@@ -383,10 +388,10 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
     if not congruent(lam.entry(i), 1, p):
         raise UnreachableCase("plus-led gap at a normal index needs entry = 1 mod p")
     if not congruent(lam.entry(n), -1, p):
-        return ConstructionPlan((_resolution_step(lam, i),))
-    a = _bud_scan(_restricted(lam, 0, seg_oo(i, n)).values)[0][-1]
+        return ConstructionPlan((_resolution_step(lam, own, i),))
+    a = _bud_scan(_slice(own.word, seg_oo(i, n)))[0][-1]
     base = _base_step(lam, own, a)
-    return ConstructionPlan((base, _joined_extension_step(lam, i, a)))
+    return ConstructionPlan((base, _joined_extension_step(own, i, a)))
 
 
 def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
@@ -404,24 +409,24 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
         raise PreconditionFailed(f"index {h} is not normal for {lam.parts}")
     p = lam.p
     if own.beta != 0:
-        return ConstructionPlan((_extension_flow_step(lam, "T6.5.2", h, i),))
+        return ConstructionPlan((_extension_flow_step(own, "T6.5.2", h, i),))
     # [prod over (h..i]] is -^m, +-^m or has two pluses (the scan stops)
-    sec, _, stop = _bud_scan(_restricted(lam, 0, seg_oc(h, i)).values)
+    sec, _, stop = _bud_scan(_slice(own.word, seg_oc(h, i)))
     one_mod = congruent(lam.entry(i), 1, p)
     if stop is None and not sec:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         if one_mod:
-            return ConstructionPlan((_extension_flow_step(lam, theorem, h, i),))
-        a = split_index(_restricted(lam, 0, seg_oo(h, i)))
+            return ConstructionPlan((_extension_flow_step(own, theorem, h, i),))
+        a = _split_index(_slice(own.word, seg_oo(h, i)))
         return ConstructionPlan(
-            (_joined_extension_step(lam, a, i), _extension_flow_step(lam, theorem, h, a))
+            (_joined_extension_step(own, a, i), _extension_flow_step(own, theorem, h, a))
         )
     if stop is None:
         if not one_mod:
-            return ConstructionPlan((_joined_extension_step(lam, h, i),))
+            return ConstructionPlan((_joined_extension_step(own, h, i),))
         a = sec[-1]
         return ConstructionPlan(
-            (_extension_flow_step(lam, "T6.4.2", a, i), _joined_extension_step(lam, h, a))
+            (_extension_flow_step(own, "T6.4.2", a, i), _joined_extension_step(own, h, a))
         )
     raise UnreachableCase(f"extension dispatch fell through for {lam.parts}, h={h}, i={i}")
 
@@ -431,7 +436,7 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
 _CASES = ("a", "b", "c", "d")
 _THEOREMS = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
 
-# what each flow test asks of the flow's report against the restricted sign map
+# what each flow test asks of the flow's report against the word over its range
 _TESTS = {
     "full": lambda r: r.is_flow and r.fully_coherent,
     "budless full": lambda r: r.is_flow and r.fully_coherent and not r.buds,
@@ -537,9 +542,10 @@ def _meets(lam: Weight, tag: str, d: dict) -> bool:
     if not (hyp and d.get("beta", beta) == beta
             and m.evens == set(m_dom) - sources and m.odds == set(barred)):
         return False
+    word = _words(lam)[0].get(beta, ())
     for flow, dom, test, pluses in flows:
-        v = _restricted(lam, beta, dom)
-        if not _TESTS[test](flow_analyze(flow, v)) or (
-                pluses is not None and plus_count(reduced_product(v)) != pluses):
+        pairs = _slice(word, dom)
+        if not _TESTS[test](_flow_report(flow.edges, pairs)) or (
+                pluses is not None and suffix_shapes(pairs)[0][0] != pluses):
             return False
     return True

@@ -6,11 +6,13 @@ A marked signature sequence is a tuple of (sign, mark) pairs with sign in
 canonical algorithm is a single left-to-right pass with a pending stack,
 which agrees with any erasure order (tested, not assumed).
 
-Every flow and section is read off one left-to-right bud scan of (index,
-value) pairs (`_bud_scan`), which also answers each builder's precondition,
-so the reduction runs only to word an error.  Every suffix shape is read
-off one right-to-left scan (`suffix_shapes`): the gap shapes behind normal
-indices and the split index; its forward twin (`last_free_plus`) gives the
+Every flow and section is read off one left-to-right bud scan of bare
+(index, value) pairs (`_bud_scan`), which also answers each builder's
+precondition, so the reduction runs only to word an error; a scan may start
+inside a word and stop where its flow closes.  The public functions on a
+`SignMap` wrap these kernels on pairs.  Every suffix shape is read off one
+right-to-left scan (`suffix_shapes`): the gap shapes behind normal indices
+and the split index; its forward twin (`last_free_plus`) gives the
 crystal's cogood rows.  `r_words` alone turns entries into r_beta marks:
 one pass per weight gives the sparse word of every residue, which a small
 memo (`_words`) keeps and the index layer reads; `r_beta` is a dense view.
@@ -129,12 +131,14 @@ class SignMap:
 def product_of(u: SignMap, indices=None) -> Seq:
     """Concatenate u_j over j in increasing order, marking entries with j."""
     if indices is None:
-        pairs = u.values
-    else:
-        try:
-            pairs = [(j, u.value(j)) for j in sorted(indices)]
-        except KeyError as exc:
-            raise KeyError(f"{exc.args[0]} not in sign map domain") from None
+        return _product(u.values)
+    try:
+        return _product([(j, u.value(j)) for j in sorted(indices)])
+    except KeyError as exc:
+        raise KeyError(f"{exc.args[0]} not in sign map domain") from None
+
+
+def _product(pairs) -> Seq:
     return tuple((PLUS if ch == "+" else MINUS, j) for j, v in pairs for ch in v)
 
 
@@ -198,9 +202,10 @@ def r_words(parts: tuple[int, ...], p: int) -> dict[int, list[tuple[int, str]]]:
 
 
 @lru_cache(maxsize=8)  # a few weights at a time; spinbranch.clear_caches() empties it
-def _words(lam: Weight) -> dict[int, list[tuple[int, str]]]:
-    """`r_words` of lambda, one pass for all its betas; callers only read it."""
-    return r_words(lam.parts, lam.p)
+def _words(lam: Weight) -> tuple[dict[int, tuple], dict]:
+    """`r_words` of lambda as tuples, one pass for all its betas, and the
+    dict where `indices.reduce_residue` keeps the reduction of each word."""
+    return {beta: tuple(word) for beta, word in r_words(lam.parts, lam.p).items()}, {}
 
 
 def r_beta(lam: Weight, beta: int) -> SignMap:
@@ -209,7 +214,7 @@ def r_beta(lam: Weight, beta: int) -> SignMap:
     beta is an integer, taken mod p; a float or a string is a TypeError."""
     beta = mod(operator.index(beta), lam.p)
     by_index = dict.fromkeys(range(1, lam.n + 1), "")
-    by_index.update(_words(lam).get(beta, ()))
+    by_index.update(_words(lam)[0].get(beta, ()))
     return _trusted(SignMap, mode="single" if beta else "pair",
                     values=tuple(by_index.items()), _by_index=by_index)
 
@@ -244,50 +249,60 @@ class FlowReport:
 
 def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
     """Evaluate the flow, coherence and bud conditions of g against u."""
-    vals = u._by_index  # an edge outside the domain fails every condition
-    edges = sorted(g.edges)
-    srcs = [a for a, _ in edges]
-    tgts = [b for _, b in edges]
-    src_set, target_set = set(srcs), set(tgts)
-    in_domain = all(a in vals and b in vals for a, b in edges)
-    distinct = len(src_set) == len(edges) == len(target_set)
-    weak = in_domain and distinct and all(a <= b for a, b in edges)
+    return _flow_report(g.edges, u.values)
+
+
+def _flow_report(edges, pairs) -> FlowReport:
+    """`flow_analyze` of these edges against the map of the (index, value)
+    pairs, by set algebra: an edge end outside them fails every condition."""
+    srcs, tgts = {a for a, _ in edges}, {b for _, b in edges}
+    minus = {t for t, v in pairs if "-" in v}
+    plus = {t for t, v in pairs if "+" in v}
+    weak = (len(srcs) == len(edges) == len(tgts) and srcs | tgts <= {t for t, _ in pairs}
+            and all(a <= b for a, b in edges))
     strict = weak and all(a < b for a, b in edges)
-    coherent = (all("-" in vals.get(a, "") for a in srcs)
-                and all("+" in vals.get(b, "") for b in tgts))
-    fully = coherent and all(i in target_set for i, v in u.values if "+" in v)
-    buds = frozenset(i for i, v in u.values if "-" in v and i not in src_set)
-    return FlowReport(weak, strict, coherent, fully, buds)
+    coherent = srcs <= minus and tgts <= plus
+    return FlowReport(weak, strict, coherent, coherent and plus <= tgts, frozenset(minus - srcs))
 
 
 def build_full_flow(u: SignMap) -> Flow:
     """A flow fully coherent with u, given [prod u] = -^m: the edges of the
     bud scan, which then finds no section index and never stops.  Bud count
     m (single mode) or m/2 (pair mode)."""
-    sec, edges, stop = _bud_scan(u.values)
+    return _full_flow(u.values)
+
+
+def _full_flow(pairs) -> Flow:
+    sec, edges, stop = _bud_scan(pairs)
     if sec or stop is not None:
-        raise NotAllMinus(f"[prod u] = {signs(reduced_product(u))} contains a +")
-    return Flow(frozenset(edges))
+        raise NotAllMinus(f"[prod u] = {signs(reduce_seq(_product(pairs)))} contains a +")
+    return _trusted(Flow, edges=frozenset(edges))
 
 
 def split_index(u: SignMap) -> int:
     """The pair-mode index a with u_a = --, [prod over (a..)] in {empty, +-}
     and [prod over (-inf..a]] = -^m, for [prod u] = -^m with m > 0: the
     last -- index whose suffix shape has at most one plus."""
-    if u.mode != "pair":
+    return _split_index(u.values, u.mode)
+
+
+def _split_index(pairs, mode: str = "pair") -> int:
+    if mode != "pair":
         raise PreconditionFailed("split_index needs a pair-mode map")
-    shapes = suffix_shapes(u.values)
+    shapes = suffix_shapes(pairs)
     s, r = shapes[0]
     if s or not r:
         raise PreconditionFailed(f"[prod u] = {'+' * s + '-' * r} is not -^m with m > 0")
-    for (e, v), (s, _) in zip(reversed(u.values), reversed(shapes[1:])):
+    for (e, v), (s, _) in zip(reversed(pairs), reversed(shapes[1:])):
         if v == "--" and s <= 1:
             return e
     raise PreconditionFailed("no unmatched -- index")
 
 
-def _bud_scan(values) -> tuple[tuple[int, ...], list[tuple[int, int]], int | None]:
-    """(section, edges, stop) of one left-to-right scan of (index, value) pairs.
+def _bud_scan(pairs, k=0, lead=False) -> tuple[tuple[int, ...], list[tuple[int, int]], int | None]:
+    """(section, edges, stop) of one left-to-right scan of the (index, value)
+    pairs from position k on; with lead, the scan also ends at its first
+    section index.
 
     A + joins the latest open bud (an edge); a + with no bud open is a
     section index at a +- value, whose - opens nothing, and elsewhere ends
@@ -297,15 +312,16 @@ def _bud_scan(values) -> tuple[tuple[int, ...], list[tuple[int, int]], int | Non
     a section index but no stop, and has at least 1 (single mode) or 2
     (pair mode) pluses iff it stops, at the first index whose prefix has
     them."""
-    sec: list[int] = []
-    edges: list[tuple[int, int]] = []
-    buds: list[int] = []  # increasing, so the latest bud is on top
-    for e, v in values:
+    sec, edges, buds = [], [], []  # buds increase, so the latest bud is on top
+    for k in range(k, len(pairs)):
+        e, v = pairs[k]
         if "+" in v:
             if buds:
                 edges.append((buds.pop(), e))
             elif v == "+-":
                 sec.append(e)
+                if lead:
+                    break
                 continue
             else:
                 return tuple(sec), edges, e
@@ -325,24 +341,28 @@ def section_of(u: SignMap) -> tuple[int, ...]:
     every u_{a_k} = +-, the gaps between them reduce to empty, and the tail
     after a_h reduces to -^(m-1).  These are the section indices of the
     bud scan."""
-    return _plus_led_scan(u)[0]
+    return _section_scan(u.values, u.mode)[0]
 
 
-def _plus_led_scan(u: SignMap) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The bud scan's section and edges, given pair mode and [prod u] = +-^m."""
-    if u.mode != "pair":
+def _section_scan(pairs, mode: str = "pair") -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The bud scan's section and edges, given pair mode and [prod] = +-^m."""
+    if mode != "pair":
         raise PreconditionFailed("a section needs a pair-mode map")
-    sec, edges, stop = _bud_scan(u.values)
+    sec, edges, stop = _bud_scan(pairs)
     if not sec or stop is not None:
-        raise PreconditionFailed(f"[prod u] = {signs(reduced_product(u))} is not +-^m")
+        raise PreconditionFailed(f"[prod u] = {signs(reduce_seq(_product(pairs)))} is not +-^m")
     return sec, edges
 
 
 def resolution_of(u: SignMap) -> Flow:
     """The weak flow built from a section: loops at the section indices plus
     fully coherent flows on the complementary stretches."""
-    sec, edges = _plus_led_scan(u)
-    return Flow(frozenset(edges + [(a, a) for a in sec]))
+    return _resolution(u.values, u.mode)
+
+
+def _resolution(pairs, mode: str = "pair") -> Flow:
+    sec, edges = _section_scan(pairs, mode)
+    return _trusted(Flow, edges=frozenset(edges + [(a, a) for a in sec]))
 
 
 def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
@@ -353,11 +373,17 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
     J ends where the bud scan stops.  The section before that index (empty
     if the indices before it reduce with no +) is chained to it, and the
     stretches between carry the scan's fully coherent flows."""
-    sec, edges, stop = _bud_scan(u.values)
+    j, flow = _partial_flow(u.values, 0, u.mode)
+    return tuple(i for i, _ in u.values[: bisect_left(u.values, (j,)) + 1]), flow
+
+
+def _partial_flow(pairs, k: int, mode: str) -> tuple[int, Flow]:
+    """The end j of J and the flow of `partial_flow`, scanning the pairs
+    from position k on: the scan stops at j, so it reads nothing after J."""
+    sec, edges, stop = _bud_scan(pairs, k)
     if stop is None:
-        need = 1 if u.mode == "single" else 2
-        raise PreconditionFailed(f"[prod u] = {signs(reduced_product(u))} has fewer "
+        need = 1 if mode == "single" else 2
+        raise PreconditionFailed(f"[prod u] = {signs(reduce_seq(_product(pairs[k:])))} has fewer "
                                  f"than {need} plus signs")
     chain = sec + (stop,)
-    j_set = tuple(i for i, _ in u.values[: bisect_left(u.values, (stop,)) + 1])
-    return j_set, Flow(frozenset(edges + list(zip(chain, chain[1:]))))
+    return stop, _trusted(Flow, edges=frozenset(edges + list(zip(chain, chain[1:]))))

@@ -6,8 +6,11 @@ the tests use, and the raising recursion on immutable degree-zero values.
 Each predicate rebuilds r_beta and re-reduces the products it needs, and
 the two-word, two-reduction build of one residue is kept as the oracle of
 the one-word scan.  Each construction recurses on the last index of the
-domain, re-reducing every prefix it looks at.  The signed-node routines
-re-check the whole partition or weight after each trial row change, and
+domain, re-reducing every prefix it looks at.  The certificates and plans are
+also built by the library's route before its scans took bare slices of the
+word: each builder restricts the dense r_beta to its whole range and hands
+it to the public builders on a SignMap, the one place this module calls
+the library's scans.  The signed-node routines re-check the whole partition or weight after each trial row change, and
 the crystal graph filters all partitions.  The re-checks of plan steps
 and certificates are kept as they were before the statement table: one
 branch per construction, each building its own r_beta.  Nothing here
@@ -37,13 +40,20 @@ from spinbranch.crystal import (
     reduce_content,
 )
 import polyref as ref
-from spinbranch.indices import IndexClassification
+from spinbranch import sigseq as lib
+from spinbranch.indices import (
+    Certificate,
+    ConstructionPlan,
+    IndexClassification,
+    PlanStep,
+)
 from spinbranch.sigseq import (
     MINUS,
     PLUS,
     Flow,
     SignMap,
     flow_analyze,
+    minus_count,
     plus_count,
     product_of,
     reduce_seq,
@@ -389,6 +399,114 @@ def validate_step(lam: Weight, step) -> bool:
             and _is_leftover(d["M"], seg_oo(h, i), d["flow"])
         )
     raise ValueError(f"unknown theorem tag {th}")
+
+
+# -- certificates and plans by the dense route ---------------------------------------
+# the library's builder route before its scans took bare slices of the word
+# and stopped where the flow closes: every builder restricts the dense
+# r_beta to its whole range (i..n, h..i) and hands it to the public builders
+# on a SignMap, which scan the range in full and check their preconditions
+
+
+def _leftover_set(dom, flow: Flow, odds=()) -> SignedSet:
+    return SignedSet.of(evens=[t for t in dom if t not in flow.sources()], odds=odds)
+
+
+def non_normal_certificate(lam: Weight, i: int) -> Certificate:
+    """The certificate of a non-normal index i < n: partial_flow on (i..n)
+    for cases a/b, lead_plus_index on (i..n) for case c, and
+    build_full_flow on (i..j) for cases c/d."""
+    n, p, beta = lam.n, lam.p, lam.residue(i)
+    u = restrict(r_beta(lam, beta), seg_oo(i, n))
+    pluses = _pc(u, u.domain)
+    if pluses >= (2 if beta == 0 else 1):
+        tag = "b" if beta == 0 else "a"
+        j_set, flow = lib.partial_flow(u)
+        j = max(j_set)
+        m_set = _leftover_set(seg_oc(i, j), flow, odds=[j + 1])
+    else:
+        if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
+            tag, j = "c", lib.lead_plus_index(u)
+        else:
+            tag, j = "d", n
+        flow = lib.build_full_flow(restrict(u, seg_oo(i, j)))
+        m_set = _leftover_set(seg_oo(i, j), flow, odds=[j])
+    return Certificate(tag, i, j, flow, m_set, _residue_product(lam, beta, m_set.evens))
+
+
+def _base_step(lam: Weight, i: int) -> PlanStep:
+    n, beta = lam.n, lam.residue(i)
+    u = r_beta(lam, beta)
+    closed = bool(minus_count(reduce_seq(product_of(u, seg_oo(i, n)))))
+    dom = seg_oc(i, n) if closed else seg_oo(i, n)
+    flow = lib.build_full_flow(restrict(u, dom))
+    return PlanStep("T6.1.3" if closed else "T6.2.3", {
+        "i": i, "beta": beta, "flow": flow,
+        "M": _leftover_set(dom, flow, odds=[] if closed else [n])})
+
+
+def _extension_flow_step(lam: Weight, theorem: str, h: int, i: int) -> PlanStep:
+    beta = lam.residue(i)
+    flow = lib.build_full_flow(restrict(r_beta(lam, beta), seg_oc(h, i)))
+    m_set = (_leftover_set(seg_oo(h, i), flow, odds=[i]) if theorem == "T6.4.2"
+             else _leftover_set(seg_oc(h, i), flow))
+    return PlanStep(theorem, {"h": h, "i": i, "beta": beta, "flow": flow, "M": m_set})
+
+
+def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
+    """r_0 on (h..i) reduces to -^m or +-^m: its section (none for -^m)
+    chained from h to i, and the fully coherent flows between."""
+    v = restrict(r_beta(lam, 0), seg_oo(h, i))
+    if _pc(v, v.domain):
+        sec = lib.section_of(v)
+        pieces = {(a, b) for a, b in lib.resolution_of(v).edges if a != b}
+    else:
+        sec, pieces = (), set(lib.build_full_flow(v).edges)
+    chain = (h,) + sec + (i,)
+    gamma = Flow(frozenset(pieces | set(zip(chain, chain[1:]))))
+    delta = Flow(frozenset(pieces | {(a, a) for a in sec + (i,)}))
+    return PlanStep("T6.6.2", {"h": h, "i": i, "beta": 0, "flow": gamma,
+                               "weak_flow": delta, "M": _leftover_set(seg_oo(h, i), gamma)})
+
+
+def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
+    """The plan of a normal index i < n, split on the dense reduction of
+    r_beta over (i..n)."""
+    n, p = lam.n, lam.p
+    u = r_beta(lam, lam.residue(i))
+    if not _pc(u, seg_oo(i, n)):
+        return ConstructionPlan((_base_step(lam, i),))
+    if not congruent(lam.entry(n), -1, p):
+        closed = seg_oc(i, n)
+        delta = lib.resolution_of(restrict(u, closed))
+        q = max(a for a, b in delta.edges if a == b)
+        return ConstructionPlan((PlanStep("T6.3.3", {
+            "i": i, "beta": 0, "resolution": delta, "q": q,
+            "M": _leftover_set(closed, delta, odds=[q])}),))
+    a = lib.section_of(restrict(u, seg_oo(i, n)))[-1]
+    return ConstructionPlan((_base_step(lam, a), _joined_extension_step(lam, i, a)))
+
+
+def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
+    """The plan extending from i down to a normal h < i of equal residue,
+    split on the dense reduction of r_beta over (h..i]."""
+    p = lam.p
+    if lam.residue(h) != 0:
+        return ConstructionPlan((_extension_flow_step(lam, "T6.5.2", h, i),))
+    u = r_beta(lam, 0)
+    one_mod = congruent(lam.entry(i), 1, p)
+    if not _pc(u, seg_oc(h, i)):
+        theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
+        if one_mod:
+            return ConstructionPlan((_extension_flow_step(lam, theorem, h, i),))
+        a = lib.split_index(restrict(u, seg_oo(h, i)))
+        return ConstructionPlan((_joined_extension_step(lam, a, i),
+                                 _extension_flow_step(lam, theorem, h, a)))
+    if not one_mod:
+        return ConstructionPlan((_joined_extension_step(lam, h, i),))
+    a = lib.section_of(restrict(u, seg_oc(h, i)))[-1]
+    return ConstructionPlan((_extension_flow_step(lam, "T6.4.2", a, i),
+                             _joined_extension_step(lam, h, a)))
 
 
 # -- crystal: signed nodes by whole-partition checks, and the filtered graph ------

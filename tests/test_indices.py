@@ -7,7 +7,7 @@ import pytest
 
 import definitional
 from spinbranch import clear_caches, indices, sigseq
-from spinbranch.cli import main
+from spinbranch.cli import _weight_report, main
 from spinbranch.core import SignedSet, Weight, res_p, seg_oc, seg_oo
 from spinbranch.indices import (
     Certificate,
@@ -384,15 +384,29 @@ def test_one_word_scan_matches_the_two_word_build():
             assert red.gaps == gaps, (lam, beta)
 
 
-def test_classification_builds_only_the_touched_residues(capsys):
+def _count_builds(monkeypatch) -> list:
+    """The (weight, beta) of every reduction built from now on."""
+    built, reduce = [], indices._reduce
+
+    def counted(lam, beta, word):
+        built.append((lam, beta))
+        return reduce(lam, beta, word)
+
+    monkeypatch.setattr(indices, "_reduce", counted)
+    return built
+
+
+def test_classification_builds_only_the_touched_residues(capsys, monkeypatch):
+    built = _count_builds(monkeypatch)
     fewer = 0
     for lam in _oracle_weights(seed=77, count=200):
         touched = {res_p(x + d, lam.p) for x in lam.parts for d in (0, 1)}
         fewer += len(touched) < lam.p
         clear_caches()
+        built.clear()
         classify_indices(lam)
-        info = indices._reduction_cached.cache_info()
-        assert (info.misses, info.currsize) == (len(touched), len(touched)), lam
+        assert sorted(beta for _, beta in built) == sorted(touched), lam
+        assert set(sigseq._words(lam)[1]) == touched, lam  # kept beside the words
     assert fewer > 50
     # the report still lists the sign map and reduction of every residue
     lam = Weight((3, 1, 2), 7)
@@ -411,11 +425,29 @@ def test_residue_must_be_an_integer_and_is_taken_mod_p():
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             reduce_residue(lam, bad)
     clear_caches()
+    two = reduce_residue(lam, 2)
+    assert reduce_residue(lam, 9) is two and reduce_residue(lam, -5) is two
+    assert two.beta == 2 and set(sigseq._words(lam)[1]) == {2}
+    # a residue with no word reduces to nothing, and is not kept
     one = reduce_residue(lam, 1)
-    assert reduce_residue(lam, 8) is one and reduce_residue(lam, -6) is one
-    assert one.beta == 1 and indices._reduction_cached.cache_info().currsize == 1
+    assert reduce_residue(lam, 8) == one and reduce_residue(lam, -6) == one
+    assert one.beta == 1 and not one.reduced and set(sigseq._words(lam)[1]) == {2}
     assert r_beta(lam, 8) == r_beta(lam, 1) and reduce_residue(lam, 2).beta == 2
     assert reduce_residue(Weight((3, 1), 0), 6).beta == 6  # p = 0: beta as given
+
+
+def test_a_weight_report_builds_each_reduction_once(monkeypatch):
+    # n = 100 at p = 0 touches 87 residues, more than a memo of reductions
+    # bounded by count held: the report's classification, certificates and
+    # residue_reductions once rebuilt evicted ones (193 builds).  Kept
+    # beside the weight's words, each is built once
+    rng = random.Random(3)
+    lam = Weight(tuple(rng.randint(-100, 100) for _ in range(100)), 0)
+    built = _count_builds(monkeypatch)
+    clear_caches()
+    report = _weight_report(lam)
+    assert len(report["r_maps"]) == 87
+    assert sorted(beta for _, beta in built) == sorted(int(b) for b in report["r_maps"])
 
 
 def _plans_and_certificates(lam: Weight) -> list[str]:
@@ -562,6 +594,76 @@ def test_long_weights_match_the_definitional_oracles():
                     assert indices.validate_step(lam, step), (lam, i, step)
                     kinds.add(step.theorem)
     assert kinds == {"a", "b", "c", *_T6}
+
+
+def _zero_weights(n: int):
+    """Two seeded weights of n entries, every one divisible by p: r_0 is +-
+    at every index, so every i < n - 1 is case c with j = i + 1."""
+    for p in (3, 101):
+        rng = random.Random(n + p)
+        yield Weight(tuple(p * rng.randint(-3, 3) for _ in range(n)), p)
+
+
+def test_certificates_and_plans_match_the_dense_route():
+    # the scans that start inside the word and stop where the flow closes
+    # give the certificates and plans of the dense route, which restricts
+    # r_beta to the whole range and runs the public builders on it
+    kinds = set()
+    weights = [lam for p in (0, 3, 101) for lam in _long_weights(p)]
+    for lam in weights + list(_zero_weights(400)):
+        normals = [c.index for c in classify_indices(lam) if c.normal]
+        for i in range(1, lam.n):
+            if i in normals:
+                plan = primitive_plan(lam, i)
+                assert plan.to_json() == definitional.primitive_plan(lam, i).to_json(), (lam, i)
+                kinds.update(step.theorem for step in plan.steps)
+            else:
+                cert = non_normal_certificate(lam, i)
+                assert cert.to_json() == definitional.non_normal_certificate(lam, i).to_json()
+                kinds.add(cert.case_tag)
+            for h in [h for h in normals if h < i and lam.residue(h) == lam.residue(i)][-3:]:
+                plan = extension_plan(lam, h, i)
+                assert plan.to_json() == definitional.extension_plan(lam, h, i).to_json()
+                kinds.update(step.theorem for step in plan.steps)
+    assert kinds == {"a", "b", "c", "d", *_T6}
+    for lam in _zero_weights(400):
+        tags = [non_normal_certificate(lam, i).case_tag for i in range(1, lam.n)]
+        assert tags == ["c"] * (lam.n - 2) + ["d"]
+
+
+class _CountingWord(tuple):
+    """A word that counts the pairs read from it, by index, slice or loop."""
+    reads = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        _CountingWord.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __iter__(self):
+        for pair in super().__iter__():
+            _CountingWord.reads += 1
+            yield pair
+
+
+def test_certificates_read_only_their_range_of_the_word(monkeypatch):
+    # a certificate scans its word from i + 1 and stops where its flow
+    # closes, so it reads about j - i pairs however far n lies beyond j
+    n, kinds = 2000, set()
+    for lam in [*_zero_weights(n), *_long_weights(3, n)]:
+        clear_caches()
+        words, _ = sigseq._words(lam)
+        counted = ({beta: _CountingWord(word) for beta, word in words.items()}, {})
+        monkeypatch.setattr(indices, "_words", lambda weight: counted)
+        normals = {c.index for c in classify_indices(lam) if c.normal}
+        for i in range(1, n):
+            if i in normals:
+                continue
+            _CountingWord.reads = 0
+            cert = non_normal_certificate(lam, i)
+            assert _CountingWord.reads <= cert.j - i + 2, (lam.p, i, cert.j, _CountingWord.reads)
+            kinds.add(cert.case_tag)
+    assert kinds == {"a", "b", "c", "d"}
 
 
 _SWAP = {"a": "b", "b": "a", "c": "d", "d": "c"}

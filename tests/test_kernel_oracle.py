@@ -17,7 +17,7 @@ import pytest
 
 import polyref as ref
 import spinbranch
-from spinbranch import clear_caches, verify
+from spinbranch import clear_caches, sigseq, verify
 from spinbranch.core import SignedSet, Weight
 from spinbranch.indices import classify_indices, reduce_residue
 from spinbranch.poly import (
@@ -456,8 +456,8 @@ def module_memos() -> dict:
 
 def test_caches_are_bounded_and_reset_by_one_hook():
     memos = module_memos()
-    assert set(memos) == {"sigseq._words", "indices._reduction_cached", "poly._g2_cached",
-                          "raising._bracket_cached", "raising._rec"}
+    assert set(memos) == {"sigseq._words", "poly._g2_cached", "raising._bracket_cached",
+                          "raising._rec"}
     delta = DeltaFunction(1, (0, 1, 0))
     m = SignedSet.of(evens=[2], odds=[4])
     raising_rec(1, 4, 0, delta, m)
@@ -467,6 +467,7 @@ def test_caches_are_bounded_and_reset_by_one_hook():
     for name, cache in memos.items():
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize > 0, name
+    assert sigseq._words(Weight((3, 1, 0), 5))[1]  # the reductions, kept beside the words
     clear_caches()
     assert {name for name, cache in memos.items() if cache.cache_info().currsize} == set()
 
@@ -509,8 +510,12 @@ def test_memoised_reductions_cannot_be_changed_by_a_caller():
         del red.gaps[1]
     with pytest.raises(TypeError):
         red.gaps[1][0] = 5
+    with pytest.raises(TypeError):
+        red.at[1] = 0
+    with pytest.raises(TypeError):
+        red.word[0] = (1, "--")
     for mutator in ("clear", "pop", "update", "setdefault"):
-        assert not hasattr(red.gaps, mutator), mutator
+        assert not hasattr(red.gaps, mutator) and not hasattr(red.at, mutator), mutator
     again = reduce_residue(lam, 0)
     assert again == red and (again.good, again.normal, again.reduced, again.gaps) == kept
     clear_caches()

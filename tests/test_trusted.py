@@ -6,11 +6,21 @@ import random
 
 import pytest
 
-from definitional import partitions_of
-from spinbranch.core import DeltaFunction, InvalidCharacteristic, SignedSet, Weight
+import definitional
+from definitional import partitions_of, restrict
+from spinbranch import sigseq
+from spinbranch.core import DeltaFunction, InvalidCharacteristic, SignedSet, Weight, seg_oo
 from spinbranch.crystal import NotPStrict, PStrictPartition, p_strict_violation
-from spinbranch.indices import _restricted
-from spinbranch.sigseq import SignMap, r_beta, r_words
+from spinbranch.indices import (
+    classify_indices,
+    extension_plan,
+    non_normal_certificate,
+    primitive_plan,
+    residue_reductions,
+    _slice,
+)
+from spinbranch.sigseq import Flow, SignMap, r_beta, r_words
+from test_indices import _planner_weights
 
 
 def same(trusted, public):
@@ -69,10 +79,10 @@ def test_partition_add_remove_match_the_constructor():
 
 
 def test_word_slices_match_the_constructor():
-    # the certificates, plans and re-checks read r_beta over a range as the
-    # slice of beta's word that bisection finds: the public constructor's
-    # map on the word's pairs in that range, for ranges that reach past
-    # either end of [1..n] or are empty, and for a beta with no word
+    # the plans and re-checks read r_beta over a range as the bare slice of
+    # beta's word that bisection finds: the non-empty pairs of the dense
+    # r_beta restricted by the public constructor, for ranges that reach
+    # past either end of [1..n] or are empty, and for a beta with no word
     rng = random.Random(14)
     for _ in range(600):
         p = rng.choice((0, 3, 5, 7))
@@ -80,9 +90,46 @@ def test_word_slices_match_the_constructor():
         beta = rng.randrange(p) if p else rng.choice(sorted(r_words(lam.parts, p)) + [-1])
         lo = rng.randint(-1, lam.n + 2)
         dom = range(lo, rng.randint(lo - 2, lam.n + 3))
-        u = r_beta(lam, beta)
-        same(_restricted(lam, beta, dom),
-             SignMap(u.mode, {i: v for i, v in u.values if i in dom and v}))
+        dense = restrict(definitional.r_beta(lam, beta), dom)
+        word = sigseq._words(lam)[0].get(beta, ())
+        assert _slice(word, dom) == tuple((i, v) for i, v in dense.values if v)
+    # a certificate reads its word from the position after i's, and in case
+    # d up to n: the slice of (i..n) at every index i of the word
+    for p in (0, 3, 5, 7):
+        for lam in _planner_weights(p):
+            for beta, red in residue_reductions(lam).items():
+                u = definitional.r_beta(lam, beta)
+                for i, _ in red.word:
+                    dense = restrict(u, seg_oo(i, lam.n))
+                    tail = red.word[red.at[i] + 1:red.at.get(lam.n, len(red.word))]
+                    assert tail == tuple((t, v) for t, v in dense.values if v), (lam, beta, i)
+
+
+def test_scans_and_leftovers_match_the_constructors():
+    # the flows of the scans and the sets M of `_leftovers` are built by
+    # `_trusted`: each equals its value built by the public constructor
+    flows = sets = 0
+    for p in (0, 3, 5, 7):
+        for lam in _planner_weights(p):
+            normals = {c.index for c in classify_indices(lam) if c.normal}
+            payloads = []
+            for i in range(1, lam.n):
+                if i in normals:
+                    payloads += [step.data for step in primitive_plan(lam, i).steps]
+                    payloads += [step.data for h in sorted(normals) if h < i
+                                 and lam.residue(h) == lam.residue(i)
+                                 for step in extension_plan(lam, h, i).steps]
+                else:
+                    cert = non_normal_certificate(lam, i)
+                    payloads.append({"flow": cert.flow, "M": cert.m_set})
+            for data in payloads:
+                for key in ("flow", "weak_flow", "resolution"):
+                    if key in data:
+                        same(data[key], Flow(data[key].edges))
+                        flows += 1
+                same(data["M"], SignedSet(data["M"].evens, data["M"].odds))
+                sets += 1
+    assert flows > 6000 and sets > 6000, (flows, sets)
 
 
 @pytest.mark.parametrize(
