@@ -57,11 +57,12 @@ from .sigseq import (
 
 def clear_caches() -> None:
     """Empty the four bounded memos: r_beta's words with the residue
-    reductions kept beside them, the f family (g1 and g2 share one),
-    brackets and the raising recursion."""
+    reductions kept beside them, the f family (f, g1 and g2 share one,
+    keyed by D within (i..j) and S's steps), the closed forms' g brackets
+    keyed by g's parameters, and the raising recursion."""
     from . import poly, raising, sigseq
 
-    for memo in (sigseq._words, poly._g2_cached, raising._bracket_cached, raising._rec):
+    for memo in (sigseq._words, poly._f_cached, raising._g_bracket, raising._rec):
         memo.cache_clear()
 
 

@@ -74,12 +74,18 @@ class Weight:
 
     parts: tuple[int, ...]
     p: int
+    _hash = None  # not a field: the field hash, kept by `__hash__` on first use
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_characteristic(self.p))
         if len(self.parts) < 1:
             raise ValueError("a weight needs at least one entry")
         object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
+
+    def __hash__(self):  # `_trusted` builds too: a memo lookup then reads no entry
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.parts, self.p)))
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -387,24 +387,23 @@ def f_poly(i: int, j: int, d, l: DeltaFunction, s) -> Polynomial:
     """The recursive family: f(empty) = u, and each added element s of S
     applies (id - sigma_{D_s, s}^{s + l(s)}) and divides by x_{D_s} - x_s
     exactly."""
-    d = frozenset(d)
     s = sorted(set(s))
     if any(not i < t <= j for t in s):
         raise BadParameters(f"S = {s} not inside ({i}..{j}]")
-    out = u_poly(i, j, d)
-    for t in reversed(s):
-        t0 = d_floor(d, i, t)
-        out = exact_div(out - sigma_apply(t0, t, t + l(t), out), t0, t)
-    return out
+    return _f_cached(i, j, frozenset(v for v in d if i < v < j), tuple((t, t + l(t)) for t in s))
 
 
-# bounded memo of the f family; spinbranch.clear_caches() empties it
-G_CACHE_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=G_CACHE_SIZE)
-def _g2_cached(i: int, k: int, q: int, j: int, s: frozenset) -> Polynomial:
-    return f_poly(i, j, frozenset({k}), l2_function(i, k, q, j), s)
+# bounded memo of the f family, keyed by what f reads: D within (i..j) (no
+# other element is a floor) and the steps (t, t + l(t)) for t in S ascending;
+# spinbranch.clear_caches() empties it
+@lru_cache(maxsize=1 << 14)
+def _f_cached(i: int, j: int, d: frozenset, steps: tuple) -> Polynomial:
+    """f of S is min S's step applied to f of the rest, so every S shares its tails."""
+    if not steps:
+        return u_poly(i, j, d)
+    (t, k), rest = steps[0], _f_cached(i, j, d, steps[1:])
+    t0 = d_floor(d, i, t)
+    return exact_div(rest - sigma_apply(t0, t, k, rest), t0, t)
 
 
 def g1(i: int, j: int, s) -> Polynomial:
@@ -414,16 +413,14 @@ def g1(i: int, j: int, s) -> Polynomial:
     s = frozenset(s)
     if any(not i < t < j for t in s):
         raise BadParameters(f"S = {sorted(s)} not inside ({i}..{j})")
-    # g2 at k = q = i: D = {i} moves no floor (d_floor takes i anyway), and
-    # l2 is 1 on (i..j), where S lies; its 0 at j is never read
-    return _g2_cached(i, i, i, j, s)
+    return f_poly(i, j, (), DeltaFunction(i + 1, (1,) * (j - i)), s)
 
 
 def g2(i: int, k: int, q: int, j: int, s) -> Polynomial:
     """g2 = f with D = {k} and the l2 selector."""
     if not (i <= k <= q <= j and i < q):
         raise BadParameters(f"bad g2 parameters ({i},{k},{q},{j})")
-    return _g2_cached(i, k, q, j, frozenset(s))  # f_poly checks S inside (i..j]
+    return f_poly(i, j, (k,), l2_function(i, k, q, j), s)  # f_poly checks S inside (i..j]
 
 
 def lin_reduce(f: Polynomial, subst: dict[int, int]) -> Polynomial:

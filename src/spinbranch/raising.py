@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 from . import poly
 from .core import DeltaFunction, SignedSet, Weight
-from .poly import Polynomial, format_poly, g1, g2
+from .poly import Polynomial, format_poly, g2
 
 Bars = tuple[int, ...]
 
@@ -200,18 +200,19 @@ def _check_index(i: int) -> int:
 
 def bracket_hom(f: Polynomial) -> U0Element:
     """The ring homomorphism x_i -> H_i(H_i - 1), y_i -> (H_i + 1)H_i."""
-    return _bracket_cached(f)
-
-
-# raising_closed brackets the same cached g1/g2 for every (eps, delta)
-@lru_cache(maxsize=1024)
-def _bracket_cached(f: Polynomial) -> U0Element:
     assignment = {}
     for axis, idx in f.variables():
         if axis not in ("x", "y"):
             raise IndexOutOfRange(f"bracket undefined on axis {axis!r}")
         assignment[(axis, idx)] = _image(axis, idx)
     return _central(f.substitute(assignment))
+
+
+# the closed forms bracket the same g2 for every (eps, delta): keyed by its
+# parameters, a hit hashes no polynomial and builds no f key
+@lru_cache(maxsize=4096)
+def _g_bracket(i: int, k: int, q: int, j: int, s: frozenset) -> U0Element:
+    return bracket_hom(g2(i, k, q, j, s))
 
 
 # -- the raising-coefficient recursion -----------------------------------------
@@ -313,7 +314,7 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
         if sum(dv) % 2 != eps:
             return U0Element()
         s = frozenset(t for t in range(i + 1, j) if t not in m.evens)
-        return bracket_hom(g1(i, j, s))
+        return _g_bracket(i, j, j, j, s)  # g1(i, j, S): l2 is 1 on (i..j), D = {j} no floor
     if len(m.odds) > 1:
         raise UnsupportedShape("no closed form for two or more barred elements")
     q = next(iter(m.odds))
@@ -326,7 +327,7 @@ def raising_closed(i: int, j: int, eps: int, delta: DeltaFunction, m: SignedSet)
         if not (k - 1 in m.evens or k - 1 in (i - 1, i)):
             continue
         sign = _sgn((1 if k > i else 0) + (1 + total) * sum(dv[: k - i]))
-        _mac(acc, bracket_hom(g2(i, k, q, j, s)), u0_h_eps(k, total), sign)
+        _mac(acc, _g_bracket(i, k, q, j, s), u0_h_eps(k, total), sign)
     return _freeze(acc)
 
 
@@ -344,7 +345,7 @@ def two_term_sum_sides(m_idx: int, j: int, q: int, eps: int, xi: int,
         _mac(acc, _rec(m_idx, j, sigma, (tau,) + dv[1:], n_set.evens, n_set.odds), _ONE, sign)
     s = frozenset(t for t in range(m_idx + 1, j + 1) if t not in n_set.evens)
     indicator = 2 if (xi % 2) == (eps + sd_all) % 2 else 0
-    rhs = _mac({}, bracket_hom(g2(m_idx, m_idx, q, j, s)), u0_h(m_idx), indicator)
+    rhs = _mac({}, _g_bracket(m_idx, m_idx, q, j, s), u0_h(m_idx), indicator)
     return _freeze(acc), _freeze(rhs)
 
 

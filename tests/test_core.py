@@ -46,6 +46,16 @@ def test_weight_basics():
         Weight((), 5)
 
 
+def test_equal_weights_hash_equal_whatever_the_build_path():
+    # the hash is kept on first use, also by the `_trusted` builds
+    w = Weight((4, 3, 1), 3)
+    hash(w)
+    for v in (Weight((4, 3, 1), 3), Weight((5, 3, 1), 3).sub_eps(1), Weight((-1, -3, -4), 3).minus_w0()):
+        assert v == w and hash(v) == hash(w) == hash(v)
+    assert {w: 1}[Weight((5, 3, 1), 3).sub_eps(1)] == 1
+    assert Weight((4, 3, 1), 5) != w  # equality still reads p
+
+
 def test_sub_eps_checks_its_index():
     w = Weight((5, 3, 1), 3)
     assert w.sub_eps(1).parts == (4, 3, 1) and w.sub_eps(3).parts == (5, 3, 0)

@@ -17,7 +17,7 @@ import pytest
 
 import polyref as ref
 import spinbranch
-from spinbranch import clear_caches, sigseq, verify
+from spinbranch import clear_caches, poly, raising, sigseq, verify
 from spinbranch.core import SignedSet, Weight
 from spinbranch.indices import classify_indices, reduce_residue
 from spinbranch.poly import (
@@ -189,6 +189,26 @@ def test_f_family_matches_the_substitution_route(i):
                 first[key] = out
                 assert read(out) == ref.f_family(i, j, d, l, s), key
             assert out == first[key], key
+
+
+def test_f_memo_does_not_depend_on_the_call_order():
+    # the sweep above at i = 2, with D widened by elements f never reads (at
+    # or below i, above j), in a seeded shuffled order and with the memos
+    # emptied between blocks: a key that drops something f reads hands some
+    # later call a polynomial built for other parameters
+    i, rng = 2, random.Random(28)
+    cases = []
+    for j in range(i + 1, i + 5):
+        subsets = _subsets(range(i + 1, j + 1))
+        for d, lvals, s in itertools.product(subsets, itertools.product((0, 1), repeat=j - i), subsets):
+            cases.append((j, d | set(rng.sample((0, i - 1, i, j + 1), rng.randint(0, 2))), lvals, s))
+    rng.shuffle(cases)
+    for start in range(0, len(cases), 1000):
+        clear_caches()
+        for j, d, lvals, s in cases[start:start + 1000]:
+            out = f_poly(i, j, d, DeltaFunction(i + 1, lvals), s)
+            l = dict(zip(range(i + 1, j + 1), lvals))
+            assert read(out) == ref.f_family(i, j, d, l, s), (j, sorted(d), lvals, sorted(s))
 
 
 def test_g_families_match_the_substitution_route(monkeypatch):
@@ -456,7 +476,7 @@ def module_memos() -> dict:
 
 def test_caches_are_bounded_and_reset_by_one_hook():
     memos = module_memos()
-    assert set(memos) == {"sigseq._words", "poly._g2_cached", "raising._bracket_cached",
+    assert set(memos) == {"sigseq._words", "poly._f_cached", "raising._g_bracket",
                           "raising._rec"}
     delta = DeltaFunction(1, (0, 1, 0))
     m = SignedSet.of(evens=[2], odds=[4])
@@ -470,6 +490,32 @@ def test_caches_are_bounded_and_reset_by_one_hook():
     assert sigseq._words(Weight((3, 1, 0), 5))[1]  # the reductions, kept beside the words
     clear_caches()
     assert {name for name, cache in memos.items() if cache.cache_info().currsize} == set()
+
+
+def test_the_f_family_shares_one_memo_through_its_tails():
+    # the algebra workload's poly-identities sizes: every f, g1 and g2 the
+    # suite asks for, and every tail of their S, is built once; a key that
+    # kept something f does not read (D outside (i..j), l off S, q) would miss more
+    clear_caches()
+    rep = verify.verify_poly_identities(width=4, lin_width=3, lin_samples=200, seed=99)
+    assert rep.cases == 691 and rep.passed
+    info = poly._f_cached.cache_info()
+    assert (info.misses, info.hits) == (282, 751)
+    assert g1(1, 4, {2, 3}) == f_poly(1, 4, (), DeltaFunction(2, (1, 1, 1)), {2, 3})
+    assert poly._f_cached.cache_info().misses == 282  # both were built by the suite
+
+
+def test_closed_forms_bracket_each_g_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(raising, "bracket_hom", lambda f: calls.append(f) or bracket_hom(f))
+    clear_caches()
+    sets = verify.admissible_signed_sets(1, 4)
+    deltas = [DeltaFunction(1, dv) for dv in itertools.product((0, 1), repeat=3)]
+    first = [raising_closed(1, 4, eps, delta, m) for m in sets for eps in (0, 1) for delta in deltas]
+    assert 0 < len(calls) == raising._g_bracket.cache_info().currsize  # one per distinct g2
+    calls.clear()
+    again = [raising_closed(1, 4, eps, delta, m) for m in sets for eps in (0, 1) for delta in deltas]
+    assert again == first and calls == []
 
 
 def test_cached_results_cannot_be_changed_by_a_caller():

@@ -79,21 +79,21 @@ def test_g_family_examples():
         g2(1, 3, 2, 4, ())
     with pytest.raises(BadParameters):
         g1(1, 4, {4})  # 4 outside (1..4)
-    # g1 is f with D empty and the constant selector, held in g2's memo
-    from spinbranch.poly import _g2_cached
-    _g2_cached.cache_clear()
+    # g1 is f with D empty and the constant selector, held in f's memo
+    from spinbranch.poly import _f_cached
+    _f_cached.cache_clear()
     for j in range(2, 7):
         const = DeltaFunction(2, (1,) * (j - 1))
         for k in range(j - 1):
             for s in itertools.combinations(range(2, j), k):
                 assert g1(1, j, s) == f_poly(1, j, (), const, s), (j, s)
-    assert _g2_cached.cache_info().currsize == 2 ** 5 - 1
+    assert _f_cached.cache_info().currsize == 2 ** 5 - 1
     # g2's S range is checked by f_poly, before anything is cached
-    cached = _g2_cached.cache_info().currsize
+    cached = _f_cached.cache_info().currsize
     for s in ({5}, {1}):
         with pytest.raises(BadParameters, match=rf"S = \[{min(s)}\] not inside \(1..4\]"):
             g2(1, 1, 2, 4, s)
-    assert _g2_cached.cache_info().currsize == cached
+    assert _f_cached.cache_info().currsize == cached
 
 
 def test_lin_reduce_examples():
