@@ -59,10 +59,9 @@ def _weight_report(lam: Weight) -> dict:
 
 
 def _partition_report(lam: cr.PStrictPartition) -> dict:
-    reductions = cr.content_reductions(lam)
     contents = {}
-    for i, red in reductions.items():
-        good, cogood = red.good, red.cogood
+    for i, red in cr.content_reductions(lam).items():
+        down, up = cr.e_tilde(i, lam), cr.f_tilde(i, lam)
         contents[str(i)] = {
             key: [list(nd) for nd in getattr(red, key)]
             for key in ("removable", "addable", "good", "normal", "conormal", "cogood")
@@ -70,8 +69,8 @@ def _partition_report(lam: cr.PStrictPartition) -> dict:
         contents[str(i)].update({
             "signature": seq_to_list(red.signature()),
             "reduced": seq_to_list(red.signature(reduced=True)),
-            "e_tilde": list(lam.remove(good[0]).parts) if good else None,
-            "f_tilde": list(lam.add(cogood[0]).parts) if cogood else None,
+            "e_tilde": None if down is None else list(down.parts),
+            "f_tilde": None if up is None else list(up.parts),
         })
     h, kind, gamma = cr.spin_stats(lam)
     out = {
@@ -79,7 +78,7 @@ def _partition_report(lam: cr.PStrictPartition) -> dict:
         "spin": {"h_p_prime": h, "type": kind, "gamma": list(gamma)},
     }
     if lam.is_restricted():
-        tables = cr.branching_tables(lam, reductions)
+        tables = cr.branching_tables(lam)
         names = ("restriction_socle", "restriction_specht", "induction_socle", "induction_specht")
         out["branching"] = {
             name: [{"partition": list(mu.parts), "node": list(node)} for mu, node in table]

@@ -2,9 +2,10 @@
 signatures, crystal operators, the colored crystal graph, spin statistics
 and branching tables.
 
-Nodes are (row, column) pairs, rows starting at 1.  Signatures are read
-row by row, larger column first within a row.  f_tilde and the graph read
-the cogood row off the padded weight's r_beta (`sigseq.r_words`) instead.
+Nodes are (row, column) pairs, rows starting at 1.  Signed nodes, read row
+by row, larger column first, serve only what prints or checks them: the
+operators, the graph and the branching tables read the rows of content i
+off the padded weight's word and reduction at beta = i(i+1) (`indices`).
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 from .core import (Weight, _trusted, check_characteristic, congruent, mod,
                    p_strict_pair, res_p)
-from .sigseq import MINUS, PLUS, Seq, last_free_plus, r_words, reduce_seq
+from .indices import reduce_residue
+from .sigseq import MINUS, PLUS, Seq, _words, last_free_plus, r_words, reduce_seq
 
 Node = tuple[int, int]
 SignedNodes = tuple[tuple[int, Node], ...]
@@ -165,7 +167,7 @@ def _rows(signed: SignedNodes) -> Seq:
 @dataclass(frozen=True)
 class ContentReduction:
     """The signed i-nodes of a partition and their reduction, built once per
-    (lambda, i); every node notion below is read off it.  The reduced word
+    (lambda, i) for the report's node lists and signatures.  The reduced word
     has shape +^s -^r: its minuses are the normal nodes, the first of them
     good, and its pluses the conormal nodes, the last of them cogood."""
 
@@ -233,16 +235,18 @@ def rim_signature(lam: PStrictPartition, i: int, reduced: bool = False) -> Seq:
 
 
 def e_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
-    """Remove the i-good node (top minus of the reduced i-signature)."""
-    good = reduce_content(lam, i).good
-    return lam.remove(good[0]) if good else None
+    """Remove the last box of the i-good row: the good index of the padded
+    weight's reduction at beta = i(i+1) (`indices.reduce_residue`)."""
+    p, i = lam.p, _content(i, lam.p)
+    row = reduce_residue(lam.pad_weight(), beta_of_content(i, p)).good
+    return None if row is None else lam.remove((row, lam.part(row)))
 
 
 def f_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
-    """Add the i-cogood node, in the row of the last plus of the reduced
-    r_beta of the padded weight, beta = i(i+1), as in `crystal_graph`."""
+    """Add a box to the i-cogood row: the last plus of the padded weight's reduced
+    word at beta = i(i+1) (`sigseq._words`), its tensor cogood index, as in `crystal_graph`."""
     p, i = lam.p, _content(i, lam.p)
-    row = last_free_plus(r_words(lam.parts + (0,), p).get(beta_of_content(i, p), ()))
+    row = last_free_plus(_words(lam.pad_weight())[0].get(beta_of_content(i, p), ()))
     return None if row is None else lam.add((row, lam.part(row) + 1))
 
 
@@ -275,30 +279,28 @@ def spin_stats(lam: PStrictPartition):
     return h, kind, tuple(gamma)
 
 
-def branching_tables(
-    lam: PStrictPartition, reductions: dict[int, ContentReduction] | None = None
-):
-    """Socle and Specht branching data for restriction and induction.
-
-    Socle rows use good/cogood nodes; Specht rows use all normal/conormal
-    nodes whose single-node removal/addition exists and stays restricted.
-    `reductions` defaults to `content_reductions(lam)`.
-    """
+def branching_tables(lam: PStrictPartition):
+    """Socle and Specht branching data for restriction and induction, one box
+    per row, off the padded weight's reduction at beta = i(i+1) for each content
+    i (`indices.reduce_residue`): restriction removes the box of the good row
+    (socle) and of each normal row (Specht); induction adds one to the tensor
+    cogood row (socle) and to each tensor conormal row (Specht).  A Specht
+    result that is not restricted is left out."""
     if not lam.is_restricted():
         raise NotRestricted(f"{lam.parts} is not restricted")
-    if reductions is None:
-        reductions = content_reductions(lam)
+    pad, p = lam.pad_weight(), lam.p
     tables = ([], [], [], [])  # restriction socle, Specht; induction socle, Specht
-    for red in reductions.values():
-        for k, nodes in enumerate((red.good, red.normal, red.cogood, red.conormal)):
-            for r, c in nodes:
-                if lam.part(r) != c - (k > 1):
-                    continue  # a pair-rule node: a single box is not a partition
-                mu = lam.add((r, c)) if k > 1 else lam.remove((r, c))
+    for i in contents_for(p, lam.part(1) + 1):
+        red = reduce_residue(pad, beta_of_content(i, p))
+        for k, rows in enumerate(([red.good], sorted(red.normal), [red.tensor_cogood],
+                                  sorted(red.tensor_conormal))):
+            for r in filter(None, rows):  # rows start at 1; None: no good or cogood row
+                node = (r, lam.part(r) + (k > 1))
+                mu = lam.add(node) if k > 1 else lam.remove(node)
                 kept = mu.is_restricted()
                 assert kept or k % 2, "a socle row stays restricted"
                 if kept:
-                    tables[k].append((mu, (r, c)))
+                    tables[k].append((mu, node))
     return tables
 
 
@@ -341,8 +343,8 @@ def crystal_graph(p: int, max_size: int) -> CrystalGraph:
     One pass per vertex mu: `r_words` gives r_beta of the weight mu + (0)
     at every beta, and the i-edge adds a box to the row of the last plus of
     the reduced word at beta = i(i+1).  Only that row of the tuple of parts
-    is tested for p-strictness.  The good and cogood rows of this word and
-    of the signed i-nodes agree; their raw signatures do not.
+    is tested for p-strictness.  The conormal rows of this word are those of
+    the signed i-nodes, which hold one node per row; raw signatures differ.
     `crystal_graph(3, 80)` takes about 0.7 s (2-vCPU Xeon VM, CPython 3.11).
     """
     p, max_size = check_characteristic(p), operator.index(max_size)

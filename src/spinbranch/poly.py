@@ -13,11 +13,10 @@ from __future__ import annotations
 import operator
 import re
 import threading
+from collections.abc import Callable
 from functools import lru_cache, reduce
 from operator import or_
 from types import MappingProxyType
-
-from .core import DeltaFunction
 
 Var = tuple[str, int]
 
@@ -358,14 +357,6 @@ def exact_div(f: Polynomial, a: int, b: int) -> Polynomial:
 # -- the polynomial families --------------------------------------------------
 
 
-def l2_function(i: int, k: int, q: int, j: int) -> DeltaFunction:
-    """The selector behind g2 on (i..j]: 1 strictly between i and k or
-    strictly between q and j, else 0 (in particular 0 on [k..q] and at j)."""
-    return DeltaFunction(
-        i + 1, tuple(1 if (i < t < k or q < t < j) else 0 for t in range(i + 1, j + 1))
-    )
-
-
 def d_floor(d: frozenset[int], i: int, t: int) -> int:
     """max of (d united {i}) below t."""
     return max([v for v in d if v < t] + ([i] if i < t else []))
@@ -383,10 +374,10 @@ def u_poly(i: int, j: int, d) -> Polynomial:
     return out
 
 
-def f_poly(i: int, j: int, d, l: DeltaFunction, s) -> Polynomial:
+def f_poly(i: int, j: int, d, l: Callable[[int], int], s) -> Polynomial:
     """The recursive family: f(empty) = u, and each added element s of S
     applies (id - sigma_{D_s, s}^{s + l(s)}) and divides by x_{D_s} - x_s
-    exactly."""
+    exactly.  The selector l (a `DeltaFunction` or any rule) is read only on S."""
     s = sorted(set(s))
     if any(not i < t <= j for t in s):
         raise BadParameters(f"S = {s} not inside ({i}..{j}]")
@@ -407,20 +398,21 @@ def _f_cached(i: int, j: int, d: frozenset, steps: tuple) -> Polynomial:
 
 
 def g1(i: int, j: int, s) -> Polynomial:
-    """g1 = f with D empty and the selector constantly 1."""
+    """g1 = f with D empty and the selector constantly 1 (f reads it only on S)."""
     if not i < j:
         raise BadParameters("g1 needs i < j")
     s = frozenset(s)
     if any(not i < t < j for t in s):
         raise BadParameters(f"S = {sorted(s)} not inside ({i}..{j})")
-    return f_poly(i, j, (), DeltaFunction(i + 1, (1,) * (j - i)), s)
+    return f_poly(i, j, (), lambda t: 1, s)
 
 
 def g2(i: int, k: int, q: int, j: int, s) -> Polynomial:
-    """g2 = f with D = {k} and the l2 selector."""
+    """g2 = f with D = {k} and the l2 selector: 1 strictly inside (i..k) or
+    (q..j), else 0 (in particular 0 on [k..q] and at j)."""
     if not (i <= k <= q <= j and i < q):
         raise BadParameters(f"bad g2 parameters ({i},{k},{q},{j})")
-    return f_poly(i, j, (k,), l2_function(i, k, q, j), s)  # f_poly checks S inside (i..j]
+    return f_poly(i, j, (k,), lambda t: int(i < t < k or q < t < j), s)  # f_poly checks S
 
 
 def lin_reduce(f: Polynomial, subst: dict[int, int]) -> Polynomial:

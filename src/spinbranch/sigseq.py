@@ -99,7 +99,7 @@ class SignMap:
 
     mode 'single' allows values '', '-', '+'; mode 'pair' allows '', '--',
     '+-', '++'.  Mixing modes is a construction error.  `values` may be
-    given as a dict or as (index, value) pairs; it is stored sorted.
+    given as a dict or as (index, value) pairs, each index once; stored sorted.
     """
 
     mode: str
@@ -109,11 +109,13 @@ class SignMap:
         allowed = {"single": SINGLE_VALUES, "pair": PAIR_VALUES}.get(self.mode)
         if allowed is None:
             raise ValueError(f"unknown mode {self.mode!r}")
-        by_index = {}
-        for i, v in dict(self.values).items():
+        by_index = {}  # a mapping is what dict() takes one for: it has keys
+        for i, v in self.values.items() if hasattr(self.values, "keys") else self.values:
             if v not in allowed:
                 raise ValueError(f"value {v!r} not allowed in {self.mode} mode")
-            by_index[operator.index(i)] = v
+            if (i := operator.index(i)) in by_index:
+                raise ValueError(f"index {i} given twice")
+            by_index[i] = v
         object.__setattr__(self, "values", tuple(sorted(by_index.items())))
         object.__setattr__(self, "_by_index", by_index)
 

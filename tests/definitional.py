@@ -10,8 +10,9 @@ domain, re-reducing every prefix it looks at.  The certificates and plans are
 also built by the library's route before its scans took bare slices of the
 word: each builder restricts the dense r_beta to its whole range and hands
 it to the public builders on a SignMap, the one place this module calls
-the library's scans.  The signed-node routines re-check the whole partition or weight after each trial row change, and
-the crystal graph filters all partitions.  The re-checks of plan steps
+the library's scans.  The signed-node routines re-check the whole partition or weight after each trial row change,
+both crystal operators and the branching tables are read off those signed
+nodes, and the crystal graph filters all partitions.  The re-checks of plan steps
 and certificates are kept as they were before the statement table: one
 branch per construction, each building its own r_beta.  Nothing here
 reads the library's classification, scans, node routines or statement
@@ -618,6 +619,33 @@ def e_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
         if sign == MINUS:
             return lam.remove(node)
     return None
+
+
+def f_tilde(i: int, lam: PStrictPartition) -> PStrictPartition | None:
+    for sign, node in reversed(reduce_seq(tuple(rim_signed_nodes(lam, i)))):
+        if sign == PLUS:
+            return lam.add(node)
+    return None
+
+
+def branching_tables(lam: PStrictPartition):
+    """The socle and Specht tables of a restricted partition from its
+    reduced signed i-nodes: restriction removes the first minus (socle) and
+    each minus (Specht), induction adds the last plus (socle) and each plus
+    (Specht), skipping the second node of a pair, which is not one box, and
+    each result that is not restricted."""
+    tables = ([], [], [], [])
+    for i in contents_for(lam.p, max([1] + [v + 2 for v in lam.parts])):
+        reduced = reduce_seq(tuple(rim_signed_nodes(lam, i)))
+        minus = [node for sign, node in reduced if sign == MINUS]
+        plus = [node for sign, node in reduced if sign == PLUS]
+        for k, nodes in enumerate((minus[:1], minus, plus[-1:], plus)):
+            for r, c in nodes:
+                if lam.part(r) == c - (k > 1):
+                    mu = lam.add((r, c)) if k > 1 else lam.remove((r, c))
+                    if _is_restricted_parts(mu.parts, lam.p):
+                        tables[k].append((mu, (r, c)))
+    return tables
 
 
 def crystal_graph(p: int, max_size: int) -> CrystalGraph:

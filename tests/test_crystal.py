@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import definitional
 import pytest
@@ -8,6 +9,7 @@ from definitional import partitions_of
 
 from spinbranch import cli, crystal
 from spinbranch.core import Weight, res_p
+from spinbranch.indices import reduce_residue
 from spinbranch.crystal import (
     CrystalGraph,
     NotDominantPStrict,
@@ -28,7 +30,7 @@ from spinbranch.crystal import (
     signed_nodes,
     spin_stats,
 )
-from spinbranch.sigseq import MINUS, PLUS, product_of, r_beta, reduce_seq
+from spinbranch.sigseq import MINUS, PLUS, _words, last_free_plus, product_of, r_beta, reduce_seq
 
 WORKED = PStrictPartition((16, 11, 10, 10, 9, 5, 1), 5)
 
@@ -423,6 +425,32 @@ def test_f_tilde_scan_matches_signed_cogood_on_every_p_strict_partition():
                     assert f_tilde(i, lam) == expected, (p, parts, i)
                     cases += 1
         assert cases == pairs, (p, cases)
+
+
+def test_operators_and_tables_match_signed_node_oracles_on_every_p_strict_partition():
+    # e_tilde, f_tilde and the tables read the padded weight's words and
+    # reductions; the oracles read only the definitional signed i-nodes
+    start, cases, restricted = time.perf_counter(), 0, 0
+    for p, top in ((3, 30), (5, 26), (7, 24), (11, 22), (0, 16)):
+        for n in range(top + 1):
+            for parts in partitions_of(n):
+                if p_strict_violation(parts, p):
+                    continue
+                lam = PStrictPartition(parts, p)
+                pad = lam.pad_weight()
+                for i in contents_for(p, lam.part(1) + 2):
+                    assert e_tilde(i, lam) == definitional.e_tilde(i, lam), (p, parts, i)
+                    assert f_tilde(i, lam) == definitional.f_tilde(i, lam), (p, parts, i)
+                    # the graph's kernel and the tables' reduction name one cogood row
+                    beta = beta_of_content(i, p)
+                    word = _words(pad)[0].get(beta, ())
+                    assert last_free_plus(word) == reduce_residue(pad, beta).tensor_cogood
+                    cases += 1
+                if lam.is_restricted():
+                    assert branching_tables(lam) == definitional.branching_tables(lam), parts
+                    restricted += 1
+    assert (cases, restricted) == (19076, 2279)
+    assert time.perf_counter() - start < 8.0  # 2.4-3.2 s on a 2-vCPU Xeon VM
 
 
 def test_crystal_graph_reads_max_size_as_an_integer():

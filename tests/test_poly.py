@@ -16,7 +16,6 @@ from spinbranch.poly import (
     format_poly,
     g1,
     g2,
-    l2_function,
     lin_reduce,
     parse_poly,
     sigma_apply,
@@ -65,8 +64,6 @@ def test_f_poly_examples():
 
 def test_f_selector_is_the_raising_delta_type():
     assert raising.DeltaFunction is DeltaFunction
-    # 1 strictly inside (1..3) and (3..5), 0 on [3..3] and at 5
-    assert l2_function(1, 3, 3, 5) == DeltaFunction(2, (1, 0, 1, 0))
 
 
 def test_g_family_examples():

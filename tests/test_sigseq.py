@@ -218,6 +218,18 @@ def test_mode_mixing_is_an_error():
         SignMap("triple", {1: "-"})
 
 
+def test_an_index_given_twice_is_an_error():
+    # the last value used to win silently, whether or not the values differ
+    for pairs in (((1, "-"), (1, "+")), ((2, "+"), (1, ""), (2, "+"))):
+        with pytest.raises(ValueError, match=f"index {pairs[0][0]} given twice"):
+            SignMap("single", pairs)
+    with pytest.raises(ValueError, match="index 1 given twice"):
+        SignMap("pair", [(1, "--"), (True, "++")])
+    # distinct indices as pairs, and a dict, build the same map as before
+    assert SignMap("single", ((2, "+"), (1, "-"))).values == ((1, "-"), (2, "+"))
+    assert SignMap("single", {2: "+", 1: "-"}) == SignMap("single", ((1, "-"), (2, "+")))
+
+
 def _random_map(rng: random.Random, mode: str) -> SignMap:
     """A random sign map on a random, possibly gapped, domain of size <= 12."""
     alphabet = ("", "-", "+") if mode == "single" else ("", "--", "+-", "++")
