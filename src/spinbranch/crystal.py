@@ -91,6 +91,7 @@ class PStrictPartition:
 
     parts: tuple[int, ...]
     p: int
+    _pad = None  # not a field: the padded weight, kept by `pad_weight` on first use
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_characteristic(self.p))
@@ -126,8 +127,11 @@ class PStrictPartition:
         return _trusted(PStrictPartition, parts=_set_row(self.parts, r, c, self.p), p=self.p)
 
     def pad_weight(self) -> Weight:
-        """The partition as a dominant weight with one trailing zero part."""
-        return _trusted(Weight, parts=self.parts + (0,), p=self.p)
+        """The partition as a dominant weight with one trailing zero part;
+        one object per partition, so its hash and words are made once."""
+        if self._pad is None:
+            object.__setattr__(self, "_pad", _trusted(Weight, parts=self.parts + (0,), p=self.p))
+        return self._pad
 
 
 # -- signed nodes --------------------------------------------------------------

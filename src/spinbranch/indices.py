@@ -11,8 +11,8 @@ which reduces the word once per (lambda, beta mod p) and keeps it beside
 the weight's words, and `sigseq.suffix_shapes` gives the shape of the gap
 (i..n) at every index of the word.  Every flag, certificate and plan is
 read off that one result; a classification builds only the residues its
-entries touch, the keys of the words.  The builders hand the `sigseq`
-kernels bare slices of the word, and a certificate scans it from i + 1 and
+entries touch, the keys of the words.  The builders hand the public `sigseq`
+scans bare slices of the word, and a certificate scans it from i + 1 and
 stops where its flow closes, in O(j - i), not O(n - i).
 
 The re-checks share none of that but the words: each certificate case a-d
@@ -36,15 +36,15 @@ from .sigseq import (
     Flow,
     PreconditionFailed,
     Seq,
+    build_full_flow,
+    flow_analyze,
+    partial_flow,
     reduce_seq,
+    resolution_of,
+    split_index,
     suffix_shapes,
     _bud_scan,
-    _flow_report,
-    _full_flow,
-    _partial_flow,
     _product,
-    _resolution,
-    _split_index,
     _words,
 )
 
@@ -252,7 +252,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
 
     if pluses >= (2 if beta == 0 else 1):
         tag = "b" if beta == 0 else "a"
-        j, flow = _partial_flow(own.word, start, "single" if beta else "pair")
+        j, flow = partial_flow(own.word, start)
         m_set = _leftovers(seg_oc(i, j), flow, odds=[j + 1])
     else:
         if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
@@ -261,7 +261,7 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
             sec, edges, _ = _bud_scan(own.word, start, lead=True)
             tag, j, flow = "c", sec[0], _trusted(Flow, edges=frozenset(edges))
         elif own.gaps[i] == (0, 0) and _zero_boundary(lam, i):
-            tag, j, flow = "d", n, _full_flow(own.word[start:own.at.get(n, len(own.word))])
+            tag, j, flow = "d", n, build_full_flow(own.word[start:own.at.get(n, len(own.word))])
         else:
             raise UnreachableCase(f"no certificate case matched for {lam.parts}, i={i}")
         m_set = _leftovers(seg_oo(i, j), flow, odds=[j])
@@ -329,7 +329,7 @@ def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
     if not closed and _zero_boundary(lam, i):
         raise UnreachableCase("base step at a non-normal index")
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
-    flow = _full_flow(_slice(own.word, dom))
+    flow = build_full_flow(_slice(own.word, dom))
     m_set = _leftovers(dom, flow, odds=[] if closed else [n])
     return PlanStep("T6.1.3" if closed else "T6.2.3",
                     {"i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
@@ -338,7 +338,7 @@ def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
 def _resolution_step(lam: Weight, zero: ResidueReduction, i: int) -> PlanStep:
     """The one-odd construction driven by a resolution of r_0 on (i..n]."""
     dom = seg_oc(i, lam.n)
-    delta = _resolution(_slice(zero.word, dom))
+    delta = resolution_of(_slice(zero.word, dom))
     q = max(a for a, b in delta.edges if a == b)
     m_set = _leftovers(dom, delta, odds=[q])
     return PlanStep(
@@ -348,7 +348,7 @@ def _resolution_step(lam: Weight, zero: ResidueReduction, i: int) -> PlanStep:
 
 def _extension_flow_step(own: ResidueReduction, theorem: str, h: int, i: int) -> PlanStep:
     """Payload for the two flow-based extension steps from i down to h."""
-    flow = _full_flow(_slice(own.word, seg_oc(h, i)))
+    flow = build_full_flow(_slice(own.word, seg_oc(h, i)))
     if theorem == "T6.4.2":
         m_set = _leftovers(seg_oo(h, i), flow, odds=[i])
     else:  # T6.5.2
@@ -417,7 +417,7 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         if one_mod:
             return ConstructionPlan((_extension_flow_step(own, theorem, h, i),))
-        a = _split_index(_slice(own.word, seg_oo(h, i)))
+        a = split_index(_slice(own.word, seg_oo(h, i)))
         return ConstructionPlan(
             (_joined_extension_step(own, a, i), _extension_flow_step(own, theorem, h, a))
         )
@@ -545,7 +545,7 @@ def _meets(lam: Weight, tag: str, d: dict) -> bool:
     word = _words(lam)[0].get(beta, ())
     for flow, dom, test, pluses in flows:
         pairs = _slice(word, dom)
-        if not _TESTS[test](_flow_report(flow.edges, pairs)) or (
+        if not _TESTS[test](flow_analyze(flow, pairs)) or (
                 pluses is not None and suffix_shapes(pairs)[0][0] != pluses):
             return False
     return True

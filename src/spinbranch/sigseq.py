@@ -6,21 +6,20 @@ A marked signature sequence is a tuple of (sign, mark) pairs with sign in
 canonical algorithm is a single left-to-right pass with a pending stack,
 which agrees with any erasure order (tested, not assumed).
 
-Every flow and section is read off one left-to-right bud scan of bare
-(index, value) pairs (`_bud_scan`), which also answers each builder's
-precondition, so the reduction runs only to word an error; a scan may start
-inside a word and stop where its flow closes.  The public functions on a
-`SignMap` wrap these kernels on pairs.  Every suffix shape is read off one
-right-to-left scan (`suffix_shapes`): the gap shapes behind normal indices
-and the split index; its forward twin (`last_free_plus`) gives the
-crystal's cogood rows.  `r_words` alone turns entries into r_beta marks:
-one pass per weight gives the sparse word of every residue, which a small
-memo (`_words`) keeps and the index layer reads; `r_beta` is a dense view.
+Every flow and section is read off one left-to-right bud scan (`_bud_scan`) of
+the (index, value) pairs each builder takes (`SignMap.values` or a word's
+slice); single or pair values are the mode.  The scan also answers each
+builder's precondition, so the reduction runs only to word an error; it may
+start inside a word and stop where its flow closes.  Every suffix shape is
+read off one right-to-left scan (`suffix_shapes`): the gap shapes behind
+normal indices and the split index; its forward twin (`last_free_plus`) gives
+the crystal's cogood rows.  `r_words` alone turns entries into r_beta marks:
+one pass per weight gives the sparse word of every residue, which a memo
+(`_words`) keeps and the index layer reads; `r_beta` is a dense view.
 """
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -249,14 +248,11 @@ class FlowReport:
     buds: frozenset[int]
 
 
-def flow_analyze(g: Flow, u: SignMap) -> FlowReport:
-    """Evaluate the flow, coherence and bud conditions of g against u."""
-    return _flow_report(g.edges, u.values)
-
-
-def _flow_report(edges, pairs) -> FlowReport:
-    """`flow_analyze` of these edges against the map of the (index, value)
-    pairs, by set algebra: an edge end outside them fails every condition."""
+def flow_analyze(g: Flow, pairs) -> FlowReport:
+    """The flow, coherence and bud conditions of g against the map of the
+    (index, value) pairs, by set algebra: an edge end outside them fails
+    every condition."""
+    edges = g.edges
     srcs, tgts = {a for a, _ in edges}, {b for _, b in edges}
     minus = {t for t, v in pairs if "-" in v}
     plus = {t for t, v in pairs if "+" in v}
@@ -267,30 +263,20 @@ def _flow_report(edges, pairs) -> FlowReport:
     return FlowReport(weak, strict, coherent, coherent and plus <= tgts, frozenset(minus - srcs))
 
 
-def build_full_flow(u: SignMap) -> Flow:
-    """A flow fully coherent with u, given [prod u] = -^m: the edges of the
-    bud scan, which then finds no section index and never stops.  Bud count
-    m (single mode) or m/2 (pair mode)."""
-    return _full_flow(u.values)
-
-
-def _full_flow(pairs) -> Flow:
+def build_full_flow(pairs) -> Flow:
+    """A flow fully coherent with the pairs, given [prod] = -^m: the edges
+    of the bud scan, which then finds no section index and never stops.
+    Bud count m (single values) or m/2 (pair values)."""
     sec, edges, stop = _bud_scan(pairs)
     if sec or stop is not None:
         raise NotAllMinus(f"[prod u] = {signs(reduce_seq(_product(pairs)))} contains a +")
     return _trusted(Flow, edges=frozenset(edges))
 
 
-def split_index(u: SignMap) -> int:
-    """The pair-mode index a with u_a = --, [prod over (a..)] in {empty, +-}
-    and [prod over (-inf..a]] = -^m, for [prod u] = -^m with m > 0: the
-    last -- index whose suffix shape has at most one plus."""
-    return _split_index(u.values, u.mode)
-
-
-def _split_index(pairs, mode: str = "pair") -> int:
-    if mode != "pair":
-        raise PreconditionFailed("split_index needs a pair-mode map")
+def split_index(pairs) -> int:
+    """The index a with u_a = --, [prod over (a..)] in {empty, +-} and
+    [prod over (-inf..a]] = -^m, for [prod u] = -^m with m > 0: the last --
+    index whose suffix shape has at most one plus (single values have none)."""
     shapes = suffix_shapes(pairs)
     s, r = shapes[0]
     if s or not r:
@@ -311,8 +297,8 @@ def _bud_scan(pairs, k=0, lead=False) -> tuple[tuple[int, ...], list[tuple[int, 
     the scan (stop).  A - opens a bud.  So the edges are fully coherent
     flows on the stretches between section indices.  [prod of the pairs] is
     -^m iff the scan finds no section index and no stop, +-^m iff it finds
-    a section index but no stop, and has at least 1 (single mode) or 2
-    (pair mode) pluses iff it stops, at the first index whose prefix has
+    a section index but no stop, and has at least 1 (single values) or 2
+    (pair values) pluses iff it stops, at the first index whose prefix has
     them."""
     sec, edges, buds = [], [], []  # buds increase, so the latest bud is on top
     for k in range(k, len(pairs)):
@@ -332,60 +318,48 @@ def _bud_scan(pairs, k=0, lead=False) -> tuple[tuple[int, ...], list[tuple[int, 
     return tuple(sec), edges, None
 
 
-def lead_plus_index(u: SignMap) -> int:
-    """The pair-mode index a with u_a = +- and empty reduction before it,
-    for [prod u] = +-^m: the first index of the section."""
-    return section_of(u)[0]
+def lead_plus_index(pairs) -> int:
+    """The index a with u_a = +- and empty reduction before it, for
+    [prod u] = +-^m: the first index of the section."""
+    return section_of(pairs)[0]
 
 
-def section_of(u: SignMap) -> tuple[int, ...]:
-    """A section a_1 < ... < a_h of u (pair mode, [prod u] = +-^m):
-    every u_{a_k} = +-, the gaps between them reduce to empty, and the tail
+def section_of(pairs) -> tuple[int, ...]:
+    """A section a_1 < ... < a_h of the pairs ([prod] = +-^m): every
+    u_{a_k} = +-, the gaps between them reduce to empty, and the tail
     after a_h reduces to -^(m-1).  These are the section indices of the
     bud scan."""
-    return _section_scan(u.values, u.mode)[0]
+    return _section_scan(pairs)[0]
 
 
-def _section_scan(pairs, mode: str = "pair") -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The bud scan's section and edges, given pair mode and [prod] = +-^m."""
-    if mode != "pair":
-        raise PreconditionFailed("a section needs a pair-mode map")
+def _section_scan(pairs) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The bud scan's section and edges, given [prod] = +-^m (only pair
+    values have a +-)."""
     sec, edges, stop = _bud_scan(pairs)
     if not sec or stop is not None:
         raise PreconditionFailed(f"[prod u] = {signs(reduce_seq(_product(pairs)))} is not +-^m")
     return sec, edges
 
 
-def resolution_of(u: SignMap) -> Flow:
+def resolution_of(pairs) -> Flow:
     """The weak flow built from a section: loops at the section indices plus
     fully coherent flows on the complementary stretches."""
-    return _resolution(u.values, u.mode)
-
-
-def _resolution(pairs, mode: str = "pair") -> Flow:
-    sec, edges = _section_scan(pairs, mode)
+    sec, edges = _section_scan(pairs)
     return _trusted(Flow, edges=frozenset(edges + [(a, a) for a in sec]))
 
 
-def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
-    """A beginning J of the domain with [prod over J] = + (single mode) or
-    ++ (pair mode), and a flow on J coherent but not fully coherent with
-    u restricted to J, having no buds there.
+def partial_flow(pairs, k: int = 0) -> tuple[int, Flow]:
+    """The end index j of a beginning J of the pairs from position k on with
+    [prod over J] = + (single values) or ++ (pair values), and a flow on J
+    coherent but not fully coherent with the map there, having no buds.
 
-    J ends where the bud scan stops.  The section before that index (empty
-    if the indices before it reduce with no +) is chained to it, and the
-    stretches between carry the scan's fully coherent flows."""
-    j, flow = _partial_flow(u.values, 0, u.mode)
-    return tuple(i for i, _ in u.values[: bisect_left(u.values, (j,)) + 1]), flow
-
-
-def _partial_flow(pairs, k: int, mode: str) -> tuple[int, Flow]:
-    """The end j of J and the flow of `partial_flow`, scanning the pairs
-    from position k on: the scan stops at j, so it reads nothing after J."""
+    J ends where the bud scan stops, so the scan reads nothing after J, and
+    J is every index of the pairs from position k up to j.  The section
+    before j (empty if the indices before it reduce with no +) is chained
+    to j, and the stretches between carry the scan's fully coherent flows."""
     sec, edges, stop = _bud_scan(pairs, k)
     if stop is None:
-        need = 1 if mode == "single" else 2
-        raise PreconditionFailed(f"[prod u] = {signs(reduce_seq(_product(pairs[k:])))} has fewer "
-                                 f"than {need} plus signs")
+        raise PreconditionFailed(f"[prod u] = {signs(reduce_seq(_product(pairs[k:])))}: "
+                                 "no beginning reduces to + or ++")
     chain = sec + (stop,)
     return stop, _trusted(Flow, edges=frozenset(edges + list(zip(chain, chain[1:]))))

@@ -177,8 +177,8 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
     red = reduced_product(u)
     s, r = plus_count(red), minus_count(red)
     if s == 0:
-        g = build_full_flow(u)
-        fa = flow_analyze(g, u)
+        g = build_full_flow(u.values)
+        fa = flow_analyze(g, u.values)
         want_buds = r if mode == "single" else r // 2
         rep.record(
             f"full-flow {tag}",
@@ -187,12 +187,12 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         )
     else:
         try:
-            build_full_flow(u)
+            build_full_flow(u.values)
             rep.record(f"full-flow-reject {tag}", False, "no error raised")
         except NotAllMinus:
             rep.record(f"full-flow-reject {tag}", True)
     if mode == "pair" and s == 0 and r > 0:
-        a = split_index(u)
+        a = split_index(u.values)
         tail = reduced_product(u, [k for k in u.domain if k > a])
         head = reduced_product(u, [k for k in u.domain if k <= a])
         ok = (
@@ -202,10 +202,10 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         )
         rep.record(f"split {tag}", ok, f"a={a}")
     if mode == "pair" and s == 1 and red[0][0] == PLUS:
-        a = lead_plus_index(u)
+        a = lead_plus_index(u.values)
         prefix = reduced_product(u, [k for k in u.domain if k < a])
         rep.record(f"lead {tag}", u.value(a) == "+-" and not prefix, f"a={a}")
-        sec = section_of(u)
+        sec = section_of(u.values)
         ok = bool(sec) and all(u.value(k) == "+-" for k in sec)
         bounds = (0,) + sec  # the domain starts at 1
         for lo, hi in zip(bounds, sec):
@@ -214,8 +214,8 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         tail = [k for k in u.domain if k > sec[-1]]
         ok = ok and signs(reduced_product(u, tail)) == "-" * (r - 1)
         rep.record(f"section {tag}", ok, str(sec))
-        res = resolution_of(u)
-        fa = flow_analyze(res, u)
+        res = resolution_of(u.values)
+        fa = flow_analyze(res, u.values)
         rep.record(
             f"resolution {tag}",
             fa.is_weak_flow and not fa.is_flow and fa.fully_coherent,
@@ -223,13 +223,13 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         )
     need = 1 if mode == "single" else 2
     if s >= need:
-        j_set, g = partial_flow(u)
-        uj = SignMap(mode, {k: u.value(k) for k in j_set})
-        fa = flow_analyze(g, uj)
+        j, g = partial_flow(u.values)
+        uj = SignMap(mode, [(k, v) for k, v in u.values if k <= j])
+        j_set, fa = uj.domain, flow_analyze(g, uj.values)
         want = "+" if mode == "single" else "++"
         ok = (
             signs(reduced_product(uj)) == want
-            and set(j_set) == {k for k in u.domain if k <= max(j_set)}
+            and j_set[-1] == j  # J is the domain up to j, an index of it
             and fa.is_flow
             and fa.coherent
             and not fa.fully_coherent
@@ -455,15 +455,19 @@ def _injections(sources, targets, floor):
                 yield {t: img, **rest}
 
 
+def _f_of(i, j, d, lvals, s):
+    """f_poly with the selector l read off its values on (i..j]."""
+    return f_poly(i, j, d, lambda t: lvals[t - i - 1], s)
+
+
 def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi, build_f):
-    l = DeltaFunction(i + 1, lvals)
-    if any(l(t) == 1 for t in r & d):
+    if any(lvals[t - i - 1] for t in r & d):  # l on (i..j] is lvals
         return
     subst = {}
     hit = False
     for t in sorted(r):
         # the hit interval is half-open: a divisor strictly below phi(t)
-        span = set(range(t + l(t), phi[t])) & d
+        span = set(range(t + lvals[t - i - 1], phi[t])) & d
         if span:
             hit = True
             subst[phi[t]] = d_floor(d, i, phi[t])
@@ -471,7 +475,7 @@ def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi, build_f):
             subst[phi[t]] = t
     if not hit and r != s:
         return  # an end R strictly smaller than S with no D-hits asserts nothing
-    reduced = lin_reduce(build_f(i, j, d, l, s), subst)
+    reduced = lin_reduce(build_f(i, j, d, lvals, s), subst)
     tag = f"collapse i={i} j={j} D={sorted(d)} l={lvals} S={sorted(s)} R={sorted(r)} phi={phi}"
     if hit:
         rep.check(tag, Polynomial(), reduced)
@@ -487,10 +491,9 @@ def _lin_reduce_case(rep: VerdictReport, i, j, d, lvals, s, r, phi, build_f):
 def _lin_tuples(i: int, j: int):
     for d in _subsets(range(i + 1, j)):
         for lvals in product((0, 1), repeat=j - i):
-            l = DeltaFunction(i + 1, lvals)
             for s in _subsets(range(i + 1, j + 1)):
                 for r in _ends_of(s):
-                    floor = {t: t + l(t) for t in r}
+                    floor = {t: t + lvals[t - i - 1] for t in r}
                     for phi in _injections(sorted(r), list(range(i + 1, j + 1)), floor):
                         yield d, lvals, s, r, phi
 
@@ -499,7 +502,7 @@ def _lin_reduce_exhaustive(rep: VerdictReport, i: int, width: int):
     for w in range(1, width + 1):
         j = i + w
         # the tuples come grouped by (D, l, S): one entry builds each f once
-        build_f = functools.lru_cache(maxsize=1)(f_poly)
+        build_f = functools.lru_cache(maxsize=1)(_f_of)
         for d, lvals, s, r, phi in _lin_tuples(i, j):
             _lin_reduce_case(rep, i, j, d, lvals, s, r, phi, build_f)
 
@@ -514,16 +517,15 @@ def _lin_reduce_sampled(rep: VerdictReport, rng: random.Random, i: int,
         attempts += 1
         d = frozenset(rng.sample(range(i + 1, j), rng.randint(0, width - 1)))
         lvals = tuple(rng.randint(0, 1) for _ in range(width))
-        l = DeltaFunction(i + 1, lvals)
         s = frozenset(rng.sample(pool, rng.randint(0, width)))
         ends = _ends_of(s)
         r = ends[rng.randrange(len(ends))]
-        floor = {t: t + l(t) for t in r}
+        floor = {t: t + lvals[t - i - 1] for t in r}
         injections = list(_injections(sorted(r), pool, floor))
         if not injections:
             continue
         phi = injections[rng.randrange(len(injections))]
-        _lin_reduce_case(rep, i, j, d, lvals, s, r, phi, f_poly)
+        _lin_reduce_case(rep, i, j, d, lvals, s, r, phi, _f_of)
         done += 1
 
 

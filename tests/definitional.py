@@ -9,8 +9,9 @@ the one-word scan.  Each construction recurses on the last index of the
 domain, re-reducing every prefix it looks at.  The certificates and plans are
 also built by the library's route before its scans took bare slices of the
 word: each builder restricts the dense r_beta to its whole range and hands
-it to the public builders on a SignMap, the one place this module calls
-the library's scans.  The signed-node routines re-check the whole partition or weight after each trial row change,
+the restricted map's (index, value) pairs to the public builders, the one
+place this module calls the library's scans.  The signed-node routines
+re-check the whole partition or weight after each trial row change,
 both crystal operators and the branching tables are read off those signed
 nodes, and the crystal graph filters all partitions.  The re-checks of plan steps
 and certificates are kept as they were before the statement table: one
@@ -256,7 +257,7 @@ def resolution_of(u: SignMap) -> Flow:
     return Flow(frozenset({(a, a) for a in sec} | _gap_edges(u, u.domain, sec)))
 
 
-def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
+def partial_flow(u: SignMap) -> tuple[int, Flow]:
     need = 1 if u.mode == "single" else 2
 
     def rec(idxs: list[int]) -> tuple[list[int], set[tuple[int, int]]]:
@@ -271,8 +272,8 @@ def partial_flow(u: SignMap) -> tuple[tuple[int, ...], Flow]:
         sec = section_of(restrict(u, rest))
         return idxs, set(zip(sec, sec[1:] + (idxs[-1],))) | _gap_edges(u, rest, sec)
 
-    j, edges = rec(list(u.domain))
-    return tuple(j), Flow(frozenset(edges))
+    j_set, edges = rec(list(u.domain))
+    return j_set[-1], Flow(frozenset(edges))
 
 
 def split_index(u: SignMap) -> int:
@@ -314,10 +315,10 @@ def validate_certificate(lam: Weight, cert) -> bool:
     u = r_beta(lam, beta)
     i, j = cert.index, cert.j
     if cert.case_tag in ("a", "b"):
-        rep = flow_analyze(cert.flow, restrict(u, seg_oc(i, j)))
+        rep = flow_analyze(cert.flow, restrict(u, seg_oc(i, j)).values)
         shape_ok = rep.is_flow and rep.coherent and not rep.fully_coherent
     else:
-        rep = flow_analyze(cert.flow, restrict(u, seg_oo(i, j)))
+        rep = flow_analyze(cert.flow, restrict(u, seg_oo(i, j)).values)
         shape_ok = rep.is_flow and rep.fully_coherent
     rng = seg_oc(i, j) if cert.case_tag in ("a", "b") else seg_oo(i, j)
     c = _residue_product(lam, beta, [t for t in rng if t not in cert.flow.sources()])
@@ -334,7 +335,7 @@ def validate_step(lam: Weight, step) -> bool:
         closed = th == "T6.1.3"
         dom = seg_oc(i, n) if closed else seg_oo(i, n)
         u = restrict(r_beta(lam, beta), dom)
-        rep = flow_analyze(d["flow"], u)
+        rep = flow_analyze(d["flow"], u.values)
         both = congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
         return (
             plus_count(reduced_product(u)) == 0
@@ -346,7 +347,7 @@ def validate_step(lam: Weight, step) -> bool:
     if th == "T6.3.3":
         i = d["i"]
         u = restrict(r_beta(lam, 0), seg_oc(i, n))
-        rep = flow_analyze(d["resolution"], u)
+        rep = flow_analyze(d["resolution"], u.values)
         return (
             plus_count(reduced_product(u)) == 1
             and congruent(lam.entry(i), 1, p)
@@ -358,7 +359,7 @@ def validate_step(lam: Weight, step) -> bool:
     if th == "T6.4.2":
         h, i = d["h"], d["i"]
         u = restrict(r_beta(lam, 0), seg_oc(h, i))
-        rep = flow_analyze(d["flow"], u)
+        rep = flow_analyze(d["flow"], u.values)
         return (
             congruent(lam.entry(h), 0, p)
             and congruent(lam.entry(i), 1, p)
@@ -370,7 +371,7 @@ def validate_step(lam: Weight, step) -> bool:
     if th == "T6.5.2":
         h, i, beta = d["h"], d["i"], d["beta"]
         u = restrict(r_beta(lam, beta), seg_oc(h, i))
-        rep = flow_analyze(d["flow"], u)
+        rep = flow_analyze(d["flow"], u.values)
         hyp = not congruent(lam.entry(i), 0, p) and not (
             congruent(lam.entry(h), 0, p) and congruent(lam.entry(i), 1, p)
         )
@@ -386,8 +387,8 @@ def validate_step(lam: Weight, step) -> bool:
         h, i = d["h"], d["i"]
         u = r_beta(lam, 0)
         u_closed = restrict(u, seg_oc(h, i))
-        rep_gamma = flow_analyze(d["flow"], restrict(u, range(h, i + 1)))
-        rep_delta = flow_analyze(d["weak_flow"], u_closed)
+        rep_gamma = flow_analyze(d["flow"], restrict(u, range(h, i + 1)).values)
+        rep_delta = flow_analyze(d["weak_flow"], u_closed.values)
         return (
             plus_count(reduced_product(u_closed)) == 1
             and congruent(lam.entry(h), 1, p)
@@ -405,8 +406,8 @@ def validate_step(lam: Weight, step) -> bool:
 # -- certificates and plans by the dense route ---------------------------------------
 # the library's builder route before its scans took bare slices of the word
 # and stopped where the flow closes: every builder restricts the dense
-# r_beta to its whole range (i..n, h..i) and hands it to the public builders
-# on a SignMap, which scan the range in full and check their preconditions
+# r_beta to its whole range (i..n, h..i) and hands its pairs to the public
+# builders, which scan the range in full and check their preconditions
 
 
 def _leftover_set(dom, flow: Flow, odds=()) -> SignedSet:
@@ -422,15 +423,14 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     pluses = _pc(u, u.domain)
     if pluses >= (2 if beta == 0 else 1):
         tag = "b" if beta == 0 else "a"
-        j_set, flow = lib.partial_flow(u)
-        j = max(j_set)
+        j, flow = lib.partial_flow(u.values)
         m_set = _leftover_set(seg_oc(i, j), flow, odds=[j + 1])
     else:
         if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
-            tag, j = "c", lib.lead_plus_index(u)
+            tag, j = "c", lib.lead_plus_index(u.values)
         else:
             tag, j = "d", n
-        flow = lib.build_full_flow(restrict(u, seg_oo(i, j)))
+        flow = lib.build_full_flow(restrict(u, seg_oo(i, j)).values)
         m_set = _leftover_set(seg_oo(i, j), flow, odds=[j])
     return Certificate(tag, i, j, flow, m_set, _residue_product(lam, beta, m_set.evens))
 
@@ -440,7 +440,7 @@ def _base_step(lam: Weight, i: int) -> PlanStep:
     u = r_beta(lam, beta)
     closed = bool(minus_count(reduce_seq(product_of(u, seg_oo(i, n)))))
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
-    flow = lib.build_full_flow(restrict(u, dom))
+    flow = lib.build_full_flow(restrict(u, dom).values)
     return PlanStep("T6.1.3" if closed else "T6.2.3", {
         "i": i, "beta": beta, "flow": flow,
         "M": _leftover_set(dom, flow, odds=[] if closed else [n])})
@@ -448,7 +448,7 @@ def _base_step(lam: Weight, i: int) -> PlanStep:
 
 def _extension_flow_step(lam: Weight, theorem: str, h: int, i: int) -> PlanStep:
     beta = lam.residue(i)
-    flow = lib.build_full_flow(restrict(r_beta(lam, beta), seg_oc(h, i)))
+    flow = lib.build_full_flow(restrict(r_beta(lam, beta), seg_oc(h, i)).values)
     m_set = (_leftover_set(seg_oo(h, i), flow, odds=[i]) if theorem == "T6.4.2"
              else _leftover_set(seg_oc(h, i), flow))
     return PlanStep(theorem, {"h": h, "i": i, "beta": beta, "flow": flow, "M": m_set})
@@ -459,10 +459,10 @@ def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
     chained from h to i, and the fully coherent flows between."""
     v = restrict(r_beta(lam, 0), seg_oo(h, i))
     if _pc(v, v.domain):
-        sec = lib.section_of(v)
-        pieces = {(a, b) for a, b in lib.resolution_of(v).edges if a != b}
+        sec = lib.section_of(v.values)
+        pieces = {(a, b) for a, b in lib.resolution_of(v.values).edges if a != b}
     else:
-        sec, pieces = (), set(lib.build_full_flow(v).edges)
+        sec, pieces = (), set(lib.build_full_flow(v.values).edges)
     chain = (h,) + sec + (i,)
     gamma = Flow(frozenset(pieces | set(zip(chain, chain[1:]))))
     delta = Flow(frozenset(pieces | {(a, a) for a in sec + (i,)}))
@@ -479,12 +479,12 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
         return ConstructionPlan((_base_step(lam, i),))
     if not congruent(lam.entry(n), -1, p):
         closed = seg_oc(i, n)
-        delta = lib.resolution_of(restrict(u, closed))
+        delta = lib.resolution_of(restrict(u, closed).values)
         q = max(a for a, b in delta.edges if a == b)
         return ConstructionPlan((PlanStep("T6.3.3", {
             "i": i, "beta": 0, "resolution": delta, "q": q,
             "M": _leftover_set(closed, delta, odds=[q])}),))
-    a = lib.section_of(restrict(u, seg_oo(i, n)))[-1]
+    a = lib.section_of(restrict(u, seg_oo(i, n)).values)[-1]
     return ConstructionPlan((_base_step(lam, a), _joined_extension_step(lam, i, a)))
 
 
@@ -500,12 +500,12 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         if one_mod:
             return ConstructionPlan((_extension_flow_step(lam, theorem, h, i),))
-        a = lib.split_index(restrict(u, seg_oo(h, i)))
+        a = lib.split_index(restrict(u, seg_oo(h, i)).values)
         return ConstructionPlan((_joined_extension_step(lam, a, i),
                                  _extension_flow_step(lam, theorem, h, a)))
     if not one_mod:
         return ConstructionPlan((_joined_extension_step(lam, h, i),))
-    a = lib.section_of(restrict(u, seg_oc(h, i)))[-1]
+    a = lib.section_of(restrict(u, seg_oc(h, i)).values)[-1]
     return ConstructionPlan((_extension_flow_step(lam, "T6.4.2", a, i),
                              _joined_extension_step(lam, h, a)))
 

@@ -553,6 +553,35 @@ def test_planners_match_recorded_output_with_one_sign_map_per_plan(p):
     assert digest == PLANNER_DIGESTS[p]
 
 
+def test_the_index_layer_calls_the_public_flow_scans(monkeypatch):
+    # a tracer that wraps sigseq's public names where `indices` imported
+    # them counts the flow work only if `indices` calls those names
+    names = ("build_full_flow", "partial_flow", "resolution_of", "split_index", "flow_analyze")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(indices, name, counted(name, getattr(indices, name)))
+    for p in sorted(PLANNER_DIGESTS):
+        for lam in _planner_weights(p):
+            normals = {c.index for c in classify_indices(lam) if c.normal}
+            for i in range(1, lam.n):
+                if i in normals:
+                    assert validate_plan(lam, primitive_plan(lam, i))
+                else:
+                    assert validate_certificate(lam, non_normal_certificate(lam, i))
+            for h in sorted(normals):
+                for i in range(h + 1, lam.n):
+                    if lam.residue(h) == lam.residue(i):
+                        assert validate_plan(lam, extension_plan(lam, h, i))
+    assert all(calls.values()), calls
+
+
 _T6 = ("T6.1.3", "T6.2.3", "T6.3.3", "T6.4.2", "T6.5.2", "T6.6.2")
 
 
@@ -721,7 +750,7 @@ def _out_of_range(lam: Weight, step: PlanStep):
     u = r_beta(lam, d["beta"])
     for data, dom in moves:
         try:
-            flow = build_full_flow(definitional.restrict(u, dom))
+            flow = build_full_flow(definitional.restrict(u, dom).values)
         except NotAllMinus:
             continue
         m_set = SignedSet.of(evens=set(dom) - flow.sources(), odds=() if closed else [n])
@@ -743,7 +772,7 @@ def _other_betas(lam: Weight, step: PlanStep):
     betas = range(lam.p) if lam.p else {res_p(x + e, 0) for x in lam.parts for e in (0, 1)}
     for beta in sorted(set(betas) - {d["beta"]}):
         try:
-            flow = build_full_flow(definitional.restrict(r_beta(lam, beta), dom))
+            flow = build_full_flow(definitional.restrict(r_beta(lam, beta), dom).values)
         except NotAllMinus:
             continue
         m_set = SignedSet.of(evens=set(dom) - flow.sources(), odds=odds)
@@ -768,10 +797,10 @@ def _j_at_n(lam: Weight, i: int):
     the partial flow on (i..n] ends at n."""
     n, beta = lam.n, lam.residue(i)
     try:
-        j_set, flow = partial_flow(definitional.restrict(r_beta(lam, beta), seg_oc(i, n)))
+        j, flow = partial_flow(definitional.restrict(r_beta(lam, beta), seg_oc(i, n)).values)
     except PreconditionFailed:
         return
-    if max(j_set) == n:
+    if j == n:
         m_set = SignedSet.of(evens=set(seg_oc(i, n)) - flow.sources(), odds=[n + 1])
         yield "j=n", Certificate("b" if beta == 0 else "a", i, n, flow, m_set,
                                  _scalar(lam, i, m_set))

@@ -83,82 +83,85 @@ def test_minus_w0_examples():
 
 def test_flow_analyze_examples():
     u = SignMap("single", {1: "-", 2: "+"})
-    rep = flow_analyze(Flow(frozenset({(1, 2)})), u)
+    rep = flow_analyze(Flow(frozenset({(1, 2)})), u.values)
     assert rep.is_flow and rep.coherent and rep.fully_coherent and not rep.buds
 
     u2 = SignMap("pair", {1: "+-"})
-    rep2 = flow_analyze(Flow(frozenset({(1, 1)})), u2)
+    rep2 = flow_analyze(Flow(frozenset({(1, 1)})), u2.values)
     assert rep2.is_weak_flow and not rep2.is_flow
 
     u3 = SignMap("single", {1: "-"})
-    rep3 = flow_analyze(Flow(frozenset()), u3)
+    rep3 = flow_analyze(Flow(frozenset()), u3.values)
     assert rep3.is_flow and rep3.coherent and rep3.fully_coherent
     assert rep3.buds == frozenset({1})
 
     # an edge outside the domain makes a report that fails every flow test
-    rep4 = flow_analyze(Flow(frozenset({(1, 2)})), SignMap("single", {2: "+", 3: "-"}))
+    rep4 = flow_analyze(Flow(frozenset({(1, 2)})), ((2, "+"), (3, "-")))
     assert not any(test(rep4) for test in indices._TESTS.values())
 
 
 def test_build_full_flow_examples():
     u = SignMap("single", {1: "-", 2: "+"})
-    assert build_full_flow(u).edges == frozenset({(1, 2)})
+    assert build_full_flow(u.values).edges == frozenset({(1, 2)})
 
     v = SignMap("pair", {1: "--"})
-    g = build_full_flow(v)
+    g = build_full_flow(v.values)
     assert g.edges == frozenset()
-    assert flow_analyze(g, v).buds == frozenset({1})
+    assert flow_analyze(g, v.values).buds == frozenset({1})
 
     w = SignMap("pair", {1: "--", 2: "++"})
-    g2 = build_full_flow(w)
+    g2 = build_full_flow(w.values)
     assert g2.edges == frozenset({(1, 2)})
-    assert not flow_analyze(g2, w).buds
+    assert not flow_analyze(g2, w.values).buds
 
     with pytest.raises(NotAllMinus):
-        build_full_flow(SignMap("single", {1: "+"}))
+        build_full_flow(((1, "+"),))
 
 
 def test_split_index_examples():
-    assert split_index(SignMap("pair", {1: "--"})) == 1
-    assert split_index(SignMap("pair", {1: "--", 2: "+-"})) == 1
+    assert split_index(((1, "--"),)) == 1
+    assert split_index(((1, "--"), (2, "+-"))) == 1
     with pytest.raises(PreconditionFailed):
-        split_index(SignMap("pair", {1: "+-", 2: "--"}))
+        split_index(((1, "+-"), (2, "--")))
+    # single values have no --: the scan finds no split, whatever the mode
+    with pytest.raises(PreconditionFailed, match="no unmatched -- index"):
+        split_index(((1, "-"), (2, "-")))
 
 
 def test_lead_plus_examples():
-    assert lead_plus_index(SignMap("pair", {1: "+-"})) == 1
-    assert lead_plus_index(SignMap("pair", {1: "--", 2: "++", 3: "+-"})) == 3
-    assert lead_plus_index(SignMap("pair", {1: "+-", 2: "--"})) == 1
+    assert lead_plus_index(((1, "+-"),)) == 1
+    assert lead_plus_index(((1, "--"), (2, "++"), (3, "+-"))) == 3
+    assert lead_plus_index(((1, "+-"), (2, "--"))) == 1
 
 
 def test_section_examples():
-    assert section_of(SignMap("pair", {1: "+-"})) == (1,)
-    assert section_of(SignMap("pair", {1: "+-", 2: "+-"})) == (1, 2)
-    assert section_of(SignMap("pair", {1: "--", 2: "++", 3: "+-"})) == (3,)
+    assert section_of(((1, "+-"),)) == (1,)
+    assert section_of(((1, "+-"), (2, "+-"))) == (1, 2)
+    assert section_of(((1, "--"), (2, "++"), (3, "+-"))) == (3,)
 
 
 def test_resolution_examples():
-    assert resolution_of(SignMap("pair", {1: "+-"})).edges == frozenset({(1, 1)})
-    assert resolution_of(
-        SignMap("pair", {1: "--", 2: "++", 3: "+-"})
-    ).edges == frozenset({(1, 2), (3, 3)})
-    assert resolution_of(
-        SignMap("pair", {1: "+-", 2: "--", 3: "++"})
-    ).edges == frozenset({(1, 1), (2, 3)})
+    assert resolution_of(((1, "+-"),)).edges == frozenset({(1, 1)})
+    assert resolution_of(((1, "--"), (2, "++"), (3, "+-"))).edges == frozenset({(1, 2), (3, 3)})
+    assert resolution_of(((1, "+-"), (2, "--"), (3, "++"))).edges == frozenset({(1, 1), (2, 3)})
 
 
 def test_partial_flow_examples():
-    j, g = partial_flow(SignMap("single", {1: "+"}))
-    assert j == (1,) and g.edges == frozenset()
-    j2, g2 = partial_flow(SignMap("pair", {1: "++"}))
-    assert j2 == (1,) and g2.edges == frozenset()
-    u = SignMap("pair", {1: "--", 2: "++", 3: "++"})
+    j, g = partial_flow(((1, "+"),))
+    assert j == 1 and g.edges == frozenset()
+    j2, g2 = partial_flow(((1, "++"),))
+    assert j2 == 1 and g2.edges == frozenset()
+    u = ((1, "--"), (2, "++"), (3, "++"), (4, "--"))
     j3, g3 = partial_flow(u)
-    assert j3 == (1, 2, 3)
-    rep = flow_analyze(g3, u)
+    assert j3 == 3
+    rep = flow_analyze(g3, u[:3])
     assert rep.is_flow and rep.coherent and not rep.fully_coherent and not rep.buds
+    # from position k on: the ++ at 3 ends J = {3} alone
+    assert partial_flow(u, 2) == (3, Flow())
     with pytest.raises(PreconditionFailed):
-        partial_flow(SignMap("single", {1: "-"}))
+        partial_flow(((1, "-"),))
+    with pytest.raises(PreconditionFailed):
+        partial_flow(((1, "+-"), (2, "--")))  # one plus: a section, no J
 
 
 marked = st.lists(
@@ -259,9 +262,9 @@ def test_scans_match_recursive_oracles():
         for build, holds, error, key in builders:
             if not holds:
                 with pytest.raises(error):
-                    build(u)
+                    build(u.values)
                 continue
-            assert build(u) == getattr(definitional, build.__name__)(u)
+            assert build(u.values) == getattr(definitional, build.__name__)(u)
             if key:
                 seen[key] += 1
     assert min(seen.values()) >= 300, seen
@@ -271,15 +274,15 @@ def test_section_scan_on_long_plus_led_maps():
     # every value +- : each index is a section index; the scan must not
     # recurse, so a domain past the recursion limit is fine
     u = SignMap("pair", {i: "+-" for i in range(1, 3001)})
-    assert section_of(u) == tuple(range(1, 3001))
-    assert lead_plus_index(u) == 1
-    assert resolution_of(u).edges == {(i, i) for i in range(1, 3001)}
+    assert section_of(u.values) == tuple(range(1, 3001))
+    assert lead_plus_index(u.values) == 1
+    assert resolution_of(u.values).edges == {(i, i) for i in range(1, 3001)}
     v = SignMap("pair", {i: ("--" if i % 2 else "++") for i in range(1, 3001)})
-    assert build_full_flow(v).edges == {(i, i + 1) for i in range(1, 3001, 2)}
+    assert build_full_flow(v.values).edges == {(i, i + 1) for i in range(1, 3001, 2)}
     # the section 1..2999 is chained to the ++ at 3000, which ends J
     w = SignMap("pair", {**{i: "+-" for i in range(1, 3000)}, 3000: "++", 3001: "--"})
-    j, g = partial_flow(w)
-    assert j == tuple(range(1, 3001)) and g.edges == {(i, i + 1) for i in range(1, 3000)}
+    j, g = partial_flow(w.values)
+    assert j == 3000 and g.edges == {(i, i + 1) for i in range(1, 3000)}
 
 
 def _all_maps(mode: str, max_size: int):
@@ -336,9 +339,9 @@ def test_split_index_scan_matches_recursive_oracle():
         if not red or plus_count(red):
             text = f"[prod u] = {signs(red)} is not -^m with m > 0"
             with pytest.raises(PreconditionFailed, match=re.escape(text)):
-                split_index(u)
+                split_index(u.values)
         else:
-            assert split_index(u) == definitional.split_index(u), u
+            assert split_index(u.values) == definitional.split_index(u), u
     rng = random.Random(2718)
     seen = 0
     for _ in range(6000):
@@ -346,9 +349,9 @@ def test_split_index_scan_matches_recursive_oracle():
         red = reduced_product(u)
         if not red or plus_count(red):
             with pytest.raises(PreconditionFailed):
-                split_index(u)
+                split_index(u.values)
             continue
-        assert split_index(u) == definitional.split_index(u)
+        assert split_index(u.values) == definitional.split_index(u)
         seen += 1
     assert seen >= 300, seen
 
@@ -356,11 +359,11 @@ def test_split_index_scan_matches_recursive_oracle():
 def test_split_index_on_a_long_map():
     # a recursion per domain index would pass the recursion limit here
     u = SignMap("pair", {1: "--", **{i: "" for i in range(2, 1500)}})
-    assert split_index(u) == 1
+    assert split_index(u.values) == 1
     v = SignMap("pair", {i: ("--" if i <= 750 else "++") for i in range(1, 1501)})
     with pytest.raises(PreconditionFailed):
-        split_index(v)  # the product reduces to the empty word
+        split_index(v.values)  # the product reduces to the empty word
     # for 2 <= a <= 751 the suffix after the -- at a reduces to +^(2a - 4),
     # so 2 is the last -- whose suffix has at most one plus
     w = SignMap("pair", {i: ("--" if i <= 751 else "++") for i in range(1, 1501)})
-    assert split_index(w) == 2
+    assert split_index(w.values) == 2
