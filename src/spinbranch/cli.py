@@ -13,7 +13,7 @@ from . import crystal as cr
 from . import indices as ix
 from . import verify as vf
 from .core import InvalidCharacteristic, Weight, check_characteristic
-from .sigseq import r_beta, seq_to_list
+from .sigseq import seq_to_list
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() alone also takes 1_0 and non-ASCII digits
 _parser = None  # main's own parser: built on its first call, never handed out
@@ -52,8 +52,10 @@ def _weight_report(lam: Weight) -> dict:
         indices.append(entry)
     r_maps = {}
     signatures = {}
+    empty = dict.fromkeys(map(str, range(1, lam.n + 1)), "")  # each r_beta: its word, "" elsewhere
     for beta, red in ix.residue_reductions(lam).items():
-        r_maps[str(beta)] = r_beta(lam, beta).to_dict()
+        values = {**empty, **{str(t): v for t, v in red.word}}
+        r_maps[str(beta)] = {"mode": "single" if beta else "pair", "values": values}
         signatures[str(beta)] = seq_to_list(red.reduced)
     return {"indices": indices, "r_maps": r_maps, "reduced_signatures": signatures}
 
@@ -183,6 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     global _parser
+    if hasattr(sys, "set_int_max_str_digits"):  # at p = 0 a certificate's c may be long
+        sys.set_int_max_str_digits(0)
     _parser = _parser or build_parser()
     args = _parser.parse_args(argv)
     try:

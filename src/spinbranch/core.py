@@ -54,11 +54,10 @@ def congruent(a: int, b: int, p: int) -> bool:
 
 
 def _trusted(cls, **fields):
-    """A frozen `cls` instance with these attributes, skipping the checks of
-    `__post_init__`: only for fields read off an already valid instance."""
+    """A frozen `cls` instance with these fields in one dict write: only for
+    values read off valid ones, or for records with no `__post_init__`."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

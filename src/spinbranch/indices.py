@@ -129,16 +129,19 @@ def _reduce(lam: Weight, beta: int, word: tuple) -> ResidueReduction:
     at = {t: k for k, (t, _) in enumerate(word)}
     head = word[:at.get(lam.n, len(word))]
     shapes = suffix_shapes(head)
-    gaps = {t: after for (t, _), after in zip(head, shapes[1:])}
-    normal = frozenset(t for (t, _), before, after in zip(head, shapes, shapes[1:]) if
-                       before[1] > after[1] and not (after == (0, 0) and _zero_boundary(lam, t)))
+    gaps, normal = {}, []  # normal, minus and plus come in index order
+    for (t, _), before, after in zip(head, shapes, shapes[1:]):
+        gaps[t] = after
+        if before[1] > after[1] and not (after == (0, 0) and _zero_boundary(lam, t)):
+            normal.append(t)
     reduced = reduce_seq(_product(word))
-    minus = frozenset(m for s, m in reduced if s == MINUS)
-    plus = frozenset(m for s, m in reduced if s == PLUS)
-    return ResidueReduction(beta, reduced, minus, plus, normal,
-                            min(normal, default=None), min(minus, default=None),
-                            max(plus, default=None), MappingProxyType(gaps), word,
-                            MappingProxyType(at))
+    minus = [m for s, m in reduced if s == MINUS]
+    plus = [m for s, m in reduced if s == PLUS]
+    return _trusted(ResidueReduction, beta=beta, reduced=reduced, tensor_normal=frozenset(minus),
+                    tensor_conormal=frozenset(plus), normal=frozenset(normal),
+                    good=normal[0] if normal else None, tensor_good=minus[0] if minus else None,
+                    tensor_cogood=plus[-1] if plus else None, gaps=MappingProxyType(gaps),
+                    word=word, at=MappingProxyType(at))
 
 
 def _slice(word: tuple, dom: range) -> tuple:
@@ -156,16 +159,10 @@ def residue_reductions(lam: Weight) -> dict[int, ResidueReduction]:
 def _classify(i: int, own: ResidueReduction, up: ResidueReduction) -> IndexClassification:
     """Index i's flags from the reductions at its residue (own) and at the
     residue of its entry + 1 (up)."""
-    return IndexClassification(
-        index=i,
-        residue=own.beta,
-        tensor_normal=i in own.tensor_normal,
-        normal=i in own.normal,
-        tensor_conormal=i in up.tensor_conormal,
-        good=i == own.good,
-        tensor_good=i == own.tensor_good,
-        tensor_cogood=i == up.tensor_cogood,
-    )
+    return _trusted(IndexClassification, index=i, residue=own.beta,
+                    tensor_normal=i in own.tensor_normal, normal=i in own.normal,
+                    tensor_conormal=i in up.tensor_conormal, good=i == own.good,
+                    tensor_good=i == own.tensor_good, tensor_cogood=i == up.tensor_cogood)
 
 
 def classify_indices(lam: Weight) -> tuple[IndexClassification, ...]:
@@ -265,7 +262,8 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
         else:
             raise UnreachableCase(f"no certificate case matched for {lam.parts}, i={i}")
         m_set = _leftovers(seg_oo(i, j), flow, odds=[j])
-    return Certificate(tag, i, j, flow, m_set, _residue_product(lam, beta, m_set.evens))
+    return _trusted(Certificate, case_tag=tag, index=i, j=j, flow=flow, m_set=m_set,
+                    c=_residue_product(lam, beta, m_set.evens))
 
 
 def _leftovers(dom, flow: Flow, odds=()) -> SignedSet:

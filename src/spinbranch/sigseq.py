@@ -260,7 +260,8 @@ def flow_analyze(g: Flow, pairs) -> FlowReport:
             and all(a <= b for a, b in edges))
     strict = weak and all(a < b for a, b in edges)
     coherent = srcs <= minus and tgts <= plus
-    return FlowReport(weak, strict, coherent, coherent and plus <= tgts, frozenset(minus - srcs))
+    return _trusted(FlowReport, is_weak_flow=weak, is_flow=strict, coherent=coherent,
+                    fully_coherent=coherent and plus <= tgts, buds=frozenset(minus - srcs))
 
 
 def build_full_flow(pairs) -> Flow:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -443,7 +444,10 @@ def _ends_of(s: frozenset) -> list[frozenset]:
     return [frozenset(items[k:]) for k in range(len(items) + 1)]
 
 
-def _injections(sources, targets, floor):
+def _injections(sources, targets, floor, skip=0):
+    """The injections phi of sources into targets with phi(t) >= floor[t], in
+    one fixed order, from the skip-th on: a branch that lies wholly before
+    it is counted, not built."""
     sources = list(sources)
     if not sources:
         yield {}
@@ -451,8 +455,20 @@ def _injections(sources, targets, floor):
     t = sources[0]
     for img in targets:
         if img >= floor[t]:
-            for rest in _injections(sources[1:], [u for u in targets if u != img], floor):
-                yield {t: img, **rest}
+            rest = [u for u in targets if u != img]
+            if skip and skip >= (n := _count_injections(sources[1:], rest, floor)):
+                skip -= n
+                continue
+            for phi in _injections(sources[1:], rest, floor, skip):
+                yield {t: img, **phi}
+            skip = 0
+
+
+def _count_injections(sources, targets, floor) -> int:
+    """How many maps `_injections` yields: the targets at or above each floor
+    are nested, so the k-th highest floor has its own less the k taken above."""
+    floors = sorted((floor[t] for t in sources), reverse=True)
+    return math.prod(max(0, sum(u >= f for u in targets) - k) for k, f in enumerate(floors))
 
 
 def _f_of(i, j, d, lvals, s):
@@ -521,10 +537,10 @@ def _lin_reduce_sampled(rep: VerdictReport, rng: random.Random, i: int,
         ends = _ends_of(s)
         r = ends[rng.randrange(len(ends))]
         floor = {t: t + lvals[t - i - 1] for t in r}
-        injections = list(_injections(sorted(r), pool, floor))
-        if not injections:
+        count = _count_injections(r, pool, floor)
+        if not count:
             continue
-        phi = injections[rng.randrange(len(injections))]
+        phi = next(_injections(sorted(r), pool, floor, rng.randrange(count)))
         _lin_reduce_case(rep, i, j, d, lvals, s, r, phi, _f_of)
         done += 1
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import spinbranch
 from spinbranch import cli
 from spinbranch import verify as vf
 from spinbranch.cli import main
+from spinbranch.core import Weight
+from test_kernel_oracle import fresh
 
 
 def run_cli(capsys, *argv):
@@ -373,6 +376,29 @@ def test_weight_reports_are_byte_identical(tmp_path, p, weight):
     assert main(["analyze", "--p", str(p), "--weight=" + weight, "--out", str(out)]) == 0
     digest = hashlib.sha256(indented(out.read_text()).encode()).hexdigest()[:16]
     assert digest == WEIGHT_REPORT_DIGESTS[(p, weight)]
+
+
+def test_a_long_weight_at_p_0_prints_and_reads_back():
+    # at p = 0 a certificate's scalar c is exact: at n = 1 000 the longest
+    # has 4 839 digits, past the interpreter's default limit of 4 300 for
+    # int-str conversion, which `main` lifts for its own process.  A Python
+    # reader needs the same call; the library's report is what reads back
+    rng = random.Random(1)
+    parts = [rng.randint(-1000, 1000) for _ in range(1000)]
+    script = "import sys; from spinbranch.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = fresh(script, "analyze", "--p", "0", "--weight=" + ",".join(map(str, parts)))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        report = json.loads(out)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert max(abs(e["certificate"]["c"]) for e in report["indices"]
+               if "certificate" in e) > 10 ** 4300
+    want = {"p": 0, "input": {"kind": "weight", "parts": parts}}
+    assert report == {**want, **cli._weight_report(Weight(tuple(parts), 0))}
 
 
 @pytest.mark.parametrize("argv", [

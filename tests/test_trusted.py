@@ -3,28 +3,43 @@ checks of `__post_init__`.  These tests hold each such method to the public
 constructor: equal objects with equal hashes and attributes on valid input,
 and every bad-input error still raised."""
 import random
+from collections import Counter
 
 import pytest
 
 import definitional
+import spinbranch
 from definitional import partitions_of, restrict
-from spinbranch import sigseq
+from spinbranch import indices, sigseq
 from spinbranch.core import DeltaFunction, InvalidCharacteristic, SignedSet, Weight, seg_oo
 from spinbranch.crystal import NotPStrict, PStrictPartition, p_strict_violation
 from spinbranch.indices import (
+    Certificate,
+    IndexClassification,
+    ResidueReduction,
     classify_indices,
     extension_plan,
     non_normal_certificate,
     primitive_plan,
     residue_reductions,
+    validate_certificate,
+    validate_plan,
     _slice,
 )
-from spinbranch.sigseq import Flow, SignMap, r_beta, r_words
+from spinbranch.sigseq import Flow, FlowReport, SignMap, r_beta, r_words
 from test_indices import _planner_weights
 
 
+def _hash(value):
+    # a record with a read-only mapping field (`ResidueReduction`) has no hash
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return type(exc)
+
+
 def same(trusted, public):
-    assert trusted == public and hash(trusted) == hash(public)
+    assert trusted == public and _hash(trusted) == _hash(public)
     assert vars(trusted) == vars(public)
     for name, value in vars(public).items():
         assert type(vars(trusted)[name]) is type(value), name
@@ -105,23 +120,33 @@ def test_word_slices_match_the_constructor():
                     assert tail == tuple((t, v) for t, v in dense.values if v), (lam, beta, i)
 
 
+def _index_layer(lam):
+    """The classification of lam, the certificate of every non-normal index
+    and every primitive and extension plan, each passing its re-check."""
+    classes = classify_indices(lam)
+    normals = {c.index for c in classes if c.normal}
+    certs, plans = [], []
+    for i in range(1, lam.n):
+        if i in normals:
+            plans.append(primitive_plan(lam, i))
+            plans += [extension_plan(lam, h, i) for h in sorted(normals)
+                      if h < i and lam.residue(h) == lam.residue(i)]
+        else:
+            certs.append(non_normal_certificate(lam, i))
+    assert all(validate_certificate(lam, cert) for cert in certs)
+    assert all(validate_plan(lam, plan) for plan in plans)
+    return classes, certs, plans
+
+
 def test_scans_and_leftovers_match_the_constructors():
     # the flows of the scans and the sets M of `_leftovers` are built by
     # `_trusted`: each equals its value built by the public constructor
     flows = sets = 0
     for p in (0, 3, 5, 7):
         for lam in _planner_weights(p):
-            normals = {c.index for c in classify_indices(lam) if c.normal}
-            payloads = []
-            for i in range(1, lam.n):
-                if i in normals:
-                    payloads += [step.data for step in primitive_plan(lam, i).steps]
-                    payloads += [step.data for h in sorted(normals) if h < i
-                                 and lam.residue(h) == lam.residue(i)
-                                 for step in extension_plan(lam, h, i).steps]
-                else:
-                    cert = non_normal_certificate(lam, i)
-                    payloads.append({"flow": cert.flow, "M": cert.m_set})
+            _, certs, plans = _index_layer(lam)
+            payloads = [step.data for plan in plans for step in plan.steps]
+            payloads += [{"flow": cert.flow, "M": cert.m_set} for cert in certs]
             for data in payloads:
                 for key in ("flow", "weak_flow", "resolution"):
                     if key in data:
@@ -130,6 +155,47 @@ def test_scans_and_leftovers_match_the_constructors():
                 same(data["M"], SignedSet(data["M"].evens, data["M"].odds))
                 sets += 1
     assert flows > 6000 and sets > 6000, (flows, sets)
+
+
+def test_index_records_match_the_constructors(monkeypatch):
+    # the classifications, reductions, certificates and flow reports of the
+    # index layer are built by `_trusted`; a reduction's first normal, first
+    # tensor normal and last tensor conormal index are read off index order
+    reports = []
+    real = indices.flow_analyze
+    monkeypatch.setattr(indices, "flow_analyze", lambda *a: reports.append(real(*a)) or reports[-1])
+    records = []
+    for p in (0, 3, 5, 7):
+        for lam in _planner_weights(p):
+            classes, certs, _ = _index_layer(lam)
+            records += [(cls, IndexClassification(**vars(cls))) for cls in classes]
+            records += [(red, ResidueReduction(**{
+                **vars(red), "good": min(red.normal, default=None),
+                "tensor_good": min(red.tensor_normal, default=None),
+                "tensor_cogood": max(red.tensor_conormal, default=None)}))
+                for red in residue_reductions(lam).values()]
+            records += [(cert, Certificate(**vars(cert))) for cert in certs]
+    records += [(report, FlowReport(**vars(report))) for report in reports]
+    for trusted, public in records:
+        same(trusted, public)
+    kinds = Counter(type(trusted).__name__ for trusted, _ in records)
+    assert len(kinds) == 4 and min(kinds.values()) > 1500, kinds
+
+
+def test_index_records_skip_their_generated_init(monkeypatch):
+    # with the generated `__init__` of each record the index layer derives
+    # raising, classification, every certificate and plan and their
+    # re-checks still run: those records come from `_trusted` alone
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.__init__ called")
+
+    for cls in (IndexClassification, ResidueReduction, Certificate, FlowReport):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    spinbranch.clear_caches()
+    for p in (0, 3, 5, 7):
+        for lam in _planner_weights(p):
+            _index_layer(lam)
+            residue_reductions(lam)
 
 
 @pytest.mark.parametrize(

@@ -108,12 +108,31 @@ def test_failures_are_reported_with_tags_and_both_sides(monkeypatch):
     assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == "01f37d002bb6aa0f"
 
 
+def test_a_drawn_injection_is_the_one_the_listing_has_there():
+    # `_lin_reduce_sampled` draws k below the count and builds only
+    # the k-th injection; it must be the map the full listing has at k, with
+    # its keys in the same order, since a case's tag prints it
+    rng = random.Random(5)
+    for _ in range(400):
+        i = rng.randint(0, 3)
+        pool = list(range(i + 1, i + rng.randint(1, 6) + 1))
+        r = sorted(rng.sample(pool, rng.randint(0, len(pool))))
+        floor = {t: t + rng.randint(0, 1) for t in r}
+        listing = list(verify._injections(r, pool, floor))
+        assert verify._count_injections(frozenset(r), pool, floor) == len(listing)
+        for k, phi in enumerate(listing):
+            drawn = next(verify._injections(r, pool, floor, k))
+            assert list(drawn.items()) == list(phi.items()), (r, floor, k)
+
+
 def test_lin_reduce_builds_each_f_once_and_only_when_asserted(monkeypatch):
     # cases, tags and verdicts pinned against the version that built f_poly
-    # for every (R, phi); f_poly is now built once per asserting (D, l, S)
-    calls = []
-    real = verify.f_poly
-    monkeypatch.setattr(verify, "f_poly", lambda *a: calls.append(a) or real(*a))
+    # for every (R, phi); f_poly is now built once per asserting (D, l, S),
+    # recorded as the (i, j, D, l, S) that `_f_of` is called with
+    calls, builds = [], []
+    real_f, real_poly = verify._f_of, verify.f_poly
+    monkeypatch.setattr(verify, "_f_of", lambda *a: calls.append(a) or real_f(*a))
+    monkeypatch.setattr(verify, "f_poly", lambda *a: builds.append(a) or real_poly(*a))
     tags = []
 
     class Recording(VerdictReport):
@@ -126,4 +145,4 @@ def test_lin_reduce_builds_each_f_once_and_only_when_asserted(monkeypatch):
     assert rep.cases == 269 and not rep.failures
     digest = hashlib.sha256(repr(tags).encode()).hexdigest()
     assert digest == "3964fd36fa764ccc77c1f3c56f7455f61dfac512188c825b8cc58bc8394b645b"
-    assert len(calls) == len(set(map(repr, calls))) == 163
+    assert len(calls) == len(set(calls)) == len(builds) == 163
