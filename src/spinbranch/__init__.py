@@ -41,7 +41,6 @@ from .raising import (
 )
 from .sigseq import (
     Flow,
-    SignMap,
     build_full_flow,
     flow_analyze,
     lead_plus_index,

@@ -92,7 +92,7 @@ class Weight:
 
     def entry(self, i: int) -> int:
         """1-based access: entry(1) = lambda_1."""
-        if not 1 <= i <= self.n:
+        if not 1 <= i <= len(self.parts):
             raise IndexError(f"index {i} out of range 1..{self.n}")
         return self.parts[i - 1]
 

@@ -3,7 +3,8 @@ dual variants), certificates of non-normality, and the combinatorial
 planners behind primitive-vector constructions and extensions.
 
 Everything here is driven by reductions of the sign maps r_beta(lambda),
-read only as the sparse words of `sigseq._words`: an index is tensor
+read only as the sparse words of `sigseq._words`, (index, value) pairs like
+every sign map, and multiplied out by `sigseq.product_of`: an index is tensor
 normal when its minus survives the full reduction, and normal (for i < n)
 when it survives the reduction over [1..n) and the boundary exception does
 not apply.  Every query reaches its reduction through `reduce_residue`,
@@ -39,12 +40,12 @@ from .sigseq import (
     build_full_flow,
     flow_analyze,
     partial_flow,
+    product_of,
     reduce_seq,
     resolution_of,
     split_index,
     suffix_shapes,
     _bud_scan,
-    _product,
     _words,
 )
 
@@ -118,7 +119,7 @@ def reduce_residue(lam: Weight, beta: int) -> ResidueReduction:
 def _zero_boundary(lam: Weight, i: int) -> bool:
     """The entry test of the boundary exception: lambda_i and lambda_n are
     both divisible by p."""
-    return congruent(lam.entry(i), 0, lam.p) and congruent(lam.entry(lam.n), 0, lam.p)
+    return congruent(lam.parts[i - 1], 0, lam.p) and congruent(lam.parts[-1], 0, lam.p)
 
 
 def _reduce(lam: Weight, beta: int, word: tuple) -> ResidueReduction:
@@ -134,7 +135,7 @@ def _reduce(lam: Weight, beta: int, word: tuple) -> ResidueReduction:
         gaps[t] = after
         if before[1] > after[1] and not (after == (0, 0) and _zero_boundary(lam, t)):
             normal.append(t)
-    reduced = reduce_seq(_product(word))
+    reduced = reduce_seq(product_of(word))
     minus = [m for s, m in reduced if s == MINUS]
     plus = [m for s, m in reduced if s == PLUS]
     return _trusted(ResidueReduction, beta=beta, reduced=reduced, tensor_normal=frozenset(minus),

@@ -364,7 +364,7 @@ def eval_at_weight(u: U0Element, lam: Weight) -> U0Element:
         for axis, idx in coeff.variables():
             if axis != "H":
                 raise IndexOutOfRange(f"unexpected axis {axis!r}")
-            if idx > lam.n:
+            if not 1 <= idx <= lam.n:
                 raise IndexOutOfRange(f"H_{idx} has no weight entry")
             assignment[(axis, idx)] = Polynomial.const(lam.entry(idx))
         value = coeff.substitute(assignment).constant_value() % p

@@ -6,14 +6,16 @@ A marked signature sequence is a tuple of (sign, mark) pairs with sign in
 canonical algorithm is a single left-to-right pass with a pending stack,
 which agrees with any erasure order (tested, not assumed).
 
-Every flow and section is read off one left-to-right bud scan (`_bud_scan`) of
-the (index, value) pairs each builder takes (`SignMap.values` or a word's
-slice); single or pair values are the mode.  The scan also answers each
-builder's precondition, so the reduction runs only to word an error; it may
-start inside a word and stop where its flow closes.  Every suffix shape is
-read off one right-to-left scan (`suffix_shapes`): the gap shapes behind
-normal indices and the split index; its forward twin (`last_free_plus`) gives
-the crystal's cogood rows.  `r_words` alone turns entries into r_beta marks:
+A sign map is a tuple of (index, value) pairs sorted by index, as `r_beta`
+returns it or as a slice of a word; single or pair values are the mode, and
+`product_of` is the one place its values become signs.  Every flow and
+section is read off one left-to-right bud scan (`_bud_scan`) of the pairs
+each builder takes.  The scan also answers each builder's precondition, so
+the reduction runs only to word an error; it may start inside a word and
+stop where its flow closes.  Every suffix shape is read off one
+right-to-left scan (`suffix_shapes`): the gap shapes behind normal indices
+and the split index; its forward twin (`last_free_plus`) gives the
+crystal's cogood rows.  `r_words` alone turns entries into r_beta marks:
 one pass per weight gives the sparse word of every residue, which a memo
 (`_words`) keeps and the index layer reads; `r_beta` is a dense view.
 """
@@ -29,7 +31,9 @@ Entry = tuple[int, int]  # (sign, mark), sign in {+1, -1}
 Seq = tuple[Entry, ...]
 
 PLUS, MINUS = 1, -1
+_SIGN = {"+": PLUS, "-": MINUS}
 
+# the two alphabets of a sign map's values
 SINGLE_VALUES = ("", "-", "+")
 PAIR_VALUES = ("", "--", "+-", "++")
 
@@ -92,59 +96,17 @@ def seq_to_list(u: Seq) -> list:
 # -- sign maps ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignMap:
-    """A map from a finite integer domain to short signature sequences.
-
-    mode 'single' allows values '', '-', '+'; mode 'pair' allows '', '--',
-    '+-', '++'.  Mixing modes is a construction error.  `values` may be
-    given as a dict or as (index, value) pairs, each index once; stored sorted.
-    """
-
-    mode: str
-    values: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        allowed = {"single": SINGLE_VALUES, "pair": PAIR_VALUES}.get(self.mode)
-        if allowed is None:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        by_index = {}  # a mapping is what dict() takes one for: it has keys
-        for i, v in self.values.items() if hasattr(self.values, "keys") else self.values:
-            if v not in allowed:
-                raise ValueError(f"value {v!r} not allowed in {self.mode} mode")
-            if (i := operator.index(i)) in by_index:
-                raise ValueError(f"index {i} given twice")
-            by_index[i] = v
-        object.__setattr__(self, "values", tuple(sorted(by_index.items())))
-        object.__setattr__(self, "_by_index", by_index)
-
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.values)
-
-    def value(self, i: int) -> str:
-        return self._by_index[i]
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "values": {str(i): v for i, v in self.values}}
-
-
-def product_of(u: SignMap, indices=None) -> Seq:
-    """Concatenate u_j over j in increasing order, marking entries with j."""
-    if indices is None:
-        return _product(u.values)
+def product_of(pairs) -> Seq:
+    """Concatenate the values of the (index, value) pairs in order, marking
+    each entry with its index.  A character other than + or - is an error."""
     try:
-        return _product([(j, u.value(j)) for j in sorted(indices)])
+        return tuple((_SIGN[ch], j) for j, v in pairs for ch in v)
     except KeyError as exc:
-        raise KeyError(f"{exc.args[0]} not in sign map domain") from None
+        raise ValueError(f"sign value character {exc.args[0]!r} is not + or -") from None
 
 
-def _product(pairs) -> Seq:
-    return tuple((PLUS if ch == "+" else MINUS, j) for j, v in pairs for ch in v)
-
-
-def reduced_product(u: SignMap, indices=None) -> Seq:
-    return reduce_seq(product_of(u, indices))
+def reduced_product(pairs) -> Seq:
+    return reduce_seq(product_of(pairs))
 
 
 def suffix_shapes(values) -> tuple[tuple[int, int], ...]:
@@ -209,15 +171,15 @@ def _words(lam: Weight) -> tuple[dict[int, tuple], dict]:
     return {beta: tuple(word) for beta, word in r_words(lam.parts, lam.p).items()}, {}
 
 
-def r_beta(lam: Weight, beta: int) -> SignMap:
-    """The sign map r_beta(lambda) on [1..n]: the word of beta in lambda's
-    `r_words`, the empty value elsewhere, in pair mode exactly at beta = 0.
-    beta is an integer, taken mod p; a float or a string is a TypeError."""
+def r_beta(lam: Weight, beta: int) -> tuple[tuple[int, str], ...]:
+    """The sign map r_beta(lambda) as its dense pairs over [1..n]: the word
+    of beta in lambda's `r_words`, the empty value elsewhere; pair values
+    exactly at beta = 0.  beta is an integer, taken mod p; a float or a
+    string is a TypeError."""
     beta = mod(operator.index(beta), lam.p)
     by_index = dict.fromkeys(range(1, lam.n + 1), "")
     by_index.update(_words(lam)[0].get(beta, ()))
-    return _trusted(SignMap, mode="single" if beta else "pair",
-                    values=tuple(by_index.items()), _by_index=by_index)
+    return tuple(by_index.items())
 
 
 # -- flows -------------------------------------------------------------------
@@ -270,7 +232,7 @@ def build_full_flow(pairs) -> Flow:
     Bud count m (single values) or m/2 (pair values)."""
     sec, edges, stop = _bud_scan(pairs)
     if sec or stop is not None:
-        raise NotAllMinus(f"[prod u] = {signs(reduce_seq(_product(pairs)))} contains a +")
+        raise NotAllMinus(f"[prod u] = {signs(reduced_product(pairs))} contains a +")
     return _trusted(Flow, edges=frozenset(edges))
 
 
@@ -338,7 +300,7 @@ def _section_scan(pairs) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     values have a +-)."""
     sec, edges, stop = _bud_scan(pairs)
     if not sec or stop is not None:
-        raise PreconditionFailed(f"[prod u] = {signs(reduce_seq(_product(pairs)))} is not +-^m")
+        raise PreconditionFailed(f"[prod u] = {signs(reduced_product(pairs))} is not +-^m")
     return sec, edges
 
 
@@ -360,7 +322,7 @@ def partial_flow(pairs, k: int = 0) -> tuple[int, Flow]:
     to j, and the stretches between carry the scan's fully coherent flows."""
     sec, edges, stop = _bud_scan(pairs, k)
     if stop is None:
-        raise PreconditionFailed(f"[prod u] = {signs(reduce_seq(_product(pairs[k:])))}: "
+        raise PreconditionFailed(f"[prod u] = {signs(reduced_product(pairs[k:]))}: "
                                  "no beginning reduces to + or ++")
     chain = sec + (stop,)
     return stop, _trusted(Flow, edges=frozenset(edges + list(zip(chain, chain[1:]))))

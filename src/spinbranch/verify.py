@@ -33,7 +33,6 @@ from .sigseq import (
     PLUS,
     SINGLE_VALUES,
     NotAllMinus,
-    SignMap,
     build_full_flow,
     flow_analyze,
     lead_plus_index,
@@ -167,19 +166,18 @@ def verify_flows(max_domain: int = 6) -> VerdictReport:
     for mode, alphabet in (("single", SINGLE_VALUES), ("pair", PAIR_VALUES)):
         for d in range(max_domain + 1):
             for vals in product(alphabet, repeat=d):
-                u = SignMap(mode, {k + 1: v for k, v in enumerate(vals)})
-                _flow_cases(rep, u)
+                _flow_cases(rep, mode, tuple(enumerate(vals, 1)))
     return rep.finish()
 
 
-def _flow_cases(rep: VerdictReport, u: SignMap):
-    mode = u.mode
-    tag = f"{mode}:{','.join(v or '.' for _, v in u.values)}"
+def _flow_cases(rep: VerdictReport, mode: str, u: tuple):
+    tag = f"{mode}:{','.join(v or '.' for _, v in u)}"
+    value = dict(u)
     red = reduced_product(u)
     s, r = plus_count(red), minus_count(red)
     if s == 0:
-        g = build_full_flow(u.values)
-        fa = flow_analyze(g, u.values)
+        g = build_full_flow(u)
+        fa = flow_analyze(g, u)
         want_buds = r if mode == "single" else r // 2
         rep.record(
             f"full-flow {tag}",
@@ -188,35 +186,34 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         )
     else:
         try:
-            build_full_flow(u.values)
+            build_full_flow(u)
             rep.record(f"full-flow-reject {tag}", False, "no error raised")
         except NotAllMinus:
             rep.record(f"full-flow-reject {tag}", True)
     if mode == "pair" and s == 0 and r > 0:
-        a = split_index(u.values)
-        tail = reduced_product(u, [k for k in u.domain if k > a])
-        head = reduced_product(u, [k for k in u.domain if k <= a])
+        a = split_index(u)
+        tail = reduced_product([(k, v) for k, v in u if k > a])
+        head = reduced_product([(k, v) for k, v in u if k <= a])
         ok = (
-            u.value(a) == "--"
+            value[a] == "--"
             and signs(tail) in ("", "+-")
             and signs(head) == "-" * r
         )
         rep.record(f"split {tag}", ok, f"a={a}")
     if mode == "pair" and s == 1 and red[0][0] == PLUS:
-        a = lead_plus_index(u.values)
-        prefix = reduced_product(u, [k for k in u.domain if k < a])
-        rep.record(f"lead {tag}", u.value(a) == "+-" and not prefix, f"a={a}")
-        sec = section_of(u.values)
-        ok = bool(sec) and all(u.value(k) == "+-" for k in sec)
+        a = lead_plus_index(u)
+        prefix = reduced_product([(k, v) for k, v in u if k < a])
+        rep.record(f"lead {tag}", value[a] == "+-" and not prefix, f"a={a}")
+        sec = section_of(u)
+        ok = bool(sec) and all(value[k] == "+-" for k in sec)
         bounds = (0,) + sec  # the domain starts at 1
         for lo, hi in zip(bounds, sec):
-            gap = [k for k in u.domain if lo < k < hi]
-            ok = ok and not reduced_product(u, gap)
-        tail = [k for k in u.domain if k > sec[-1]]
-        ok = ok and signs(reduced_product(u, tail)) == "-" * (r - 1)
+            ok = ok and not reduced_product([(k, v) for k, v in u if lo < k < hi])
+        tail = [(k, v) for k, v in u if k > sec[-1]]
+        ok = ok and signs(reduced_product(tail)) == "-" * (r - 1)
         rep.record(f"section {tag}", ok, str(sec))
-        res = resolution_of(u.values)
-        fa = flow_analyze(res, u.values)
+        res = resolution_of(u)
+        fa = flow_analyze(res, u)
         rep.record(
             f"resolution {tag}",
             fa.is_weak_flow and not fa.is_flow and fa.fully_coherent,
@@ -224,9 +221,9 @@ def _flow_cases(rep: VerdictReport, u: SignMap):
         )
     need = 1 if mode == "single" else 2
     if s >= need:
-        j, g = partial_flow(u.values)
-        uj = SignMap(mode, [(k, v) for k, v in u.values if k <= j])
-        j_set, fa = uj.domain, flow_analyze(g, uj.values)
+        j, g = partial_flow(u)
+        uj = tuple((k, v) for k, v in u if k <= j)
+        j_set, fa = tuple(k for k, _ in uj), flow_analyze(g, uj)
         want = "+" if mode == "single" else "++"
         ok = (
             signs(reduced_product(uj)) == want
@@ -634,7 +631,7 @@ def verify_duality(ps=(3, 5, 7), max_n: int = 6, samples: int = 10000,
             # rebuilt per index: an oracle for the one-pass classification
             u = r_beta(lam, lam.residue(i))
             full = reduced_product(u)
-            tail = reduced_product(u, range(i, n + 1))
+            tail = reduced_product(u[i - 1:])
             rep.check(
                 f"tail-shortcut {tag} i={i}",
                 any(s == MINUS and mk == i for s, mk in full),

@@ -18,12 +18,12 @@ and certificates are kept as they were before the statement table: one
 branch per construction, each building its own r_beta.  Nothing here
 reads the library's classification, scans, node routines or statement
 table, nor its r_beta or its words: r_beta is built here entry by entry,
-the oracle of the library's one pass per weight (`sigseq.r_words`), and
-restricted to a set of indices by `restrict`, through the public
-constructor, the oracle of the library's slices of a word.  Only the
-shared vocabulary (SignMap, product_of, reduce_seq, flow_analyze, cont_p,
-partitions, CrystalGraph) is imported.  The one exception is the crystal graph generated from the
-library's signed nodes (`reduce_content`), kept as the oracle of the
+the oracle of the library's one pass per weight (`sigseq.r_words`), as
+dense (index, value) pairs, and restricted to a set of indices by
+`restrict`, which filters the pairs by index, the oracle of the library's
+slices of a word.  Only the shared vocabulary (reduced_product, reduce_seq,
+flow_analyze, cont_p, partitions, CrystalGraph) is imported.  The one
+exception is the crystal graph generated from the library's signed nodes (`reduce_content`), kept as the oracle of the
 weight-side scan that generates it now.  The raising recursion builds
 every product, sign and sum as a new {bars: coefficient} dict, with its own
 normal ordering by adjacent swaps and `polyref`'s dict-of-tuples
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from spinbranch.core import SignedSet, Weight, _trusted, congruent, mod, res_p, seg_oc, seg_oo
+from spinbranch.core import SignedSet, Weight, congruent, mod, res_p, seg_oc, seg_oo
 from spinbranch.crystal import (
     CrystalGraph,
     PStrictPartition,
@@ -53,11 +53,9 @@ from spinbranch.sigseq import (
     MINUS,
     PLUS,
     Flow,
-    SignMap,
     flow_analyze,
     minus_count,
     plus_count,
-    product_of,
     reduce_seq,
     reduced_product,
 )
@@ -67,29 +65,29 @@ class MarkOutOfRange(ValueError):
     pass
 
 
-def r_beta(lam: Weight, beta: int) -> SignMap:
-    """The sign map r_beta(lambda) entry by entry, as the library built it
-    before its one pass per weight (`sigseq.r_words`): at beta = 0 a pair
-    map with --, +-, ++ at entries congruent to 1, 0, -1 mod p; otherwise -
+def r_beta(lam: Weight, beta: int) -> tuple[tuple[int, str], ...]:
+    """The dense pairs of r_beta(lambda) entry by entry, as the library built
+    them before its one pass per weight (`sigseq.r_words`): at beta = 0 pair
+    values --, +-, ++ at entries congruent to 1, 0, -1 mod p; otherwise -
     where the entry has residue beta and + where the entry plus one has."""
     p, beta = lam.p, mod(beta, lam.p)
     if beta == 0:
         pair = {mod(1, p): "--", 0: "+-", mod(-1, p): "++"}
-        mode = "pair"
-        vals = tuple((i, pair.get(mod(x, p), "")) for i, x in enumerate(lam.parts, 1))
-    else:
-        mode = "single"
-        vals = tuple(
-            (i, "-" if res_p(x, p) == beta else "+" if res_p(x + 1, p) == beta else "")
-            for i, x in enumerate(lam.parts, 1)
-        )
-    return _trusted(SignMap, mode=mode, values=vals, _by_index=dict(vals))
+        return tuple((i, pair.get(mod(x, p), "")) for i, x in enumerate(lam.parts, 1))
+    return tuple(
+        (i, "-" if res_p(x, p) == beta else "+" if res_p(x + 1, p) == beta else "")
+        for i, x in enumerate(lam.parts, 1)
+    )
 
 
-def restrict(u: SignMap, indices) -> SignMap:
-    """u on the given indices that lie in its domain, empty values kept."""
+def restrict(u, indices) -> tuple[tuple[int, str], ...]:
+    """The pairs of u at the given indices, empty values kept."""
     keep = set(indices)
-    return SignMap(u.mode, {i: v for i, v in u.values if i in keep})
+    return tuple((i, v) for i, v in u if i in keep)
+
+
+def _domain(u) -> list[int]:
+    return [i for i, _ in u]
 
 
 def minus_w0_seq(u, n: int):
@@ -109,7 +107,7 @@ def _contains_mark(seq, sign: int, mark: int) -> bool:
 
 def tensor_normal(lam: Weight, i: int) -> bool:
     u = r_beta(lam, lam.residue(i))
-    return _contains_mark(reduce_seq(product_of(u)), MINUS, i)
+    return _contains_mark(reduced_product(u), MINUS, i)
 
 
 def normal(lam: Weight, i: int) -> bool:
@@ -117,9 +115,9 @@ def normal(lam: Weight, i: int) -> bool:
     if not 1 <= i < n:
         return False
     u = r_beta(lam, lam.residue(i))
-    if not _contains_mark(reduce_seq(product_of(u, range(1, n))), MINUS, i):
+    if not _contains_mark(reduced_product(restrict(u, range(1, n))), MINUS, i):
         return False
-    gap_empty = not reduce_seq(product_of(u, range(i + 1, n)))
+    gap_empty = not reduced_product(restrict(u, range(i + 1, n)))
     p = lam.p
     return not (
         gap_empty and congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
@@ -128,7 +126,7 @@ def normal(lam: Weight, i: int) -> bool:
 
 def tensor_conormal(lam: Weight, i: int) -> bool:
     u = r_beta(lam, res_p(lam.entry(i) + 1, lam.p))
-    return _contains_mark(reduce_seq(product_of(u)), PLUS, i)
+    return _contains_mark(reduced_product(u), PLUS, i)
 
 
 def good(lam: Weight, i: int) -> bool:
@@ -158,15 +156,15 @@ def residue_reduction(lam: Weight, beta: int) -> dict:
     the boundary exception only when it can apply."""
     n, p = lam.n, lam.p
     u = r_beta(lam, beta)
-    reduced = reduce_seq(product_of(u))
-    head = reduce_seq(product_of(u, range(1, n)))
+    reduced = reduced_product(u)
+    head = reduced_product(restrict(u, range(1, n)))
     normal = {m for s, m in head if s == MINUS}
     if normal and congruent(lam.entry(n), 0, p):
         s = r = 0
         for i in range(n - 1, 0, -1):
             if s == r == 0 and congruent(lam.entry(i), 0, p):
                 normal.discard(i)
-            for ch in reversed(u.value(i)):
+            for ch in reversed(u[i - 1][1]):
                 if ch == "+":
                     s += 1
                 elif s:
@@ -202,49 +200,52 @@ def classify_index(lam: Weight, i: int) -> IndexClassification:
 # -- flow constructions ------------------------------------------------------------
 
 
-def _pc(u: SignMap, idxs) -> int:
-    return plus_count(reduce_seq(product_of(u, idxs)))
+def _pc(u, idxs) -> int:
+    return plus_count(reduced_product(restrict(u, idxs)))
 
 
-def build_full_flow(u: SignMap) -> Flow:
-    """Pair and single mode alike: recursion on the maximal index, joining
+def build_full_flow(u) -> Flow:
+    """Pair and single values alike: recursion on the maximal index, joining
     the maximal available bud to each index whose value holds a +."""
+    value = dict(u)
 
     def rec(idxs: list[int]) -> set[tuple[int, int]]:
         if not idxs:
             return set()
         e, rest = idxs[-1], idxs[:-1]
         edges = rec(rest)
-        if "+" not in u.value(e):
+        if "+" not in value[e]:
             return edges
         srcs = {a for a, _ in edges}
-        buds = [i for i in rest if "-" in u.value(i) and i not in srcs]
+        buds = [i for i in rest if "-" in value[i] and i not in srcs]
         edges.add((buds[-1], e))
         return edges
 
-    return Flow(frozenset(rec(list(u.domain))))
+    return Flow(frozenset(rec(_domain(u))))
 
 
-def lead_plus_index(u: SignMap) -> int:
+def lead_plus_index(u) -> int:
+    value = dict(u)
+
     def rec(idxs: list[int]) -> int:
         rest = idxs[:-1]
         if _pc(u, rest) == 1:
             return rec(rest)
-        assert u.value(idxs[-1]) == "+-"
+        assert value[idxs[-1]] == "+-"
         return idxs[-1]
 
-    return rec(list(u.domain))
+    return rec(_domain(u))
 
 
-def section_of(u: SignMap) -> tuple[int, ...]:
+def section_of(u) -> tuple[int, ...]:
     a = lead_plus_index(u)
-    tail = [i for i in u.domain if i > a]
+    tail = [i for i in _domain(u) if i > a]
     if _pc(u, tail) == 0:
         return (a,)
     return (a,) + section_of(restrict(u, tail))
 
 
-def _gap_edges(u: SignMap, idxs, sec) -> set[tuple[int, int]]:
+def _gap_edges(u, idxs, sec) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     bounds = (float("-inf"),) + tuple(sec) + (float("inf"),)
     for lo, hi in zip(bounds, bounds[1:]):
@@ -252,13 +253,13 @@ def _gap_edges(u: SignMap, idxs, sec) -> set[tuple[int, int]]:
     return edges
 
 
-def resolution_of(u: SignMap) -> Flow:
+def resolution_of(u) -> Flow:
     sec = section_of(u)
-    return Flow(frozenset({(a, a) for a in sec} | _gap_edges(u, u.domain, sec)))
+    return Flow(frozenset({(a, a) for a in sec} | _gap_edges(u, _domain(u), sec)))
 
 
-def partial_flow(u: SignMap) -> tuple[int, Flow]:
-    need = 1 if u.mode == "single" else 2
+def partial_flow(u) -> tuple[int, Flow]:
+    need = max(len(v) for _, v in u)  # 1 for single values, 2 for pair values
 
     def rec(idxs: list[int]) -> tuple[list[int], set[tuple[int, int]]]:
         if len(idxs) == 1:
@@ -272,18 +273,19 @@ def partial_flow(u: SignMap) -> tuple[int, Flow]:
         sec = section_of(restrict(u, rest))
         return idxs, set(zip(sec, sec[1:] + (idxs[-1],))) | _gap_edges(u, rest, sec)
 
-    j_set, edges = rec(list(u.domain))
+    j_set, edges = rec(_domain(u))
     return j_set[-1], Flow(frozenset(edges))
 
 
-def split_index(u: SignMap) -> int:
+def split_index(u) -> int:
     """Recursion on the maximal index: '' and +- are skipped, -- is the
     answer, and ++ first finds the split b of the prefix, then recurses
     strictly below b."""
+    value = dict(u)
 
     def rec(idxs: list[int]) -> int:
         e, rest = idxs[-1], idxs[:-1]
-        v = u.value(e)
+        v = value[e]
         if v == "--":
             return e
         if v == "++":
@@ -291,7 +293,7 @@ def split_index(u: SignMap) -> int:
             return rec([i for i in idxs if i < b])
         return rec(rest)
 
-    return rec(list(u.domain))
+    return rec(_domain(u))
 
 
 # -- re-checks of plan steps and certificates, one branch per construction ----------
@@ -315,10 +317,10 @@ def validate_certificate(lam: Weight, cert) -> bool:
     u = r_beta(lam, beta)
     i, j = cert.index, cert.j
     if cert.case_tag in ("a", "b"):
-        rep = flow_analyze(cert.flow, restrict(u, seg_oc(i, j)).values)
+        rep = flow_analyze(cert.flow, restrict(u, seg_oc(i, j)))
         shape_ok = rep.is_flow and rep.coherent and not rep.fully_coherent
     else:
-        rep = flow_analyze(cert.flow, restrict(u, seg_oo(i, j)).values)
+        rep = flow_analyze(cert.flow, restrict(u, seg_oo(i, j)))
         shape_ok = rep.is_flow and rep.fully_coherent
     rng = seg_oc(i, j) if cert.case_tag in ("a", "b") else seg_oo(i, j)
     c = _residue_product(lam, beta, [t for t in rng if t not in cert.flow.sources()])
@@ -335,7 +337,7 @@ def validate_step(lam: Weight, step) -> bool:
         closed = th == "T6.1.3"
         dom = seg_oc(i, n) if closed else seg_oo(i, n)
         u = restrict(r_beta(lam, beta), dom)
-        rep = flow_analyze(d["flow"], u.values)
+        rep = flow_analyze(d["flow"], u)
         both = congruent(lam.entry(i), 0, p) and congruent(lam.entry(n), 0, p)
         return (
             plus_count(reduced_product(u)) == 0
@@ -347,7 +349,7 @@ def validate_step(lam: Weight, step) -> bool:
     if th == "T6.3.3":
         i = d["i"]
         u = restrict(r_beta(lam, 0), seg_oc(i, n))
-        rep = flow_analyze(d["resolution"], u.values)
+        rep = flow_analyze(d["resolution"], u)
         return (
             plus_count(reduced_product(u)) == 1
             and congruent(lam.entry(i), 1, p)
@@ -359,7 +361,7 @@ def validate_step(lam: Weight, step) -> bool:
     if th == "T6.4.2":
         h, i = d["h"], d["i"]
         u = restrict(r_beta(lam, 0), seg_oc(h, i))
-        rep = flow_analyze(d["flow"], u.values)
+        rep = flow_analyze(d["flow"], u)
         return (
             congruent(lam.entry(h), 0, p)
             and congruent(lam.entry(i), 1, p)
@@ -371,7 +373,7 @@ def validate_step(lam: Weight, step) -> bool:
     if th == "T6.5.2":
         h, i, beta = d["h"], d["i"], d["beta"]
         u = restrict(r_beta(lam, beta), seg_oc(h, i))
-        rep = flow_analyze(d["flow"], u.values)
+        rep = flow_analyze(d["flow"], u)
         hyp = not congruent(lam.entry(i), 0, p) and not (
             congruent(lam.entry(h), 0, p) and congruent(lam.entry(i), 1, p)
         )
@@ -387,8 +389,8 @@ def validate_step(lam: Weight, step) -> bool:
         h, i = d["h"], d["i"]
         u = r_beta(lam, 0)
         u_closed = restrict(u, seg_oc(h, i))
-        rep_gamma = flow_analyze(d["flow"], restrict(u, range(h, i + 1)).values)
-        rep_delta = flow_analyze(d["weak_flow"], u_closed.values)
+        rep_gamma = flow_analyze(d["flow"], restrict(u, range(h, i + 1)))
+        rep_delta = flow_analyze(d["weak_flow"], u_closed)
         return (
             plus_count(reduced_product(u_closed)) == 1
             and congruent(lam.entry(h), 1, p)
@@ -420,17 +422,17 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
     build_full_flow on (i..j) for cases c/d."""
     n, p, beta = lam.n, lam.p, lam.residue(i)
     u = restrict(r_beta(lam, beta), seg_oo(i, n))
-    pluses = _pc(u, u.domain)
+    pluses = plus_count(reduced_product(u))
     if pluses >= (2 if beta == 0 else 1):
         tag = "b" if beta == 0 else "a"
-        j, flow = lib.partial_flow(u.values)
+        j, flow = lib.partial_flow(u)
         m_set = _leftover_set(seg_oc(i, j), flow, odds=[j + 1])
     else:
         if beta == 0 and pluses == 1 and congruent(lam.entry(i), 0, p):
-            tag, j = "c", lib.lead_plus_index(u.values)
+            tag, j = "c", lib.lead_plus_index(u)
         else:
             tag, j = "d", n
-        flow = lib.build_full_flow(restrict(u, seg_oo(i, j)).values)
+        flow = lib.build_full_flow(restrict(u, seg_oo(i, j)))
         m_set = _leftover_set(seg_oo(i, j), flow, odds=[j])
     return Certificate(tag, i, j, flow, m_set, _residue_product(lam, beta, m_set.evens))
 
@@ -438,9 +440,9 @@ def non_normal_certificate(lam: Weight, i: int) -> Certificate:
 def _base_step(lam: Weight, i: int) -> PlanStep:
     n, beta = lam.n, lam.residue(i)
     u = r_beta(lam, beta)
-    closed = bool(minus_count(reduce_seq(product_of(u, seg_oo(i, n)))))
+    closed = bool(minus_count(reduced_product(restrict(u, seg_oo(i, n)))))
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
-    flow = lib.build_full_flow(restrict(u, dom).values)
+    flow = lib.build_full_flow(restrict(u, dom))
     return PlanStep("T6.1.3" if closed else "T6.2.3", {
         "i": i, "beta": beta, "flow": flow,
         "M": _leftover_set(dom, flow, odds=[] if closed else [n])})
@@ -448,7 +450,7 @@ def _base_step(lam: Weight, i: int) -> PlanStep:
 
 def _extension_flow_step(lam: Weight, theorem: str, h: int, i: int) -> PlanStep:
     beta = lam.residue(i)
-    flow = lib.build_full_flow(restrict(r_beta(lam, beta), seg_oc(h, i)).values)
+    flow = lib.build_full_flow(restrict(r_beta(lam, beta), seg_oc(h, i)))
     m_set = (_leftover_set(seg_oo(h, i), flow, odds=[i]) if theorem == "T6.4.2"
              else _leftover_set(seg_oc(h, i), flow))
     return PlanStep(theorem, {"h": h, "i": i, "beta": beta, "flow": flow, "M": m_set})
@@ -458,11 +460,11 @@ def _joined_extension_step(lam: Weight, h: int, i: int) -> PlanStep:
     """r_0 on (h..i) reduces to -^m or +-^m: its section (none for -^m)
     chained from h to i, and the fully coherent flows between."""
     v = restrict(r_beta(lam, 0), seg_oo(h, i))
-    if _pc(v, v.domain):
-        sec = lib.section_of(v.values)
-        pieces = {(a, b) for a, b in lib.resolution_of(v.values).edges if a != b}
+    if plus_count(reduced_product(v)):
+        sec = lib.section_of(v)
+        pieces = {(a, b) for a, b in lib.resolution_of(v).edges if a != b}
     else:
-        sec, pieces = (), set(lib.build_full_flow(v.values).edges)
+        sec, pieces = (), set(lib.build_full_flow(v).edges)
     chain = (h,) + sec + (i,)
     gamma = Flow(frozenset(pieces | set(zip(chain, chain[1:]))))
     delta = Flow(frozenset(pieces | {(a, a) for a in sec + (i,)}))
@@ -479,12 +481,12 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
         return ConstructionPlan((_base_step(lam, i),))
     if not congruent(lam.entry(n), -1, p):
         closed = seg_oc(i, n)
-        delta = lib.resolution_of(restrict(u, closed).values)
+        delta = lib.resolution_of(restrict(u, closed))
         q = max(a for a, b in delta.edges if a == b)
         return ConstructionPlan((PlanStep("T6.3.3", {
             "i": i, "beta": 0, "resolution": delta, "q": q,
             "M": _leftover_set(closed, delta, odds=[q])}),))
-    a = lib.section_of(restrict(u, seg_oo(i, n)).values)[-1]
+    a = lib.section_of(restrict(u, seg_oo(i, n)))[-1]
     return ConstructionPlan((_base_step(lam, a), _joined_extension_step(lam, i, a)))
 
 
@@ -500,12 +502,12 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         if one_mod:
             return ConstructionPlan((_extension_flow_step(lam, theorem, h, i),))
-        a = lib.split_index(restrict(u, seg_oo(h, i)).values)
+        a = lib.split_index(restrict(u, seg_oo(h, i)))
         return ConstructionPlan((_joined_extension_step(lam, a, i),
                                  _extension_flow_step(lam, theorem, h, a)))
     if not one_mod:
         return ConstructionPlan((_joined_extension_step(lam, h, i),))
-    a = lib.section_of(restrict(u, seg_oc(h, i)).values)[-1]
+    a = lib.section_of(restrict(u, seg_oc(h, i)))[-1]
     return ConstructionPlan((_extension_flow_step(lam, "T6.4.2", a, i),
                              _joined_extension_step(lam, h, a)))
 

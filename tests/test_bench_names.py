@@ -45,10 +45,24 @@ def test_workload_attributes_resolve():
 
 
 def test_workload_imports_resolve():
-    _, names = _library_imports(_tree("workloads.py"))
+    tree = _tree("workloads.py")
+    _, names = _library_imports(tree)
     assert ("spinbranch.core", "Weight") in names
     missing = [f"{mod}.{name}" for mod, name in names
                if not hasattr(importlib.import_module(mod), name)]
+    assert not missing
+    # and every attribute read off an imported name, such as `SignedSet.of`
+    imported = {name: getattr(importlib.import_module(mod), name) for mod, name in names}
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in imported
+    }
+    assert ("SignedSet", "of") in used
+    missing = [f"{name}.{attr}" for name, attr in sorted(used)
+               if not hasattr(imported[name], attr)]
     assert not missing
 
 

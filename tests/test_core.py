@@ -66,7 +66,7 @@ def test_sub_eps_checks_its_index():
 
 def test_inputs_must_be_exact_integers():
     from spinbranch.crystal import PStrictPartition
-    from spinbranch.sigseq import Flow, SignMap
+    from spinbranch.sigseq import Flow, r_beta
 
     for bad in ((2.5, 1.9), ("4", "-1"), (3.0, 1)):
         with pytest.raises(TypeError):
@@ -93,9 +93,9 @@ def test_inputs_must_be_exact_integers():
     for edge in ((1.7, 2), (1, 2.0)):
         with pytest.raises(TypeError):
             Flow(frozenset({edge}))
-    for key in (1.5, 2.0, "3"):
+    for beta in (1.5, 2.0, "3"):
         with pytest.raises(TypeError):
-            SignMap("single", {key: "-"})
+            r_beta(w, beta)
 
 
 def test_delta_values_are_stored_as_an_int_tuple():

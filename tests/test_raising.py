@@ -373,6 +373,16 @@ def test_eval_at_weight_examples():
         eval_at_weight(u0_h(1), Weight((3,), 0))
 
 
+def test_eval_at_weight_rejects_every_index_outside_the_weight():
+    # H_0 and H_-1 once reached Weight.entry and raised its IndexError
+    lam = Weight((2, 1), 5)
+    assert eval_at_weight(U0Element({(): Polynomial.var("H", 2)}), lam) == U0Element(
+        {(): Polynomial.const(1)})
+    for idx in (0, -1, 3):
+        with pytest.raises(IndexOutOfRange, match=f"H_{idx} has no weight entry"):
+            eval_at_weight(U0Element({(): Polynomial.var("H", idx)}), lam)
+
+
 def test_format_u0():
     el = U0Element(
         {

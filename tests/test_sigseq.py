@@ -17,7 +17,6 @@ from spinbranch.sigseq import (
     Flow,
     NotAllMinus,
     PreconditionFailed,
-    SignMap,
     build_full_flow,
     flow_analyze,
     last_free_plus,
@@ -55,22 +54,28 @@ def test_reduce_examples():
 
 
 def test_product_of_examples():
-    u = SignMap("pair", {1: "--", 2: "+-"})
-    assert product_of(u, {1, 2}) == ((M, 1), (M, 1), (P, 2), (M, 2))
-    assert product_of(u, {2}) == ((P, 2), (M, 2))
-    v = SignMap("single", {1: "", 2: "+"})
-    assert product_of(v, {1, 2}) == ((P, 2),)
+    u = ((1, "--"), (2, "+-"))
+    assert product_of(u) == ((M, 1), (M, 1), (P, 2), (M, 2))
+    assert product_of(u[1:]) == ((P, 2), (M, 2))
+    assert product_of(((1, ""), (2, "+"))) == ((P, 2),)
+
+
+def test_product_of_rejects_a_character_other_than_a_sign():
+    # the values become signs only here; "x" was once read as a minus
+    for pairs, bad in ((((1, "-"), (2, "+x")), "x"), (((3, "*"),), "*")):
+        for build in (product_of, reduced_product):
+            with pytest.raises(ValueError, match=re.escape(f"character {bad!r} is not")):
+                build(pairs)
 
 
 def test_r_beta_examples():
     lam = Weight((16, 11, 10, 10, 9, 5, 1, 0), 5)
     u = r_beta(lam, 0)
-    assert u.mode == "pair"
-    assert [v for _, v in u.values] == ["--", "--", "+-", "+-", "++", "+-", "--", "+-"]
-    v = r_beta(Weight((2, 1), 5), 2)
-    assert v.mode == "single"
-    assert [x for _, x in v.values] == ["-", "+"]
-    assert [x for _, x in r_beta(Weight((3,), 5), 1).values] == ["-"]
+    assert [i for i, _ in u] == list(range(1, 9))
+    assert [v for _, v in u] == ["--", "--", "+-", "+-", "++", "+-", "--", "+-"]
+    assert r_beta(Weight((2, 1), 5), 2) == ((1, "-"), (2, "+"))
+    assert r_beta(Weight((3,), 5), 1) == ((1, "-"),)
+    assert r_beta(Weight((3, 0), 5), 2) == ((1, "+"), (2, ""))
 
 
 def test_minus_w0_examples():
@@ -82,16 +87,14 @@ def test_minus_w0_examples():
 
 
 def test_flow_analyze_examples():
-    u = SignMap("single", {1: "-", 2: "+"})
-    rep = flow_analyze(Flow(frozenset({(1, 2)})), u.values)
+    u = ((1, "-"), (2, "+"))
+    rep = flow_analyze(Flow(frozenset({(1, 2)})), u)
     assert rep.is_flow and rep.coherent and rep.fully_coherent and not rep.buds
 
-    u2 = SignMap("pair", {1: "+-"})
-    rep2 = flow_analyze(Flow(frozenset({(1, 1)})), u2.values)
+    rep2 = flow_analyze(Flow(frozenset({(1, 1)})), ((1, "+-"),))
     assert rep2.is_weak_flow and not rep2.is_flow
 
-    u3 = SignMap("single", {1: "-"})
-    rep3 = flow_analyze(Flow(frozenset()), u3.values)
+    rep3 = flow_analyze(Flow(frozenset()), ((1, "-"),))
     assert rep3.is_flow and rep3.coherent and rep3.fully_coherent
     assert rep3.buds == frozenset({1})
 
@@ -101,18 +104,17 @@ def test_flow_analyze_examples():
 
 
 def test_build_full_flow_examples():
-    u = SignMap("single", {1: "-", 2: "+"})
-    assert build_full_flow(u.values).edges == frozenset({(1, 2)})
+    assert build_full_flow(((1, "-"), (2, "+"))).edges == frozenset({(1, 2)})
 
-    v = SignMap("pair", {1: "--"})
-    g = build_full_flow(v.values)
+    v = ((1, "--"),)
+    g = build_full_flow(v)
     assert g.edges == frozenset()
-    assert flow_analyze(g, v.values).buds == frozenset({1})
+    assert flow_analyze(g, v).buds == frozenset({1})
 
-    w = SignMap("pair", {1: "--", 2: "++"})
-    g2 = build_full_flow(w.values)
+    w = ((1, "--"), (2, "++"))
+    g2 = build_full_flow(w)
     assert g2.edges == frozenset({(1, 2)})
-    assert not flow_analyze(g2, w.values).buds
+    assert not flow_analyze(g2, w).buds
 
     with pytest.raises(NotAllMinus):
         build_full_flow(((1, "+"),))
@@ -195,8 +197,7 @@ def test_reduce_order_independent(u, seed):
     st.dictionaries(st.integers(1, 8), st.sampled_from(["", "--", "+-", "++"]), max_size=8)
 )
 def test_pair_mode_parity(values):
-    u = SignMap("pair", values)
-    red = reduced_product(u)
+    red = reduced_product(tuple(sorted(values.items())))
     assert (plus_count(red) - minus_count(red)) % 2 == 0
 
 
@@ -208,37 +209,15 @@ def test_minus_w0_commutes_with_reduction(u):
 
 def test_json_round_trips():
     assert seq_to_list(((M, 1), (P, 2))) == [["-", 1], ["+", 2]]
-    sm = SignMap("pair", {1: "--", 2: "+-"})
-    assert sm.to_dict() == {"mode": "pair", "values": {"1": "--", "2": "+-"}}
 
 
-def test_mode_mixing_is_an_error():
-    with pytest.raises(ValueError):
-        SignMap("single", {1: "--"})
-    with pytest.raises(ValueError):
-        SignMap("pair", {1: "-"})
-    with pytest.raises(ValueError):
-        SignMap("triple", {1: "-"})
-
-
-def test_an_index_given_twice_is_an_error():
-    # the last value used to win silently, whether or not the values differ
-    for pairs in (((1, "-"), (1, "+")), ((2, "+"), (1, ""), (2, "+"))):
-        with pytest.raises(ValueError, match=f"index {pairs[0][0]} given twice"):
-            SignMap("single", pairs)
-    with pytest.raises(ValueError, match="index 1 given twice"):
-        SignMap("pair", [(1, "--"), (True, "++")])
-    # distinct indices as pairs, and a dict, build the same map as before
-    assert SignMap("single", ((2, "+"), (1, "-"))).values == ((1, "-"), (2, "+"))
-    assert SignMap("single", {2: "+", 1: "-"}) == SignMap("single", ((1, "-"), (2, "+")))
-
-
-def _random_map(rng: random.Random, mode: str) -> SignMap:
-    """A random sign map on a random, possibly gapped, domain of size <= 12."""
-    alphabet = ("", "-", "+") if mode == "single" else ("", "--", "+-", "++")
+def _random_map(rng: random.Random, mode: str) -> tuple:
+    """The sorted pairs of a random sign map on a random, possibly gapped,
+    domain of size <= 12."""
+    alphabet = SINGLE_VALUES if mode == "single" else PAIR_VALUES
     size = rng.randint(0, 12)
     domain = sorted(rng.sample(range(1, 30), size))
-    return SignMap(mode, {i: rng.choice(alphabet) for i in domain})
+    return tuple((i, rng.choice(alphabet)) for i in domain)
 
 
 def test_scans_match_recursive_oracles():
@@ -262,9 +241,9 @@ def test_scans_match_recursive_oracles():
         for build, holds, error, key in builders:
             if not holds:
                 with pytest.raises(error):
-                    build(u.values)
+                    build(u)
                 continue
-            assert build(u.values) == getattr(definitional, build.__name__)(u)
+            assert build(u) == getattr(definitional, build.__name__)(u)
             if key:
                 seen[key] += 1
     assert min(seen.values()) >= 300, seen
@@ -273,33 +252,33 @@ def test_scans_match_recursive_oracles():
 def test_section_scan_on_long_plus_led_maps():
     # every value +- : each index is a section index; the scan must not
     # recurse, so a domain past the recursion limit is fine
-    u = SignMap("pair", {i: "+-" for i in range(1, 3001)})
-    assert section_of(u.values) == tuple(range(1, 3001))
-    assert lead_plus_index(u.values) == 1
-    assert resolution_of(u.values).edges == {(i, i) for i in range(1, 3001)}
-    v = SignMap("pair", {i: ("--" if i % 2 else "++") for i in range(1, 3001)})
-    assert build_full_flow(v.values).edges == {(i, i + 1) for i in range(1, 3001, 2)}
+    u = tuple((i, "+-") for i in range(1, 3001))
+    assert section_of(u) == tuple(range(1, 3001))
+    assert lead_plus_index(u) == 1
+    assert resolution_of(u).edges == {(i, i) for i in range(1, 3001)}
+    v = tuple((i, "--" if i % 2 else "++") for i in range(1, 3001))
+    assert build_full_flow(v).edges == {(i, i + 1) for i in range(1, 3001, 2)}
     # the section 1..2999 is chained to the ++ at 3000, which ends J
-    w = SignMap("pair", {**{i: "+-" for i in range(1, 3000)}, 3000: "++", 3001: "--"})
-    j, g = partial_flow(w.values)
+    w = tuple((i, "+-") for i in range(1, 3000)) + ((3000, "++"), (3001, "--"))
+    j, g = partial_flow(w)
     assert j == 3000 and g.edges == {(i, i + 1) for i in range(1, 3000)}
 
 
 def _all_maps(mode: str, max_size: int):
-    """Every sign map of the mode on 1..d, for 1 <= d <= max_size."""
+    """The pairs of every sign map of the mode on 1..d, for 1 <= d <= max_size."""
     alphabet = SINGLE_VALUES if mode == "single" else PAIR_VALUES
     for d in range(1, max_size + 1):
         for vals in itertools.product(alphabet, repeat=d):
-            yield SignMap(mode, dict(enumerate(vals, 1)))
+            yield tuple(enumerate(vals, 1))
 
 
 def test_suffix_shapes_match_the_reduction_of_every_suffix():
     for mode in ("single", "pair"):
         for u in _all_maps(mode, 6):
-            shapes, dom = suffix_shapes(u.values), u.domain
-            assert len(shapes) == len(dom) + 1
+            shapes = suffix_shapes(u)
+            assert len(shapes) == len(u) + 1
             for k, shape in enumerate(shapes):
-                red = reduced_product(u, dom[k:])
+                red = reduced_product(u[k:])
                 assert shape == (plus_count(red), minus_count(red)), (u, k)
 
 
@@ -307,7 +286,7 @@ def test_last_free_plus_is_the_mark_of_the_last_plus_of_the_reduction():
     for mode in ("single", "pair"):
         for u in _all_maps(mode, 6):
             pluses = [m for s, m in reduced_product(u) if s == PLUS]
-            assert last_free_plus(u.values) == (pluses[-1] if pluses else None), u
+            assert last_free_plus(u) == (pluses[-1] if pluses else None), u
 
 
 def test_r_words_are_r_beta_in_sparse_form():
@@ -326,7 +305,7 @@ def test_r_words_are_r_beta_in_sparse_form():
         assert set(words) <= set(betas)
         for beta in betas:
             expected = definitional.r_beta(w, beta)
-            sparse = [(i, v) for i, v in expected.values if v]
+            sparse = [(i, v) for i, v in expected if v]
             assert words.get(beta, []) == sparse, (w, beta)
             assert r_beta(w, beta) == expected, (w, beta)
 
@@ -339,9 +318,9 @@ def test_split_index_scan_matches_recursive_oracle():
         if not red or plus_count(red):
             text = f"[prod u] = {signs(red)} is not -^m with m > 0"
             with pytest.raises(PreconditionFailed, match=re.escape(text)):
-                split_index(u.values)
+                split_index(u)
         else:
-            assert split_index(u.values) == definitional.split_index(u), u
+            assert split_index(u) == definitional.split_index(u), u
     rng = random.Random(2718)
     seen = 0
     for _ in range(6000):
@@ -349,21 +328,21 @@ def test_split_index_scan_matches_recursive_oracle():
         red = reduced_product(u)
         if not red or plus_count(red):
             with pytest.raises(PreconditionFailed):
-                split_index(u.values)
+                split_index(u)
             continue
-        assert split_index(u.values) == definitional.split_index(u)
+        assert split_index(u) == definitional.split_index(u)
         seen += 1
     assert seen >= 300, seen
 
 
 def test_split_index_on_a_long_map():
     # a recursion per domain index would pass the recursion limit here
-    u = SignMap("pair", {1: "--", **{i: "" for i in range(2, 1500)}})
-    assert split_index(u.values) == 1
-    v = SignMap("pair", {i: ("--" if i <= 750 else "++") for i in range(1, 1501)})
+    u = ((1, "--"),) + tuple((i, "") for i in range(2, 1500))
+    assert split_index(u) == 1
+    v = tuple((i, "--" if i <= 750 else "++") for i in range(1, 1501))
     with pytest.raises(PreconditionFailed):
-        split_index(v.values)  # the product reduces to the empty word
+        split_index(v)  # the product reduces to the empty word
     # for 2 <= a <= 751 the suffix after the -- at a reduces to +^(2a - 4),
     # so 2 is the last -- whose suffix has at most one plus
-    w = SignMap("pair", {i: ("--" if i <= 751 else "++") for i in range(1, 1501)})
-    assert split_index(w.values) == 2
+    w = tuple((i, "--" if i <= 751 else "++") for i in range(1, 1501))
+    assert split_index(w) == 2

@@ -26,7 +26,7 @@ from spinbranch.indices import (
     validate_plan,
     _slice,
 )
-from spinbranch.sigseq import Flow, FlowReport, SignMap, r_beta, r_words
+from spinbranch.sigseq import Flow, FlowReport, product_of, r_beta, r_words
 from test_indices import _planner_weights
 
 
@@ -55,9 +55,6 @@ def test_weight_methods_match_the_constructor():
         parts = list(lam.parts)
         parts[i - 1] -= 1
         same(lam.sub_eps(i), Weight(tuple(parts), p))
-        beta = rng.randrange(p) if p else rng.randint(-3, 12)
-        u = r_beta(lam, beta)
-        same(u, SignMap(u.mode, dict(u.values)))
 
 
 def test_partition_add_remove_match_the_constructor():
@@ -96,8 +93,8 @@ def test_partition_add_remove_match_the_constructor():
 def test_word_slices_match_the_constructor():
     # the plans and re-checks read r_beta over a range as the bare slice of
     # beta's word that bisection finds: the non-empty pairs of the dense
-    # r_beta restricted by the public constructor, for ranges that reach
-    # past either end of [1..n] or are empty, and for a beta with no word
+    # r_beta filtered by index, for ranges that reach past either end of
+    # [1..n] or are empty, and for a beta with no word
     rng = random.Random(14)
     for _ in range(600):
         p = rng.choice((0, 3, 5, 7))
@@ -107,7 +104,7 @@ def test_word_slices_match_the_constructor():
         dom = range(lo, rng.randint(lo - 2, lam.n + 3))
         dense = restrict(definitional.r_beta(lam, beta), dom)
         word = sigseq._words(lam)[0].get(beta, ())
-        assert _slice(word, dom) == tuple((i, v) for i, v in dense.values if v)
+        assert _slice(word, dom) == tuple((i, v) for i, v in dense if v)
     # a certificate reads its word from the position after i's, and in case
     # d up to n: the slice of (i..n) at every index i of the word
     for p in (0, 3, 5, 7):
@@ -117,7 +114,7 @@ def test_word_slices_match_the_constructor():
                 for i, _ in red.word:
                     dense = restrict(u, seg_oo(i, lam.n))
                     tail = red.word[red.at[i] + 1:red.at.get(lam.n, len(red.word))]
-                    assert tail == tuple((t, v) for t, v in dense.values if v), (lam, beta, i)
+                    assert tail == tuple((t, v) for t, v in dense if v), (lam, beta, i)
 
 
 def _index_layer(lam):
@@ -207,14 +204,13 @@ def test_index_records_skip_their_generated_init(monkeypatch):
         (lambda: PStrictPartition((2.0, 1), 3), TypeError),
         (lambda: SignedSet.of(evens=[1.5]), TypeError),
         (lambda: DeltaFunction(0.5, (1,)), TypeError),
-        (lambda: SignMap("single", {1.5: "-"}), TypeError),
+        # a sign map is bare pairs: r_beta checks beta, product_of the values
+        (lambda: r_beta(Weight((1, 0), 3), 1.5), TypeError),
         (lambda: PStrictPartition((2, 2), 3), NotPStrict),
         (lambda: PStrictPartition((1, 2), 3), NotPStrict),
         (lambda: SignedSet.of(evens=[2], odds=[2]), ValueError),
         (lambda: DeltaFunction(1, (0, 2)), ValueError),
-        (lambda: SignMap("triple", {1: "-"}), ValueError),
-        (lambda: SignMap("single", {1: "--"}), ValueError),
-        (lambda: SignMap("pair", {1: "-"}), ValueError),
+        (lambda: product_of(((1, "x"),)), ValueError),
     ],
 )
 def test_public_constructors_keep_every_check(build, error):
