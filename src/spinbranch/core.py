@@ -8,7 +8,6 @@ still make sense everywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 
 class InvalidCharacteristic(ValueError):
@@ -53,6 +52,61 @@ def congruent(a: int, b: int, p: int) -> bool:
     return (a - b) % p == 0 if p > 0 else a == b
 
 
+class Record:
+    """Base of the frozen records.  A subclass's annotated names are its
+    fields, in order, and a class value is a field's default.  Records are
+    built by position or keyword, then checked by `__post_init__`, and are
+    compared, hashed and printed by their field tuple, as a frozen dataclass."""
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _bind(self, args, kwargs):
+        name, fields = type(self).__name__, self._fields
+        given = dict(zip(fields, args))
+        clash = [key for key in kwargs if key not in fields or key in given]
+        if len(args) > len(fields) or clash:
+            raise TypeError(f"{name}() takes the fields {fields}, got {len(args)} by position "
+                            f"and unknown or repeated {clash}")
+        given = {**self._defaults, **given, **kwargs}
+        missing = [f for f in fields if f not in given]
+        if missing:
+            raise TypeError(f"{name}() missing fields {missing}")
+        return [given[f] for f in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):  # and, with no value, `__delattr__`
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _trusted(cls, **fields):
     """A frozen `cls` instance with these fields in one dict write: only for
     values read off valid ones, or for records with no `__post_init__`."""
@@ -67,8 +121,7 @@ def p_strict_pair(a: int, b: int, p: int) -> bool:
     return a > b or (a == b and congruent(a, 0, p))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """An integer vector (lambda_1, ..., lambda_n) with its characteristic p."""
 
     parts: tuple[int, ...]
@@ -114,16 +167,15 @@ class Weight:
         return _trusted(Weight, parts=tuple(parts), p=self.p)
 
 
-@dataclass(frozen=True)
-class SignedSet:
+class SignedSet(Record):
     """A finite set of integers, each carried unbarred (even) or barred (odd).
 
     No integer may appear in both roles, so elements are ordered by their
     absolute values.
     """
 
-    evens: frozenset[int] = field(default_factory=frozenset)
-    odds: frozenset[int] = field(default_factory=frozenset)
+    evens: frozenset[int] = frozenset()
+    odds: frozenset[int] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "evens", frozenset(map(operator.index, self.evens)))
@@ -137,8 +189,7 @@ class SignedSet:
         return SignedSet(evens, odds)
 
 
-@dataclass(frozen=True)
-class DeltaFunction:
+class DeltaFunction(Record):
     """A {0,1}-valued function on the integer interval [lo..hi], hi = lo +
     len(values) - 1: the delta of a raising coefficient at (i, j) lives on
     [i..j-1], and the selector l of the polynomial family f on (i..j]."""

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 
-from .core import (Weight, _trusted, check_characteristic, congruent, mod,
+from .core import (Record, Weight, _trusted, check_characteristic, congruent, mod,
                    p_strict_pair, res_p)
 from .indices import reduce_residue
 from .sigseq import MINUS, PLUS, Seq, _words, last_free_plus, r_words, reduce_seq
@@ -84,8 +83,7 @@ def _set_row(parts: tuple[int, ...], r: int, v: int, p: int) -> tuple[int, ...]:
     return tuple(rows[:-1] if not v else rows)  # only the last row can empty
 
 
-@dataclass(frozen=True)
-class PStrictPartition:
+class PStrictPartition(Record):
     """A p-strict partition: weakly decreasing positive parts, where equal
     adjacent parts must be divisible by p.  Trailing zero parts are dropped."""
 
@@ -168,8 +166,7 @@ def _rows(signed: SignedNodes) -> Seq:
     return tuple((sign, node[0]) for sign, node in signed)
 
 
-@dataclass(frozen=True)
-class ContentReduction:
+class ContentReduction(Record):
     """The signed i-nodes of a partition and their reduction, built once per
     (lambda, i) for the report's node lists and signatures.  The reduced word
     has shape +^s -^r: its minuses are the normal nodes, the first of them
@@ -224,7 +221,7 @@ def reduce_content(lam: PStrictPartition, i: int) -> ContentReduction:
     signed = signed_nodes(lam.parts + (0,), p, beta_of_content(i, p))
     if signed and signed[-1][1][1] == 0:
         signed = signed[:-1]
-    return ContentReduction(signed, reduce_seq(signed))
+    return _trusted(ContentReduction, signed=signed, reduced=reduce_seq(signed))
 
 
 def content_reductions(lam: PStrictPartition) -> dict[int, ContentReduction]:
@@ -311,8 +308,7 @@ def branching_tables(lam: PStrictPartition):
 # -- the graph ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(Record):
     """The I-colored graph on restricted p-strict partitions of size <= N,
     with an i-edge from mu to f_tilde(i, mu)."""
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .core import SignedSet, Weight, _trusted, congruent, mod, res_p, seg_oc, seg_oo
+from .core import Record, SignedSet, Weight, _trusted, congruent, mod, res_p, seg_oc, seg_oo
 from .sigseq import (
     MINUS,
     PLUS,
@@ -62,8 +61,7 @@ class UnreachableCase(AssertionError):
     """Raised when a case dispatch falls through; signals an implementation bug."""
 
 
-@dataclass(frozen=True)
-class IndexClassification:
+class IndexClassification(Record):
     index: int
     residue: int
     tensor_normal: bool
@@ -74,8 +72,7 @@ class IndexClassification:
     tensor_cogood: bool
 
 
-@dataclass(frozen=True)
-class ResidueReduction:
+class ResidueReduction(Record):
     """The reduction of r_beta(lambda) and the indices read off it.  A minus
     of r_beta sits at an index of residue beta and a plus at one whose entry
     + 1 has residue beta, so each set lies in one class.  Normal indices
@@ -197,8 +194,7 @@ def index_report(lam: Weight) -> dict[int, list[IndexClassification]]:
 # -- certificates of non-normality ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Combinatorial witness that an index is not normal.
 
     Cases a/b carry a coherent-but-not-fully-coherent flow on (i..j] with
@@ -286,8 +282,7 @@ def _residue_product(lam: Weight, beta: int, ts) -> int:
 # -- construction planners -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Record):
     theorem: str
     data: dict
 
@@ -306,13 +301,20 @@ def _jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
+class ConstructionPlan(Record):
     steps: tuple[PlanStep, ...]
 
     def to_json(self) -> str:
         return json.dumps({"steps": [_jsonable({"theorem": s.theorem, "data": s.data})
                                      for s in self.steps]})
+
+
+def _step(theorem: str, data: dict) -> PlanStep:
+    return _trusted(PlanStep, theorem=theorem, data=data)
+
+
+def _plan(*steps: PlanStep) -> ConstructionPlan:
+    return _trusted(ConstructionPlan, steps=steps)
 
 
 def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
@@ -330,7 +332,7 @@ def _base_step(lam: Weight, own: ResidueReduction, i: int) -> PlanStep:
     dom = seg_oc(i, n) if closed else seg_oo(i, n)
     flow = build_full_flow(_slice(own.word, dom))
     m_set = _leftovers(dom, flow, odds=[] if closed else [n])
-    return PlanStep("T6.1.3" if closed else "T6.2.3",
+    return _step("T6.1.3" if closed else "T6.2.3",
                     {"i": i, "beta": lam.residue(i), "flow": flow, "M": m_set})
 
 
@@ -340,9 +342,7 @@ def _resolution_step(lam: Weight, zero: ResidueReduction, i: int) -> PlanStep:
     delta = resolution_of(_slice(zero.word, dom))
     q = max(a for a, b in delta.edges if a == b)
     m_set = _leftovers(dom, delta, odds=[q])
-    return PlanStep(
-        "T6.3.3", {"i": i, "beta": 0, "resolution": delta, "q": q, "M": m_set}
-    )
+    return _step("T6.3.3", {"i": i, "beta": 0, "resolution": delta, "q": q, "M": m_set})
 
 
 def _extension_flow_step(own: ResidueReduction, theorem: str, h: int, i: int) -> PlanStep:
@@ -352,7 +352,7 @@ def _extension_flow_step(own: ResidueReduction, theorem: str, h: int, i: int) ->
         m_set = _leftovers(seg_oo(h, i), flow, odds=[i])
     else:  # T6.5.2
         m_set = _leftovers(seg_oc(h, i), flow)
-    return PlanStep(theorem, {"h": h, "i": i, "beta": own.beta, "flow": flow, "M": m_set})
+    return _step(theorem, {"h": h, "i": i, "beta": own.beta, "flow": flow, "M": m_set})
 
 
 def _joined_extension_step(zero: ResidueReduction, h: int, i: int) -> PlanStep:
@@ -366,7 +366,7 @@ def _joined_extension_step(zero: ResidueReduction, h: int, i: int) -> PlanStep:
     gamma = _trusted(Flow, edges=frozenset(pieces + list(zip(chain, chain[1:]))))
     delta = _trusted(Flow, edges=frozenset(pieces + [(a, a) for a in sec + (i,)]))
     m_set = _leftovers(inner, gamma)  # h, a source of gamma, lies outside inner
-    return PlanStep(
+    return _step(
         "T6.6.2",
         {"h": h, "i": i, "beta": 0, "flow": gamma, "weak_flow": delta, "M": m_set},
     )
@@ -382,15 +382,15 @@ def primitive_plan(lam: Weight, i: int) -> ConstructionPlan:
         raise NotNormal(f"index {i} is not normal for {lam.parts}")
     n, p = lam.n, lam.p
     if own.gaps[i][0] == 0:
-        return ConstructionPlan((_base_step(lam, own, i),))
+        return _plan(_base_step(lam, own, i))
     # plus-led gap: only possible at residue zero with entry = 1 mod p
     if not congruent(lam.entry(i), 1, p):
         raise UnreachableCase("plus-led gap at a normal index needs entry = 1 mod p")
     if not congruent(lam.entry(n), -1, p):
-        return ConstructionPlan((_resolution_step(lam, own, i),))
+        return _plan(_resolution_step(lam, own, i))
     a = _bud_scan(_slice(own.word, seg_oo(i, n)))[0][-1]
     base = _base_step(lam, own, a)
-    return ConstructionPlan((base, _joined_extension_step(own, i, a)))
+    return _plan(base, _joined_extension_step(own, i, a))
 
 
 def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
@@ -408,25 +408,21 @@ def extension_plan(lam: Weight, h: int, i: int) -> ConstructionPlan:
         raise PreconditionFailed(f"index {h} is not normal for {lam.parts}")
     p = lam.p
     if own.beta != 0:
-        return ConstructionPlan((_extension_flow_step(own, "T6.5.2", h, i),))
+        return _plan(_extension_flow_step(own, "T6.5.2", h, i))
     # [prod over (h..i]] is -^m, +-^m or has two pluses (the scan stops)
     sec, _, stop = _bud_scan(_slice(own.word, seg_oc(h, i)))
     one_mod = congruent(lam.entry(i), 1, p)
     if stop is None and not sec:
         theorem = "T6.5.2" if congruent(lam.entry(h), 1, p) else "T6.4.2"
         if one_mod:
-            return ConstructionPlan((_extension_flow_step(own, theorem, h, i),))
+            return _plan(_extension_flow_step(own, theorem, h, i))
         a = split_index(_slice(own.word, seg_oo(h, i)))
-        return ConstructionPlan(
-            (_joined_extension_step(own, a, i), _extension_flow_step(own, theorem, h, a))
-        )
+        return _plan(_joined_extension_step(own, a, i), _extension_flow_step(own, theorem, h, a))
     if stop is None:
         if not one_mod:
-            return ConstructionPlan((_joined_extension_step(own, h, i),))
+            return _plan(_joined_extension_step(own, h, i))
         a = sec[-1]
-        return ConstructionPlan(
-            (_extension_flow_step(own, "T6.4.2", a, i), _joined_extension_step(own, h, a))
-        )
+        return _plan(_extension_flow_step(own, "T6.4.2", a, i), _joined_extension_step(own, h, a))
     raise UnreachableCase(f"extension dispatch fell through for {lam.parts}, h={h}, i={i}")
 
 

@@ -22,10 +22,9 @@ one pass per weight gives the sparse word of every residue, which a memo
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import Weight, _trusted, mod
+from .core import Record, Weight, _trusted, mod
 
 Entry = tuple[int, int]  # (sign, mark), sign in {+1, -1}
 Seq = tuple[Entry, ...]
@@ -185,11 +184,10 @@ def r_beta(lam: Weight, beta: int) -> tuple[tuple[int, str], ...]:
 # -- flows -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record):
     """A set of index pairs; validity/coherence is judged by flow_analyze."""
 
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(
@@ -201,8 +199,7 @@ class Flow:
         return frozenset(a for a, _ in self.edges)
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(Record):
     is_weak_flow: bool
     is_flow: bool
     coherent: bool

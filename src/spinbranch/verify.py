@@ -9,7 +9,6 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import crystal as cr
@@ -54,12 +53,11 @@ class InvalidSuiteParameter(ValueError):
     """A suite parameter the suite cannot run with."""
 
 
-@dataclass
 class VerdictReport:
-    suite: str
-    parameters: dict
-    cases: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, suite: str, parameters: dict):
+        self.suite, self.parameters = suite, parameters
+        self.cases = 0
+        self.failures = []
 
     @property
     def passed(self) -> bool:

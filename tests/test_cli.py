@@ -378,6 +378,21 @@ def test_weight_reports_are_byte_identical(tmp_path, p, weight):
     assert digest == WEIGHT_REPORT_DIGESTS[(p, weight)]
 
 
+_IMPORTS = """
+import sys
+import spinbranch, spinbranch.cli
+spinbranch.cli.main(["analyze", "--p", "5", "--weight", "16,11,10,10,9,5,1,0"])
+spinbranch.cli.main(["analyze", "--p", "5", "--partition", "16,11,10,10,9,5,1"])
+print(sorted({"dataclasses", "inspect", "ast"} & set(sys.modules)))
+"""
+
+
+def test_a_command_loads_no_dataclass_machinery():
+    # the records are built without `dataclasses`, and no command imports it
+    # or what it pulls in later, where a timed op would pay for it
+    assert fresh(_IMPORTS).splitlines()[-1] == "[]"
+
+
 def test_a_long_weight_at_p_0_prints_and_reads_back():
     # at p = 0 a certificate's scalar c is exact: at n = 1 000 the longest
     # has 4 839 digits, past the interpreter's default limit of 4 300 for

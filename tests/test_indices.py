@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -37,6 +36,11 @@ from spinbranch.sigseq import (
     r_words,
     reduce_seq,
 )
+
+
+def replace(record, **changes):
+    return type(record)(**{**vars(record), **changes})
+
 
 WORKED = Weight((16, 11, 10, 10, 9, 5, 1, 0), 5)
 

@@ -11,7 +11,6 @@ import pickle
 import pkgutil
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -548,8 +547,10 @@ def test_memoised_reductions_cannot_be_changed_by_a_caller():
     red = reduce_residue(lam, 0)
     kept = (red.good, red.normal, red.reduced, red.gaps)
     for name, value in (("good", 3), ("normal", frozenset()), ("reduced", ()), ("gaps", ())):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
             setattr(red, name, value)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            delattr(red, name)
     with pytest.raises(TypeError):
         red.gaps[1] = (0, 0)
     with pytest.raises(TypeError):

@@ -12,10 +12,13 @@ import spinbranch
 from definitional import partitions_of, restrict
 from spinbranch import indices, sigseq
 from spinbranch.core import DeltaFunction, InvalidCharacteristic, SignedSet, Weight, seg_oo
-from spinbranch.crystal import NotPStrict, PStrictPartition, p_strict_violation
+from spinbranch.crystal import (ContentReduction, NotPStrict, PStrictPartition,
+                                content_reductions, p_strict_violation)
 from spinbranch.indices import (
     Certificate,
+    ConstructionPlan,
     IndexClassification,
+    PlanStep,
     ResidueReduction,
     classify_indices,
     extension_plan,
@@ -180,19 +183,26 @@ def test_index_records_match_the_constructors(monkeypatch):
 
 
 def test_index_records_skip_their_generated_init(monkeypatch):
-    # with the generated `__init__` of each record the index layer derives
-    # raising, classification, every certificate and plan and their
-    # re-checks still run: those records come from `_trusted` alone
+    # with the public `__init__` of each record the index and crystal layers
+    # derive raising, classification, every certificate and plan and their
+    # re-checks, and every content reduction, still run: those records come
+    # from `_trusted` alone
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__}.__init__ called")
 
-    for cls in (IndexClassification, ResidueReduction, Certificate, FlowReport):
+    for cls in (IndexClassification, ResidueReduction, Certificate, FlowReport, PlanStep,
+                ConstructionPlan, ContentReduction):
         monkeypatch.setattr(cls, "__init__", refuse)
     spinbranch.clear_caches()
     for p in (0, 3, 5, 7):
         for lam in _planner_weights(p):
             _index_layer(lam)
             residue_reductions(lam)
+    for p in (0, 3, 5):
+        for size in range(9):
+            for parts in partitions_of(size):
+                if p_strict_violation(parts, p) is None:
+                    content_reductions(PStrictPartition(parts, p))
 
 
 @pytest.mark.parametrize(
