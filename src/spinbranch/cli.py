@@ -44,7 +44,7 @@ def _integer(text: str) -> int:
 def _weight_report(lam: Weight) -> dict:
     indices = []
     for cls in ix.classify_indices(lam):
-        entry = dict(vars(cls))  # the flags are plain bools and ints
+        entry = {f: getattr(cls, f) for f in cls._fields}  # the flags are plain bools and ints
         i = entry.pop("index")
         entry.update(i=i, entry=lam.entry(i))
         if i < lam.n and not cls.normal:
@@ -118,7 +118,8 @@ def cmd_crystal(args) -> int:
         raise ParseError(f"--max must be >= 0, got {args.max}")
     graph = cr.crystal_graph(p, args.max)
     with _open_out(args.out) as fh:
-        print(graph.to_dot() if args.format == "dot" else graph.to_json(), file=fh)
+        graph.write(fh, args.format)
+        fh.write("\n")
     return 0
 
 

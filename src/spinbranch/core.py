@@ -102,6 +102,9 @@ class Record:
     def __hash__(self):
         return hash(self._values())
 
+    def __getstate__(self):  # a pickle or copy keeps the fields, not a subclass's cache slot
+        return self.__dict__
+
     def __repr__(self):
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
@@ -124,9 +127,9 @@ def p_strict_pair(a: int, b: int, p: int) -> bool:
 class Weight(Record):
     """An integer vector (lambda_1, ..., lambda_n) with its characteristic p."""
 
+    __slots__ = ("_hash",)  # not a field: the field hash, kept by `__hash__` on first use
     parts: tuple[int, ...]
     p: int
-    _hash = None  # not a field: the field hash, kept by `__hash__` on first use
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_characteristic(self.p))
@@ -135,9 +138,11 @@ class Weight(Record):
         object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
 
     def __hash__(self):  # `_trusted` builds too: a memo lookup then reads no entry
-        if self._hash is None:
+        try:
+            return self._hash
+        except AttributeError:
             object.__setattr__(self, "_hash", hash((self.parts, self.p)))
-        return self._hash
+            return self._hash
 
     @property
     def n(self) -> int:

@@ -13,7 +13,9 @@ the restricted map's (index, value) pairs to the public builders, the one
 place this module calls the library's scans.  The signed-node routines
 re-check the whole partition or weight after each trial row change,
 both crystal operators and the branching tables are read off those signed
-nodes, and the crystal graph filters all partitions.  The re-checks of plan steps
+nodes, and the crystal graph filters all partitions; its json and dot
+text are built whole, as one `json.dumps` and one join of lines, the oracle
+of the library's chunked writer.  The re-checks of plan steps
 and certificates are kept as they were before the statement table: one
 branch per construction, each building its own r_beta.  Nothing here
 reads the library's classification, scans, node routines or statement
@@ -31,6 +33,7 @@ polynomials as coefficients, so it shares no arithmetic with the library.
 """
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 from spinbranch.core import SignedSet, Weight, congruent, mod, res_p, seg_oc, seg_oo
@@ -684,6 +687,25 @@ def signed_node_crystal_graph(p: int, max_size: int) -> CrystalGraph:
         vertices.extend(lam.parts for lam in level)
     edges.sort()
     return CrystalGraph(p, max_size, tuple(vertices), tuple(edges))
+
+
+def graph_json(graph: CrystalGraph) -> str:
+    """The graph's json in one `json.dumps` of lists of lists, the oracle of
+    the library's chunked writer."""
+    return json.dumps({"p": graph.p, "max_size": graph.max_size,
+                       "vertices": [list(v) for v in graph.vertices],
+                       "edges": [[list(a), i, list(b)] for a, i, b in graph.edges]})
+
+
+def graph_dot(graph: CrystalGraph) -> str:
+    """The graph's dot lines joined by newlines, the oracle of the library's
+    chunked writer."""
+    def name(parts):
+        return "(" + ",".join(map(str, parts)) + ")"
+
+    lines = ["digraph crystal {"] + [f'  "{name(v)}";' for v in graph.vertices]
+    lines += [f'  "{name(a)}" -> "{name(b)}" [label="{i}"];' for a, i, b in graph.edges]
+    return "\n".join(lines + ["}"])
 
 
 # -- the raising recursion on immutable degree-zero values -----------------------

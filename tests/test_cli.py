@@ -378,6 +378,28 @@ def test_weight_reports_are_byte_identical(tmp_path, p, weight):
     assert digest == WEIGHT_REPORT_DIGESTS[(p, weight)]
 
 
+# sha256 prefixes of `spinbranch crystal --out FILE`, recorded from the
+# writer that built the whole text and printed it
+GRAPH_DIGESTS = {
+    (0, 16, "dot"): "cdc0074afc71bc80",
+    (0, 16, "json"): "06366c8960144b6b",
+    (3, 36, "dot"): "fce2635c7ca8f433",
+    (3, 36, "json"): "e9820bbd4345174a",
+    (5, 30, "dot"): "528ecfca4c0f4a0f",
+    (5, 30, "json"): "25e97c90625174ee",
+    (7, 30, "dot"): "3e14dcc9416a7d43",
+    (7, 30, "json"): "8cdd78b3c8595fd1",
+}
+
+
+@pytest.mark.parametrize("p,max_size,fmt", sorted(GRAPH_DIGESTS))
+def test_graph_exports_are_byte_identical(tmp_path, p, max_size, fmt):
+    out = tmp_path / f"graph.{fmt}"
+    argv = ["crystal", "--p", str(p), "--max", str(max_size), "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == GRAPH_DIGESTS[(p, max_size, fmt)]
+
+
 _IMPORTS = """
 import sys
 import spinbranch, spinbranch.cli

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import definitional
 import pytest
@@ -409,8 +410,9 @@ def test_generated_graph_matches_filtered_oracle():
             edges = tuple(e for e in oracle.edges if sum(e[2]) <= max_size)
             expected = CrystalGraph(p, max_size, vertices, edges)
             graph = crystal_graph(p, max_size)
-            assert graph.to_json() == expected.to_json(), (p, max_size)
-            assert graph.to_dot() == expected.to_dot()
+            assert graph == expected, (p, max_size)
+            assert graph.to_json() == definitional.graph_json(expected)
+            assert graph.to_dot() == definitional.graph_dot(expected)
 
 
 @pytest.mark.parametrize(
@@ -421,8 +423,60 @@ def test_generated_graph_matches_signed_node_generator(p, max_size):
     # the weight-side scan against the cogood nodes of the signed i-nodes
     graph = crystal_graph(p, max_size)
     oracle = definitional.signed_node_crystal_graph(p, max_size)
-    assert graph.to_json() == oracle.to_json()
-    assert graph.to_dot() == oracle.to_dot()
+    assert graph == oracle
+    assert graph.to_json() == definitional.graph_json(oracle)
+    assert graph.to_dot() == definitional.graph_dot(oracle)
+
+
+class _Count:
+    """A text file that keeps only how many characters were written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, None])
+def test_the_chunked_writer_gives_the_whole_text_bytes(monkeypatch, tmp_path, chunk):
+    # the oracles build the text whole, so a separator lost or doubled at a
+    # chunk boundary shows; (3, 60) has 11 869 vertices and 15 812 edges
+    sizes = [(p, n) for p in (0, 3, 5, 7, 11) for n in (0, 1)] + [(3, 9), (5, 10), (0, 6)]
+    if chunk:
+        monkeypatch.setattr(CrystalGraph, "_chunk", chunk)
+    else:  # the library's own chunk, over many chunks
+        sizes.append((3, 60))
+    for p, n in sizes:
+        graph = crystal_graph(p, n)
+        texts = {"json": definitional.graph_json(graph), "dot": definitional.graph_dot(graph)}
+        assert (graph.to_json(), graph.to_dot()) == (texts["json"], texts["dot"]), (p, n)
+        for fmt, text in texts.items():
+            out = tmp_path / f"graph.{fmt}"
+            argv = ["crystal", "--p", str(p), "--max", str(n), "--format", fmt, "--out", str(out)]
+            assert cli.main(argv) == 0
+            assert out.read_bytes() == (text + "\n").encode(), (p, n, fmt)
+
+
+def test_writing_a_graph_holds_a_few_chunks_not_its_text():
+    # the whole-text writer peaks at several times its output
+    graph = crystal_graph(3, 50)
+    for fmt in ("json", "dot"):
+        sink = _Count()
+        tracemalloc.start()
+        try:
+            graph.write(sink, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 400_000 and peak < sink.chars / 8, (fmt, peak, sink.chars)
+
+
+def test_each_edge_holds_its_vertices_own_tuples():
+    # one tuple per vertex: an edge points at it instead of holding a copy
+    graph = crystal_graph(5, 20)
+    held = {v: v for v in graph.vertices}
+    assert len(held) == len(graph.vertices)
+    assert all(held[a] is a and held[b] is b for a, _, b in graph.edges)
 
 
 def test_operators_and_tables_match_signed_node_oracles_on_every_p_strict_partition():

@@ -2,7 +2,9 @@
 frozen dataclass twin read off the same annotations, class defaults and
 `__post_init__`, and on sample values both give the same `repr`, `==`,
 `hash` and `vars()` order, and fail with the same error types."""
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -76,7 +78,7 @@ def test_a_record_behaves_as_its_frozen_dataclass_twin(cls):
         args = [vars(rec)[f] for f in names]
         kwargs = dict(zip(names, args))
         built, other = cls(*args), twin_cls(*args)
-        assert list(vars(built)) == list(vars(other)) == names  # before `Weight` keeps its hash
+        assert list(vars(built)) == list(vars(other)) == names
         assert vars(built) == vars(other) and repr(built) == repr(other) == repr(rec)
         assert built == rec == cls(**kwargs) and other == twin_cls(**kwargs)
         assert built.__eq__(other) is NotImplemented and built != other
@@ -97,6 +99,21 @@ def test_a_record_behaves_as_its_frozen_dataclass_twin(cls):
                 with pytest.raises(AttributeError, match=f"'{name}'"):
                     delattr(obj, name)
             assert [vars(obj)[f] for f in names] == args
+
+
+def test_a_kept_hash_or_padded_weight_is_not_a_field():
+    # `Weight` keeps its hash and `PStrictPartition` its padded weight out of
+    # `__dict__`, so vars() holds the fields, and a record rebuilt from them,
+    # copied or pickled is equal and keeps working
+    w, lam = Weight((16, 11, 10, 10, 9, 5, 1, 0), 5), PStrictPartition((5, 3, 3, 1), 3)
+    before = hash(w)
+    assert hash(w) == before == hash((w.parts, w.p)) and lam.pad_weight() is lam.pad_weight()
+    hash(lam.pad_weight())
+    for rec in (w, lam, lam.pad_weight()):
+        assert list(vars(rec)) == list(type(rec)._fields), rec
+        for other in (type(rec)(**vars(rec)), copy.copy(rec), pickle.loads(pickle.dumps(rec))):
+            assert other == rec and hash(other) == hash(rec) and vars(other) == vars(rec)
+    assert pickle.loads(pickle.dumps(lam)).pad_weight() == lam.pad_weight()
 
 
 def test_a_record_with_a_read_only_mapping_has_no_hash():
