@@ -320,7 +320,7 @@ class CrystalGraph(Record):
     edges: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
     _chunk = 16  # not a field: items per write; CPython 3.11's `json.dumps` holds ~1.4 KB an edge
 
-    def write(self, fh, format: str = "json") -> None:
+    def write(self, fh, format: str) -> None:
         """Write `to_json()` or `to_dot()` to the text file `fh`, `_chunk` items at a time."""
         n = self._chunk
         if format == "dot":  # names such as "(3,1)" inline: a call per name costs ~15 %
