@@ -58,11 +58,13 @@ def clear_caches() -> None:
     """Empty the four bounded memos: r_beta's words with the residue
     reductions kept beside them, the f family (f, g1 and g2 share one,
     keyed by D within (i..j) and S's steps), the closed forms' g brackets
-    keyed by g's parameters, and the raising recursion."""
+    keyed by g's parameters, and the raising recursion; and poly's bounded
+    table of monomials, through which the raising memo shares its ints."""
     from . import poly, raising, sigseq
 
     for memo in (sigseq._words, poly._f_cached, raising._g_bracket, raising._rec):
         memo.cache_clear()
+    poly._MONOMIALS.clear()
 
 
 # the names imported above, less the submodules that importing them binds

@@ -127,9 +127,13 @@ def p_strict_pair(a: int, b: int, p: int) -> bool:
 class Weight(Record):
     """An integer vector (lambda_1, ..., lambda_n) with its characteristic p."""
 
-    __slots__ = ("_hash",)  # not a field: the field hash, kept by `__hash__` on first use
+    __slots__ = ("_hash",)  # not a field: the field hash, kept when the weight is built
     parts: tuple[int, ...]
     p: int
+
+    def __init__(self, *args, **kwargs):  # the hash is a slot: kept once the fields are checked
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_hash", hash((self.parts, self.p)))
 
     def __post_init__(self):
         object.__setattr__(self, "p", check_characteristic(self.p))
@@ -137,7 +141,14 @@ class Weight(Record):
             raise ValueError("a weight needs at least one entry")
         object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
 
-    def __hash__(self):  # `_trusted` builds too: a memo lookup then reads no entry
+    @staticmethod
+    def _of(parts: tuple[int, ...], p: int) -> "Weight":
+        """A weight of parts read off a valid one, built by `_trusted`, its hash kept."""
+        w = _trusted(Weight, parts=parts, p=p)
+        object.__setattr__(w, "_hash", hash((parts, p)))
+        return w
+
+    def __hash__(self):  # a memo lookup reads no entry; a copy or pickle hashes on first use
         try:
             return self._hash
         except AttributeError:
@@ -163,13 +174,13 @@ class Weight(Record):
 
     def minus_w0(self) -> "Weight":
         """(-lambda_n, ..., -lambda_1)."""
-        return _trusted(Weight, parts=tuple(-x for x in reversed(self.parts)), p=self.p)
+        return Weight._of(tuple(-x for x in reversed(self.parts)), self.p)
 
     def sub_eps(self, i: int) -> "Weight":
         """lambda - epsilon_i, 1-based like `entry`."""
         parts = list(self.parts)
         parts[i - 1] = self.entry(i) - 1
-        return _trusted(Weight, parts=tuple(parts), p=self.p)
+        return Weight._of(tuple(parts), self.p)
 
 
 class SignedSet(Record):

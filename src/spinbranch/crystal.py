@@ -130,7 +130,7 @@ class PStrictPartition(Record):
         """The partition as a dominant weight with one trailing zero part;
         one object per partition, so its hash and words are made once."""
         if not hasattr(self, "_pad"):
-            object.__setattr__(self, "_pad", _trusted(Weight, parts=self.parts + (0,), p=self.p))
+            object.__setattr__(self, "_pad", Weight._of(self.parts + (0,), self.p))
         return self._pad
 
 

@@ -27,6 +27,10 @@ _SHIFTS: dict[Var, int] = {}  # variable -> bit offset of its field
 _VARS: list[Var] = []  # field number -> variable
 _guard = 0  # the guard bits of all fields handed out
 _REGISTER = threading.Lock()
+# one int per packed monomial for the term dicts `_shared` re-keys, emptied by
+# clear_caches and at _MONOMIAL_CAP entries, which loses sharing, never a value
+_MONOMIALS: dict[int, int] = {}
+_MONOMIAL_CAP = 1 << 16
 
 
 class BadIndices(ValueError):
@@ -77,7 +81,8 @@ def _mac(row: dict[int, int], a: dict[int, int], b: dict[int, int],
     for m1, c1 in a.items():
         m1, c1 = m1 + shift, sign * c1
         for m2, c2 in b.items():
-            row[m1 + m2] = get(m1 + m2, 0) + c1 * c2
+            m = m1 + m2
+            row[m] = get(m, 0) + c1 * c2
     return row
 
 
@@ -89,6 +94,17 @@ def _clean(t: dict[int, int]) -> dict[int, int]:
     if t and reduce(or_, t) & _guard:
         raise DegreeOverflow(f"an exponent exceeds {MAX_EXP}")
     return t
+
+
+def _shared(t: dict[int, int]) -> dict[int, int]:
+    """t re-keyed through the monomial table, so equal monomials of every
+    re-keyed dict are one int object; a t longer than the cap is kept as it is."""
+    if len(_MONOMIALS) + len(t) > _MONOMIAL_CAP:
+        _MONOMIALS.clear()
+        if len(t) > _MONOMIAL_CAP:
+            return t
+    keep = _MONOMIALS.setdefault
+    return {keep(m, m): c for m, c in t.items()}
 
 
 def _move(t: dict[int, int], src: int, dst: int) -> dict[int, int]:

@@ -249,10 +249,17 @@ def _sgn(e: int) -> int:
 
 # keyed by plain values: dv is delta's value tuple on [i..j-1] (dv[t - i] is
 # delta_t), and evens, odds are M's two frozensets, a signed (i..j]-set
-# holding j; the public entry points check both
+# holding j; the public entry points check both.  A stored result's
+# monomials go through poly's table once, so entries share their ints
 @lru_cache(maxsize=200000)
 def _rec(i: int, j: int, eps: int, dv: tuple[int, ...],
          evens: frozenset, odds: frozenset) -> U0Element:
+    u = _rec_body(i, j, eps, dv, evens, odds)
+    return U0Element._of({bars: Polynomial._of(poly._shared(c._t)) for bars, c in u._t.items()})
+
+
+def _rec_body(i: int, j: int, eps: int, dv: tuple[int, ...],
+              evens: frozenset, odds: frozenset) -> U0Element:
     if not evens and odds == {j}:
         # base: a single barred element
         total = (eps + sum(dv)) % 2

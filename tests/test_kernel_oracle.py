@@ -504,6 +504,61 @@ def test_the_f_family_shares_one_memo_through_its_tails():
     assert poly._f_cached.cache_info().misses == 282  # both were built by the suite
 
 
+def _width3_sweep() -> list:
+    sets = verify.admissible_signed_sets(1, 4)
+    deltas = [DeltaFunction(1, dv) for dv in itertools.product((0, 1), repeat=3)]
+    return [raising_rec(1, 4, eps, delta, m) for m in sets for eps in (0, 1) for delta in deltas]
+
+
+def test_the_raising_memo_shares_its_monomials(monkeypatch):
+    # a kept result is re-keyed once through poly's table of monomials, so
+    # equal monomials of two results are one int object (above 256: CPython
+    # keeps one object per small int anyway); emptying the table, by
+    # clear_caches or before it passes its cap, loses sharing, never a value
+    clear_caches()
+    delta = DeltaFunction(1, (0, 1, 0))
+    first = raising_rec(1, 4, 0, delta, SignedSet.of(evens=[2], odds=[4]))
+    second = raising_rec(1, 4, 1, delta, SignedSet.of(evens=[3, 4]))
+    kept = {m: m for c in first.terms.values() for m in c.terms}
+    shared = [m for c in second.terms.values() for m in c.terms if m in kept and m > 256]
+    assert shared and all(kept[m] is m is poly._MONOMIALS[m] for m in shared)
+    clear_caches()
+    assert not poly._MONOMIALS
+
+    expected = _width3_sweep()
+    clear_caches()
+    cap, sizes = 40, []  # below the sweep's 94 monomials and its longest term dict (54)
+    rekey = poly._shared
+
+    def shared_within_cap(t):
+        out = rekey(t)
+        sizes.append(len(poly._MONOMIALS))
+        assert sizes[-1] <= cap and out == t
+        return out
+
+    monkeypatch.setattr(poly, "_MONOMIAL_CAP", cap)
+    monkeypatch.setattr(poly, "_shared", shared_within_cap)
+    assert _width3_sweep() == expected
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the table was emptied at its cap
+    clear_caches()
+
+
+_ORACLE_TRACED_PEAK = """
+import tracemalloc
+from spinbranch import verify
+tracemalloc.start()
+assert verify.verify_raising_oracle(width=4).passed
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_the_raising_oracle_keeps_a_traced_memory_budget():
+    # width 4 from a fresh process's cold caches: the memo's results share
+    # their monomials through poly's table (about 5.0 MiB of traced peak
+    # when each result kept its own ints, 3.0 MiB with the table)
+    assert int(fresh(_ORACLE_TRACED_PEAK)) < 4 << 20
+
+
 def test_closed_forms_bracket_each_g_once(monkeypatch):
     calls = []
     monkeypatch.setattr(raising, "bracket_hom", lambda f: calls.append(f) or bracket_hom(f))
