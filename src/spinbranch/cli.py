@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import operator
 import re
 import sys
 import time
@@ -41,26 +42,53 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _weight_report(lam: Weight) -> dict:
-    indices = []
-    for cls in ix.classify_indices(lam):
-        entry = {f: getattr(cls, f) for f in cls._fields}  # the flags are plain bools and ints
-        i = entry.pop("index")
-        entry.update(i=i, entry=lam.entry(i))
-        if i < lam.n and not cls.normal:
-            entry["certificate"] = ix.non_normal_certificate(lam, i).to_dict()
-        indices.append(entry)
-    r_maps = {}
-    signatures = {}
-    empty = dict.fromkeys(map(str, range(1, lam.n + 1)), "")  # each r_beta: its word, "" elsewhere
-    for beta, red in ix.residue_reductions(lam).items():
-        values = {**empty, **{str(t): v for t, v in red.word}}
-        r_maps[str(beta)] = {"mode": "single" if beta else "pair", "values": values}
-        signatures[str(beta)] = seq_to_list(red.reduced)
-    return {"indices": indices, "r_maps": r_maps, "reduced_signatures": signatures}
+# an index entry and its certificate in sort_keys order, each filled by one `%`: a
+# list of ints prints as its JSON, a flag as True or False, which lower() makes JSON
+_KEYS = sorted(("i" if f == "index" else f, f) for f in (*ix.IndexClassification._fields, "entry"))
+_ENTRY = "{%s}" % ", ".join(f'"{key}": %s' for key, _ in _KEYS)
+_FLAGS = operator.itemgetter(*(f for _, f in _KEYS[1:]))  # the record's fields; "entry" sorts first
+_CERTIFICATE = ('{"certificate": {"M": {"even": %(even)s, "odd": %(odd)s}, "c": %(c)s, "case": '
+                '"%(case)s", "flow": %(flow)s, "i": %(i)s, "j": %(j)s, "sources": %(sources)s}, ')
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def _partition_report(lam: cr.PStrictPartition) -> dict:
+def _weight_sections(lam: Weight) -> dict:
+    """lambda's report, all library work done; `r_maps` writes each row as it makes it."""
+    entries = []
+    for cls, x in zip(ix.classify_indices(lam), lam.parts):
+        text = (_ENTRY % (x, *_FLAGS(cls.__dict__))).lower()
+        if cls.index < lam.n and not cls.normal:
+            cert = ix.non_normal_certificate(lam, cls.index).to_dict()
+            text = _CERTIFICATE % {**cert, **cert["M"]} + text[1:]
+        entries.append(text)
+    reductions = sorted((str(beta), red) for beta, red in ix.residue_reductions(lam).items())
+    order = sorted(range(1, lam.n + 1), key=str)  # keys in string order, "10" before "2"
+    at, empty = dict(zip(order, range(lam.n))), [f'"{t}": ""' for t in order]
+
+    def r_maps(fh):  # each r_beta over 1..n: its word's values, "" elsewhere
+        for k, (beta, red) in enumerate(reductions):  # a weight has an entry, so k = 0 is met
+            row = empty.copy()
+            for t, v in red.word:
+                row[at[t]] = f'"{t}": "{v}"'
+            fh.write(f'{", " if k else "{"}"{beta}": {{"mode": '
+                     f'"{"pair" if beta == "0" else "single"}", "values": {{{", ".join(row)}}}}}')
+        fh.write("}")
+    return {"indices": lambda fh: fh.write(f"[{', '.join(entries)}]"), "r_maps": r_maps,
+            "reduced_signatures": {beta: seq_to_list(red.reduced) for beta, red in reductions}}
+
+
+def _write(fh, report: dict) -> None:
+    """`json.dumps(report, sort_keys=True)` by sections: a callable one writes itself."""
+    for k, key in enumerate(sorted(report)):
+        fh.write(f'{", " if k else "{"}"{key}": ')
+        if callable(report[key]):
+            report[key](fh)
+        else:
+            fh.write(_encode(report[key]))
+    fh.write("}")
+
+
+def _partition_sections(lam: cr.PStrictPartition) -> dict:
     contents = {}
     for i, red in cr.content_reductions(lam).items():
         down, up = cr.e_tilde(i, lam), cr.f_tilde(i, lam)
@@ -78,6 +106,7 @@ def _partition_report(lam: cr.PStrictPartition) -> dict:
     out = {
         "contents": contents,
         "spin": {"h_p_prime": h, "type": kind, "gamma": list(gamma)},
+        "padded_weight": lambda fh, pad=_weight_sections(lam.pad_weight()): _write(fh, pad),
     }
     if lam.is_restricted():
         tables = cr.branching_tables(lam)
@@ -91,24 +120,22 @@ def _partition_report(lam: cr.PStrictPartition) -> dict:
 
 def cmd_analyze(args) -> int:
     p = check_characteristic(args.p)
-    report: dict = {"p": p}
     if args.partition is not None:
         try:
             lam = cr.PStrictPartition(_parse_parts(args.partition), p)
         except cr.NotPStrict as exc:
             raise ParseError(str(exc)) from exc
-        report["input"] = {"kind": "partition", "parts": list(lam.parts)}
-        report.update(_partition_report(lam))
-        report["padded_weight"] = _weight_report(lam.pad_weight())
+        report, kind = _partition_sections(lam), "partition"
     else:
         parts = _parse_parts(args.weight)
         if not parts:
             raise ParseError(f"a weight needs at least one entry, got {args.weight!r}")
         lam = Weight(parts, p)
-        report["input"] = {"kind": "weight", "parts": list(lam.parts)}
-        report.update(_weight_report(lam))
-    with _open_out(args.out) as fh:
-        print(json.dumps(report, sort_keys=True), file=fh)  # no indent: the C encoder
+        report, kind = _weight_sections(lam), "weight"
+    report.update(p=p, input={"kind": kind, "parts": list(lam.parts)})
+    with _open_out(args.out) as fh:  # after all library work: a failing run leaves it as it was
+        _write(fh, report)
+        fh.write("\n")
     return 0
 
 
@@ -126,17 +153,17 @@ def cmd_crystal(args) -> int:
 def cmd_verify(args) -> int:
     suites = list(vf.RUNNERS) if args.suite == "all" else [args.suite]
     plans = vf.suite_arguments(suites, {flag: getattr(args, flag) for flag in vf.FLAGS})
-    reports = []
+    passed = True
     with _open_out(args.out) as fh:
-        for name, kwargs in plans.items():
+        for name, kwargs in plans.items():  # each line is written as its suite ends
             start = time.perf_counter()
             report = vf.RUNNERS[name](**kwargs)
             verdict = "pass" if report.passed else "FAIL"
             print(f"{name} {verdict} {report.cases} {time.perf_counter() - start:.2f}",
                   file=sys.stderr)
-            reports.append(report)
-        print("\n".join(report.to_json() for report in reports), file=fh)
-    return 0 if all(report.passed for report in reports) else 1
+            print(report.to_json(), file=fh, flush=True)
+            passed = passed and report.passed
+    return 0 if passed else 1
 
 
 def _open_out(out: str | None):
@@ -186,15 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     global _parser
-    if hasattr(sys, "set_int_max_str_digits"):  # at p = 0 a certificate's c may be long
-        sys.set_int_max_str_digits(0)
     _parser = _parser or build_parser()
     args = _parser.parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None before Python 3.10.7
     try:
+        if limit is not None:  # no digit limit while a command runs: at p = 0 a scalar c is long
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except (ParseError, InvalidCharacteristic, vf.InvalidSuiteParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

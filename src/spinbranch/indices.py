@@ -25,6 +25,7 @@ and derives beta as the residue of i; no row reads beta from the payload.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from bisect import bisect_left
 from types import MappingProxyType
@@ -267,16 +268,15 @@ def _leftovers(dom, flow: Flow, odds=()) -> SignedSet:
     """The set M of a certificate or a construction step: the indices of
     dom that are not sources of the flow, unbarred, plus the barred odds."""
     srcs = flow.sources()
-    return _trusted(SignedSet, evens=frozenset(t for t in dom if t not in srcs),
-                    odds=frozenset(odds))
+    return _trusted(SignedSet, evens=frozenset(dom).difference(srcs), odds=frozenset(odds))
 
 
 def _residue_product(lam: Weight, beta: int, ts) -> int:
-    p = lam.p
-    out = 1
-    for t in ts:
-        out *= beta - res_p(lam.entry(t), p)
-    return mod(out, p)
+    p, parts = lam.p, lam.parts
+    out = [beta - res_p(parts[t - 1], p) for t in ts]
+    while p == 0 and len(out) > 1:  # exact, so in pairs: a running one redoes its digits
+        out = [a * b for a, b in zip(out[::2], out[1::2])] + out[len(out) & ~1:]
+    return mod(math.prod(out), p)
 
 
 # -- construction planners -------------------------------------------------------
@@ -288,17 +288,16 @@ class PlanStep(Record):
 
 
 def _jsonable(value):
-    if isinstance(value, Flow):
-        return sorted([a, b] for a, b in value.edges)
-    if isinstance(value, SignedSet):
-        return {"even": sorted(value.evens), "odd": sorted(value.odds)}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (frozenset, set)):
-        return [_jsonable(v) for v in sorted(value)]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    """The one JSON form of a certificate's or plan step's values, found by exact type."""
+    form = _FORMS.get(type(value))
+    return value if form is None else form(value)
+
+
+_FORMS = {Flow: lambda flow: sorted([a, b] for a, b in flow.edges),
+          SignedSet: lambda s: {"even": sorted(s.evens), "odd": sorted(s.odds)},
+          dict: lambda d: {k: _jsonable(v) for k, v in d.items()},
+          **dict.fromkeys((frozenset, set), lambda s: [_jsonable(v) for v in sorted(s)]),
+          **dict.fromkeys((list, tuple), lambda s: [_jsonable(v) for v in s])}
 
 
 class ConstructionPlan(Record):

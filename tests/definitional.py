@@ -30,6 +30,13 @@ weight-side scan that generates it now.  The raising recursion builds
 every product, sign and sum as a new {bars: coefficient} dict, with its own
 normal ordering by adjacent swaps and `polyref`'s dict-of-tuples
 polynomials as coefficients, so it shares no arithmetic with the library.
+
+The analyze report is the second exception: `weight_report`,
+`partition_report` and `analyze_text` build it as whole dicts from the
+library's classification, certificates, reductions and crystal operators,
+with a dense `r_maps` and one `json.dumps`, as the CLI did before it wrote
+the report section by section; `jsonable` is the `isinstance` chain that
+wrote a certificate's and a plan's values before `indices._jsonable`'s table.
 """
 from __future__ import annotations
 
@@ -45,6 +52,8 @@ from spinbranch.crystal import (
     reduce_content,
 )
 import polyref as ref
+from spinbranch import crystal
+from spinbranch import indices as ix
 from spinbranch import sigseq as lib
 from spinbranch.indices import (
     Certificate,
@@ -706,6 +715,105 @@ def graph_dot(graph: CrystalGraph) -> str:
     lines = ["digraph crystal {"] + [f'  "{name(v)}";' for v in graph.vertices]
     lines += [f'  "{name(a)}" -> "{name(b)}" [label="{i}"];' for a, i, b in graph.edges]
     return "\n".join(lines + ["}"])
+
+
+# -- the analyze report as one dict ------------------------------------------------
+
+
+def jsonable(value):
+    """The JSON form of a certificate's or plan step's values by an
+    `isinstance` chain, the oracle of `indices._jsonable`'s table by type."""
+    if isinstance(value, Flow):
+        return sorted([a, b] for a, b in value.edges)
+    if isinstance(value, SignedSet):
+        return {"even": sorted(value.evens), "odd": sorted(value.odds)}
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (frozenset, set)):
+        return [jsonable(v) for v in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
+def certificate_dict(cert: Certificate) -> dict:
+    return {"case": cert.case_tag, "i": cert.index, "j": cert.j, "flow": jsonable(cert.flow),
+            "M": jsonable(cert.m_set), "sources": jsonable(cert.sources), "c": cert.c}
+
+
+def weight_report(lam: Weight) -> dict:
+    """The sections of a weight's report as whole dicts, `r_maps` dense: the
+    oracle of the CLI's writer.  It reads the library's classification,
+    certificates and reductions, which have oracles of their own."""
+    indices = []
+    for cls in ix.classify_indices(lam):
+        entry = {f: getattr(cls, f) for f in cls._fields}
+        i = entry.pop("index")
+        entry.update(i=i, entry=lam.entry(i))
+        if i < lam.n and not cls.normal:
+            entry["certificate"] = certificate_dict(ix.non_normal_certificate(lam, i))
+        indices.append(entry)
+    r_maps = {}
+    signatures = {}
+    empty = dict.fromkeys(map(str, range(1, lam.n + 1)), "")
+    for beta, red in ix.residue_reductions(lam).items():
+        values = {**empty, **{str(t): v for t, v in red.word}}
+        r_maps[str(beta)] = {"mode": "single" if beta else "pair", "values": values}
+        signatures[str(beta)] = lib.seq_to_list(red.reduced)
+    return {"indices": indices, "r_maps": r_maps, "reduced_signatures": signatures}
+
+
+def partition_report(lam: PStrictPartition) -> dict:
+    """The sections of a partition's report, its padded weight's included,
+    as whole dicts: the oracle of the CLI's writer."""
+    contents = {}
+    for i, red in crystal.content_reductions(lam).items():
+        down, up = crystal.e_tilde(i, lam), crystal.f_tilde(i, lam)
+        contents[str(i)] = {
+            key: [list(nd) for nd in getattr(red, key)]
+            for key in ("removable", "addable", "good", "normal", "conormal", "cogood")
+        }
+        contents[str(i)].update({
+            "signature": lib.seq_to_list(red.signature()),
+            "reduced": lib.seq_to_list(red.signature(reduced=True)),
+            "e_tilde": None if down is None else list(down.parts),
+            "f_tilde": None if up is None else list(up.parts),
+        })
+    h, kind, gamma = crystal.spin_stats(lam)
+    out = {
+        "contents": contents,
+        "spin": {"h_p_prime": h, "type": kind, "gamma": list(gamma)},
+        "padded_weight": weight_report(lam.pad_weight()),
+    }
+    if lam.is_restricted():
+        tables = crystal.branching_tables(lam)
+        names = ("restriction_socle", "restriction_specht", "induction_socle", "induction_specht")
+        out["branching"] = {
+            name: [{"partition": list(mu.parts), "node": list(node)} for mu, node in table]
+            for name, table in zip(names, tables)
+        }
+    return out
+
+
+def analyze_text(lam) -> str:
+    """What `spinbranch analyze` prints for a Weight or a PStrictPartition:
+    the whole report in one `json.dumps(..., sort_keys=True)` and a newline."""
+    partition = isinstance(lam, PStrictPartition)
+    report = {"p": lam.p, "input": {"kind": "partition" if partition else "weight",
+                                    "parts": list(lam.parts)}}
+    report.update(partition_report(lam) if partition else weight_report(lam))
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+def analyze_mismatch(got: str, lam):
+    """None when `got` is `analyze_text(lam)`, else the first place they
+    differ and each text around it: a report runs to megabytes, too long for
+    a diff of the whole."""
+    want = analyze_text(lam)
+    if got == want:
+        return None
+    k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return k, got[max(k - 60, 0):k + 60], want[max(k - 60, 0):k + 60]
 
 
 # -- the raising recursion on immutable degree-zero values -----------------------

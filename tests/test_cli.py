@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -12,7 +13,9 @@ import spinbranch
 from spinbranch import cli
 from spinbranch import verify as vf
 from spinbranch.cli import main
+import definitional
 from spinbranch.core import Weight
+from spinbranch.crystal import PStrictPartition
 from test_kernel_oracle import fresh
 
 
@@ -415,27 +418,147 @@ def test_a_command_loads_no_dataclass_machinery():
     assert fresh(_IMPORTS).splitlines()[-1] == "[]"
 
 
-def test_a_long_weight_at_p_0_prints_and_reads_back():
-    # at p = 0 a certificate's scalar c is exact: at n = 1 000 the longest
-    # has 4 839 digits, past the interpreter's default limit of 4 300 for
-    # int-str conversion, which `main` lifts for its own process.  A Python
-    # reader needs the same call; the library's report is what reads back
-    rng = random.Random(1)
-    parts = [rng.randint(-1000, 1000) for _ in range(1000)]
-    script = "import sys; from spinbranch.cli import main; sys.exit(main(sys.argv[1:]))"
-    out = fresh(script, "analyze", "--p", "0", "--weight=" + ",".join(map(str, parts)))
+@contextlib.contextmanager
+def no_digit_limit():
+    """No int-str digit limit inside the block, the caller's back after it."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        report = json.loads(out)
+        yield
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+# the peak RSS of `analyze --p 0` on the n = 1 000 weight below, in KiB:
+# 64.7-64.8 MiB while the report was one dict with a dense `r_maps`,
+# 20.1-21.2 MiB since it is written section by section (CPython 3.11, Linux)
+LONG_REPORT_PEAK_KIB = 40 * 1024
+
+# the report runs in a grandchild of a small interpreter, which prints it
+# and then the grandchild's peak: Linux keeps a process's `ru_maxrss`
+# across exec, so a child spawned by the test run would report the test
+# run's own peak
+PEAK_OF_CHILD = """
+import resource, subprocess, sys
+run = "import sys; from spinbranch.cli import main; sys.exit(main(sys.argv[1:]))"
+done = subprocess.run([sys.executable, "-c", run, *sys.argv[1:]], stdout=subprocess.PIPE, check=True)
+sys.stdout.write(done.stdout.decode())
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_a_long_weight_at_p_0_prints_and_reads_back():
+    # at p = 0 a certificate's scalar c is exact: at n = 1 000 the longest
+    # has 4 839 digits, past the interpreter's default limit of 4 300 for
+    # int-str conversion, which `main` lifts while it runs.  A Python
+    # reader needs the same call; the whole-dict oracle is what reads back
+    rng = random.Random(1)
+    parts = [rng.randint(-1000, 1000) for _ in range(1000)]
+    out, peak = fresh(PEAK_OF_CHILD, "analyze", "--p", "0",
+                      "--weight=" + ",".join(map(str, parts))).splitlines()
+    with no_digit_limit():
+        report = json.loads(out)
     assert max(abs(e["certificate"]["c"]) for e in report["indices"]
                if "certificate" in e) > 10 ** 4300
     want = {"p": 0, "input": {"kind": "weight", "parts": parts}}
-    assert report == {**want, **cli._weight_report(Weight(tuple(parts), 0))}
+    assert report == {**want, **definitional.weight_report(Weight(tuple(parts), 0))}
+    print(f"peak RSS of the report: {int(peak) / 1024:.1f} MiB")
+    assert int(peak) <= LONG_REPORT_PEAK_KIB
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-str digit limit")
+def test_main_restores_the_callers_digit_limit(tmp_path):
+    # the limit is lifted while the report is encoded, and CPython's guard
+    # against quadratic int-str conversion is back for the caller afterwards
+    rng = random.Random(1)
+    lam = Weight(tuple(rng.randint(-1000, 1000) for _ in range(1000)), 0)
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--p", "0", "--weight=" + ",".join(map(str, lam.parts)), "--out", str(out)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4321)
+        assert main(argv) == 0
+        assert sys.get_int_max_str_digits() == 4321
+        assert main(["analyze", "--p", "0", "--weight=1,,2"]) == 2  # a usage error restores it too
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with no_digit_limit():
+        assert definitional.analyze_mismatch(out.read_text(), lam) is None
+
+
+def _weight_cases():
+    """Weights at p in {0, 3, 101} and n in {1, 2, 40, 1 000}: entries drawn
+    from [-n, n] (negative ones included) and all zero."""
+    rng = random.Random(36)
+    for p in (0, 3, 101):
+        for n in (1, 2, 40, 1000):
+            yield p, tuple(rng.randint(-n, n) for _ in range(n))
+            yield p, (0,) * n
+
+
+@pytest.mark.parametrize("p,parts", list(_weight_cases()), ids=lambda v: str(v)[:12])
+def test_a_weight_report_writes_the_bytes_of_the_whole_dict(tmp_path, p, parts):
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--p", str(p), "--weight=" + ",".join(map(str, parts)), "--out", str(out)]
+    assert main(argv) == 0
+    with no_digit_limit():
+        assert definitional.analyze_mismatch(out.read_text(), Weight(parts, p)) is None
+
+
+@pytest.mark.parametrize("p,parts,restricted", [
+    (3, (6, 4, 3, 1), True),
+    (5, (16, 11, 10, 10, 9, 5, 1), True),
+    (7, (13, 12, 8, 7, 7, 3), True),
+    (3, (10, 1), False),
+    (3, (9, 6, 5, 3, 1), False),
+    (5, (20, 14, 3), False),
+    (3, (), True),
+    (0, (7, 4, 2, 1), True),
+    (0, (30, 12, 11, 5), True),
+])
+def test_a_partition_report_writes_the_bytes_of_the_whole_dict(tmp_path, p, parts, restricted):
+    # restricted partitions carry `branching`, the others no such key; at
+    # p = 0 every partition is restricted
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--p", str(p), "--partition=" + ",".join(map(str, parts)), "--out", str(out)]
+    assert main(argv) == 0
+    lam = PStrictPartition(parts, p)
+    assert definitional.analyze_mismatch(out.read_text(), lam) is None
+    assert ("branching" in json.loads(out.read_text())) is restricted is lam.is_restricted()
+
+
+def test_a_failing_analyze_leaves_out_untouched(tmp_path, monkeypatch):
+    # all library work ends before --out is opened
+    out = tmp_path / "report.json"
+    out.write_text("before\n")
+
+    def fail(lam, i):
+        raise RuntimeError("no certificate")
+
+    monkeypatch.setattr(cli.ix, "non_normal_certificate", fail)
+    with pytest.raises(RuntimeError, match="no certificate"):
+        main(["analyze", "--p", "5", "--weight=0,0", "--out", str(out)])
+    assert out.read_text() == "before\n"
+
+
+def test_verify_writes_each_suite_line_as_the_suite_ends(monkeypatch, tmp_path):
+    # a crash in a later suite keeps the lines of the suites that finished
+    _stub_runners(monkeypatch)
+    first, second = list(vf.RUNNERS)[:2]
+
+    def crash(**kwargs):
+        raise RuntimeError(f"{second} crashed")
+
+    monkeypatch.setitem(vf.RUNNERS, second, crash)
+    out = tmp_path / "verify.jsonl"
+    with pytest.raises(RuntimeError, match="crashed"):
+        main(["verify", "all", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    assert [json.loads(line)["suite"] for line in lines] == [first]
+    assert json.loads(lines[0])["pass"] is True
 
 
 @pytest.mark.parametrize("argv", [

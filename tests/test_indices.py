@@ -6,7 +6,7 @@ import pytest
 
 import definitional
 from spinbranch import clear_caches, indices, sigseq
-from spinbranch.cli import _weight_report, main
+from spinbranch.cli import main
 from spinbranch.core import SignedSet, Weight, res_p, seg_oc, seg_oo
 from spinbranch.indices import (
     Certificate,
@@ -440,18 +440,26 @@ def test_residue_must_be_an_integer_and_is_taken_mod_p():
     assert reduce_residue(Weight((3, 1), 0), 6).beta == 6  # p = 0: beta as given
 
 
-def test_a_weight_report_builds_each_reduction_once(monkeypatch):
+def test_a_weight_report_builds_each_reduction_once(monkeypatch, tmp_path):
     # n = 100 at p = 0 touches 87 residues, more than a memo of reductions
     # bounded by count held: the report's classification, certificates and
     # residue_reductions once rebuilt evicted ones (193 builds).  Kept
-    # beside the weight's words, each is built once
+    # beside the weight's words, each is built once, by the whole-dict
+    # oracle and by the CLI's writer alike
     rng = random.Random(3)
     lam = Weight(tuple(rng.randint(-100, 100) for _ in range(100)), 0)
     built = _count_builds(monkeypatch)
     clear_caches()
-    report = _weight_report(lam)
+    report = definitional.weight_report(lam)
     assert len(report["r_maps"]) == 87
     assert sorted(beta for _, beta in built) == sorted(int(b) for b in report["r_maps"])
+    built.clear()
+    clear_caches()
+    out = tmp_path / "report.json"
+    argv = ["analyze", "--p", "0", "--weight=" + ",".join(map(str, lam.parts)), "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(beta for _, beta in built) == sorted(int(b) for b in report["r_maps"])
+    assert definitional.analyze_mismatch(out.read_text(), lam) is None
 
 
 def _plans_and_certificates(lam: Weight) -> list[str]:
@@ -521,6 +529,34 @@ def _planner_weights(p: int):
         else:
             parts = tuple(p * rng.randint(-1, 3) + rng.choice((-1, 0, 1)) for _ in range(n))
         yield Weight(parts, p)
+
+
+@pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
+def test_the_json_form_by_type_matches_the_isinstance_chain(p):
+    # indices._jsonable finds a value's form by its exact type; the chain of
+    # isinstance tests it replaced is the oracle, on every certificate and
+    # plan step of the planner weights, and on their whole payloads
+    forms = set()
+    for lam in _planner_weights(p):
+        normals = {c.index for c in classify_indices(lam) if c.normal}
+        payloads = []
+        for i in range(1, lam.n):
+            if i in normals:
+                payloads += [s.data for s in primitive_plan(lam, i).steps]
+            else:
+                cert = non_normal_certificate(lam, i)
+                assert cert.to_dict() == definitional.certificate_dict(cert)
+                payloads.append({"flow": cert.flow, "M": cert.m_set, "sources": cert.sources})
+        for h in normals:
+            payloads += [s.data for i in range(h + 1, lam.n) if lam.residue(h) == lam.residue(i)
+                         for s in extension_plan(lam, h, i).steps]
+        for data in payloads:
+            for value in (data, *data.values()):
+                assert indices._jsonable(value) == definitional.jsonable(value), value
+                forms.add(type(value).__name__)
+    assert {"dict", "Flow", "SignedSet", "frozenset", "int"} <= forms
+    mixed = {"a": [(1, 2), {3, 1}], "b": (frozenset({(2, 1), (0, 5)}), "x", None, True)}
+    assert indices._jsonable(mixed) == definitional.jsonable(mixed)
 
 
 @pytest.mark.parametrize("p", sorted(PLANNER_DIGESTS))
